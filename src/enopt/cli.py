@@ -1,8 +1,9 @@
 """Command line interface: validate scenarios, report dimensions, run them.
 
 Exit codes: 0 optimal, 2 parse error, 3 infeasible, 4 unbounded, 5 gap or
-iteration/node limit, 6 schema mismatch, 7 validation failure.  Output files
-are byte-identical across runs of the same scenario and seed.
+iteration/node limit, 6 schema mismatch, 7 validation failure, 8 solver
+failure (numerical breakdown).  Output files are byte-identical across runs
+of the same scenario and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import analyze, formulate, scenario as scenario_mod
 from .model import system_dimensions, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario
-from .solver import SolverConfig, Status, solve
+from .solver import SolverConfig, SolverError, Status, solve
 
 log = logging.getLogger("enopt")
 
@@ -27,6 +28,7 @@ EXIT_OPTIMAL = 0
 EXIT_INFEASIBLE = 3
 EXIT_UNBOUNDED = 4
 EXIT_LIMIT = 5
+EXIT_SOLVER = 8
 
 _STATUS_EXIT = {
     Status.OPTIMAL: EXIT_OPTIMAL,
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return exc.exit_code
+    except SolverError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

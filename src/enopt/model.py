@@ -14,6 +14,8 @@ problems at once.  Violations with severity ``"error"`` block compilation,
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -520,6 +522,7 @@ STORAGE_RATE = "STORAGE_RATE"
 STORAGE_CAPACITY = "STORAGE_CAPACITY"
 STORAGE_OVERFULL = "STORAGE_OVERFULL"
 CO2_CAP_NEGATIVE = "CO2_CAP_NEGATIVE"
+NOT_FINITE = "NOT_FINITE"
 DEGENERATE = "DEGENERATE"
 
 
@@ -543,6 +546,21 @@ def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
     if periods[0] != 0 or sorted(set(periods)) != list(range(max(periods) + 1)):
         out.append(Violation(PERIOD_RANGE, "time.period_of_step",
                              "period indices must form a contiguous range starting at 0"))
+
+
+def _check_finite(where: str, value, out: list[Violation]) -> None:
+    """Flag NaN and +-inf in every number of a model value (a number, a
+    series or a nested dataclass), naming the field path."""
+    if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            out.append(Violation(NOT_FINITE, where, f"value must be finite, got {value}"))
+    elif isinstance(value, tuple):
+        for t, v in enumerate(value):
+            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                _check_finite(f"{where}[{t}]", v, out)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _check_finite(f"{where}.{f.name}", getattr(value, f.name), out)
 
 
 def _check_series_len(series, num_steps: int, code: str, where: str, out: list[Violation]) -> None:
@@ -724,6 +742,7 @@ def validate_system(sys: EnergySystem) -> ValidationReport:
         if len(n.load) != grid.num_steps:
             out.append(Violation(LOAD_LENGTH, f"nodes[{n.id}].load",
                                  f"expected {grid.num_steps} entries, got {len(n.load)}"))
+        _check_finite(f"nodes[{n.id}].load", n.load, out)
     node_ids = sys.node_ids()
 
     seen_ids = set()
@@ -732,12 +751,14 @@ def validate_system(sys: EnergySystem) -> ValidationReport:
             out.append(Violation(ID_DUPLICATE, f"components[{comp.id}]", "duplicate id"))
         seen_ids.add(comp.id)
         _check_component(comp, grid, node_ids, out)
+        _check_finite(f"components[{comp.id}]", comp, out)
     for stor in sys.storages:
         if stor.id in seen_ids:
             out.append(Violation(ID_DUPLICATE, f"storages[{stor.id}]",
                                  "id collides with a component or storage"))
         seen_ids.add(stor.id)
         _check_storage(stor, grid, node_ids, out)
+        _check_finite(f"storages[{stor.id}]", stor, out)
 
     if sys.co2_cap is not None and sys.co2_cap < 0:
         out.append(Violation(CO2_CAP_NEGATIVE, "co2_cap", "emission cap must be >= 0"))

@@ -4,13 +4,28 @@ Design notes:
 
 * Variables carry their bounds directly (no slack rows for upper bounds),
   which keeps capacity caps out of the constraint matrix.
-* The basis is held as a sparse LU factorisation (scipy ``splu``) plus a
-  product-form eta file; the factorisation is rebuilt every few dozen pivots
-  and before optimality is declared, so the final point is computed from a
-  fresh factorisation.
+* Column ``n_struct + i`` of ``A`` is the slack of row ``i`` with
+  coefficient +1 (the layout ``standardize`` builds), and the artificial of
+  row ``i`` is ``signs[i]`` times the unit vector.  A basis therefore holds
+  unit columns, one per row they cover, and structural columns.  Only the
+  structural columns restricted to the uncovered rows (the "bump", the LU
+  nucleus of Suhl & Suhl 1990) go to a sparse LU (scipy ``splu``); the
+  entries of the covered rows follow from one sparse product with the
+  structural basic columns.  An all-slack basis needs no factorisation.
+* Pivots since the last factorisation form a product-form eta file
+  (Dantzig & Orchard-Hays 1954) held in closed form: a fixed store of the
+  vectors ``w_k - e_{r_k}`` and the inverse of the small lower-triangular
+  matrix that couples them, so ftran and btran apply every eta in two dense
+  matrix-vector products.  The basis is refactored when the store holds
+  ``REFACTOR_EVERY`` etas and before optimality is declared, so the final
+  point is computed from a fresh factorisation.
 * Pricing is Dantzig (largest reduced-cost violation).  A run of degenerate
   pivots switches to Bland's rule (smallest index in, smallest index out),
   which guarantees termination; the first non-degenerate step switches back.
+  A per-column sign (-1 at a movable lower bound, +1 at a movable upper
+  bound, 0 otherwise), kept up to date at every status change, turns the
+  reduced costs into violations with one product; the ratio test looks only
+  at rows with a usable pivot entry.
 * The objective is normalised by its largest coefficient internally, so
   scaling the objective by any positive factor leaves the pivot sequence,
   and therefore the returned vertex, unchanged.
@@ -100,6 +115,8 @@ class BoundedSimplex:
                 xB[i] = abs(residual[i])
                 art_rows.append(i)
 
+        self.n_struct = n - self.m
+        self.signs = signs
         self.A = sp.hstack([A, sp.diags(signs, format="csc")], format="csc")
         self.AT = self.A.T.tocsr()
         self.lower = np.concatenate([lower, np.zeros(self.m)])
@@ -113,26 +130,79 @@ class BoundedSimplex:
         self.xB = xB
         self.b = b.astype(float)
 
+        # violation = d * price_sign for columns at a bound; nonbasic free
+        # columns are priced by |d| (once basic, a column only ever leaves
+        # to a bound, so this list only shrinks)
+        movable = self.upper > self.lower
+        self.price_sign = np.where(movable & (self.status == AT_LOWER), -1.0,
+                                   np.where(movable & (self.status == AT_UPPER), 1.0, 0.0))
+        self.free = np.flatnonzero(movable & (self.status == FREE))
+
         self.cost_phase1 = np.zeros(n + self.m)
         self.cost_phase1[n:] = 1.0
         self.cost_phase2 = np.concatenate([self.cost_orig / self.scale, np.zeros(self.m)])
 
         self.iterations = 0
-        self.etas: list[tuple[int, np.ndarray]] = []
-        self.lu = None
+        # eta file: row k of eta_vecs is w_k - e_{r_k}; eta_inv[:k, :k] is the
+        # inverse of the lower-triangular T with T[k, j] = eta_vecs[j, r_k]
+        # (j < k) and T[k, k] = w_k[r_k]
+        self.eta_vecs = np.empty((REFACTOR_EVERY, self.m))
+        self.eta_rows = np.empty(REFACTOR_EVERY, dtype=np.int64)
+        self.eta_inv = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
+        self.n_etas = 0
         self._refactor()
 
     # -- linear algebra ------------------------------------------------------
 
     def _refactor(self) -> None:
-        B = self.A[:, self.basis].tocsc()
-        try:
-            self.lu = splu(B)
-        except RuntimeError as exc:  # singular basis: numerical breakdown
-            raise SolverError(f"basis factorisation failed: {exc}") from exc
-        self.etas = []
+        """Factorise the basis: unit columns by their row, LU of the bump."""
+        m, basis = self.m, self.basis
+        unit = basis >= self.n_struct
+        self.pos_unit = np.flatnonzero(unit)
+        self.pos_struct = np.flatnonzero(~unit)
+        cols = basis[self.pos_unit]
+        art = cols >= self.n_real
+        self.rows_unit = np.where(art, cols - self.n_real, cols - self.n_struct)
+        self.sign_unit = np.where(art, self.signs[self.rows_unit], 1.0)
+        covered = np.zeros(m, dtype=bool)
+        covered[self.rows_unit] = True
+        self.rows_bump = np.flatnonzero(~covered)
+        if self.rows_bump.size != self.pos_struct.size:
+            raise SolverError("basis factorisation failed: a row's slack and "
+                              "artificial are both basic")
+        bump_row = np.full(m, -1, dtype=np.int64)
+        bump_row[self.rows_bump] = np.arange(self.rows_bump.size)
+
+        # structural basic columns; the bump keeps their uncovered rows
+        self.S = self.A[:, basis[self.pos_struct]]
+        self.S_T = self.S.T
+        self.lu = None
+        nb = self.rows_bump.size
+        if nb:
+            keep = bump_row[self.S.indices] >= 0
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            bump = sp.csc_matrix((self.S.data[keep], bump_row[self.S.indices[keep]],
+                                  kept[self.S.indptr]), shape=(nb, nb))
+            try:
+                self.lu = splu(bump)
+            except RuntimeError as exc:  # singular basis: numerical breakdown
+                raise SolverError(f"basis factorisation failed: {exc}") from exc
+        self.n_etas = 0
         x_nb = self._nonbasic_values()
-        self.xB = self.lu.solve(self.b - self.A @ x_nb)
+        self.xB = self._ftran(self.b - self.A @ x_nb)
+
+    def _push_eta(self, r: int, w: np.ndarray) -> None:
+        """Record the pivot that put w = B^-1 a_q into basis position r."""
+        k = self.n_etas
+        self.eta_vecs[k] = w
+        self.eta_vecs[k, r] -= 1.0
+        self.eta_rows[k] = r
+        inv = self.eta_inv
+        inv[k, :k] = -(self.eta_vecs[:k, r] @ inv[:k, :k]) / w[r]
+        inv[k, k] = 1.0 / w[r]
+        self.n_etas = k + 1
+        if self.n_etas == REFACTOR_EVERY:
+            self._refactor()
 
     def _nonbasic_values(self) -> np.ndarray:
         x = np.where(self.status == AT_LOWER, self.lower, 0.0)
@@ -141,21 +211,29 @@ class BoundedSimplex:
         return x
 
     def _ftran(self, col: np.ndarray) -> np.ndarray:
-        w = self.lu.solve(col)
-        for r, wcol in self.etas:
-            t = w[r] / wcol[r]
-            if t != 0.0:
-                w = w - wcol * t
-            w[r] = t
+        w = np.empty(self.m)
+        if self.lu is not None:
+            w_struct = self.lu.solve(col[self.rows_bump])
+            w[self.pos_struct] = w_struct
+            col = col - self.S @ w_struct
+        w[self.pos_unit] = self.sign_unit * col[self.rows_unit]
+        k = self.n_etas
+        if k:
+            t = self.eta_inv[:k, :k] @ w[self.eta_rows[:k]]
+            w -= t @ self.eta_vecs[:k]
         return w
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
-        z = cb.astype(float).copy()
-        for r, wcol in reversed(self.etas):
-            zr = z[r]
-            s = z @ wcol
-            z[r] = (zr - (s - zr * wcol[r])) / wcol[r]
-        return self.lu.solve(z, trans="T")
+        z = np.array(cb, dtype=float)
+        k = self.n_etas
+        if k:
+            h = (self.eta_vecs[:k] @ z) @ self.eta_inv[:k, :k]
+            np.subtract.at(z, self.eta_rows[:k], h)
+        y = np.zeros(self.m)
+        y[self.rows_unit] = self.sign_unit * z[self.pos_unit]
+        if self.lu is not None:
+            y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - self.S_T @ y, trans="T")
+        return y
 
     def _column(self, j: int) -> np.ndarray:
         start, end = self.A.indptr[j], self.A.indptr[j + 1]
@@ -171,20 +249,15 @@ class BoundedSimplex:
         return y, d
 
     def _entering(self, d: np.ndarray, bland: bool) -> int | None:
-        nb = self.status != BASIC
-        movable = self.upper > self.lower
-        viol = np.zeros(d.shape)
-        lo = nb & movable & (self.status == AT_LOWER) & (d < -self.otol)
-        up = nb & movable & (self.status == AT_UPPER) & (d > self.otol)
-        fr = nb & movable & (self.status == FREE) & (np.abs(d) > self.otol)
-        viol[lo] = -d[lo]
-        viol[up] = d[up]
-        viol[fr] = np.abs(d[fr])
-        if not viol.any():
+        viol = d * self.price_sign
+        if self.free.size:
+            viol[self.free] = np.abs(d[self.free])
+        q = int(np.argmax(viol))
+        if not viol[q] > self.otol:
             return None
         if bland:
-            return int(np.argmax(viol > 0.0))
-        return int(np.argmax(viol))
+            return int(np.argmax(viol > self.otol))
+        return q
 
     def _ratio_test(self, q: int, sigma: float, w: np.ndarray, bland: bool):
         """Largest step t >= 0 keeping all basics inside their bounds.
@@ -193,17 +266,14 @@ class BoundedSimplex:
         hits its opposite bound first (a bound flip), or that the step is
         unbounded when t is inf.
         """
-        delta = sigma * w
-        lims = np.full(self.m, math.inf)
-        lbB = self.lower[self.basis]
-        ubB = self.upper[self.basis]
-        pos = delta > PIVOT_TOL
-        neg = delta < -PIVOT_TOL
+        rows = np.flatnonzero(np.abs(w) > PIVOT_TOL)
+        delta = sigma * w[rows]
+        cols = self.basis[rows]
+        bound = np.where(delta > 0.0, self.lower[cols], self.upper[cols])
         with np.errstate(invalid="ignore"):
-            lims[pos] = (self.xB[pos] - lbB[pos]) / delta[pos]
-            lims[neg] = (self.xB[neg] - ubB[neg]) / delta[neg]
+            lims = (self.xB[rows] - bound) / delta
         np.maximum(lims, 0.0, out=lims)
-        t_rows = lims.min() if self.m else math.inf
+        t_rows = lims.min() if rows.size else math.inf
         own = self.upper[q] - self.lower[q]
         if own <= t_rows:
             return own, None
@@ -211,12 +281,21 @@ class BoundedSimplex:
             return math.inf, None
         cand = np.flatnonzero(lims <= t_rows + 1e-9 * (1.0 + t_rows))
         if bland:
-            r = cand[int(np.argmin(self.basis[cand]))]
+            k = cand[int(np.argmin(cols[cand]))]
         else:
             # prefer the numerically largest pivot, then the smallest index
-            order = np.lexsort((self.basis[cand], -np.abs(w[cand])))
-            r = cand[order[0]]
-        return float(lims[r]), int(r)
+            k = cand[np.lexsort((cols[cand], -np.abs(w[rows[cand]])))[0]]
+        return float(lims[k]), int(rows[k])
+
+    def _set_status(self, j: int, st: int) -> None:
+        """Change a column's status and keep its pricing sign in step."""
+        if self.status[j] == FREE:
+            self.free = self.free[self.free != j]
+        self.status[j] = st
+        if self.upper[j] > self.lower[j] and st in (AT_LOWER, AT_UPPER):
+            self.price_sign[j] = -1.0 if st == AT_LOWER else 1.0
+        else:
+            self.price_sign[j] = 0.0
 
     def _value_of(self, j: int) -> float:
         st = self.status[j]
@@ -239,7 +318,7 @@ class BoundedSimplex:
         while True:
             y, d = self._price(cost)
             q = self._entering(d, bland)
-            if q is None and self.etas:
+            if q is None and self.n_etas:
                 self._refactor()
                 y, d = self._price(cost)
                 q = self._entering(d, bland)
@@ -261,23 +340,22 @@ class BoundedSimplex:
             if r is None:
                 # bound flip: entering runs to its other bound, basis unchanged
                 self.xB -= t * (sigma * w)
-                self.status[q] = AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER
+                self._set_status(q, AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER)
             else:
                 self.xB -= t * (sigma * w)
                 leaving = self.basis[r]
-                # a leaving variable always stops at a finite bound (infinite
-                # bounds never limit the ratio test)
-                self.status[leaving] = AT_LOWER if sigma * w[r] > 0 else AT_UPPER
                 if leaving >= self.n_real:
                     # artificial leaves for good
                     self.upper[leaving] = 0.0
-                    self.status[leaving] = AT_LOWER
+                    self._set_status(leaving, AT_LOWER)
+                else:
+                    # a leaving variable always stops at a finite bound
+                    # (infinite bounds never limit the ratio test)
+                    self._set_status(leaving, AT_LOWER if sigma * w[r] > 0 else AT_UPPER)
                 self.basis[r] = q
                 self.xB[r] = self._value_of(q) + sigma * t
-                self.status[q] = BASIC
-                self.etas.append((r, w))
-                if len(self.etas) >= REFACTOR_EVERY:
-                    self._refactor()
+                self._set_status(q, BASIC)
+                self._push_eta(r, w)
             if t <= DEGENERATE_STEP:
                 stall += 1
                 if stall >= STALL_WINDOW:
@@ -308,12 +386,12 @@ class BoundedSimplex:
             if abs(w[r]) <= PIVOT_TOL:
                 self.upper[art] = 0.0
                 continue
-            self.status[art] = AT_LOWER
             self.upper[art] = 0.0
+            self._set_status(art, AT_LOWER)
             self.basis[r] = entering
             self.xB[r] = self._value_of(entering)
-            self.status[entering] = BASIC
-            self.etas.append((r, w))
+            self._set_status(entering, BASIC)
+            self._push_eta(r, w)
         self._refactor()
 
     def solve(self) -> SimplexOutcome:

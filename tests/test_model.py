@@ -217,3 +217,33 @@ def test_every_declared_code_is_reachable():
         M.STORAGE_OVERFULL, M.CO2_CAP_NEGATIVE, M.DEGENERATE,
     }
     assert declared <= produced
+
+
+def _with_plant(sys_, **changes):
+    """Replace sub-specs of the single plant of ``single_node_system``."""
+    plant = dataclasses.replace(sys_.components[0], **changes)
+    return _mutate(sys_, components=(plant,))
+
+
+_BROKEN_FIELD = {
+    "nodes[elec].load[1]": lambda s, v: _mutate(s, nodes=(
+        dataclasses.replace(s.nodes[0], load=(10.0, v, 12.0)), s.nodes[1])),
+    "components[plant].capacity.availability[2]": lambda s, v: _with_plant(
+        s, capacity=M.CapacitySpec(optimizable=True, availability=(1.0, 1.0, v))),
+    "components[plant].capacity.max_total": lambda s, v: _with_plant(
+        s, capacity=M.CapacitySpec(optimizable=True, max_total=v)),
+    "components[plant].costs.fuel[0]": lambda s, v: _with_plant(
+        s, costs=M.CostSpec(fuel=(v, 20.0, 20.0))),
+    "components[plant].costs.invest": lambda s, v: _with_plant(
+        s, costs=M.CostSpec(invest=v)),
+    "components[plant].conversion.efficiency": lambda s, v: _with_plant(
+        s, conversion=M.SingleConversion("fuel", "elec", v)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_BROKEN_FIELD))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_are_rejected_by_field(where, value):
+    report = validate_system(_BROKEN_FIELD[where](single_node_system(), value))
+    assert not report.ok
+    assert [v.where for v in report if v.code == M.NOT_FINITE] == [where]

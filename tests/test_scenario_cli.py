@@ -236,3 +236,36 @@ def test_cli_unknown_solver_option_is_schema_error(tmp_path, scenario_dir):
     p.write_text(json.dumps(doc))
     shutil.copy(scenario_dir / "series_48.csv", tmp_path / "series_48.csv")
     assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+
+def test_nan_load_fails_validation_naming_the_step(tmp_path, capsys, scenario_dir):
+    doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
+    scn = load_scenario(scenario_dir / "paper_system_48.json")
+    load = list(scn.system.node("electricity").load)
+    load[3] = float("nan")
+    node = next(n for n in doc["system"]["nodes"] if n["id"] == "electricity")
+    node["load"] = load
+    p = tmp_path / "nan_load.json"
+    p.write_text(json.dumps(doc))  # json writes the bare NaN token
+    shutil.copy(scenario_dir / "series_48.csv", tmp_path / "series_48.csv")
+
+    bad_system = system_from_dict(doc["system"], tmp_path)
+    hits = [v for v in validate_system(bad_system) if v.code == "NOT_FINITE"]
+    assert [v.where for v in hits] == ["nodes[electricity].load[3]"]
+
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "nodes[electricity].load[3]" in capsys.readouterr().err
+
+
+def test_solver_failure_exits_with_solver_code(tmp_path, capsys, scenario_dir,
+                                               monkeypatch):
+    import enopt.solver.simplex
+
+    def broken_splu(matrix, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(enopt.solver.simplex, "splu", broken_splu)
+    code = cli.main(["run", str(scenario_dir / "paper_system_48.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_SOLVER == 8
+    assert "error: basis factorisation failed" in capsys.readouterr().err

@@ -1,0 +1,289 @@
+"""Reference tests for the simplex kernels.
+
+The references below are the earlier implementations, kept here on purpose:
+a full-basis ``splu`` solve followed by a sequential product-form eta loop
+(ftran/btran), and mask-based pricing and ratio test.  The slack-reduced LU
+and the closed-form eta file round differently, so ftran/btran must agree
+within ``TOL`` times the reference's largest entry, a bound fixed for
+float64 arithmetic; pricing and the ratio test do the same arithmetic and
+must agree exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from enopt import formulate
+from enopt.scenario import load_scenario
+from enopt.solver import simplex
+from enopt.solver.simplex import (AT_LOWER, AT_UPPER, BASIC, FREE, PIVOT_TOL,
+                                  REFACTOR_EVERY, BoundedSimplex)
+from enopt.solver.standard import standardize
+
+TOL = 1e-10
+
+
+# -- references ----------------------------------------------------------------
+
+def ref_ftran(lu, etas, col):
+    w = lu.solve(col)
+    for r, wcol in etas:
+        t = w[r] / wcol[r]
+        if t != 0.0:
+            w = w - wcol * t
+        w[r] = t
+    return w
+
+
+def ref_btran(lu, etas, cb):
+    z = cb.astype(float).copy()
+    for r, wcol in reversed(etas):
+        zr = z[r]
+        s = z @ wcol
+        z[r] = (zr - (s - zr * wcol[r])) / wcol[r]
+    return lu.solve(z, trans="T")
+
+
+def ref_entering(s, d, bland):
+    nb = s.status != BASIC
+    movable = s.upper > s.lower
+    viol = np.zeros(d.shape)
+    lo = nb & movable & (s.status == AT_LOWER) & (d < -s.otol)
+    up = nb & movable & (s.status == AT_UPPER) & (d > s.otol)
+    fr = nb & movable & (s.status == FREE) & (np.abs(d) > s.otol)
+    viol[lo] = -d[lo]
+    viol[up] = d[up]
+    viol[fr] = np.abs(d[fr])
+    if not viol.any():
+        return None
+    if bland:
+        return int(np.argmax(viol > 0.0))
+    return int(np.argmax(viol))
+
+
+def ref_ratio_test(s, q, sigma, w, bland):
+    delta = sigma * w
+    lims = np.full(s.m, math.inf)
+    lbB = s.lower[s.basis]
+    ubB = s.upper[s.basis]
+    pos = delta > PIVOT_TOL
+    neg = delta < -PIVOT_TOL
+    with np.errstate(invalid="ignore"):
+        lims[pos] = (s.xB[pos] - lbB[pos]) / delta[pos]
+        lims[neg] = (s.xB[neg] - ubB[neg]) / delta[neg]
+    np.maximum(lims, 0.0, out=lims)
+    t_rows = lims.min() if s.m else math.inf
+    own = s.upper[q] - s.lower[q]
+    if own <= t_rows:
+        return own, None
+    if not math.isfinite(t_rows):
+        return math.inf, None
+    cand = np.flatnonzero(lims <= t_rows + 1e-9 * (1.0 + t_rows))
+    if bland:
+        r = cand[int(np.argmin(s.basis[cand]))]
+    else:
+        order = np.lexsort((s.basis[cand], -np.abs(w[cand])))
+        r = cand[order[0]]
+    return float(lims[r]), int(r)
+
+
+# -- states ----------------------------------------------------------------------
+
+class _Stop(Exception):
+    pass
+
+
+class RecordingSimplex(BoundedSimplex):
+    """Keeps the basis of the last factorisation and the (row, w) of every
+    pivot since, and stops the solve once ``stop(self)`` is true."""
+
+    stop = staticmethod(lambda s: False)
+
+    def _refactor(self):
+        super()._refactor()
+        self.ref_basis = self.basis.copy()
+        self.ref_etas = []
+
+    def _push_eta(self, r, w):
+        self.ref_etas.append((r, w.copy()))
+        super()._push_eta(r, w)
+        if self.stop(self):
+            raise _Stop
+
+
+def fresh(std):
+    return RecordingSimplex(std.A, std.b, std.lower, std.upper, std.cost)
+
+
+def run_until(std, stop):
+    s = fresh(std)
+    s.stop = stop
+    with pytest.raises(_Stop):
+        s.solve()
+    return s
+
+
+@pytest.fixture(scope="module")
+def desk_std(scenario_dir):
+    scn = load_scenario(scenario_dir / "paper_system_48.json")
+    return standardize(formulate.compile_system(scn.system))
+
+
+def _random_std(rng, m, n, senses, n_free=0):
+    """A feasible random program in standard form (A | I) x = b, with the
+    row senses in the slack bounds, as ``standardize`` lays it out; the
+    first ``n_free`` structural columns are free."""
+    A = sp.random(m, n, density=0.3, random_state=rng, format="csc")
+    A.data = rng.uniform(-2.0, 2.0, A.data.size)
+    x0 = rng.uniform(0.0, 1.0, n)
+    b = A @ x0
+    slack_lo = np.where(senses == "<=", 0.0, np.where(senses == ">=", -np.inf, 0.0))
+    slack_hi = np.where(senses == "<=", np.inf, 0.0)
+    lower = np.concatenate([np.zeros(n), slack_lo])
+    upper = np.concatenate([np.full(n, 2.0), slack_hi])
+    lower[:n_free], upper[:n_free] = -np.inf, np.inf
+    cost = np.concatenate([rng.uniform(-1.0, 1.0, n), np.zeros(m)])
+    full = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
+
+    class Std:
+        pass
+
+    std = Std()
+    std.A, std.b, std.lower, std.upper, std.cost = full, b, lower, upper, cost
+    return std
+
+
+def check_kernels(s, rng):
+    """ftran/btran against the full-basis reference; returns the pairs
+    compared."""
+    lu = splu(s.A[:, s.ref_basis].tocsc())
+    cols = [s._column(j) for j in range(0, s.A.shape[1], max(1, s.A.shape[1] // 25))]
+    cols.append(rng.standard_normal(s.m))
+    for col in cols:
+        ref = ref_ftran(lu, s.ref_etas, col)
+        assert np.max(np.abs(s._ftran(col) - ref)) <= TOL * max(np.max(np.abs(ref)), 1e-300)
+    rhs = [s.cost_phase1[s.basis], s.cost_phase2[s.basis], rng.standard_normal(s.m)]
+    rhs += [np.eye(1, s.m, r)[0] for r in (0, s.m // 2, s.m - 1)]
+    for cb in rhs:
+        ref = ref_btran(lu, s.ref_etas, cb)
+        assert np.max(np.abs(s._btran(cb) - ref)) <= TOL * max(np.max(np.abs(ref)), 1e-300)
+    return len(cols) + len(rhs)
+
+
+def check_pricing_and_ratio(s, rng, kinds):
+    """New ``_entering``/``_ratio_test`` return exactly what the references
+    return; records which ratio-test outcomes occurred in ``kinds``."""
+    # the incrementally kept pricing signs match the statuses and bounds
+    movable = s.upper > s.lower
+    assert np.array_equal(s.price_sign, np.where(
+        movable & (s.status == AT_LOWER), -1.0,
+        np.where(movable & (s.status == AT_UPPER), 1.0, 0.0)))
+    assert np.array_equal(s.free, np.flatnonzero(movable & (s.status == FREE)))
+
+    ds = [s._price(cost)[1] for cost in (s.cost_phase1, s.cost_phase2)]
+    # coarse values make many exact ties for the tie-breaks to settle
+    ds.append(np.round(rng.standard_normal(s.A.shape[1]), 1) * 1e-3)
+    # reduced costs exactly at the optimality tolerance are not violations
+    edge = np.where(rng.random(s.A.shape[1]) < 0.5, s.otol, -s.otol)
+    ds.append(edge)
+    # ... also when Bland's rule looks for the first real violation behind them
+    at_lower = np.flatnonzero((s.status == AT_LOWER) & (s.upper > s.lower))
+    ds.append(np.where(np.arange(edge.size) == at_lower[-1], -1.0, edge))
+    for d in ds:
+        for bland in (False, True):
+            assert s._entering(d, bland) == ref_entering(s, d, bland)
+
+    nonbasic = np.flatnonzero(s.status != BASIC)
+    for q in nonbasic[:: max(1, nonbasic.size // 40)]:
+        w = s._ftran(s._column(q))
+        # entries exactly at the pivot tolerance never limit the step
+        w[rng.random(s.m) < 0.2] = PIVOT_TOL
+        for sigma in (1.0, -1.0):
+            for bland in (False, True):
+                got = s._ratio_test(int(q), sigma, w, bland)
+                want = ref_ratio_test(s, int(q), sigma, w, bland)
+                assert got == want
+                assert type(got[0]) is type(want[0])
+                if math.isinf(got[0]):
+                    kinds.add("unbounded")
+                else:
+                    kinds.add("flip" if got[1] is None else "pivot")
+    # a column with an infinite range that no row limits
+    for q in np.flatnonzero((s.status != BASIC) & np.isinf(s.upper))[:1]:
+        w = np.zeros(s.m)
+        w[0] = PIVOT_TOL / 2
+        assert s._ratio_test(int(q), 1.0, w, False) == (math.inf, None)
+        assert ref_ratio_test(s, int(q), 1.0, w, False) == (math.inf, None)
+        kinds.add("unbounded")
+
+
+# -- tests -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("since_refactor", [0, 1, REFACTOR_EVERY - 1])
+def test_kernels_match_reference_on_desk_solve(desk_std, since_refactor):
+    # stop after at least one full eta store, so the bump is non-trivial
+    s = run_until(desk_std, lambda s: s.iterations > REFACTOR_EVERY
+                  and s.n_etas == since_refactor)
+    assert len(s.ref_etas) == s.n_etas == since_refactor
+    assert s.rows_bump.size > 0
+    rng = np.random.default_rng(since_refactor)
+    assert check_kernels(s, rng) > 0
+    kinds = set()
+    check_pricing_and_ratio(s, rng, kinds)
+    assert {"pivot", "flip", "unbounded"} <= kinds
+
+
+def test_kernels_match_reference_in_phase_one_with_negative_artificials():
+    rng = np.random.default_rng(3)
+    m, n = 90, 130
+    std = _random_std(rng, m, n, np.array(["="] * m), n_free=4)
+    s = run_until(std, lambda s: s.iterations > REFACTOR_EVERY and s.n_etas == 5)
+    # still in phase 1, factorised with artificials of both signs in the basis
+    art_rows = s.ref_basis[s.ref_basis >= s.n_real] - s.n_real
+    assert np.any(s.signs[art_rows] < 0) and np.any(s.signs[art_rows] > 0)
+    assert s.rows_bump.size > 0
+    check_kernels(s, rng)
+    check_pricing_and_ratio(s, rng, set())
+
+
+def test_all_slack_basis_needs_no_factorisation(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called for an all-slack basis")
+
+    monkeypatch.setattr(simplex, "splu", no_splu)
+    rng = np.random.default_rng(5)
+    std = _random_std(rng, 20, 30, np.array(["<="] * 20))
+    std.b = np.abs(std.b)  # x = 0 is feasible: every slack stays basic
+    s = fresh(std)
+    assert np.all(s.basis >= s.n_struct)
+    assert s.lu is None and s.rows_bump.size == 0
+    check_kernels(s, rng)
+    check_pricing_and_ratio(s, rng, set())
+
+
+def test_bump_covering_the_whole_basis():
+    rng = np.random.default_rng(7)
+    m = 25
+    std = _random_std(rng, m, m, np.array(["<="] * m))
+    std.A = sp.hstack([sp.random(m, m, density=0.2, random_state=rng, format="csc")
+                       + sp.identity(m, format="csc") * 3.0,
+                       sp.identity(m, format="csc")], format="csc")
+    s = fresh(std)
+    for j in range(m):  # structural j replaces slack j in basis position j
+        s._set_status(s.n_struct + j, AT_LOWER)
+        s.basis[j] = j
+        s._set_status(j, BASIC)
+    s._refactor()
+    assert s.rows_bump.size == m and s.pos_unit.size == 0
+    check_kernels(s, rng)
+    for r, q in ((3, m + 3), (10, m + 10)):  # two slacks pivot back in
+        w = s._ftran(s._column(q))
+        s._set_status(s.basis[r], AT_LOWER)
+        s.basis[r] = q
+        s._set_status(q, BASIC)
+        s._push_eta(r, w)
+    check_kernels(s, rng)
+    check_pricing_and_ratio(s, rng, set())
