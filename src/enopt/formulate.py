@@ -1,5 +1,6 @@
 """Lower a validated :class:`~enopt.model.EnergySystem` into a solver-agnostic
-standard-form program.
+program: one sparse constraint matrix (CSR) plus per-row sense, right-hand
+side, family tag, owner and step (see :class:`LinearProgram`).
 
 Every constraint row carries a family tag (``EQ1`` ... ``EQ29``) naming the
 model-equation family it implements; :data:`Family` maps descriptive names to
@@ -23,12 +24,14 @@ Variable counting for a compiled system with T steps:
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import model
 from .finance import annual_share, annualize, output_side_cost
@@ -142,16 +145,13 @@ class Family(str, Enum):
     OBJECTIVE_VALUE = "EQ30"
 
 
-ALL_FAMILIES = tuple(f.value for f in Family)
-
-
 def family_number(tag: str) -> int:
     return int(str(tag)[2:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
-    """One sparse constraint row: sum(coef * var) sense rhs."""
+    """One sparse constraint row, sum(coef * var) sense rhs (see LinearProgram.rows)."""
 
     terms: tuple[tuple[int, float], ...]
     sense: str
@@ -175,12 +175,16 @@ class CompileWarning(UserWarning):
 
 
 class LinearProgram:
-    """Standard-form program under construction.
+    """A compiled program.
 
     Variables have bounds (lower defaults to 0: all decision quantities are
     non-negative unless stated otherwise) and an integrality flag that is
-    only legal on on/startup/units variables.  Rows are kept sparse and are
-    canonically ordered by (family, owner, step) once :meth:`finalize` runs.
+    only legal on on/startup/units variables.  :meth:`add_row` appends each
+    row's terms to flat buffers; :meth:`finalize` orders the rows by (family,
+    owner, step, insertion) into the CSR matrix ``A`` (rows x variables,
+    terms in the order given) and one array entry per row in ``sense``,
+    ``rhs``, ``tag``, ``owner`` and ``step`` (-1 where a row has none).
+    :attr:`rows` is a view for inspection that nothing in the pipeline reads.
     """
 
     def __init__(self):
@@ -189,11 +193,16 @@ class LinearProgram:
         self.upper: list[float] = []
         self.is_integer: list[bool] = []
         self._cost: dict[int, float] = {}
-        self.rows: list[Row] = []
         self.families_emitted: set[str] = set()
         self.warnings: list[str] = []
         self._index: dict[VarRef, int] = {}
         self.objective: np.ndarray | None = None
+        self.A: sp.csr_matrix | None = None
+        # per-row fields: lists while building, arrays once finalized
+        self.sense, self.rhs, self.tag, self.owner, self.step = [], [], [], [], []
+        self._cols: list[int] = []
+        self._coefs: list[float] = []
+        self._indptr: list[int] = [0]
 
     # -- building ----------------------------------------------------------
 
@@ -226,14 +235,17 @@ class LinearProgram:
 
     def add_row(self, tag: Family | str, terms: Iterable[tuple[VarRef | int, float]],
                 sense: str, rhs: float, owner: str = "", step: int | None = None) -> None:
-        resolved = []
         for ref, coef in terms:
-            if coef == 0.0:
-                continue
-            idx = ref if isinstance(ref, int) else self._index[ref]
-            resolved.append((idx, float(coef)))
+            if coef != 0.0:
+                self._cols.append(ref if isinstance(ref, int) else self._index[ref])
+                self._coefs.append(float(coef))
+        self._indptr.append(len(self._cols))
         tag = tag.value if isinstance(tag, Family) else str(tag)
-        self.rows.append(Row(tuple(resolved), sense, float(rhs), tag, owner, step))
+        self.sense.append(sense)
+        self.rhs.append(float(rhs))
+        self.tag.append(tag)
+        self.owner.append(owner)
+        self.step.append(-1 if step is None else step)
         self.families_emitted.add(tag)
 
     def note_family(self, tag: Family | str) -> None:
@@ -244,12 +256,19 @@ class LinearProgram:
         warnings.warn(message, CompileWarning, stacklevel=3)
 
     def finalize(self) -> "LinearProgram":
-        order = sorted(
-            range(len(self.rows)),
-            key=lambda i: (family_number(self.rows[i].tag), self.rows[i].owner,
-                           -1 if self.rows[i].step is None else self.rows[i].step, i),
-        )
-        self.rows = [self.rows[i] for i in order]
+        """Store the rows as arrays, in canonical order; called once."""
+        step = np.asarray(self.step, dtype=np.int64)
+        # lexsort is stable, so insertion order breaks ties
+        order = np.lexsort((step, np.asarray(self.owner, dtype=str),
+                            [family_number(t) for t in self.tag]))
+        self.A = sp.csr_matrix((self._coefs, self._cols, self._indptr),
+                               shape=(len(order), self.num_vars))[order]
+        # object arrays share the compiler's strings, so the rows view copies none
+        self.sense, self.tag, self.owner = (
+            np.array(a, dtype=object)[order] for a in (self.sense, self.tag, self.owner))
+        self.rhs = np.asarray(self.rhs, dtype=float)[order]
+        self.step = step[order]
+        self._cols = self._coefs = self._indptr = None
         obj = np.zeros(len(self.var_refs))
         for idx, coef in self._cost.items():
             obj[idx] = coef
@@ -264,7 +283,17 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
+
+    @property
+    def rows(self) -> list[Row]:
+        """Every row, in order, built from the arrays on each access."""
+        ptr, cols, coefs, sense, rhs, tag, owner, step = (a.tolist() for a in (
+            self.A.indptr, self.A.indices, self.A.data,
+            self.sense, self.rhs, self.tag, self.owner, self.step))
+        return [Row(tuple(zip(cols[ptr[i]:ptr[i + 1]], coefs[ptr[i]:ptr[i + 1]])),
+                    sense[i], rhs[i], tag[i], owner[i], None if step[i] < 0 else step[i])
+                for i in range(len(rhs))]
 
     def rows_tagged(self, tag: Family | str) -> list[Row]:
         tag = tag.value if isinstance(tag, Family) else str(tag)
@@ -277,11 +306,11 @@ class LinearProgram:
         """Internal consistency: indices in range, integrality only on
         commitment kinds, finalized objective."""
         problems = []
-        n = self.num_vars
-        for r in self.rows:
-            for idx, _ in r.terms:
-                if not 0 <= idx < n:
-                    problems.append(f"row {r.tag} references undefined variable {idx}")
+        if self.A is not None:
+            cols = self.A.indices
+            for k in np.flatnonzero((cols < 0) | (cols >= self.num_vars)):
+                row = np.searchsorted(self.A.indptr, k, side="right") - 1
+                problems.append(f"row {self.tag[row]} references undefined variable {cols[k]}")
         for idx, flag in enumerate(self.is_integer):
             if flag and self.var_refs[idx].kind not in INTEGER_KINDS:
                 problems.append(f"integer flag on {self.var_refs[idx]}")
@@ -290,16 +319,14 @@ class LinearProgram:
         return problems
 
     def fingerprint(self) -> bytes:
-        """Byte-stable encoding of the whole program, for determinism checks."""
-        parts = []
-        for ref in self.var_refs:
-            parts.append(ref.label().encode())
-        parts.append(np.asarray(self.lower).tobytes())
-        parts.append(np.asarray(self.upper).tobytes())
-        parts.append(np.asarray(self.is_integer, dtype=np.uint8).tobytes())
-        parts.append(self.objective.tobytes() if self.objective is not None else b"")
-        for r in self.rows:
-            parts.append(f"{r.tag}|{r.owner}|{r.step}|{r.sense}|{r.rhs!r}|{r.terms!r}".encode())
+        """Byte-stable encoding of the whole finalized program, for
+        determinism checks."""
+        parts = [ref.label().encode() for ref in self.var_refs]
+        parts += [np.asarray(self.lower).tobytes(), np.asarray(self.upper).tobytes(),
+                  np.asarray(self.is_integer, dtype=np.uint8).tobytes()]
+        parts += [a.tobytes() for a in (self.objective, self.A.indptr, self.A.indices,
+                                        self.A.data, self.rhs, self.step)]
+        parts += ["\x1f".join(a.tolist()).encode() for a in (self.sense, self.tag, self.owner)]
         return b"\x00".join(parts)
 
 
@@ -883,42 +910,38 @@ def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence"
     return prog.finalize()
 
 
-# short alias; shadows the builtin only inside this namespace
-compile = compile_system
-
-
 # ---------------------------------------------------------------------------
 # LP-format export (diagnostic cross-check against external solvers)
 
 
+_NOT_NAME = re.compile(r"\W")  # a character neither alphanumeric nor "_"
+
+
 def _lp_name(text: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in text)
+    return _NOT_NAME.sub("_", text)
 
 
-def _lp_terms(terms, names) -> str:
-    parts = []
-    for idx, coef in terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {abs(coef):.17g} {names[idx]}")
-    if not parts:
-        return "0"
-    joined = " ".join(parts)
-    return joined[2:] if joined.startswith("+ ") else joined
+def _lp_terms(cols: list[int], coefs: list[float], names: list[str]) -> str:
+    terms = " ".join(f"- {-coef:.17g} {names[j]}" if coef < 0 else f"+ {coef:.17g} {names[j]}"
+                     for j, coef in zip(cols, coefs))
+    return terms.removeprefix("+ ") or "0"
 
 
 def write_lp(prog: LinearProgram, path) -> None:
     """Write the program in LP text format."""
     names = [_lp_name(ref.label()) for ref in prog.var_refs]
-    lines = ["Minimize", " obj: " + _lp_terms(
-        [(i, c) for i, c in enumerate(prog.objective) if c != 0.0], names)]
-    lines.append("Subject To")
-    for i, row in enumerate(prog.rows):
-        if not row.terms:
-            lines.append(f"\\ empty row {row.tag}_{i}: 0 {row.sense} {row.rhs:.17g}")
+    costed = np.flatnonzero(prog.objective)
+    objective = _lp_terms(costed.tolist(), prog.objective[costed].tolist(), names)
+    lines = ["Minimize", " obj: " + objective, "Subject To"]
+    ptr, cols, coefs = (a.tolist() for a in (prog.A.indptr, prog.A.indices, prog.A.data))
+    for i, (sense, rhs, tag, owner, step) in enumerate(zip(
+            *(a.tolist() for a in (prog.sense, prog.rhs, prog.tag, prog.owner, prog.step)))):
+        lo, hi = ptr[i], ptr[i + 1]
+        if lo == hi:
+            lines.append(f"\\ empty row {tag}_{i}: 0 {sense} {rhs:.17g}")
             continue
-        op = {LE: "<=", EQ: "=", GE: ">="}[row.sense]
-        name = _lp_name(f"{row.tag}_{row.owner}_{row.step}_{i}")
-        lines.append(f" {name}: {_lp_terms(row.terms, names)} {op} {row.rhs:.17g}")
+        name = _lp_name(f"{tag}_{owner}_{None if step < 0 else step}_{i}")
+        lines.append(f" {name}: {_lp_terms(cols[lo:hi], coefs[lo:hi], names)} {sense} {rhs:.17g}")
     lines.append("Bounds")
     for i, name in enumerate(names):
         lo, hi = prog.lower[i], prog.upper[i]

@@ -531,7 +531,10 @@ def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
         out.append(Violation(TIME_EMPTY, "time.step_hours", "at least one time step required"))
         return
     for t, h in enumerate(grid.step_hours):
-        if not h > 0:
+        if not math.isfinite(h):
+            out.append(Violation(NOT_FINITE, f"time.step_hours[{t}]",
+                                 f"value must be finite, got {h}"))
+        elif not h > 0:
             out.append(Violation(STEP_NONPOSITIVE, f"time.step_hours[{t}]",
                                  f"step duration must be > 0, got {h}"))
     periods = grid.period_of_step
@@ -760,7 +763,10 @@ def validate_system(sys: EnergySystem) -> ValidationReport:
         _check_storage(stor, grid, node_ids, out)
         _check_finite(f"storages[{stor.id}]", stor, out)
 
-    if sys.co2_cap is not None and sys.co2_cap < 0:
+    if sys.co2_cap is not None and (math.isnan(sys.co2_cap) or sys.co2_cap == -math.inf):
+        out.append(Violation(NOT_FINITE, "co2_cap",
+                             f"cap must be a number or +inf (no cap), got {sys.co2_cap}"))
+    elif sys.co2_cap is not None and sys.co2_cap < 0:
         out.append(Violation(CO2_CAP_NEGATIVE, "co2_cap", "emission cap must be >= 0"))
 
     if not any(any(v != 0.0 for v in n.load) for n in sys.nodes):

@@ -37,35 +37,21 @@ class CertificateReport:
         return head
 
 
-def _row_activity(row, x: np.ndarray) -> float:
-    return float(sum(coef * x[idx] for idx, coef in row.terms))
-
-
-def _primal_residuals(prog, x: np.ndarray) -> tuple[float, list[str]]:
-    worst = 0.0
-    notes = []
-    for i, row in enumerate(prog.rows):
-        act = _row_activity(row, x)
-        scale = max(1.0, abs(row.rhs))
-        if row.sense == LE:
-            resid = (act - row.rhs) / scale
-        elif row.sense == GE:
-            resid = (row.rhs - act) / scale
-        else:
-            resid = abs(act - row.rhs) / scale
-        if resid > worst:
-            worst = resid
-        if resid > 1e-6:
-            notes.append(f"row {i} ({row.tag} {row.owner} t={row.step}) residual {resid:.3e}")
-    for j in range(prog.num_vars):
-        below = prog.lower[j] - x[j]
-        above = x[j] - prog.upper[j]
-        resid = max(below, above, 0.0) / max(1.0, abs(x[j]))
-        if resid > worst:
-            worst = resid
-        if resid > 1e-6:
-            notes.append(f"variable {prog.var_refs[j].label()} out of bounds by {resid:.3e}")
-    return worst, notes
+def _primal_residuals(prog, x: np.ndarray, act: np.ndarray) -> tuple[float, list[str]]:
+    rhs = np.asarray(prog.rhs, dtype=float)
+    sense = np.asarray(prog.sense)
+    resid = np.where(sense == LE, act - rhs, np.where(sense == GE, rhs - act, np.abs(act - rhs)))
+    resid /= np.maximum(1.0, np.abs(rhs))
+    notes = [f"row {i} ({prog.tag[i]} {prog.owner[i]} "
+             f"t={None if prog.step[i] < 0 else prog.step[i]}) residual {resid[i]:.3e}"
+             for i in np.flatnonzero(resid > 1e-6)]
+    lower = np.asarray(prog.lower, dtype=float)
+    upper = np.asarray(prog.upper, dtype=float)
+    bound = np.maximum(np.maximum(lower - x, x - upper), 0.0) / np.maximum(1.0, np.abs(x))
+    notes += [f"variable {prog.var_refs[j].label()} out of bounds by {bound[j]:.3e}"
+              for j in np.flatnonzero(bound > 1e-6)]
+    worst = max(resid.max(initial=0.0), bound.max(initial=0.0))
+    return float(worst), notes
 
 
 def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateReport:
@@ -73,18 +59,16 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     if sol.status != Status.OPTIMAL:
         raise ValueError(f"certificates only apply to optimal solutions, got {sol.status}")
     x = np.asarray(sol.values, dtype=float)
-    primal, notes = _primal_residuals(prog, x)
+    act = prog.A @ x
+    primal, notes = _primal_residuals(prog, x, act)
 
     if sol.duals is None or any(prog.is_integer):
         # MILP incumbent: feasibility + integrality + bound validity
-        max_int = 0.0
-        for j in range(prog.num_vars):
-            if prog.is_integer[j]:
-                frac = abs(x[j] - round(x[j]))
-                max_int = max(max_int, frac)
-                if frac > 1e-5:
-                    notes.append(f"integer variable {prog.var_refs[j].label()} "
-                                 f"has fractional value {x[j]!r}")
+        int_idx = np.flatnonzero(np.asarray(prog.is_integer, dtype=bool))
+        frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+        max_int = float(frac.max(initial=0.0))
+        notes += [f"integer variable {prog.var_refs[j].label()} has fractional value {x[j]!r}"
+                  for j in int_idx[frac > 1e-5]]
         gap = sol.objective - sol.bound
         if gap < -tol * max(1.0, abs(sol.objective)):
             notes.append(f"reported bound {sol.bound} exceeds objective {sol.objective}")
@@ -99,13 +83,11 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     y = np.asarray(sol.duals, dtype=float)
     d = np.asarray(sol.reduced_costs, dtype=float)
     c = np.asarray(prog.objective, dtype=float)
+    rhs = np.asarray(prog.rhs, dtype=float)
     cscale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
 
     # reduced costs consistent with duals: d = c - A^T y
-    dhat = c.copy()
-    for i, row in enumerate(prog.rows):
-        for idx, coef in row.terms:
-            dhat[idx] -= coef * y[i]
+    dhat = c - prog.A.T @ y
     dual_resid = float(np.max(np.abs(dhat - d))) / cscale if c.size else 0.0
     if dual_resid > tol:
         notes.append(f"reduced costs inconsistent with duals by {dual_resid:.3e}")
@@ -113,29 +95,20 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     # weak-duality identity for bounded variables:
     # c'x = y'b + sum_j d_j x_j + sum_i y_i (a_i'x - b_i) collapses to the
     # complementarity-weighted form below
-    dual_value = 0.0
-    comp = 0.0
-    for i, row in enumerate(prog.rows):
-        act = _row_activity(row, x)
-        dual_value += y[i] * row.rhs
-        slack_comp = abs(y[i] * (act - row.rhs)) / max(1.0, abs(row.rhs)) / cscale
-        comp = max(comp, slack_comp)
-        if slack_comp > tol:
-            notes.append(f"row {i} ({row.tag}) dual {y[i]:.3e} on slack row "
-                         f"(complementarity {slack_comp:.3e})")
-    for j in range(prog.num_vars):
-        dual_value += d[j] * x[j]
-        if d[j] > tol * cscale:
-            resid = abs(x[j] - prog.lower[j]) * d[j] / cscale
-        elif d[j] < -tol * cscale:
-            resid = abs(prog.upper[j] - x[j]) * abs(d[j]) / cscale
-        else:
-            resid = 0.0
-        resid = resid / max(1.0, abs(x[j]))
-        comp = max(comp, resid)
-        if resid > tol:
-            notes.append(f"variable {prog.var_refs[j].label()} violates complementary "
-                         f"slackness by {resid:.3e}")
+    dual_value = float(y @ rhs + d @ x)
+    slack_comp = np.abs(y * (act - rhs)) / np.maximum(1.0, np.abs(rhs)) / cscale
+    notes += [f"row {i} ({prog.tag[i]}) dual {y[i]:.3e} on slack row "
+              f"(complementarity {slack_comp[i]:.3e})" for i in np.flatnonzero(slack_comp > tol)]
+    # only columns with a priced reduced cost, so an infinite bound never meets d = 0
+    var_comp = np.zeros(prog.num_vars)
+    lo = d > tol * cscale
+    hi = d < -tol * cscale
+    var_comp[lo] = np.abs(x[lo] - np.asarray(prog.lower, dtype=float)[lo]) * d[lo] / cscale
+    var_comp[hi] = np.abs(np.asarray(prog.upper, dtype=float)[hi] - x[hi]) * -d[hi] / cscale
+    var_comp /= np.maximum(1.0, np.abs(x))
+    notes += [f"variable {prog.var_refs[j].label()} violates complementary "
+              f"slackness by {var_comp[j]:.3e}" for j in np.flatnonzero(var_comp > tol)]
+    comp = float(max(slack_comp.max(initial=0.0), var_comp.max(initial=0.0)))
     obj = float(c @ x)
     gap = abs(obj - dual_value) / max(1.0, abs(obj))
     if gap > tol:

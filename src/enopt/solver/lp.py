@@ -20,30 +20,6 @@ _STATUS = {
 }
 
 
-def _solve_bounds_only(std: StandardForm) -> SimplexOutcome:
-    """No rows: each variable independently sits at its cheapest bound."""
-    n = std.num_cols
-    x = np.zeros(n)
-    for j in range(n):
-        c, lo, hi = std.cost[j], std.lower[j], std.upper[j]
-        if c > 0 or (c == 0 and math.isfinite(lo)):
-            if not math.isfinite(lo):
-                ray = np.zeros(n)
-                ray[j] = -1.0
-                return SimplexOutcome("unbounded", x, -math.inf, None, None, 0, ray=ray)
-            x[j] = lo
-        elif c < 0 or math.isfinite(hi):
-            if not math.isfinite(hi):
-                ray = np.zeros(n)
-                ray[j] = 1.0
-                return SimplexOutcome("unbounded", x, -math.inf, None, None, 0, ray=ray)
-            x[j] = hi
-        else:
-            x[j] = 0.0
-    obj = float(std.cost @ x)
-    return SimplexOutcome("optimal", x, obj, np.zeros(0), std.cost.copy(), 0)
-
-
 def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
                       lower: np.ndarray | None = None,
                       upper: np.ndarray | None = None,
@@ -55,8 +31,6 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     if np.any(lo > hi):
         x = np.zeros(std.num_cols)
         return SimplexOutcome("infeasible", x, math.inf, None, None, 0, phase=1)
-    if std.num_rows == 0:
-        return _solve_bounds_only(std)
     simplex = BoundedSimplex(
         std.A, std.b, lo, hi, std.cost,
         feasibility_tol=cfg.feasibility_tol,

@@ -37,33 +37,16 @@ class StandardForm:
 
 
 def standardize(prog) -> StandardForm:
-    n = prog.num_vars
-    rows = prog.rows
-    m = len(rows)
-    data, ri, ci = [], [], []
-    b = np.zeros(m)
-    slack_lo = np.zeros(m)
-    slack_hi = np.zeros(m)
-    for i, row in enumerate(rows):
-        for j, a in row.terms:
-            ri.append(i)
-            ci.append(j)
-            data.append(a)
-        ri.append(i)
-        ci.append(n + i)
-        data.append(1.0)
-        b[i] = row.rhs
-        if row.sense == LE:
-            slack_lo[i], slack_hi[i] = 0.0, np.inf
-        elif row.sense == GE:
-            slack_lo[i], slack_hi[i] = -np.inf, 0.0
-        elif row.sense == EQ:
-            slack_lo[i], slack_hi[i] = 0.0, 0.0
-        else:
-            raise ValueError(f"unknown row sense {row.sense!r}")
-    A = sp.coo_matrix((data, (ri, ci)), shape=(m, n + m)).tocsc()
+    m = prog.num_rows
+    sense = np.asarray(prog.sense)
+    if not np.isin(sense, (LE, EQ, GE)).all():
+        raise ValueError(f"unknown row senses {set(sense.tolist()) - {LE, EQ, GE}}")
+    A = sp.hstack([prog.A, sp.identity(m, format="csr")], format="csc")
+    slack_lo = np.where(sense == GE, -np.inf, 0.0)
+    slack_hi = np.where(sense == LE, np.inf, 0.0)
+    b = np.array(prog.rhs, dtype=float)
     lower = np.concatenate([np.asarray(prog.lower, dtype=float), slack_lo])
     upper = np.concatenate([np.asarray(prog.upper, dtype=float), slack_hi])
     cost = np.concatenate([np.asarray(prog.objective, dtype=float), np.zeros(m)])
     integer_idx = np.flatnonzero(np.asarray(prog.is_integer, dtype=bool))
-    return StandardForm(A, b, lower, upper, cost, n, integer_idx)
+    return StandardForm(A, b, lower, upper, cost, prog.num_vars, integer_idx)

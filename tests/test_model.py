@@ -67,6 +67,8 @@ def test_zero_load_system_is_degenerate_warning_only():
     (lambda s: _mutate(s, nodes=s.nodes + (M.Node("elec", "e", (0.0,) * 3),)),
      M.ID_DUPLICATE),
     (lambda s: _mutate(s, co2_cap=-5.0), M.CO2_CAP_NEGATIVE),
+    (lambda s: _mutate(s, co2_cap=float("nan")), M.NOT_FINITE),
+    (lambda s: _mutate(s, co2_cap=-float("inf")), M.NOT_FINITE),
 ])
 def test_system_level_violations(breaker, code):
     sys_ = single_node_system(loads=(1.0, 2.0, 3.0))
@@ -238,6 +240,7 @@ _BROKEN_FIELD = {
         s, costs=M.CostSpec(invest=v)),
     "components[plant].conversion.efficiency": lambda s, v: _with_plant(
         s, conversion=M.SingleConversion("fuel", "elec", v)),
+    "time.step_hours[1]": lambda s, v: _mutate(s, time=M.TimeGrid((1.0, v, 1.0))),
 }
 
 

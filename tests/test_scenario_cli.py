@@ -257,6 +257,22 @@ def test_nan_load_fails_validation_naming_the_step(tmp_path, capsys, scenario_di
     assert "nodes[electricity].load[3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,change", [
+    ("time.step_hours[5]", lambda system: system.update(
+        time={"step_hours": [1.0] * 5 + [float("inf")] + [1.0] * 42})),
+    ("co2_cap", lambda system: system.update(co2_cap=float("nan"))),
+], ids=["inf_step", "nan_co2_cap"])
+def test_non_finite_time_step_or_cap_exits_with_validation_code(
+        tmp_path, capsys, scenario_dir, field, change):
+    doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
+    change(doc["system"])
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))  # json writes the bare Infinity/NaN token
+    shutil.copy(scenario_dir / "series_48.csv", tmp_path / "series_48.csv")
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"NOT_FINITE at {field}" in capsys.readouterr().err
+
+
 def test_solver_failure_exits_with_solver_code(tmp_path, capsys, scenario_dir,
                                                monkeypatch):
     import enopt.solver.simplex

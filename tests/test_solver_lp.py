@@ -24,6 +24,14 @@ def test_bounds_only_program():
     assert list(sol.values) == [0.0, 7.0]
 
 
+def test_bounds_only_program_unbounded_along_a_free_variable():
+    prog = make_program([1.0, -2.0], [], lower=[0.0, -math.inf], upper=[5.0, math.inf])
+    sol = solve_lp(prog)
+    assert sol.status == Status.UNBOUNDED
+    assert sol.objective == -math.inf
+    assert sol.ray[0] == 0.0 and sol.ray[1] > 0.0
+
+
 def test_infeasible_reports_certificate():
     prog = make_program([1.0], [([(0, 1.0)], "<=", 1.0), ([(0, 1.0)], ">=", 2.0)])
     sol = solve_lp(prog)
