@@ -2,8 +2,10 @@
 
 Exit codes: 0 optimal, 2 parse error, 3 infeasible, 4 unbounded, 5 gap or
 iteration/node limit, 6 schema mismatch, 7 validation failure, 8 solver
-failure (numerical breakdown).  Output files are byte-identical across runs
-of the same scenario and seed.
+failure (numerical breakdown), 9 the returned point failed the independent
+verification (artifacts are still written; ``--no-verify`` exits by the
+solver status instead).  Output files are byte-identical across runs of the
+same scenario and seed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_INFEASIBLE = 3
 EXIT_UNBOUNDED = 4
 EXIT_LIMIT = 5
 EXIT_SOLVER = 8
+EXIT_VERIFY = 9
 
 _STATUS_EXIT = {
     Status.OPTIMAL: EXIT_OPTIMAL,
@@ -187,6 +190,7 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
         (out / "plot_data.json").write_text(_plot_data_json(report, scn.system))
     if verify and not report.residuals.passed:
         log.warning("verification failed: %s", report.residuals.summary_lines()[0])
+        exit_code = EXIT_VERIFY
     return report, sol, exit_code
 
 
@@ -252,9 +256,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--export-lp", action="store_true",
                        help="write the compiled program in LP text format")
     p_run.add_argument("--verify", dest="verify", action="store_true", default=True,
-                       help="warn when the independent verification fails (default)")
+                       help="exit with code 9 when the independent verification "
+                            "fails (default)")
     p_run.add_argument("--no-verify", dest="verify", action="store_false",
-                       help="suppress the verification warning")
+                       help="exit by the solver status even when verification fails")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse and validate a scenario")

@@ -99,9 +99,6 @@ class TimeGrid:
     def hours_in_period(self, period: int) -> float:
         return sum(h for h, p in zip(self.step_hours, self.period_of_step) if p == period)
 
-    def steps_in_period(self, period: int) -> list[int]:
-        return [t for t, p in enumerate(self.period_of_step) if p == period]
-
 
 # ---------------------------------------------------------------------------
 # nodes

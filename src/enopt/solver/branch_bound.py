@@ -4,6 +4,14 @@ Node selection is best-bound (a node's key is its parent's LP objective),
 ties broken by creation order; branching picks the most fractional integer
 variable, ties broken by lowest variable index.  Both rules are
 deterministic, so identical inputs explore identical trees.
+
+The root relaxation is a cold primal solve.  Each heap entry carries its
+parent's optimal basis next to its bound overrides, and the node LP is
+re-optimised from that basis by the dual simplex; the completion dive
+starts from the root's basis.  A warm-started node LP can end at a different
+alternative optimum than a cold solve would, so trees and node counts may
+differ from versions that solved every node cold, while staying
+bit-reproducible within a version.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import numpy as np
 
 from .core import Solution, SolverConfig, Status, relative_gap
 from .lp import solve_standard_lp, _as_solution
+from .simplex import BasisState
 from .standard import standardize
 
 __all__ = ["solve_milp", "solve"]
@@ -54,13 +63,14 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
     counter = 0
-    heap: list[tuple[float, int, dict]] = []
+    # (bound, creation order, bound overrides, the parent's optimal basis)
+    heap: list[tuple[float, int, dict, BasisState]] = []
     root_x = root.x.copy()
 
-    def push(bound: float, overrides: dict) -> None:
+    def push(bound: float, overrides: dict, state: BasisState) -> None:
         nonlocal counter
         counter += 1
-        heapq.heappush(heap, (bound, counter, overrides))
+        heapq.heappush(heap, (bound, counter, overrides, state))
 
     def frontier_bound() -> float:
         return heap[0][0] if heap else incumbent_obj
@@ -76,9 +86,9 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         down = math.floor(xj + cfg.integrality_tol)
         up = math.ceil(xj - cfg.integrality_tol)
         if down >= plo - 1e-12:
-            push(out.objective, {**overrides, j: (plo, float(down))})
+            push(out.objective, {**overrides, j: (plo, float(down))}, out.state)
         if up <= phi + 1e-12:
-            push(out.objective, {**overrides, j: (float(up), phi)})
+            push(out.objective, {**overrides, j: (float(up), phi)}, out.state)
 
     # root handling
     if np.all(_fractionality(root.x, int_idx) <= cfg.integrality_tol):
@@ -94,12 +104,12 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
             break
         if incumbent_x is not None and relative_gap(incumbent_obj, frontier_bound()) <= cfg.mip_gap:
             break
-        bound_est, _, overrides = heapq.heappop(heap)
+        bound_est, _, overrides, state = heapq.heappop(heap)
         if incumbent_x is not None and bound_est >= incumbent_obj - 1e-9 * max(
                 1.0, abs(incumbent_obj)):
             continue
         lower, upper = _apply_overrides(std, overrides)
-        out = solve_standard_lp(std, cfg, lower, upper)
+        out = solve_standard_lp(std, cfg, lower, upper, start=state)
         nodes_explored += 1
         iterations += out.iterations
         if out.status == "infeasible":
@@ -129,7 +139,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
             r = min(max(r, std.lower[j]), std.upper[j])
             overrides[int(j)] = (r, r)
         lower, upper = _apply_overrides(std, overrides)
-        out = solve_standard_lp(std, cfg, lower, upper)
+        out = solve_standard_lp(std, cfg, lower, upper, start=root.state)
         iterations += out.iterations
         if out.status == "optimal":
             incumbent_x = out.x.copy()

@@ -3,7 +3,10 @@
 For LPs the check verifies primal feasibility, consistency of the reported
 reduced costs with the duals, the bounded-variable duality identity and
 complementary slackness.  For MILP incumbents it verifies feasibility,
-integrality and validity of the reported bound.
+integrality and validity of the reported bound.  Either check fails when
+any reported number (value, objective, bound, dual or reduced cost) is not
+finite, since no residual test can reject a NaN; its residuals are then
+reported as NaN.
 """
 
 from __future__ import annotations
@@ -54,15 +57,37 @@ def _primal_residuals(prog, x: np.ndarray, act: np.ndarray) -> tuple[float, list
     return float(worst), notes
 
 
+def _non_finite(sol: Solution) -> list[str]:
+    """One note per reported quantity holding a NaN or an infinity."""
+    notes = [f"{name} is {getattr(sol, name)}" for name in ("objective", "bound")
+             if not np.isfinite(getattr(sol, name))]
+    for name in ("values", "duals", "reduced_costs"):
+        arr = getattr(sol, name)
+        if arr is None:
+            continue
+        arr = np.asarray(arr, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            notes.append(f"{name} not finite at {bad.size} entries, "
+                         f"first {name}[{bad[0]}] = {arr[bad[0]]}")
+    return notes
+
+
 def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateReport:
     """Verify an Optimal solution against the program it came from."""
     if sol.status != Status.OPTIMAL:
         raise ValueError(f"certificates only apply to optimal solutions, got {sol.status}")
+    milp = sol.duals is None or any(prog.is_integer)
+    bad = _non_finite(sol)
+    if bad:
+        nan = float("nan")
+        return CertificateReport(False, "milp" if milp else "lp",
+                                 nan, nan, nan, nan, nan, tuple(bad))
     x = np.asarray(sol.values, dtype=float)
     act = prog.A @ x
     primal, notes = _primal_residuals(prog, x, act)
 
-    if sol.duals is None or any(prog.is_integer):
+    if milp:
         # MILP incumbent: feasibility + integrality + bound validity
         int_idx = np.flatnonzero(np.asarray(prog.is_integer, dtype=bool))
         frac = np.abs(x[int_idx] - np.round(x[int_idx]))

@@ -77,13 +77,6 @@ class Solution:
     integral: bool = True
     message: str = ""
 
-    @property
-    def stats(self) -> dict:
-        return {"iterations": self.iterations, "nodes": self.nodes}
-
-    def value_map(self) -> dict:
-        return dict(zip(self.var_refs, self.values))
-
 
 def relative_gap(objective: float, bound: float) -> float:
     if math.isinf(objective) or math.isinf(bound):

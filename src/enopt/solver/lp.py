@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .core import Solution, SolverConfig, Status, relative_gap
-from .simplex import BoundedSimplex, SimplexOutcome
+from .simplex import BasisState, BoundedSimplex, SimplexOutcome
 from .standard import StandardForm, standardize
 
 __all__ = ["solve_lp", "solve_standard_lp"]
@@ -23,16 +23,22 @@ _STATUS = {
 def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
                       lower: np.ndarray | None = None,
                       upper: np.ndarray | None = None,
-                      max_iterations: int | None = None) -> SimplexOutcome:
+                      max_iterations: int | None = None,
+                      start: BasisState | None = None) -> SimplexOutcome:
     """Solve the LP relaxation of a standard form, optionally with replaced
-    bound vectors (used by branch and bound)."""
+    bound vectors (used by branch and bound).
+
+    Without ``start`` the solve is a cold two-phase primal simplex.  With
+    the optimal basis of a solve of the same standard form whose bounds were
+    no tighter, the solve is a warm-started dual simplex from that basis.
+    """
     lo = std.lower if lower is None else lower
     hi = std.upper if upper is None else upper
     if np.any(lo > hi):
         x = np.zeros(std.num_cols)
         return SimplexOutcome("infeasible", x, math.inf, None, None, 0, phase=1)
     simplex = BoundedSimplex(
-        std.A, std.b, lo, hi, std.cost,
+        std.A, std.b, lo, hi, std.cost, start=start,
         feasibility_tol=cfg.feasibility_tol,
         optimality_tol=cfg.optimality_tol,
         max_iterations=cfg.max_iterations if max_iterations is None else max_iterations,

@@ -1,4 +1,5 @@
-"""Primal simplex for bounded variables, two-phase with artificial columns.
+"""Simplex for bounded variables: a two-phase primal with artificial
+columns for cold starts, and a dual simplex for warm starts.
 
 Design notes:
 
@@ -30,10 +31,24 @@ Design notes:
   scaling the objective by any positive factor leaves the pivot sequence,
   and therefore the returned vertex, unchanged.
 
-Phase 1 starts from all structural variables at a finite bound, slacks
-absorbing what they can, and one artificial column per remaining row.  The
-sum of artificials is driven to zero; leftover basic artificials are pivoted
-out or pinned to zero for phase 2.
+Cold start (phase 1) starts from all structural variables at a finite
+bound, slacks absorbing what they can, and one artificial column per
+remaining row.  The sum of artificials is driven to zero; leftover basic
+artificials are pivoted out or pinned to zero for phase 2.
+
+Warm start: an optimal solve returns its basis as a :class:`BasisState`.
+A solve of the same standard form with tightened bounds (a branch-and-bound
+child) starts from it, reusing its matrix with the artificial columns, their
+signs and their pinned bounds, and refactors once.  That basis is still dual
+feasible, so a bounded dual simplex (Koberstein 2005) restores primal
+feasibility: the leaving row has the largest bound violation; the entering
+column comes from the textbook dual ratio test over the nonbasic columns
+whose tableau entry has the sign that lets their reduced cost reach zero,
+plus free columns with any usable entry, ties broken by the largest pivot
+entry and then the lowest index; a run of degenerate dual pivots switches to
+lowest-index choices.  No candidate column, checked on a fresh
+factorisation, means the program is infeasible.  Once primal feasible, the
+phase-2 primal loop runs as a clean-up and declares optimality as above.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from scipy.sparse.linalg import splu
 
 from .core import SolverError
 
-__all__ = ["SimplexOutcome", "BoundedSimplex"]
+__all__ = ["BasisState", "SimplexOutcome", "BoundedSimplex"]
 
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
@@ -55,6 +70,24 @@ PIVOT_TOL = 1e-9
 DEGENERATE_STEP = 1e-10
 REFACTOR_EVERY = 64
 STALL_WINDOW = 40
+
+
+@dataclass(frozen=True)
+class BasisState:
+    """An optimal basis that a solve with tightened bounds can start from.
+
+    ``basis`` holds the basic column of each row and ``status`` the status
+    of every column, artificials included.  ``A`` (the standard form with
+    the artificial columns appended), its transpose ``AT`` and the
+    artificial ``signs`` come from the cold solve that built them and are
+    shared, never copied, by every warm start that descends from it.
+    """
+
+    basis: np.ndarray  # (m,) int64
+    status: np.ndarray  # (n + 2m,) int8
+    A: sp.csc_matrix
+    AT: sp.csr_matrix
+    signs: np.ndarray
 
 
 @dataclass
@@ -68,15 +101,18 @@ class SimplexOutcome:
     ray: np.ndarray | None = None
     farkas: np.ndarray | None = None
     phase: int = 2
+    state: BasisState | None = None  # the optimal basis, to warm-start from
 
 
 class BoundedSimplex:
     def __init__(self, A: sp.csc_matrix, b: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray, cost: np.ndarray, *,
+                 start: BasisState | None = None,
                  feasibility_tol: float = 1e-6, optimality_tol: float = 1e-7,
                  max_iterations: int = 200_000):
         self.m, n_cols = A.shape
         self.n_real = n_cols  # structural + slack; artificials come after
+        self.n_struct = n_cols - self.m
         self.ftol = feasibility_tol
         self.otol = optimality_tol
         self.max_iterations = max_iterations
@@ -86,49 +122,22 @@ class BoundedSimplex:
         if self.scale <= 0.0:
             self.scale = 1.0
         self.cost_orig = cost.astype(float)
-
-        # initial nonbasic statuses: prefer a finite lower bound
-        status = np.where(np.isfinite(lower), AT_LOWER,
-                          np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
-        x_nb = np.where(status == AT_LOWER, lower, 0.0)
-        x_nb = np.where(status == AT_UPPER, upper, x_nb)
-        residual = b - A @ x_nb
-
-        # slack crash: let each row's slack absorb the residual if its bounds
-        # allow, otherwise add an artificial column for the row
-        basis = np.empty(self.m, dtype=np.int64)
-        xB = np.empty(self.m)
-        signs = np.ones(self.m)
-        art_rows = []
-        n = self.n_real
-        for i in range(self.m):
-            s = n - self.m + i  # slack column of row i
-            target = x_nb[s] + residual[i]
-            if lower[s] - 1e-9 <= target <= upper[s] + 1e-9:
-                basis[i] = s
-                status[s] = BASIC
-                xB[i] = min(max(target, lower[s]), upper[s])
-            else:
-                # artificial takes the row residual, signed so it starts >= 0
-                basis[i] = n + i
-                signs[i] = 1.0 if residual[i] >= 0 else -1.0
-                xB[i] = abs(residual[i])
-                art_rows.append(i)
-
-        self.n_struct = n - self.m
-        self.signs = signs
-        self.A = sp.hstack([A, sp.diags(signs, format="csc")], format="csc")
-        self.AT = self.A.T.tocsr()
-        self.lower = np.concatenate([lower, np.zeros(self.m)])
-        self.upper = np.concatenate([upper, np.zeros(self.m)])
-        for i in art_rows:
-            self.upper[n + i] = math.inf
-        art_status = np.full(self.m, AT_LOWER, dtype=np.int8)
-        self.status = np.concatenate([status, art_status])
-        self.status[basis] = BASIC
-        self.basis = basis
-        self.xB = xB
         self.b = b.astype(float)
+
+        self.warm = start is not None
+        if start is None:
+            self._crash(A, lower, upper)
+        else:
+            # the parent's matrix and artificials, which its phase 1 left
+            # pinned at zero
+            self.A, self.AT, self.signs = start.A, start.AT, start.signs
+            self.lower = np.concatenate([lower, np.zeros(self.m)])
+            self.upper = np.concatenate([upper, np.zeros(self.m)])
+            # statuses still fit: branching tightens only columns basic in
+            # the start, and the completion dive fixes a nonbasic free column
+            # at its start value 0
+            self.basis = start.basis.copy()
+            self.status = start.status.copy()
 
         # violation = d * price_sign for columns at a bound; nonbasic free
         # columns are priced by |d| (once basic, a column only ever leaves
@@ -138,6 +147,7 @@ class BoundedSimplex:
                                    np.where(movable & (self.status == AT_UPPER), 1.0, 0.0))
         self.free = np.flatnonzero(movable & (self.status == FREE))
 
+        n = self.n_real
         self.cost_phase1 = np.zeros(n + self.m)
         self.cost_phase1[n:] = 1.0
         self.cost_phase2 = np.concatenate([self.cost_orig / self.scale, np.zeros(self.m)])
@@ -151,6 +161,43 @@ class BoundedSimplex:
         self.eta_inv = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
         self.n_etas = 0
         self._refactor()
+
+    def _crash(self, A: sp.csc_matrix, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Cold start: every nonbasic at a bound, each row's slack basic
+        where its bounds absorb the residual, an artificial otherwise."""
+        status = np.where(np.isfinite(lower), AT_LOWER,
+                          np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
+        x_nb = np.where(status == AT_LOWER, lower, 0.0)
+        x_nb = np.where(status == AT_UPPER, upper, x_nb)
+        residual = self.b - A @ x_nb
+
+        basis = np.empty(self.m, dtype=np.int64)
+        signs = np.ones(self.m)
+        art_rows = []
+        n = self.n_real
+        for i in range(self.m):
+            s = n - self.m + i  # slack column of row i
+            target = x_nb[s] + residual[i]
+            if lower[s] - 1e-9 <= target <= upper[s] + 1e-9:
+                basis[i] = s
+                status[s] = BASIC
+            else:
+                # artificial takes the row residual, signed so it starts >= 0
+                basis[i] = n + i
+                signs[i] = 1.0 if residual[i] >= 0 else -1.0
+                art_rows.append(i)
+
+        self.signs = signs
+        self.A = sp.hstack([A, sp.diags(signs, format="csc")], format="csc")
+        self.AT = self.A.T.tocsr()
+        self.lower = np.concatenate([lower, np.zeros(self.m)])
+        self.upper = np.concatenate([upper, np.zeros(self.m)])
+        for i in art_rows:
+            self.upper[n + i] = math.inf
+        art_status = np.full(self.m, AT_LOWER, dtype=np.int8)
+        self.status = np.concatenate([status, art_status])
+        self.status[basis] = BASIC
+        self.basis = basis
 
     # -- linear algebra ------------------------------------------------------
 
@@ -305,6 +352,22 @@ class BoundedSimplex:
             return float(self.upper[j])
         return 0.0
 
+    def _pivot(self, r: int, q: int, w: np.ndarray, step: float, leaving_status: int) -> None:
+        """Move column q by step, the basics by -step * w, and swap q into
+        basis row r, whose column leaves with the given status."""
+        self.xB -= step * w
+        self._set_status(self.basis[r], leaving_status)
+        self.basis[r] = q
+        self.xB[r] = self._value_of(q) + step
+        self._set_status(q, BASIC)
+        self._push_eta(r, w)
+
+    def _tableau_row(self, r: int) -> np.ndarray:
+        """Row r of B^-1 A over every column, artificials included."""
+        er = np.zeros(self.m)
+        er[r] = 1.0
+        return self.AT @ self._btran(er)
+
     # -- main loop -------------------------------------------------------------
 
     def _run_phase(self, cost: np.ndarray):
@@ -342,20 +405,16 @@ class BoundedSimplex:
                 self.xB -= t * (sigma * w)
                 self._set_status(q, AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER)
             else:
-                self.xB -= t * (sigma * w)
                 leaving = self.basis[r]
                 if leaving >= self.n_real:
                     # artificial leaves for good
                     self.upper[leaving] = 0.0
-                    self._set_status(leaving, AT_LOWER)
+                    self._pivot(r, q, w, sigma * t, AT_LOWER)
                 else:
                     # a leaving variable always stops at a finite bound
                     # (infinite bounds never limit the ratio test)
-                    self._set_status(leaving, AT_LOWER if sigma * w[r] > 0 else AT_UPPER)
-                self.basis[r] = q
-                self.xB[r] = self._value_of(q) + sigma * t
-                self._set_status(q, BASIC)
-                self._push_eta(r, w)
+                    self._pivot(r, q, w, sigma * t,
+                                AT_LOWER if sigma * w[r] > 0 else AT_UPPER)
             if t <= DEGENERATE_STEP:
                 stall += 1
                 if stall >= STALL_WINDOW:
@@ -368,10 +427,7 @@ class BoundedSimplex:
         for r in range(self.m):
             if self.basis[r] < self.n_real:
                 continue
-            er = np.zeros(self.m)
-            er[r] = 1.0
-            rho = self._btran(er)
-            rowvals = self.AT @ rho
+            rowvals = self._tableau_row(r)
             entering = None
             for j in np.flatnonzero(np.abs(rowvals) > 1e-7):
                 if j < self.n_real and self.status[j] != BASIC:
@@ -394,9 +450,94 @@ class BoundedSimplex:
             self._push_eta(r, w)
         self._refactor()
 
+    def _leaving_row(self, bland: bool) -> tuple[int | None, float]:
+        """The basic row with the largest bound violation (lowest column in
+        Bland mode) and +1 if it leaves to its lower bound, -1 to its upper."""
+        cols = self.basis
+        below = self.lower[cols] - self.xB
+        above = self.xB - self.upper[cols]
+        viol = np.maximum(below, above)
+        rows = np.flatnonzero(viol > self.ftol)
+        if not rows.size:
+            return None, 0.0
+        r = int(rows[np.argmin(cols[rows])] if bland else rows[np.argmax(viol[rows])])
+        return r, 1.0 if below[r] > 0.0 else -1.0
+
+    def _dual_ratio_test(self, d: np.ndarray, alpha: np.ndarray, bland: bool) -> int | None:
+        """Entering column: the first reduced cost to reach zero as the
+        leaving row's dual moves, where alpha is the tableau row signed so
+        that d_j + t * alpha_j with t >= 0 is the move.
+
+        None means no column limits the move: the program is infeasible.
+        """
+        ps = self.price_sign
+        cand = np.flatnonzero(ps * alpha > PIVOT_TOL)
+        if self.free.size:
+            cand = np.union1d(cand, self.free[np.abs(alpha[self.free]) > PIVOT_TOL])
+        if not cand.size:
+            return None
+        room = -d[cand] * ps[cand]  # |d_j| while column j is dual feasible
+        is_free = ps[cand] == 0.0
+        room[is_free] = np.abs(d[cand[is_free]])
+        ratios = np.maximum(room, 0.0) / np.abs(alpha[cand])
+        t = ratios.min()
+        tied = cand[ratios <= t + 1e-9 * (1.0 + t)]
+        if bland:
+            return int(tied[0])
+        # prefer the numerically largest pivot, then the smallest index
+        return int(tied[np.lexsort((tied, -np.abs(alpha[tied])))[0]])
+
+    def _run_dual(self) -> str:
+        """Bounded dual simplex (Koberstein 2005) from a dual feasible basis:
+        pivot bound violations out of the basis while the reduced costs keep
+        their signs.
+
+        Returns "feasible", "infeasible" or "iteration_limit".
+        """
+        _, d = self._price(self.cost_phase2)
+        stall = 0
+        bland = False
+        while True:
+            r, toward = self._leaving_row(bland)
+            if r is None:
+                return "feasible"
+            alpha = self._tableau_row(r)
+            q = self._dual_ratio_test(d, toward * alpha, bland)
+            if q is None and self.n_etas:
+                self._refactor()
+                _, d = self._price(self.cost_phase2)
+                continue
+            if q is None:
+                return "infeasible"
+            if self.iterations >= self.max_iterations:
+                return "iteration_limit"
+            self.iterations += 1
+
+            theta = d[q] / alpha[q]
+            d -= theta * alpha
+            w = self._ftran(self._column(q))
+            # the entering column moves until the leaving one sits at its bound
+            leaving = self.basis[r]
+            if toward > 0:
+                self._pivot(r, q, w, (self.xB[r] - self.lower[leaving]) / w[r], AT_LOWER)
+            else:
+                self._pivot(r, q, w, (self.xB[r] - self.upper[leaving]) / w[r], AT_UPPER)
+            if abs(theta) <= DEGENERATE_STEP:
+                stall += 1
+                if stall >= STALL_WINDOW:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+
     def solve(self) -> SimplexOutcome:
-        # phase 1: minimise the sum of artificials
-        if np.any(self.basis >= self.n_real):
+        if self.warm:
+            # the start basis is dual feasible: the dual simplex replaces phase 1
+            tag = self._run_dual()
+            if tag != "feasible":
+                return self._outcome(tag, phase=1)
+        elif np.any(self.basis >= self.n_real):
+            # phase 1: minimise the sum of artificials
             tag, y, d = self._run_phase(self.cost_phase1)
             if tag == "iteration_limit":
                 return self._outcome("iteration_limit", phase=1)
@@ -421,6 +562,8 @@ class BoundedSimplex:
         d = extra.copy()
         d[self.status == BASIC] = 0.0
         out.reduced_costs = d[:self.n_real] * self.scale
+        out.state = BasisState(self.basis.copy(), self.status.copy(),
+                               self.A, self.AT, self.signs)
         return out
 
     def _outcome(self, status: str, phase: int = 2) -> SimplexOutcome:

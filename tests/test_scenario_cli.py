@@ -285,3 +285,24 @@ def test_solver_failure_exits_with_solver_code(tmp_path, capsys, scenario_dir,
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_SOLVER == 8
     assert "error: basis factorisation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verify, expected", [(True, cli.EXIT_VERIFY), (False, cli.EXIT_OPTIMAL)])
+def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, scenario_dir,
+                                                           monkeypatch, verify, expected):
+    import dataclasses
+    from enopt.solver import solve
+
+    def perturbed_solve(prog, cfg):
+        sol = solve(prog, cfg)
+        return dataclasses.replace(sol, values=sol.values * 1.5)
+
+    monkeypatch.setattr(cli, "solve", perturbed_solve)
+    argv = ["run", str(scenario_dir / "paper_system_48.json"), "--out", str(tmp_path / "out")]
+    code = cli.main(argv + ([] if verify else ["--no-verify"]))
+    assert code == expected
+    assert cli.EXIT_VERIFY == 9
+    for name in ("schedule.csv", "fill.csv", "summary.txt", "report.json"):
+        assert (tmp_path / "out" / name).is_file()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verification"]["passed"] is False

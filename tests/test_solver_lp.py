@@ -175,3 +175,25 @@ def test_certificate_rejects_non_optimal_status():
     assert sol.status == Status.INFEASIBLE
     with pytest.raises(ValueError):
         check_certificate(prog, sol)
+
+
+def test_certificate_rejects_non_finite_lp_optimum(scenario_dir):
+    import dataclasses
+    from enopt.formulate import compile_system
+    from enopt.scenario import load_scenario
+    prog = compile_system(load_scenario(scenario_dir / "paper_system_48.json").system)
+    sol = solve_lp(prog)
+    assert check_certificate(prog, sol).ok
+    values = sol.values.copy()
+    values[0] = math.nan
+    report = check_certificate(prog, dataclasses.replace(sol, values=values,
+                                                         objective=math.nan))
+    assert not report.ok
+    assert "objective is nan" in report.violations
+    assert any(v.startswith("values not finite at 1 entries, first values[0] = nan")
+               for v in report.violations)
+    duals = sol.duals.copy()
+    duals[3] = math.inf
+    report = check_certificate(prog, dataclasses.replace(sol, duals=duals))
+    assert not report.ok
+    assert any(v.startswith("duals not finite") for v in report.violations)

@@ -147,6 +147,22 @@ def test_milp_certificate_accepts_true_incumbent():
         assert check_certificate(prog, sol).ok
 
 
+def test_milp_certificate_rejects_non_finite_incumbent():
+    rng = np.random.default_rng(9)
+    c, A, senses, b, upper, integer, rows, _ = _random_milp(rng)
+    prog = make_program(c, rows, upper=upper, integer=integer)
+    sol = solve_milp(prog)
+    assert sol.status == Status.OPTIMAL and check_certificate(prog, sol).ok
+    values = sol.values.copy()
+    values[0] = np.nan
+    report = check_certificate(prog, dataclasses.replace(sol, values=values,
+                                                         objective=np.nan))
+    assert not report.ok
+    assert report.kind == "milp"
+    assert "objective is nan" in report.violations
+    assert any(v.startswith("values not finite") for v in report.violations)
+
+
 # ---------------------------------------------------------------------------
 # commitment semantics on the downtime toy
 
