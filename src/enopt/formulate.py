@@ -632,26 +632,45 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
 
 def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
     """Limit the output change between successive steps, either to a fraction
-    of installed capacity or to a costed headroom variable."""
+    of installed capacity or to a costed headroom variable.
+
+    A fixed-ramp row that the capacity limit already implies is not emitted
+    (its family is still noted, and verification still checks it).  With
+    C = initial + installed >= 0, the capacity row gives out_t <= avail[t] * C
+    and out >= 0, so the up row at t holds whenever up >= avail[t], and the
+    down row whenever down >= avail[t-1] and both steps share C (the same
+    building period).  Committed components have no such row and keep all
+    their ramp rows."""
     T = sys.time.num_steps
     periods = sys.time.period_of_step
     for comp in sys.sorted_components():
         ramp = comp.ramp
         if ramp is None:
             continue
+        capped = not comp.committed  # has a capacity row per step
+        avail = comp.capacity.availability_series(T)
         for t in range(1, T):
             up = [(_out(comp.id, t), 1.0), (_out(comp.id, t - 1), -1.0)]
             down = [(_out(comp.id, t - 1), 1.0), (_out(comp.id, t), -1.0)]
             if isinstance(ramp, FixedRamp):
+                # the fraction is applied per step, whatever the step length
+                up_frac, down_frac = ramp.up_per_hour, ramp.down_per_hour
                 inst = _installed_ref(comp, periods[t]) if comp.capacity.optimizable else None
                 if inst is not None:
-                    up.append((inst, -ramp.up_per_hour))
-                    down.append((inst, -ramp.down_per_hour))
-                prog.add_row(Family.RAMP_UP, up, LE, ramp.up_per_hour * comp.capacity.initial,
-                             owner=comp.id, step=t)
-                prog.add_row(Family.RAMP_DOWN, down, LE,
-                             ramp.down_per_hour * comp.capacity.initial,
-                             owner=comp.id, step=t)
+                    up.append((inst, -up_frac))
+                    down.append((inst, -down_frac))
+                same_cap = inst is None or inst == _installed_ref(comp, periods[t - 1])
+                if capped and up_frac >= avail[t]:
+                    prog.note_family(Family.RAMP_UP)
+                else:
+                    prog.add_row(Family.RAMP_UP, up, LE, up_frac * comp.capacity.initial,
+                                 owner=comp.id, step=t)
+                if capped and down_frac >= avail[t - 1] and same_cap:
+                    prog.note_family(Family.RAMP_DOWN)
+                else:
+                    prog.add_row(Family.RAMP_DOWN, down, LE,
+                                 down_frac * comp.capacity.initial,
+                                 owner=comp.id, step=t)
             else:
                 up.append((VarRef(VarKind.RAMP_UP, comp.id), -1.0))
                 down.append((VarRef(VarKind.RAMP_DOWN, comp.id), -1.0))

@@ -219,7 +219,14 @@ class CapacitySpec:
 
 @dataclass(frozen=True)
 class FixedRamp:
-    """Output change per step limited to a fraction of installed capacity."""
+    """Output change per step limited to a fraction of installed capacity.
+
+    Despite the field names, the fractions apply per step, whatever the step
+    length: output may rise by at most ``up_per_hour`` times the installed
+    capacity from one step to the next (fall by ``down_per_hour``), so 0.3
+    on a grid of 2-hour steps allows 0.3 of capacity per 2-hour step.  The
+    compiler's rows and the verifier both use this definition.
+    """
 
     up_per_hour: float
     down_per_hour: float

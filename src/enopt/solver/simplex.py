@@ -104,6 +104,17 @@ class SimplexOutcome:
     state: BasisState | None = None  # the optimal basis, to warm-start from
 
 
+def gather_columns(A: sp.csc_matrix, cols: np.ndarray):
+    """The (indptr, indices, data) arrays of ``A[:, cols]``, copied straight
+    from A's arrays (same entries, same order, same index dtype)."""
+    start = A.indptr[cols]
+    lens = A.indptr[cols + 1] - start
+    indptr = np.zeros(cols.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(lens, out=indptr[1:])
+    pos = np.repeat(start - indptr[:-1], lens) + np.arange(indptr[-1])
+    return indptr, A.indices[pos], A.data[pos]
+
+
 class BoundedSimplex:
     def __init__(self, A: sp.csc_matrix, b: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray, cost: np.ndarray, *,
@@ -217,19 +228,22 @@ class BoundedSimplex:
         if self.rows_bump.size != self.pos_struct.size:
             raise SolverError("basis factorisation failed: a row's slack and "
                               "artificial are both basic")
-        bump_row = np.full(m, -1, dtype=np.int64)
+        bump_row = np.full(m, -1, dtype=self.A.indices.dtype)
         bump_row[self.rows_bump] = np.arange(self.rows_bump.size)
 
-        # structural basic columns; the bump keeps their uncovered rows
-        self.S = self.A[:, basis[self.pos_struct]]
+        # structural basic columns, gathered from A's arrays; the bump keeps
+        # their uncovered rows
+        indptr, indices, data = gather_columns(self.A, basis[self.pos_struct])
+        self.S = sp.csc_matrix((data, indices, indptr), shape=(m, self.pos_struct.size))
         self.S_T = self.S.T
         self.lu = None
         nb = self.rows_bump.size
         if nb:
-            keep = bump_row[self.S.indices] >= 0
-            kept = np.concatenate(([0], np.cumsum(keep)))
-            bump = sp.csc_matrix((self.S.data[keep], bump_row[self.S.indices[keep]],
-                                  kept[self.S.indptr]), shape=(nb, nb))
+            keep = bump_row[indices] >= 0
+            kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
+            np.cumsum(keep, out=kept[1:])
+            bump = sp.csc_matrix((data[keep], bump_row[indices[keep]], kept[indptr]),
+                                 shape=(nb, nb))
             try:
                 self.lu = splu(bump)
             except RuntimeError as exc:  # singular basis: numerical breakdown

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from enopt import model as M
+from enopt.analyze import verify_solution
 from enopt.formulate import (
     EQ,
     GE,
@@ -11,9 +12,12 @@ from enopt.formulate import (
     CompileError,
     CompileWarning,
     Family,
+    LinearProgram,
     VarKind,
     VarRef,
+    _declare_variables,
     compile_system,
+    emit_ramp_limits,
     family_number,
     write_lp,
 )
@@ -324,6 +328,131 @@ def test_optimized_ramp_uses_headroom_variable():
     assert _terms_by_ref(prog, row)[VarRef(VarKind.RAMP_UP, "plant")] == -1.0
     assert prog.cost_of(VarRef(VarKind.RAMP_UP, "plant")) == 3.0
     assert prog.cost_of(VarRef(VarKind.RAMP_DOWN, "plant")) == 2.0
+
+
+def test_fixed_ramp_fraction_applies_per_step_on_a_two_hour_grid():
+    # 0.3 of 10 MW per step, although each step lasts 2 hours
+    def system(loads):
+        sys_ = _ramp_system(M.FixedRamp(0.3, 0.4), loads=loads)
+        return dataclasses.replace(sys_, time=M.TimeGrid((2.0,) * len(loads)))
+
+    sys_ = system((2.0, 5.0, 8.0))
+    prog = compile_system(sys_)
+    assert _row(prog, Family.RAMP_UP, "plant", 1).rhs == 0.3 * 10.0
+    assert _row(prog, Family.RAMP_DOWN, "plant", 1).rhs == 0.4 * 10.0
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL
+    assert verify_solution(sys_, sol, prog).passed
+    # 3.5 MW up in one 2-hour step: allowed per hour, not per step
+    values = sol.values.copy()
+    values[prog.index(VarRef(VarKind.OUTPUT, "plant", 2))] += 0.5
+    bad = verify_solution(sys_, dataclasses.replace(sol, values=values), prog)
+    assert bad.residual(Family.RAMP_UP) == pytest.approx(0.5 / 3.0)
+    assert solve(compile_system(system((2.0, 8.0)))).status == Status.INFEASIBLE
+
+
+# implied fixed-ramp rows: out_t <= avail[t] * C and out >= 0 imply the up
+# row at t when up >= avail[t] and the down row when down >= avail[t-1]
+
+
+def _avail_ramp_system(ramp, avail, periods=(), per_period=False, committed=False):
+    T = len(avail)
+    grid = M.TimeGrid((1.0,) * T, periods)
+    nodes = (M.Node("elec", "e", (1.0,) * T),
+             M.Node("fuel", "g", (0.0,) * T, boundary=True))
+    plant = M.Component(
+        "plant", M.SingleConversion("fuel", "elec", 0.5),
+        M.CapacitySpec(initial=2.0, optimizable=not committed, max_total=50.0,
+                       availability=tuple(avail), per_period=per_period),
+        ramp=ramp, costs=M.CostSpec(invest=5.0, fuel=10.0, built=1.0),
+        commitment=M.UnitCommitment(unit_capacity=4.0, startup_cost=1.0) if committed
+        else None)
+    backup = M.Component("backup", M.SourceConversion("elec"),
+                         M.CapacitySpec(optimizable=True), costs=M.CostSpec(fuel=100.0))
+    return M.EnergySystem(grid, nodes, (plant, backup), ())
+
+
+def _ramp_steps(prog, family):
+    return [r.step for r in prog.rows_tagged(family) if r.owner == "plant"]
+
+
+@pytest.mark.parametrize("optimizable", [False, True])
+def test_full_ramp_emits_no_rows_but_notes_both_families(optimizable):
+    sys_ = _ramp_system(M.FixedRamp(1.0, 1.0), optimizable=optimizable)
+    prog = compile_system(sys_)
+    assert not prog.rows_tagged(Family.RAMP_UP)
+    assert not prog.rows_tagged(Family.RAMP_DOWN)
+    assert {Family.RAMP_UP.value, Family.RAMP_DOWN.value} <= prog.families_emitted
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL
+    report = verify_solution(sys_, sol, prog)
+    assert report.passed
+    assert report.checks(Family.RAMP_UP) == report.checks(Family.RAMP_DOWN) == 2
+
+    series = compile_system(_avail_ramp_system(M.FixedRamp(1.0, 1.0), (0.0, 0.4, 1.0, 0.7)))
+    assert not series.rows_tagged(Family.RAMP_UP)
+    assert not series.rows_tagged(Family.RAMP_DOWN)
+
+
+def test_ramp_rows_kept_where_fraction_is_below_availability():
+    avail = (0.2, 0.9, 0.6, 0.7, 0.3, 1.0, 0.0)
+    prog = compile_system(_avail_ramp_system(M.FixedRamp(0.6, 0.6), avail))
+    # up row at t needs avail[t] > 0.6, down row at t needs avail[t-1] > 0.6;
+    # a fraction equal to the availability (t = 2) drops the row
+    assert _ramp_steps(prog, Family.RAMP_UP) == [1, 3, 5]
+    assert _ramp_steps(prog, Family.RAMP_DOWN) == [2, 4, 6]
+    row = _row(prog, Family.RAMP_UP, "plant", 3)
+    assert _terms_by_ref(prog, row)[VarRef(VarKind.INSTALLED, "plant")] == -0.6
+    assert row.rhs == 0.6 * 2.0
+    # different fractions up and down are tested separately
+    prog = compile_system(_avail_ramp_system(M.FixedRamp(0.25, 0.95), avail))
+    assert _ramp_steps(prog, Family.RAMP_UP) == [1, 2, 3, 4, 5]
+    assert _ramp_steps(prog, Family.RAMP_DOWN) == [6]
+
+
+def test_per_period_capacity_keeps_the_down_row_across_a_period_boundary():
+    sys_ = _avail_ramp_system(M.FixedRamp(1.0, 1.0), (1.0,) * 6,
+                              periods=(0, 0, 0, 1, 1, 1), per_period=True)
+    prog = compile_system(sys_)
+    # installed(p0) may exceed installed(p1): out_2 - out_3 <= installed(p1)
+    # is not implied by out_2 <= installed(p0)
+    assert _ramp_steps(prog, Family.RAMP_UP) == []
+    assert _ramp_steps(prog, Family.RAMP_DOWN) == [3]
+    row = _row(prog, Family.RAMP_DOWN, "plant", 3)
+    assert VarRef(VarKind.INSTALLED_PERIOD, "plant", period=1) in _terms_by_ref(prog, row)
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL and verify_solution(sys_, sol, prog).passed
+
+
+def test_committed_component_keeps_every_ramp_row():
+    # a committed component has no capacity row to imply its ramps; fixed
+    # ramps on committed components fail validation, so call the emitter
+    sys_ = _avail_ramp_system(M.FixedRamp(1.0, 1.0), (1.0,) * 4, committed=True)
+    prog = LinearProgram()
+    _declare_variables(sys_, prog)
+    emit_ramp_limits(sys_, prog)
+    prog.finalize()
+    assert _ramp_steps(prog, Family.RAMP_UP) == [1, 2, 3]
+    assert _ramp_steps(prog, Family.RAMP_DOWN) == [1, 2, 3]
+    optimized = _avail_ramp_system(M.OptimizedRamp(1.0, 1.0), (1.0,) * 4, committed=True)
+    prog = compile_system(optimized)
+    assert _ramp_steps(prog, Family.RAMP_UP) == [1, 2, 3]
+    assert _ramp_steps(prog, Family.RAMP_DOWN) == [1, 2, 3]
+
+
+def test_verification_still_flags_ramps_whose_rows_were_not_emitted():
+    sys_ = _ramp_system(M.FixedRamp(1.0, 1.0))
+    prog = compile_system(sys_)
+    assert not prog.rows_tagged(Family.RAMP_UP)
+    sol = solve(prog)
+    values = sol.values.copy()
+    # 0 -> 10.5 -> 0 on a 10 MW plant: both ramps exceed the 10 MW limit
+    for t, v in ((0, 0.0), (1, 10.5), (2, 0.0)):
+        values[prog.index(VarRef(VarKind.OUTPUT, "plant", t))] = v
+    report = verify_solution(sys_, dataclasses.replace(sol, values=values), prog)
+    assert report.residual(Family.RAMP_UP) == pytest.approx(0.05)
+    assert report.residual(Family.RAMP_DOWN) == pytest.approx(0.05)
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------

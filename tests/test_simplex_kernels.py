@@ -2,7 +2,8 @@
 
 The references below are the earlier implementations, kept here on purpose:
 a full-basis ``splu`` solve followed by a sequential product-form eta loop
-(ftran/btran), and mask-based pricing and ratio test.  The slack-reduced LU
+(ftran/btran), mask-based pricing and ratio test, and the structural basic
+columns and LU bump built by scipy column indexing.  The slack-reduced LU
 and the closed-form eta file round differently, so ftran/btran must agree
 within ``TOL`` times the reference's largest entry, a bound fixed for
 float64 arithmetic; pricing and the ratio test do the same arithmetic and
@@ -20,7 +21,7 @@ from enopt import formulate
 from enopt.scenario import load_scenario
 from enopt.solver import simplex
 from enopt.solver.simplex import (AT_LOWER, AT_UPPER, BASIC, FREE, PIVOT_TOL,
-                                  REFACTOR_EVERY, BoundedSimplex)
+                                  REFACTOR_EVERY, BoundedSimplex, gather_columns)
 from enopt.solver.standard import standardize
 
 TOL = 1e-10
@@ -88,6 +89,29 @@ def ref_ratio_test(s, q, sigma, w, bland):
         order = np.lexsort((s.basis[cand], -np.abs(w[cand])))
         r = cand[order[0]]
     return float(lims[r]), int(r)
+
+
+def ref_structural_and_bump(s):
+    """The structural basic columns ``A[:, cols]`` and the bump (their
+    uncovered rows), built by scipy indexing."""
+    S = s.A[:, s.basis[s.pos_struct]]
+    bump_row = np.full(s.m, -1, dtype=np.int64)
+    bump_row[s.rows_bump] = np.arange(s.rows_bump.size)
+    keep = bump_row[S.indices] >= 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    nb = s.rows_bump.size
+    bump = sp.csc_matrix((S.data[keep], bump_row[S.indices[keep]], kept[S.indptr]),
+                         shape=(nb, nb))
+    return S, bump
+
+
+def same_arrays(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("data", "indices", "indptr"))
+
+
+def same_csc(a, b):
+    return a.shape == b.shape and a.indices.dtype == b.indices.dtype and same_arrays(a, b)
 
 
 # -- states ----------------------------------------------------------------------
@@ -287,3 +311,66 @@ def test_bump_covering_the_whole_basis():
         s._push_eta(r, w)
     check_kernels(s, rng)
     check_pricing_and_ratio(s, rng, set())
+
+
+def _recorded_bump(monkeypatch, s):
+    """Refactor s and return the matrix ``splu`` received (None if none)."""
+    seen = []
+
+    def recording_splu(bump):
+        seen.append(bump.copy())
+        return splu(bump)
+
+    monkeypatch.setattr(simplex, "splu", recording_splu)
+    s._refactor()
+    return seen[0] if seen else None
+
+
+def test_gathered_columns_equal_column_indexing(desk_std):
+    rng = np.random.default_rng(11)
+    s = fresh(desk_std)  # A with its artificial columns appended
+    n_cols = s.A.shape[1]
+    picks = [np.arange(0), np.arange(n_cols), np.arange(n_cols)[::-1],
+             np.array([n_cols - 1, 0, n_cols - 1])]
+    picks += [rng.choice(n_cols, size=k, replace=False) for k in (1, 7, s.m)]
+    for cols in picks:
+        ref = s.A[:, cols]
+        indptr, indices, data = gather_columns(s.A, cols)
+        assert same_csc(sp.csc_matrix((data, indices, indptr), shape=ref.shape), ref)
+        assert indptr.dtype == ref.indptr.dtype
+
+
+@pytest.mark.parametrize("since_refactor", [0, 1])
+def test_refactor_basis_matrices_equal_reference_on_desk_solve(monkeypatch, desk_std,
+                                                               since_refactor):
+    s = run_until(desk_std, lambda s: s.iterations > REFACTOR_EVERY
+                  and s.n_etas == since_refactor)
+    bump = _recorded_bump(monkeypatch, s)
+    S_ref, bump_ref = ref_structural_and_bump(s)
+    assert bump is not None and same_csc(s.S, S_ref)
+    assert same_arrays(bump, bump_ref)
+
+
+def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
+    rng = np.random.default_rng(13)
+    std = _random_std(rng, 20, 30, np.array(["<="] * 20))
+    std.b = np.abs(std.b)
+    s = fresh(std)
+    assert _recorded_bump(monkeypatch, s) is None
+    assert s.S.shape == (20, 0) and same_csc(s.S, ref_structural_and_bump(s)[0])
+
+    m = 25
+    std = _random_std(rng, m, m, np.array(["<="] * m))
+    std.A = sp.hstack([sp.random(m, m, density=0.2, random_state=rng, format="csc")
+                       + sp.identity(m, format="csc") * 3.0,
+                       sp.identity(m, format="csc")], format="csc")
+    s = fresh(std)
+    for j in range(m):  # every row holds a structural column, rotated
+        s._set_status(s.n_struct + j, AT_LOWER)
+        s.basis[j] = (j + 5) % m
+        s._set_status(s.basis[j], BASIC)
+    bump = _recorded_bump(monkeypatch, s)
+    S_ref, bump_ref = ref_structural_and_bump(s)
+    assert s.rows_bump.size == m and same_csc(s.S, S_ref)
+    assert same_arrays(bump, bump_ref)
+    check_kernels(s, rng)

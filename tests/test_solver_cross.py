@@ -7,7 +7,8 @@ import pytest
 import scipy.optimize as sopt
 import scipy.sparse as sp
 
-from enopt.formulate import compile_system
+from enopt import model as M
+from enopt.formulate import Family, VarKind, VarRef, compile_system
 from enopt.scenario import load_scenario
 from enopt.solver import Status, solve_lp, solve_milp
 
@@ -114,6 +115,101 @@ def test_desk_replica_lp_matches_highs(scenario_dir):
     sol = solve_lp(prog)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+def _ramp_rows_from_system(sys_, prog):
+    """Every fixed-ramp row of the model, EQ16 and EQ17 at each step t >= 1,
+    written out from the system definition (fraction per step)."""
+    T, periods = sys_.time.num_steps, sys_.time.period_of_step
+    rows, rhs = [], []
+    for comp in sys_.components:
+        ramp = comp.ramp
+        if not isinstance(ramp, M.FixedRamp):
+            continue
+        for t in range(1, T):
+            out_t = prog.index(VarRef(VarKind.OUTPUT, comp.id, t))
+            out_p = prog.index(VarRef(VarKind.OUTPUT, comp.id, t - 1))
+            for frac, sign in ((ramp.up_per_hour, 1.0), (ramp.down_per_hour, -1.0)):
+                row = {out_t: sign, out_p: -sign}
+                if comp.capacity.optimizable:
+                    inst = (VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=periods[t])
+                            if comp.capacity.per_period
+                            else VarRef(VarKind.INSTALLED, comp.id))
+                    row[prog.index(inst)] = -frac
+                rows.append(row)
+                rhs.append(frac * comp.capacity.initial)
+    R = sp.lil_matrix((len(rows), prog.num_vars))
+    for i, row in enumerate(rows):
+        for j, coef in row.items():
+            R[i, j] = coef
+    return sopt.LinearConstraint(R.tocsr(), -np.inf, np.array(rhs))
+
+
+def _random_ramp_system(rng):
+    T = int(rng.integers(6, 15))
+    split = int(rng.integers(0, T))
+    grid = M.TimeGrid((1.0,) * T, tuple(int(t >= split and split > 0) for t in range(T)))
+
+    def avail():
+        a = rng.uniform(0.0, 1.0, T)
+        a[rng.uniform(size=T) < 0.2] = 0.0
+        a[rng.uniform(size=T) < 0.2] = 1.0
+        return tuple(np.round(a, 2))
+
+    def fraction():
+        return float(rng.choice([0.0, 0.25, 0.5, 1.0, round(rng.uniform(0, 1.2), 2)]))
+
+    nodes = (M.Node("elec", "e", tuple(rng.uniform(5.0, 20.0, T))),
+             M.Node("fuel", "g", (0.0,) * T, boundary=True))
+    comps = (
+        M.Component("plant", M.SingleConversion("fuel", "elec", 0.5),
+                    M.CapacitySpec(initial=float(rng.uniform(0, 5)), optimizable=True,
+                                   max_total=40.0, availability=avail(),
+                                   per_period=bool(rng.uniform() < 0.5)),
+                    ramp=M.FixedRamp(fraction(), fraction()),
+                    costs=M.CostSpec(invest=float(rng.uniform(1, 10)), fuel=8.0, built=0.5)),
+        M.Component("wind", M.SourceConversion("elec"),
+                    M.CapacitySpec(initial=float(rng.uniform(0, 8)),
+                                   availability=avail()),
+                    ramp=M.FixedRamp(fraction(), fraction())),
+        M.Component("backup", M.SourceConversion("elec"),
+                    M.CapacitySpec(optimizable=True), costs=M.CostSpec(fuel=100.0)),
+    )
+    return M.EnergySystem(grid, nodes, comps, ())
+
+
+def _highs_with_every_ramp_row(sys_, prog):
+    ref = sopt.milp(c=np.asarray(prog.objective),
+                    constraints=[_prog_to_scipy(prog), _ramp_rows_from_system(sys_, prog)],
+                    bounds=sopt.Bounds(np.asarray(prog.lower), np.asarray(prog.upper)),
+                    integrality=np.zeros(prog.num_vars))
+    assert ref.status == 0
+    return ref.fun
+
+
+def test_dropped_ramp_rows_do_not_change_the_desk_optimum(scenario_dir):
+    sys_ = load_scenario(scenario_dir / "paper_system_48.json").system
+    prog = compile_system(sys_)
+    assert not prog.rows_tagged(Family.RAMP_UP)  # every ramp row is implied
+    sol = solve_lp(prog)
+    assert sol.status == Status.OPTIMAL
+    assert sol.objective == pytest.approx(_highs_with_every_ramp_row(sys_, prog), rel=1e-9)
+
+
+def test_dropped_ramp_rows_do_not_change_random_optima():
+    rng = np.random.default_rng(9100)
+    dropped = kept = 0
+    for _ in range(12):
+        sys_ = _random_ramp_system(rng)
+        prog = compile_system(sys_)
+        n_ramp = len(prog.rows_tagged(Family.RAMP_UP)) + len(prog.rows_tagged(Family.RAMP_DOWN))
+        kept += n_ramp
+        dropped += 4 * (sys_.time.num_steps - 1) - n_ramp
+        sol = solve_lp(prog)
+        assert sol.status == Status.OPTIMAL
+        assert sol.objective == pytest.approx(_highs_with_every_ramp_row(sys_, prog),
+                                              rel=1e-9)
+    assert dropped > 0 and kept > 0
 
 
 def test_coverage_fixture_milp_matches_highs(coverage_system):
