@@ -3,9 +3,10 @@
 Exit codes: 0 optimal, 2 parse error, 3 infeasible, 4 unbounded, 5 gap or
 iteration/node limit, 6 schema mismatch, 7 validation failure, 8 solver
 failure (numerical breakdown), 9 the returned point failed the independent
-verification (artifacts are still written; ``--no-verify`` exits by the
-solver status instead).  Output files are byte-identical across runs of the
-same scenario and seed.
+verification or its optimality certificate (artifacts are still written;
+``--no-verify`` exits by the solver status instead and skips the
+certificate).  Output files are byte-identical across runs of the same
+scenario and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import analyze, formulate, scenario as scenario_mod
 from .model import system_dimensions, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario
-from .solver import SolverConfig, SolverError, Status, solve
+from .solver import SolverConfig, SolverError, Status, certificate, solve
 
 log = logging.getLogger("enopt")
 
@@ -150,6 +151,10 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
         export_lp: bool = False, verify: bool = True):
     """Compile, solve and write the requested artifacts.
 
+    With ``verify``, a point that fails ``analyze.verify_solution`` or, for
+    an optimal solve, ``check_certificate`` turns the exit code into
+    ``EXIT_VERIFY``; the artifacts are written either way.
+
     Returns (report_or_None, solution, exit_code).
     """
     out = Path(out_dir)
@@ -191,6 +196,11 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
     if verify and not report.residuals.passed:
         log.warning("verification failed: %s", report.residuals.summary_lines()[0])
         exit_code = EXIT_VERIFY
+    if verify and sol.status == Status.OPTIMAL:
+        cert = certificate.check_certificate(prog, sol)
+        if not cert.ok:
+            log.warning("%s", cert)
+            exit_code = EXIT_VERIFY
     return report, sol, exit_code
 
 
@@ -257,9 +267,10 @@ def main(argv=None) -> int:
                        help="write the compiled program in LP text format")
     p_run.add_argument("--verify", dest="verify", action="store_true", default=True,
                        help="exit with code 9 when the independent verification "
-                            "fails (default)")
+                            "or the optimality certificate fails (default)")
     p_run.add_argument("--no-verify", dest="verify", action="store_false",
-                       help="exit by the solver status even when verification fails")
+                       help="exit by the solver status whatever verification "
+                            "finds, and skip the certificate")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse and validate a scenario")

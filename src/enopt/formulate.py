@@ -734,25 +734,25 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
         if com.partial_load is not None:
             prog.note_family(Family.PARTIAL_EFFICIENCY)
 
-        for n_steps, tag, sign in ((com.min_down_steps, Family.MIN_DOWNTIME, 1.0),
-                                   (com.min_up_steps, Family.MIN_UPTIME, -1.0)):
+        # minimum up/down times as startup windows (Rajan & Takriti 2005), no
+        # startups before step 0 and on[t] = initial_on for t < 0:
+        #   uptime:   sum_{i=t-N+1..t} startup[i] <= on[t]
+        #   downtime: sum_{i=t-N+1..t} startup[i] <= 1 - on[t-N]
+        for n_steps, tag in ((com.min_down_steps, Family.MIN_DOWNTIME),
+                             (com.min_up_steps, Family.MIN_UPTIME)):
             if n_steps <= 0:
                 continue
             for t in range(T):
-                # downtime: N*on[t] - N*on[t-1] + sum_{m=1..N} on[t-m] <= N
-                # uptime:   N*on[t-1] - N*on[t] - sum_{m=1..N} on[t-m] <= 0
-                coefs: dict[int, float] = {}
-                coefs[t] = coefs.get(t, 0.0) + sign * n_steps
-                coefs[t - 1] = coefs.get(t - 1, 0.0) - sign * n_steps
-                for m in range(1, n_steps + 1):
-                    coefs[t - m] = coefs.get(t - m, 0.0) + sign * 1.0
-                rhs = float(n_steps) if sign > 0 else 0.0
-                terms = []
-                for idx in sorted(coefs):
-                    if idx < 0:
-                        rhs -= coefs[idx] * com.initial_on
-                    elif coefs[idx] != 0.0:
-                        terms.append((_on(comp.id, idx), coefs[idx]))
+                terms = [(VarRef(VarKind.STARTUP, comp.id, i), 1.0)
+                         for i in range(max(0, t - n_steps + 1), t + 1)]
+                rhs = 0.0
+                if tag == Family.MIN_UPTIME:
+                    terms.append((_on(comp.id, t), -1.0))
+                elif t >= n_steps:
+                    terms.append((_on(comp.id, t - n_steps), 1.0))
+                    rhs = 1.0
+                else:
+                    rhs = 1.0 - com.initial_on
                 prog.add_row(tag, terms, LE, rhs, owner=comp.id, step=t)
 
 

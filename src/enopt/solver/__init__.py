@@ -1,5 +1,5 @@
-"""Built-in exact solver: bounded-variable primal simplex plus best-bound
-branch and bound.  The entry points take any object shaped like
+"""Built-in exact solver: bounded-variable dual simplex with a primal
+clean-up, plus best-bound branch and bound.  The entry points take any object shaped like
 :class:`enopt.formulate.LinearProgram`, so an adapter around an external
 solver can slot in behind the same interface."""
 

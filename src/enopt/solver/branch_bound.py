@@ -5,13 +5,13 @@ ties broken by creation order; branching picks the most fractional integer
 variable, ties broken by lowest variable index.  Both rules are
 deterministic, so identical inputs explore identical trees.
 
-The root relaxation is a cold primal solve.  Each heap entry carries its
-parent's optimal basis next to its bound overrides, and the node LP is
-re-optimised from that basis by the dual simplex; the completion dive
-starts from the root's basis.  A warm-started node LP can end at a different
-alternative optimum than a cold solve would, so trees and node counts may
-differ from versions that solved every node cold, while staying
-bit-reproducible within a version.
+The root relaxation is a cold solve, a dual simplex from the slack basis.
+Each heap entry carries its parent's optimal basis next to its bound
+overrides, and the node LP is re-optimised from that basis by the same dual
+simplex; the completion dive starts from the root's basis.  A warm-started
+node LP can end at a different alternative optimum than a cold solve would,
+so trees and node counts may differ from versions that solved every node
+cold, while staying bit-reproducible within a version.
 """
 
 from __future__ import annotations

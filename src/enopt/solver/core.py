@@ -57,9 +57,13 @@ class Solution:
 
     ``duals`` and ``reduced_costs`` are present for pure LP solves and back
     the optimality certificate; ``ray``/``farkas`` carry unboundedness and
-    infeasibility certificates.  ``var_refs`` mirrors the program's variable
-    name map so downstream analysis can interpret ``values`` without the
-    program at hand.
+    infeasibility certificates.  ``farkas`` is a vector ``y`` over the rows
+    with ``y'b`` above every value of ``y'Ax`` (slack columns included)
+    within the variable bounds of the standard form.  ``var_refs`` mirrors
+    the program's variable name map so downstream analysis can interpret
+    ``values`` without the program at hand.  For an LP, ``message`` names
+    the simplex phase the solve ended in: 1 is the dual pass that restores
+    feasibility (so an infeasible LP ends there), 2 the primal pass.
     """
 
     status: Status

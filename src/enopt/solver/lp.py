@@ -28,9 +28,10 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     """Solve the LP relaxation of a standard form, optionally with replaced
     bound vectors (used by branch and bound).
 
-    Without ``start`` the solve is a cold two-phase primal simplex.  With
+    Without ``start`` the dual simplex starts from the slack basis; with
     the optimal basis of a solve of the same standard form whose bounds were
-    no tighter, the solve is a warm-started dual simplex from that basis.
+    no tighter, it starts from that basis.  Either way a primal pass with the
+    true costs finishes the solve (see :mod:`enopt.solver.simplex`).
     """
     lo = std.lower if lower is None else lower
     hi = std.upper if upper is None else upper
@@ -38,7 +39,7 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
         x = np.zeros(std.num_cols)
         return SimplexOutcome("infeasible", x, math.inf, None, None, 0, phase=1)
     simplex = BoundedSimplex(
-        std.A, std.b, lo, hi, std.cost, start=start,
+        std, lo, hi, start=start,
         feasibility_tol=cfg.feasibility_tol,
         optimality_tol=cfg.optimality_tol,
         max_iterations=cfg.max_iterations if max_iterations is None else max_iterations,

@@ -1,18 +1,16 @@
-"""Simplex for bounded variables: a two-phase primal with artificial
-columns for cold starts, and a dual simplex for warm starts.
+"""Bounded dual simplex with a primal clean-up, for every LP solve.
 
 Design notes:
 
 * Variables carry their bounds directly (no slack rows for upper bounds),
   which keeps capacity caps out of the constraint matrix.
 * Column ``n_struct + i`` of ``A`` is the slack of row ``i`` with
-  coefficient +1 (the layout ``standardize`` builds), and the artificial of
-  row ``i`` is ``signs[i]`` times the unit vector.  A basis therefore holds
-  unit columns, one per row they cover, and structural columns.  Only the
-  structural columns restricted to the uncovered rows (the "bump", the LU
-  nucleus of Suhl & Suhl 1990) go to a sparse LU (scipy ``splu``); the
-  entries of the covered rows follow from one sparse product with the
-  structural basic columns.  An all-slack basis needs no factorisation.
+  coefficient +1 (the layout ``standardize`` builds).  A basis therefore
+  holds slack columns, one per row they cover, and structural columns.  Only
+  the structural columns restricted to the uncovered rows (the "bump", the
+  LU nucleus of Suhl & Suhl 1990) go to a sparse LU (scipy ``splu``); the
+  entries of the covered rows follow from the structural basic columns,
+  kept as raw column arrays.  An all-slack basis needs no factorisation.
 * Pivots since the last factorisation form a product-form eta file
   (Dantzig & Orchard-Hays 1954) held in closed form: a fixed store of the
   vectors ``w_k - e_{r_k}`` and the inverse of the small lower-triangular
@@ -20,35 +18,41 @@ Design notes:
   matrix-vector products.  The basis is refactored when the store holds
   ``REFACTOR_EVERY`` etas and before optimality is declared, so the final
   point is computed from a fresh factorisation.
-* Pricing is Dantzig (largest reduced-cost violation).  A run of degenerate
-  pivots switches to Bland's rule (smallest index in, smallest index out),
-  which guarantees termination; the first non-degenerate step switches back.
-  A per-column sign (-1 at a movable lower bound, +1 at a movable upper
-  bound, 0 otherwise), kept up to date at every status change, turns the
-  reduced costs into violations with one product; the ratio test looks only
-  at rows with a usable pivot entry.
 * The objective is normalised by its largest coefficient internally, so
   scaling the objective by any positive factor leaves the pivot sequence,
   and therefore the returned vertex, unchanged.
 
-Cold start (phase 1) starts from all structural variables at a finite
-bound, slacks absorbing what they can, and one artificial column per
-remaining row.  The sum of artificials is driven to zero; leftover basic
-artificials are pivoted out or pinned to zero for phase 2.
+A cold solve starts from the slack basis: every structural column at a
+finite bound (lower if it has one, else upper; free columns at 0) and every
+slack basic.  With non-negative costs on columns at their lower bound, which
+every compiled program has, that basis is dual feasible.  A warm solve (a
+branch-and-bound child) starts from the optimal :class:`BasisState` of a
+solve of the same standard form with bounds no tighter, which stays dual
+feasible.  Where a start is not dual feasible (negative costs or free
+columns with a cost, built only through the library API), the costs of the
+offending columns are shifted so their reduced costs are zero for the dual
+pass (cost modification, Koberstein 2005, ch. 4) and restored afterwards.
 
-Warm start: an optimal solve returns its basis as a :class:`BasisState`.
-A solve of the same standard form with tightened bounds (a branch-and-bound
-child) starts from it, reusing its matrix with the artificial columns, their
-signs and their pinned bounds, and refactors once.  That basis is still dual
-feasible, so a bounded dual simplex (Koberstein 2005) restores primal
-feasibility: the leaving row has the largest bound violation; the entering
-column comes from the textbook dual ratio test over the nonbasic columns
-whose tableau entry has the sign that lets their reduced cost reach zero,
-plus free columns with any usable entry, ties broken by the largest pivot
-entry and then the lowest index; a run of degenerate dual pivots switches to
-lowest-index choices.  No candidate column, checked on a fresh
-factorisation, means the program is infeasible.  Once primal feasible, the
-phase-2 primal loop runs as a clean-up and declares optimality as above.
+Both starts run the same two passes:
+
+1. A bounded dual simplex (Koberstein 2005) restores primal feasibility.
+   The leaving row has the largest bound violation; the entering column
+   comes from the textbook dual ratio test over the nonbasic columns whose
+   tableau entry has the sign that lets their reduced cost reach zero, plus
+   free columns with any usable entry, ties broken by the largest pivot
+   entry and then the lowest index; a run of degenerate dual pivots switches
+   to lowest-index choices.  No candidate column, checked on a fresh
+   factorisation, means the program is infeasible, and the leaving row's
+   btran vector is returned as a Farkas certificate.
+2. The primal simplex with the true costs finishes: it declares optimality
+   as above or finds an unbounded ray.  Pricing is Dantzig (largest
+   reduced-cost violation).  A run of degenerate pivots switches to Bland's
+   rule (smallest index in, smallest index out), which guarantees
+   termination; the first non-degenerate step switches back.  A per-column
+   sign (-1 at a movable lower bound, +1 at a movable upper bound, 0
+   otherwise), kept up to date at every status change, turns the reduced
+   costs into violations with one product; the ratio test looks only at rows
+   with a usable pivot entry.
 """
 
 from __future__ import annotations
@@ -57,10 +61,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import csc_matrix
+# the kernels behind scipy's own ``S @ w`` for CSC and CSR matrices, called on
+# raw arrays so no checked matrix is built per factorisation
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import splu
 
 from .core import SolverError
+from .standard import StandardForm
 
 __all__ = ["BasisState", "SimplexOutcome", "BoundedSimplex"]
 
@@ -74,20 +82,12 @@ STALL_WINDOW = 40
 
 @dataclass(frozen=True)
 class BasisState:
-    """An optimal basis that a solve with tightened bounds can start from.
-
-    ``basis`` holds the basic column of each row and ``status`` the status
-    of every column, artificials included.  ``A`` (the standard form with
-    the artificial columns appended), its transpose ``AT`` and the
-    artificial ``signs`` come from the cold solve that built them and are
-    shared, never copied, by every warm start that descends from it.
-    """
+    """An optimal basis that a solve of the same standard form with
+    tightened bounds can start from: the basic column of each row and the
+    status of every column."""
 
     basis: np.ndarray  # (m,) int64
-    status: np.ndarray  # (n + 2m,) int8
-    A: sp.csc_matrix
-    AT: sp.csr_matrix
-    signs: np.ndarray
+    status: np.ndarray  # (n,) int8
 
 
 @dataclass
@@ -99,12 +99,13 @@ class SimplexOutcome:
     reduced_costs: np.ndarray | None  # all columns, original objective units
     iterations: int
     ray: np.ndarray | None = None
+    # infeasibility certificate: y with y'b > max of y'Ax over the bounds
     farkas: np.ndarray | None = None
-    phase: int = 2
+    phase: int = 2  # the pass the solve ended in: 1 dual, 2 primal clean-up
     state: BasisState | None = None  # the optimal basis, to warm-start from
 
 
-def gather_columns(A: sp.csc_matrix, cols: np.ndarray):
+def gather_columns(A: csc_matrix, cols: np.ndarray):
     """The (indptr, indices, data) arrays of ``A[:, cols]``, copied straight
     from A's arrays (same entries, same order, same index dtype)."""
     start = A.indptr[cols]
@@ -116,34 +117,33 @@ def gather_columns(A: sp.csc_matrix, cols: np.ndarray):
 
 
 class BoundedSimplex:
-    def __init__(self, A: sp.csc_matrix, b: np.ndarray, lower: np.ndarray,
-                 upper: np.ndarray, cost: np.ndarray, *,
+    def __init__(self, std: StandardForm, lower: np.ndarray, upper: np.ndarray, *,
                  start: BasisState | None = None,
                  feasibility_tol: float = 1e-6, optimality_tol: float = 1e-7,
                  max_iterations: int = 200_000):
-        self.m, n_cols = A.shape
-        self.n_real = n_cols  # structural + slack; artificials come after
-        self.n_struct = n_cols - self.m
+        self.A, self.AT = std.A, std.AT
+        self.m, self.n = std.A.shape
+        self.n_struct = self.n - self.m
         self.ftol = feasibility_tol
         self.otol = optimality_tol
         self.max_iterations = max_iterations
+        self.lower, self.upper = lower, upper
+        self.b = std.b.astype(float)
 
         # normalise the objective so tolerances are scale-free
-        self.scale = float(np.max(np.abs(cost))) if cost.size else 0.0
+        self.cost_orig = std.cost.astype(float)
+        self.scale = float(np.max(np.abs(self.cost_orig))) if self.n else 0.0
         if self.scale <= 0.0:
             self.scale = 1.0
-        self.cost_orig = cost.astype(float)
-        self.b = b.astype(float)
+        self.cost = self.cost_orig / self.scale
 
-        self.warm = start is not None
         if start is None:
-            self._crash(A, lower, upper)
+            # the slack basis: structurals at a finite bound, slacks basic
+            self.status = np.where(np.isfinite(lower), AT_LOWER,
+                                   np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
+            self.basis = np.arange(self.n_struct, self.n, dtype=np.int64)
+            self.status[self.basis] = BASIC
         else:
-            # the parent's matrix and artificials, which its phase 1 left
-            # pinned at zero
-            self.A, self.AT, self.signs = start.A, start.AT, start.signs
-            self.lower = np.concatenate([lower, np.zeros(self.m)])
-            self.upper = np.concatenate([upper, np.zeros(self.m)])
             # statuses still fit: branching tightens only columns basic in
             # the start, and the completion dive fixes a nonbasic free column
             # at its start value 0
@@ -158,11 +158,6 @@ class BoundedSimplex:
                                    np.where(movable & (self.status == AT_UPPER), 1.0, 0.0))
         self.free = np.flatnonzero(movable & (self.status == FREE))
 
-        n = self.n_real
-        self.cost_phase1 = np.zeros(n + self.m)
-        self.cost_phase1[n:] = 1.0
-        self.cost_phase2 = np.concatenate([self.cost_orig / self.scale, np.zeros(self.m)])
-
         self.iterations = 0
         # eta file: row k of eta_vecs is w_k - e_{r_k}; eta_inv[:k, :k] is the
         # inverse of the lower-triangular T with T[k, j] = eta_vecs[j, r_k]
@@ -173,77 +168,33 @@ class BoundedSimplex:
         self.n_etas = 0
         self._refactor()
 
-    def _crash(self, A: sp.csc_matrix, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Cold start: every nonbasic at a bound, each row's slack basic
-        where its bounds absorb the residual, an artificial otherwise."""
-        status = np.where(np.isfinite(lower), AT_LOWER,
-                          np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
-        x_nb = np.where(status == AT_LOWER, lower, 0.0)
-        x_nb = np.where(status == AT_UPPER, upper, x_nb)
-        residual = self.b - A @ x_nb
-
-        basis = np.empty(self.m, dtype=np.int64)
-        signs = np.ones(self.m)
-        art_rows = []
-        n = self.n_real
-        for i in range(self.m):
-            s = n - self.m + i  # slack column of row i
-            target = x_nb[s] + residual[i]
-            if lower[s] - 1e-9 <= target <= upper[s] + 1e-9:
-                basis[i] = s
-                status[s] = BASIC
-            else:
-                # artificial takes the row residual, signed so it starts >= 0
-                basis[i] = n + i
-                signs[i] = 1.0 if residual[i] >= 0 else -1.0
-                art_rows.append(i)
-
-        self.signs = signs
-        self.A = sp.hstack([A, sp.diags(signs, format="csc")], format="csc")
-        self.AT = self.A.T.tocsr()
-        self.lower = np.concatenate([lower, np.zeros(self.m)])
-        self.upper = np.concatenate([upper, np.zeros(self.m)])
-        for i in art_rows:
-            self.upper[n + i] = math.inf
-        art_status = np.full(self.m, AT_LOWER, dtype=np.int8)
-        self.status = np.concatenate([status, art_status])
-        self.status[basis] = BASIC
-        self.basis = basis
-
     # -- linear algebra ------------------------------------------------------
 
     def _refactor(self) -> None:
-        """Factorise the basis: unit columns by their row, LU of the bump."""
+        """Factorise the basis: slack columns by their row, LU of the bump."""
         m, basis = self.m, self.basis
         unit = basis >= self.n_struct
         self.pos_unit = np.flatnonzero(unit)
         self.pos_struct = np.flatnonzero(~unit)
-        cols = basis[self.pos_unit]
-        art = cols >= self.n_real
-        self.rows_unit = np.where(art, cols - self.n_real, cols - self.n_struct)
-        self.sign_unit = np.where(art, self.signs[self.rows_unit], 1.0)
+        self.rows_unit = basis[self.pos_unit] - self.n_struct
         covered = np.zeros(m, dtype=bool)
         covered[self.rows_unit] = True
         self.rows_bump = np.flatnonzero(~covered)
-        if self.rows_bump.size != self.pos_struct.size:
-            raise SolverError("basis factorisation failed: a row's slack and "
-                              "artificial are both basic")
         bump_row = np.full(m, -1, dtype=self.A.indices.dtype)
         bump_row[self.rows_bump] = np.arange(self.rows_bump.size)
 
         # structural basic columns, gathered from A's arrays; the bump keeps
         # their uncovered rows
         indptr, indices, data = gather_columns(self.A, basis[self.pos_struct])
-        self.S = sp.csc_matrix((data, indices, indptr), shape=(m, self.pos_struct.size))
-        self.S_T = self.S.T
+        self.S = (indptr, indices, data)
         self.lu = None
         nb = self.rows_bump.size
         if nb:
             keep = bump_row[indices] >= 0
             kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
             np.cumsum(keep, out=kept[1:])
-            bump = sp.csc_matrix((data[keep], bump_row[indices[keep]], kept[indptr]),
-                                 shape=(nb, nb))
+            bump = csc_matrix((data[keep], bump_row[indices[keep]], kept[indptr]),
+                              shape=(nb, nb))
             try:
                 self.lu = splu(bump)
             except RuntimeError as exc:  # singular basis: numerical breakdown
@@ -276,8 +227,10 @@ class BoundedSimplex:
         if self.lu is not None:
             w_struct = self.lu.solve(col[self.rows_bump])
             w[self.pos_struct] = w_struct
-            col = col - self.S @ w_struct
-        w[self.pos_unit] = self.sign_unit * col[self.rows_unit]
+            s_w = np.zeros(self.m)  # S @ w_struct
+            csc_matvec(self.m, w_struct.size, *self.S, w_struct, s_w)
+            col = col - s_w
+        w[self.pos_unit] = col[self.rows_unit]
         k = self.n_etas
         if k:
             t = self.eta_inv[:k, :k] @ w[self.eta_rows[:k]]
@@ -291,9 +244,11 @@ class BoundedSimplex:
             h = (self.eta_vecs[:k] @ z) @ self.eta_inv[:k, :k]
             np.subtract.at(z, self.eta_rows[:k], h)
         y = np.zeros(self.m)
-        y[self.rows_unit] = self.sign_unit * z[self.pos_unit]
+        y[self.rows_unit] = z[self.pos_unit]
         if self.lu is not None:
-            y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - self.S_T @ y, trans="T")
+            st_y = np.zeros(self.pos_struct.size)  # S.T @ y: S's CSC arrays are S.T's CSR
+            csr_matvec(st_y.size, self.m, *self.S, y, st_y)
+            y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - st_y, trans="T")
         return y
 
     def _column(self, j: int) -> np.ndarray:
@@ -309,10 +264,15 @@ class BoundedSimplex:
         d = cost - self.AT @ y
         return y, d
 
-    def _entering(self, d: np.ndarray, bland: bool) -> int | None:
+    def _violations(self, d: np.ndarray) -> np.ndarray:
+        """How far each reduced cost is on the wrong side for its column."""
         viol = d * self.price_sign
         if self.free.size:
             viol[self.free] = np.abs(d[self.free])
+        return viol
+
+    def _entering(self, d: np.ndarray, bland: bool) -> int | None:
+        viol = self._violations(d)
         q = int(np.argmax(viol))
         if not viol[q] > self.otol:
             return None
@@ -376,12 +336,6 @@ class BoundedSimplex:
         self._set_status(q, BASIC)
         self._push_eta(r, w)
 
-    def _tableau_row(self, r: int) -> np.ndarray:
-        """Row r of B^-1 A over every column, artificials included."""
-        er = np.zeros(self.m)
-        er[r] = 1.0
-        return self.AT @ self._btran(er)
-
     # -- main loop -------------------------------------------------------------
 
     def _run_phase(self, cost: np.ndarray):
@@ -410,7 +364,7 @@ class BoundedSimplex:
             w = self._ftran(self._column(q))
             t, r = self._ratio_test(q, sigma, w, bland)
             if math.isinf(t):
-                ray = np.zeros(self.A.shape[1])
+                ray = np.zeros(self.n)
                 ray[q] = sigma
                 ray[self.basis] = -sigma * w
                 return "unbounded", y, ray
@@ -419,16 +373,9 @@ class BoundedSimplex:
                 self.xB -= t * (sigma * w)
                 self._set_status(q, AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER)
             else:
-                leaving = self.basis[r]
-                if leaving >= self.n_real:
-                    # artificial leaves for good
-                    self.upper[leaving] = 0.0
-                    self._pivot(r, q, w, sigma * t, AT_LOWER)
-                else:
-                    # a leaving variable always stops at a finite bound
-                    # (infinite bounds never limit the ratio test)
-                    self._pivot(r, q, w, sigma * t,
-                                AT_LOWER if sigma * w[r] > 0 else AT_UPPER)
+                # a leaving variable always stops at a finite bound
+                # (infinite bounds never limit the ratio test)
+                self._pivot(r, q, w, sigma * t, AT_LOWER if sigma * w[r] > 0 else AT_UPPER)
             if t <= DEGENERATE_STEP:
                 stall += 1
                 if stall >= STALL_WINDOW:
@@ -436,33 +383,6 @@ class BoundedSimplex:
             else:
                 stall = 0
                 bland = False
-
-    def _drive_out_artificials(self) -> None:
-        for r in range(self.m):
-            if self.basis[r] < self.n_real:
-                continue
-            rowvals = self._tableau_row(r)
-            entering = None
-            for j in np.flatnonzero(np.abs(rowvals) > 1e-7):
-                if j < self.n_real and self.status[j] != BASIC:
-                    entering = int(j)
-                    break
-            art = self.basis[r]
-            if entering is None:
-                # dependent row: pin the artificial at zero and leave it basic
-                self.upper[art] = 0.0
-                continue
-            w = self._ftran(self._column(entering))
-            if abs(w[r]) <= PIVOT_TOL:
-                self.upper[art] = 0.0
-                continue
-            self.upper[art] = 0.0
-            self._set_status(art, AT_LOWER)
-            self.basis[r] = entering
-            self.xB[r] = self._value_of(entering)
-            self._set_status(entering, BASIC)
-            self._push_eta(r, w)
-        self._refactor()
 
     def _leaving_row(self, bland: bool) -> tuple[int | None, float]:
         """The basic row with the largest bound violation (lowest column in
@@ -501,30 +421,35 @@ class BoundedSimplex:
         # prefer the numerically largest pivot, then the smallest index
         return int(tied[np.lexsort((tied, -np.abs(alpha[tied])))[0]])
 
-    def _run_dual(self) -> str:
-        """Bounded dual simplex (Koberstein 2005) from a dual feasible basis:
-        pivot bound violations out of the basis while the reduced costs keep
-        their signs.
+    def _run_dual(self, cost: np.ndarray, d: np.ndarray):
+        """Bounded dual simplex (Koberstein 2005) from a basis that is dual
+        feasible for ``cost``, whose reduced costs are ``d``: pivot bound
+        violations out of the basis while the reduced costs keep their signs.
 
-        Returns "feasible", "infeasible" or "iteration_limit".
+        Returns (tag, farkas): tag is "feasible", "infeasible" or
+        "iteration_limit"; farkas is the certificate of an infeasible one.
         """
-        _, d = self._price(self.cost_phase2)
         stall = 0
         bland = False
         while True:
             r, toward = self._leaving_row(bland)
             if r is None:
-                return "feasible"
-            alpha = self._tableau_row(r)
+                return "feasible", None
+            er = np.zeros(self.m)
+            er[r] = 1.0
+            rho = self._btran(er)
+            alpha = self.AT @ rho  # row r of B^-1 A
             q = self._dual_ratio_test(d, toward * alpha, bland)
             if q is None and self.n_etas:
                 self._refactor()
-                _, d = self._price(self.cost_phase2)
+                _, d = self._price(cost)
                 continue
             if q is None:
-                return "infeasible"
+                # no column can move x_B[r] toward its bound: rho'b lies
+                # beyond the range of rho'Ax over the bounds
+                return "infeasible", -toward * rho
             if self.iterations >= self.max_iterations:
-                return "iteration_limit"
+                return "iteration_limit", None
             self.iterations += 1
 
             theta = d[q] / alpha[q]
@@ -545,28 +470,26 @@ class BoundedSimplex:
                 bland = False
 
     def solve(self) -> SimplexOutcome:
-        if self.warm:
-            # the start basis is dual feasible: the dual simplex replaces phase 1
-            tag = self._run_dual()
-            if tag != "feasible":
-                return self._outcome(tag, phase=1)
-        elif np.any(self.basis >= self.n_real):
-            # phase 1: minimise the sum of artificials
-            tag, y, d = self._run_phase(self.cost_phase1)
-            if tag == "iteration_limit":
-                return self._outcome("iteration_limit", phase=1)
-            art_mask = self.basis >= self.n_real
-            infeas = float(np.sum(np.maximum(self.xB[art_mask], 0.0)))
-            if infeas > self.ftol * max(1.0, float(np.max(np.abs(self.b), initial=0.0))):
-                out = self._outcome("infeasible", phase=1)
-                out.farkas = y
-                return out
-            self._drive_out_artificials()
+        _, d = self._price(self.cost)
+        # cost modification: columns whose reduced cost has the wrong sign
+        # for their bound get a cost with reduced cost zero for the dual pass
+        cost = self.cost
+        shifted = self._violations(d) > self.otol
+        if shifted.any():
+            cost = cost.copy()
+            cost[shifted] -= d[shifted]
+            d[shifted] = 0.0
+        tag, farkas = self._run_dual(cost, d)
+        if tag != "feasible":
+            out = self._outcome(tag, phase=1)
+            out.farkas = farkas
+            return out
 
-        tag, y, extra = self._run_phase(self.cost_phase2)
+        # primal clean-up with the true costs
+        tag, y, extra = self._run_phase(self.cost)
         if tag == "unbounded":
             out = self._outcome("unbounded")
-            out.ray = extra[:self.n_real]
+            out.ray = extra
             out.y = y * self.scale
             return out
         if tag == "iteration_limit":
@@ -575,15 +498,14 @@ class BoundedSimplex:
         out.y = y * self.scale
         d = extra.copy()
         d[self.status == BASIC] = 0.0
-        out.reduced_costs = d[:self.n_real] * self.scale
-        out.state = BasisState(self.basis.copy(), self.status.copy(),
-                               self.A, self.AT, self.signs)
+        out.reduced_costs = d * self.scale
+        out.state = BasisState(self.basis.copy(), self.status.copy())
         return out
 
     def _outcome(self, status: str, phase: int = 2) -> SimplexOutcome:
         x = self._nonbasic_values()
         x[self.basis] = self.xB
-        x = x[:self.n_real]
+        x += 0.0  # a basic value of -0.0 is reported as 0.0
         obj = float(self.cost_orig @ x)
         return SimplexOutcome(status=status, x=x, objective=obj, y=None,
                               reduced_costs=None, iterations=self.iterations, phase=phase)

@@ -8,6 +8,7 @@ equality pins it to 0).  Variables keep their own bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +35,12 @@ class StandardForm:
     @property
     def num_cols(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def AT(self) -> sp.csr_matrix:
+        """A's transpose, a CSR view of A's arrays, made on the first solve
+        and shared by every solve of this standard form."""
+        return self.A.T
 
 
 def standardize(prog) -> StandardForm:

@@ -3,7 +3,8 @@
 Both are independent of the package's solver: LPs are solved by enumerating
 basic points (intersections of n constraint hyperplanes) over a compact
 polytope, MILPs by enumerating all binary fixings and handing the remaining
-continuous problem to the vertex oracle.
+continuous problem to the vertex oracle.  A third check tests an
+infeasibility certificate directly against the standard form.
 """
 
 from __future__ import annotations
@@ -109,3 +110,17 @@ def milp_enumeration(c, A, senses, b, lower, upper, binary_idx, feas_tol=1e-7):
     if best_x is None:
         return "infeasible", math.inf, None
     return "optimal", best_obj, best_x
+
+
+def farkas_proves_infeasible(std, y, tol=1e-7):
+    """Whether ``y`` certifies that the standard form ``A x = b``,
+    ``lower <= x <= upper`` has no solution: with ``z = A'y``, ``y'b`` lies
+    above ``max z'x`` over the box (so outside ``[min z'x, max z'x]``).
+    Entries of ``z`` below 1e-9 of its largest are round-off and count as
+    zero."""
+    z = std.A.T @ np.asarray(y, dtype=float)
+    z[np.abs(z) <= 1e-9 * max(1.0, float(np.max(np.abs(z), initial=0.0)))] = 0.0
+    with np.errstate(invalid="ignore"):  # 0 * inf where z is zero
+        z_max = np.where(z > 0, z * std.upper, np.where(z < 0, z * std.lower, 0.0)).sum()
+    yb = float(y @ std.b)
+    return bool(yb > z_max + tol * max(1.0, abs(yb)))

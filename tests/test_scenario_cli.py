@@ -306,3 +306,35 @@ def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, sce
         assert (tmp_path / "out" / name).is_file()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verification"]["passed"] is False
+
+
+@pytest.mark.parametrize("verify, expected", [(True, cli.EXIT_VERIFY), (False, cli.EXIT_OPTIMAL)])
+def test_point_failing_certificate_exits_with_verify_code(tmp_path, scenario_dir, monkeypatch,
+                                                         verify, expected):
+    import dataclasses
+    from enopt.solver import solve
+
+    checked = []
+
+    def perturbed_solve(prog, cfg):
+        # the point is untouched, so verification passes; the duals are not
+        sol = solve(prog, cfg)
+        return dataclasses.replace(sol, duals=sol.duals + 1.0)
+
+    def recording_check(prog, sol):
+        report = check_certificate(prog, sol)
+        checked.append(report)
+        return report
+
+    check_certificate = cli.certificate.check_certificate
+    monkeypatch.setattr(cli, "solve", perturbed_solve)
+    monkeypatch.setattr(cli.certificate, "check_certificate", recording_check)
+    argv = ["run", str(scenario_dir / "paper_system_48.json"), "--out", str(tmp_path / "out")]
+    code = cli.main(argv + ([] if verify else ["--no-verify"]))
+    assert code == expected
+    assert [r.ok for r in checked] == ([False] if verify else [])
+    for name in ("schedule.csv", "fill.csv", "summary.txt", "report.json"):
+        assert (tmp_path / "out" / name).is_file()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verification"]["passed"] is True
+

@@ -22,7 +22,7 @@ from enopt.scenario import load_scenario
 from enopt.solver import simplex
 from enopt.solver.simplex import (AT_LOWER, AT_UPPER, BASIC, FREE, PIVOT_TOL,
                                   REFACTOR_EVERY, BoundedSimplex, gather_columns)
-from enopt.solver.standard import standardize
+from enopt.solver.standard import StandardForm, standardize
 
 TOL = 1e-10
 
@@ -114,6 +114,12 @@ def same_csc(a, b):
     return a.shape == b.shape and a.indices.dtype == b.indices.dtype and same_arrays(a, b)
 
 
+def structural_csc(s):
+    """The structural basic columns ``_refactor`` keeps as raw arrays."""
+    indptr, indices, data = s.S
+    return sp.csc_matrix((data, indices, indptr), shape=(s.m, s.pos_struct.size))
+
+
 # -- states ----------------------------------------------------------------------
 
 class _Stop(Exception):
@@ -139,7 +145,7 @@ class RecordingSimplex(BoundedSimplex):
 
 
 def fresh(std):
-    return RecordingSimplex(std.A, std.b, std.lower, std.upper, std.cost)
+    return RecordingSimplex(std, std.lower, std.upper)
 
 
 def run_until(std, stop):
@@ -171,13 +177,7 @@ def _random_std(rng, m, n, senses, n_free=0):
     lower[:n_free], upper[:n_free] = -np.inf, np.inf
     cost = np.concatenate([rng.uniform(-1.0, 1.0, n), np.zeros(m)])
     full = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
-
-    class Std:
-        pass
-
-    std = Std()
-    std.A, std.b, std.lower, std.upper, std.cost = full, b, lower, upper, cost
-    return std
+    return StandardForm(full, b, lower, upper, cost, n, np.arange(0))
 
 
 def check_kernels(s, rng):
@@ -189,7 +189,7 @@ def check_kernels(s, rng):
     for col in cols:
         ref = ref_ftran(lu, s.ref_etas, col)
         assert np.max(np.abs(s._ftran(col) - ref)) <= TOL * max(np.max(np.abs(ref)), 1e-300)
-    rhs = [s.cost_phase1[s.basis], s.cost_phase2[s.basis], rng.standard_normal(s.m)]
+    rhs = [s.cost[s.basis], rng.standard_normal(s.m)]
     rhs += [np.eye(1, s.m, r)[0] for r in (0, s.m // 2, s.m - 1)]
     for cb in rhs:
         ref = ref_btran(lu, s.ref_etas, cb)
@@ -207,7 +207,8 @@ def check_pricing_and_ratio(s, rng, kinds):
         np.where(movable & (s.status == AT_UPPER), 1.0, 0.0)))
     assert np.array_equal(s.free, np.flatnonzero(movable & (s.status == FREE)))
 
-    ds = [s._price(cost)[1] for cost in (s.cost_phase1, s.cost_phase2)]
+    # the true costs, and costs of both signs as in a cost-modified program
+    ds = [s._price(cost)[1] for cost in (s.cost, rng.standard_normal(s.A.shape[1]))]
     # coarse values make many exact ties for the tie-breaks to settle
     ds.append(np.round(rng.standard_normal(s.A.shape[1]), 1) * 1e-3)
     # reduced costs exactly at the optimality tolerance are not violations
@@ -260,14 +261,17 @@ def test_kernels_match_reference_on_desk_solve(desk_std, since_refactor):
     assert {"pivot", "flip", "unbounded"} <= kinds
 
 
-def test_kernels_match_reference_in_phase_one_with_negative_artificials():
+def test_kernels_match_reference_mid_dual_with_ge_and_equality_slacks_left():
     rng = np.random.default_rng(3)
     m, n = 90, 130
-    std = _random_std(rng, m, n, np.array(["="] * m), n_free=4)
+    senses = rng.choice(np.array(["=", ">=", "<="]), size=m, p=[0.5, 0.3, 0.2])
+    std = _random_std(rng, m, n, senses, n_free=4)
     s = run_until(std, lambda s: s.iterations > REFACTOR_EVERY and s.n_etas == 5)
-    # still in phase 1, factorised with artificials of both signs in the basis
-    art_rows = s.ref_basis[s.ref_basis >= s.n_real] - s.n_real
-    assert np.any(s.signs[art_rows] < 0) and np.any(s.signs[art_rows] > 0)
+    # still in the dual pass: some basic variable is outside its bounds
+    assert s._leaving_row(False)[0] is not None
+    # factorised after slacks of both GE and equality rows left the basis
+    left = np.setdiff1d(np.arange(m), s.ref_basis[s.ref_basis >= s.n_struct] - s.n_struct)
+    assert np.any(senses[left] == ">=") and np.any(senses[left] == "=")
     assert s.rows_bump.size > 0
     check_kernels(s, rng)
     check_pricing_and_ratio(s, rng, set())
@@ -328,7 +332,7 @@ def _recorded_bump(monkeypatch, s):
 
 def test_gathered_columns_equal_column_indexing(desk_std):
     rng = np.random.default_rng(11)
-    s = fresh(desk_std)  # A with its artificial columns appended
+    s = fresh(desk_std)
     n_cols = s.A.shape[1]
     picks = [np.arange(0), np.arange(n_cols), np.arange(n_cols)[::-1],
              np.array([n_cols - 1, 0, n_cols - 1])]
@@ -347,7 +351,7 @@ def test_refactor_basis_matrices_equal_reference_on_desk_solve(monkeypatch, desk
                   and s.n_etas == since_refactor)
     bump = _recorded_bump(monkeypatch, s)
     S_ref, bump_ref = ref_structural_and_bump(s)
-    assert bump is not None and same_csc(s.S, S_ref)
+    assert bump is not None and same_csc(structural_csc(s), S_ref)
     assert same_arrays(bump, bump_ref)
 
 
@@ -357,7 +361,7 @@ def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
     std.b = np.abs(std.b)
     s = fresh(std)
     assert _recorded_bump(monkeypatch, s) is None
-    assert s.S.shape == (20, 0) and same_csc(s.S, ref_structural_and_bump(s)[0])
+    assert s.pos_struct.size == 0 and same_csc(structural_csc(s), ref_structural_and_bump(s)[0])
 
     m = 25
     std = _random_std(rng, m, m, np.array(["<="] * m))
@@ -371,6 +375,31 @@ def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
         s._set_status(s.basis[j], BASIC)
     bump = _recorded_bump(monkeypatch, s)
     S_ref, bump_ref = ref_structural_and_bump(s)
-    assert s.rows_bump.size == m and same_csc(s.S, S_ref)
+    assert s.rows_bump.size == m and same_csc(structural_csc(s), S_ref)
     assert same_arrays(bump, bump_ref)
     check_kernels(s, rng)
+
+
+class DualWatchingSimplex(BoundedSimplex):
+    """Records the largest reduced-cost violation the dual pass meets."""
+
+    worst = 0.0
+
+    def _dual_ratio_test(self, d, alpha, bland):
+        self.worst = max(self.worst, float(self._violations(d).max(initial=0.0)))
+        return super()._dual_ratio_test(d, alpha, bland)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_pass_stays_dual_feasible_under_cost_modification(seed):
+    # negative costs and free columns make the slack basis dual infeasible;
+    # the shifted costs must keep every dual pivot dual feasible
+    rng = np.random.default_rng(40 + seed)
+    m, n = 40, 60
+    senses = rng.choice(np.array(["=", ">=", "<="]), size=m)
+    std = _random_std(rng, m, n, senses, n_free=3)
+    assert np.any(std.cost[3:n] < 0)
+    s = DualWatchingSimplex(std, std.lower, std.upper)
+    out = s.solve()
+    assert out.status in ("optimal", "unbounded")
+    assert s.worst <= 10 * s.otol

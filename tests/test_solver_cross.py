@@ -278,3 +278,186 @@ def test_two_unit_commitment_day_matches_highs():
     from enopt.analyze import verify_solution
 
     assert verify_solution(sys_, sol, prog).passed
+
+
+def _random_general_lp(rng):
+    """A random LP with costs of both signs, free, lower-only, upper-only and
+    boxed columns, and <=, >= and = rows; its right-hand side is built
+    around a point inside the bounds, shifted at random, so outcomes mix."""
+    n = int(rng.integers(5, 16))
+    m = int(rng.integers(3, 12))
+    A = rng.uniform(-2, 2, size=(m, n))
+    A[rng.uniform(size=(m, n)) < 0.6] = 0.0
+    kind = rng.choice(["box", "lower", "upper", "free"], size=n, p=[0.4, 0.3, 0.15, 0.15])
+    lower = np.where((kind == "box") | (kind == "lower"), rng.uniform(-2, 1, n), -np.inf)
+    upper = np.where((kind == "box") | (kind == "upper"), rng.uniform(2, 5, n), np.inf)
+    x0 = np.clip(rng.uniform(-1, 3, n), lower, upper)
+    senses = rng.choice(np.array(["<=", ">=", "="]), size=m, p=[0.4, 0.3, 0.3])
+    room = rng.uniform(0, 2, m)
+    b = A @ x0 + np.where(senses == "<=", room, np.where(senses == ">=", -room, 0.0))
+    b += np.where(rng.uniform(size=m) < 0.15, rng.uniform(-20, 20, m), 0.0)
+    c = rng.uniform(-3, 3, size=n)
+    rows = [([(j, A[i, j]) for j in range(n) if A[i, j] != 0.0], senses[i], b[i])
+            for i in range(m)]
+    return c, A, senses, b, lower, upper, rows
+
+
+def test_cold_solves_match_highs_on_general_lps():
+    """Negative costs and free columns leave the slack basis dual infeasible,
+    so these solves take the cost-modification path."""
+    from enopt.solver import check_certificate
+    from enopt.solver.standard import standardize
+
+    import oracles
+
+    rng = np.random.default_rng(9300)
+    seen = set()
+    for _ in range(60):
+        c, A, senses, b, lower, upper, rows = _random_general_lp(rng)
+        ub, eq = senses != "=", senses == "="
+        sign = np.where(senses == ">=", -1.0, 1.0)[ub]
+        ref = sopt.linprog(c, A_ub=(A[ub] * sign[:, None]) if ub.any() else None,
+                           b_ub=(b[ub] * sign) if ub.any() else None,
+                           A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+                           bounds=list(zip(lower, upper)), method="highs")
+        prog = make_program(c, rows, lower=lower, upper=upper)
+        sol = solve_lp(prog)
+        expected = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}[ref.status]
+        assert sol.status == expected
+        seen.add(expected)
+        if expected == Status.OPTIMAL:
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+            assert check_certificate(prog, sol).ok
+        elif expected == Status.INFEASIBLE:
+            assert oracles.farkas_proves_infeasible(standardize(prog), sol.farkas)
+        else:
+            # the ray is a feasible direction along which the cost falls
+            ray = sol.ray
+            act = A @ ray
+            scale = max(1.0, float(np.max(np.abs(ray))))
+            assert c @ ray < -1e-9 * scale
+            assert np.all(act[senses == "<="] <= 1e-9 * scale)
+            assert np.all(act[senses == ">="] >= -1e-9 * scale)
+            assert np.all(np.abs(act[eq]) <= 1e-9 * scale)
+            assert np.all(ray[np.isfinite(lower)] >= -1e-12)
+            assert np.all(ray[np.isfinite(upper)] <= 1e-12)
+    assert seen == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
+
+
+def _random_commitment_system(rng, initial_on, n_steps):
+    """Two committed units and wind on a seeded day of 10 steps, with an
+    expensive uncommitted backup so every schedule of the units is feasible.
+    The base unit starts in ``initial_on`` with minimum up and down times of
+    ``n_steps``; the peak unit gets its own at random."""
+    T = 10
+    load = tuple(np.round(rng.uniform(3.0, 14.0, T), 2))
+    grid = M.TimeGrid((1.0,) * T)
+    nodes = (M.Node("elec", "e", load), M.Node("fuel", "g", (0.0,) * T, boundary=True))
+    up, down = (int(k) for k in rng.integers(0, 4, size=2))
+    comps = (
+        M.Component("base_unit", M.SingleConversion("fuel", "elec", 0.45), M.CapacitySpec(),
+                    commitment=M.UnitCommitment(
+                        unit_capacity=10.0, unit_min_load=3.0,
+                        startup_cost=float(np.round(rng.uniform(5.0, 40.0), 1)),
+                        min_up_steps=n_steps, min_down_steps=n_steps, initial_on=initial_on),
+                    costs=M.CostSpec(fuel=8.0)),
+        M.Component("peak_unit", M.SingleConversion("fuel", "elec", 0.35), M.CapacitySpec(),
+                    commitment=M.UnitCommitment(
+                        unit_capacity=6.0, unit_min_load=1.0, startup_cost=5.0,
+                        min_up_steps=up, min_down_steps=down,
+                        initial_on=int(rng.integers(0, 2))),
+                    costs=M.CostSpec(fuel=14.0)),
+        M.Component("wind", M.SourceConversion("elec"),
+                    M.CapacitySpec(initial=6.0,
+                                   availability=tuple(np.round(rng.uniform(0, 1, T), 2)))),
+        M.Component("backup", M.SourceConversion("elec"),
+                    M.CapacitySpec(optimizable=True), costs=M.CostSpec(fuel=100.0)),
+    )
+    return M.EnergySystem(grid, nodes, comps, ())
+
+
+def _aggregated_updown_rows_from_system(sys_, prog):
+    """Every minimum up/down row in the aggregated form of earlier versions,
+    written out from the system definition (on[t] = initial_on for t < 0):
+      downtime: N (on[t] - on[t-1]) + sum_{m=1..N} on[t-m] <= N
+      uptime:   N (on[t-1] - on[t]) - sum_{m=1..N} on[t-m] <= 0"""
+    rows, rhs = [], []
+    for comp in sys_.components:
+        com = comp.commitment
+        if com is None:
+            continue
+        for n_steps, sign in ((com.min_down_steps, 1.0), (com.min_up_steps, -1.0)):
+            for t in range(sys_.time.num_steps if n_steps > 0 else 0):
+                terms = [(t, sign * n_steps), (t - 1, -sign * n_steps)]
+                terms += [(t - m, sign) for m in range(1, n_steps + 1)]
+                row, r = {}, (float(n_steps) if sign > 0 else 0.0)
+                for step, coef in terms:
+                    if step < 0:
+                        r -= coef * com.initial_on
+                    else:
+                        j = prog.index(VarRef(VarKind.ON, comp.id, step))
+                        row[j] = row.get(j, 0.0) + coef
+                rows.append(row)
+                rhs.append(r)
+    R = sp.lil_matrix((len(rows), prog.num_vars))
+    for i, row in enumerate(rows):
+        for j, coef in row.items():
+            R[i, j] = coef
+    return sopt.LinearConstraint(R.tocsr(), -np.inf, np.array(rhs))
+
+
+def _highs_commitment(sys_, prog, *, aggregated, relax=False):
+    """HiGHS on the program, with its up/down rows swapped for the aggregated
+    ones when ``aggregated``; the LP relaxation when ``relax``."""
+    constraints = [_prog_to_scipy(prog)]
+    if aggregated:
+        keep = ~np.isin(np.asarray(prog.tag), [Family.MIN_DOWNTIME.value,
+                                                Family.MIN_UPTIME.value])
+        sense, rhs = np.asarray(prog.sense)[keep], np.asarray(prog.rhs)[keep]
+        constraints = [sopt.LinearConstraint(prog.A[keep],
+                                             np.where(sense == "<=", -np.inf, rhs),
+                                             np.where(sense == ">=", np.inf, rhs)),
+                       _aggregated_updown_rows_from_system(sys_, prog)]
+    integrality = np.zeros(prog.num_vars) if relax else np.asarray(prog.is_integer, dtype=float)
+    ref = sopt.milp(c=np.asarray(prog.objective), constraints=constraints,
+                    bounds=sopt.Bounds(np.asarray(prog.lower), np.asarray(prog.upper)),
+                    integrality=integrality, options={"mip_rel_gap": 0.0})
+    assert ref.status == 0
+    return ref.fun
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+@pytest.mark.parametrize("initial_on", [0, 1])
+def test_tight_updown_rows_keep_the_milp_optimum(initial_on, n_steps):
+    from enopt.analyze import verify_solution
+
+    rng = np.random.default_rng(9500 + 10 * n_steps + initial_on)
+    for _ in range(3):
+        sys_ = _random_commitment_system(rng, initial_on, n_steps)
+        prog = compile_system(sys_)
+        assert len(prog.rows_tagged(Family.MIN_UPTIME)) >= sys_.time.num_steps
+        old = _highs_commitment(sys_, prog, aggregated=True)
+        assert _highs_commitment(sys_, prog, aggregated=False) == pytest.approx(
+            old, rel=1e-9, abs=1e-7)
+        sol = solve_milp(prog)
+        assert sol.status == Status.OPTIMAL
+        assert sol.objective == pytest.approx(old, rel=1e-6)
+        assert verify_solution(sys_, sol, prog).passed
+
+
+def test_tight_updown_rows_do_not_lower_the_root_bound():
+    rng = np.random.default_rng(9600)
+    raised = 0
+    for initial_on in (0, 1):
+        for n_steps in (1, 2, 3):
+            for _ in range(3):
+                sys_ = _random_commitment_system(rng, initial_on, n_steps)
+                prog = compile_system(sys_)
+                old = _highs_commitment(sys_, prog, aggregated=True, relax=True)
+                root = solve_lp(prog)
+                assert root.status == Status.OPTIMAL
+                assert root.objective == pytest.approx(
+                    _highs_commitment(sys_, prog, aggregated=False, relax=True), rel=1e-9)
+                assert root.objective >= old - 1e-9 * max(1.0, abs(old))
+                raised += root.objective > old + 1e-7 * max(1.0, abs(old))
+    assert raised > 0

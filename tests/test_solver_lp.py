@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from enopt.solver import SolverConfig, Status, check_certificate, solve_lp
+from enopt.solver.lp import solve_standard_lp
+from enopt.solver.standard import standardize
 
 import oracles
 from conftest import make_program
@@ -37,6 +39,36 @@ def test_infeasible_reports_certificate():
     sol = solve_lp(prog)
     assert sol.status == Status.INFEASIBLE
     assert sol.farkas is not None
+    std = standardize(prog)
+    assert oracles.farkas_proves_infeasible(std, sol.farkas)
+    assert not oracles.farkas_proves_infeasible(std, np.zeros(2))
+
+
+def _infeasible_instance(rng):
+    """A random LP made infeasible by one extra row: either a copy of a
+    ``<=`` row demanding more than its right-hand side, or a row asking for
+    more than the variables' bounds can give."""
+    c, A, senses, b, upper, rows = _random_instance(rng)
+    gap = float(rng.uniform(0.01, 2.0))
+    le = [i for i in range(len(rows)) if senses[i] == "<=" and rows[i][0]]
+    if le and rng.uniform() < 0.5:
+        i = le[int(rng.integers(len(le)))]
+        rows.append((rows[i][0], ">=", b[i] + gap))
+    else:
+        a = rng.uniform(-2, 2, size=len(c))
+        reach = float(np.maximum(a * upper, 0.0).sum())
+        rows.append(([(j, a[j]) for j in range(len(c))], rng.choice([">=", "="]), reach + gap))
+    return c, rows, upper
+
+
+def test_farkas_certificates_of_random_infeasible_lps():
+    rng = np.random.default_rng(4100)
+    for _ in range(40):
+        c, rows, upper = _infeasible_instance(rng)
+        prog = make_program(c, rows, upper=upper)
+        sol = solve_lp(prog)
+        assert sol.status == Status.INFEASIBLE
+        assert oracles.farkas_proves_infeasible(standardize(prog), sol.farkas)
 
 
 def test_unbounded_reports_ray():
@@ -197,3 +229,14 @@ def test_certificate_rejects_non_finite_lp_optimum(scenario_dir):
     report = check_certificate(prog, dataclasses.replace(sol, duals=duals))
     assert not report.ok
     assert any(v.startswith("duals not finite") for v in report.violations)
+
+
+def test_transpose_is_made_on_the_first_solve_and_shared():
+    prog = make_program([1.0, 2.0], [([(0, 1.0), (1, 1.0)], ">=", 1.0)])
+    std = standardize(prog)
+    assert "AT" not in vars(std)  # standardize alone never builds it
+    first = solve_standard_lp(std, SolverConfig())
+    AT = vars(std)["AT"]
+    again = solve_standard_lp(std, SolverConfig(), start=first.state)
+    assert again.status == "optimal" and std.AT is AT
+    assert np.shares_memory(AT.data, std.A.data)

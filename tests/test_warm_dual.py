@@ -1,7 +1,8 @@
 """Branch-and-bound nodes re-optimised by the warm-started dual simplex.
 
-Every node LP starts from its parent's optimal basis; a cold two-phase
-primal solve of the same bounds is the reference it must agree with.
+Every node LP starts from its parent's optimal basis; a cold solve of the
+same bounds, a dual simplex from the slack basis, is the reference it must
+agree with.
 """
 
 import math
