@@ -6,7 +6,8 @@ failure (numerical breakdown), 9 the returned point failed the independent
 verification or its optimality certificate (artifacts are still written;
 ``--no-verify`` exits by the solver status instead and skips the
 certificate).  Output files are byte-identical across runs of the same
-scenario and seed.
+scenario.  ``run --seed`` is accepted and inert: the solver draws no random
+numbers, so the seed changes no output.
 """
 
 from __future__ import annotations
@@ -258,7 +259,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="output directory (default: <scenario>_out)")
     p_run.add_argument("--mip-gap", type=float, dest="mip_gap",
                        help="relative bound gap at which branch and bound stops")
-    p_run.add_argument("--seed", type=int, help="deterministic seed (recorded in config)")
+    p_run.add_argument("--seed", type=int,
+                       help="accepted and ignored: the solver is deterministic and "
+                            "draws no random numbers")
     p_run.add_argument("--max-nodes", type=int, dest="max_nodes",
                        help="branch-and-bound node limit")
     p_run.add_argument("--max-iterations", type=int, dest="max_iterations",

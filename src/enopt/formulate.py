@@ -7,6 +7,17 @@ model-equation family it implements; :data:`Family` maps descriptive names to
 those tags.  Compilation is deterministic: identical systems produce
 byte-identical programs (see :meth:`LinearProgram.fingerprint`).
 
+The paper states each equation as a family indexed over all time steps, and
+the emitters compile it that way: one array block per family and component
+(or storage, or node).  Each per-step variable block is declared in step
+order, so an emitter looks up the first index of each block it needs and
+gets the column of step t by adding t; :meth:`LinearProgram.add_rows` takes
+the R x k column and coefficient arrays and drops zero coefficients, so rows
+of one block may differ in length (a window that starts before step 0, the
+previous fill level at t = 0) by padding with zeros.  Node balances repeat
+the step-0 template of :func:`_balance_terms`, and the objective is added a
+block at a time from :func:`_objective_blocks`.
+
 Variable counting for a compiled system with T steps:
 
 * per uncommitted component: T output variables, plus one installed-capacity
@@ -28,7 +39,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,12 +190,21 @@ class LinearProgram:
 
     Variables have bounds (lower defaults to 0: all decision quantities are
     non-negative unless stated otherwise) and an integrality flag that is
-    only legal on on/startup/units variables.  :meth:`add_row` appends each
-    row's terms to flat buffers; :meth:`finalize` orders the rows by (family,
-    owner, step, insertion) into the CSR matrix ``A`` (rows x variables,
-    terms in the order given) and one array entry per row in ``sense``,
-    ``rhs``, ``tag``, ``owner`` and ``step`` (-1 where a row has none).
-    :attr:`rows` is a view for inspection that nothing in the pipeline reads.
+    only legal on on/startup/units variables.  :meth:`add_variables`
+    declares a block at once; a per-step block is declared in step order, so
+    the variable of step t sits at the block's first index plus t.
+
+    Rows are added a block at a time: :meth:`add_rows` takes R rows as R x k
+    arrays of column indices and coefficients, with one tag, sense and owner
+    and a right-hand side and step per row.  Zero coefficients (-0.0 too)
+    are dropped in row-major order, so each kept term keeps its place and a
+    shorter row is padded with zero coefficients.  :meth:`add_row` is the
+    one-row case.  :meth:`finalize` concatenates the blocks and orders the
+    rows by (family, owner, step, insertion) into the CSR matrix ``A`` (rows
+    x variables, terms in the order given) and one array entry per row in
+    ``sense``, ``rhs``, ``tag``, ``owner`` and ``step`` (-1 where a row has
+    none).  :attr:`rows` is a view for inspection that nothing in the
+    pipeline reads.
     """
 
     def __init__(self):
@@ -192,33 +212,43 @@ class LinearProgram:
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.is_integer: list[bool] = []
-        self._cost: dict[int, float] = {}
         self.families_emitted: set[str] = set()
         self.warnings: list[str] = []
         self._index: dict[VarRef, int] = {}
         self.objective: np.ndarray | None = None
         self.A: sp.csr_matrix | None = None
-        # per-row fields: lists while building, arrays once finalized
-        self.sense, self.rhs, self.tag, self.owner, self.step = [], [], [], [], []
-        self._cols: list[int] = []
-        self._coefs: list[float] = []
-        self._indptr: list[int] = [0]
+        # per-row arrays, set by finalize
+        self.sense = self.rhs = self.tag = self.owner = self.step = None
+        self._blocks: list[_RowBlock] = []
+        self._costs: list[tuple[np.ndarray, np.ndarray]] = []
 
     # -- building ----------------------------------------------------------
 
+    def add_variables(self, refs: list[VarRef], lower: float = 0.0, upper: float = math.inf,
+                      integer: bool = False) -> int:
+        """Declare a block of variables with common bounds; returns the
+        index of its first variable."""
+        if integer:
+            for ref in refs:
+                if ref.kind not in INTEGER_KINDS:
+                    raise ValueError(
+                        f"integrality is only allowed on on/startup/units, got {ref.kind}")
+        first, n = len(self.var_refs), len(refs)
+        self._index.update(zip(refs, range(first, first + n)))
+        if len(self._index) < first + n:  # a repeat: restore the index, name it
+            self._index = {ref: i for i, ref in enumerate(self.var_refs)}
+            seen = set(self._index)
+            dup = next(ref for ref in refs if ref in seen or seen.add(ref))
+            raise ValueError(f"variable declared twice: {dup}")
+        self.var_refs.extend(refs)
+        self.lower.extend([float(lower)] * n)
+        self.upper.extend([float(upper)] * n)
+        self.is_integer.extend([bool(integer)] * n)
+        return first
+
     def add_variable(self, ref: VarRef, lower: float = 0.0, upper: float = math.inf,
                      integer: bool = False) -> int:
-        if ref in self._index:
-            raise ValueError(f"variable declared twice: {ref}")
-        if integer and ref.kind not in INTEGER_KINDS:
-            raise ValueError(f"integrality is only allowed on on/startup/units, got {ref.kind}")
-        idx = len(self.var_refs)
-        self.var_refs.append(ref)
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.is_integer.append(bool(integer))
-        self._index[ref] = idx
-        return idx
+        return self.add_variables([ref], lower, upper, integer)
 
     def index(self, ref: VarRef) -> int:
         return self._index[ref]
@@ -229,24 +259,37 @@ class LinearProgram:
     def set_upper(self, ref: VarRef, upper: float) -> None:
         self.upper[self._index[ref]] = float(upper)
 
+    def add_costs(self, cols, coefs) -> None:
+        """Add objective coefficients; repeated columns accumulate in order."""
+        self._costs.append((np.asarray(cols, dtype=np.int64).ravel(),
+                            np.asarray(coefs, dtype=float).ravel()))
+
     def add_cost(self, ref: VarRef, coef: float) -> None:
-        idx = self._index[ref]
-        self._cost[idx] = self._cost.get(idx, 0.0) + float(coef)
+        self.add_costs([self._index[ref]], [coef])
+
+    def add_rows(self, tag: Family | str, cols, coefs, sense: str, rhs,
+                 owner: str = "", steps=None) -> None:
+        """Append R rows: ``cols`` and ``coefs`` broadcast to R x k (zero
+        coefficients are dropped), ``rhs`` and ``steps`` (None: no step) to R."""
+        cols, coefs = np.broadcast_arrays(np.asarray(cols, dtype=np.int64),
+                                          np.asarray(coefs, dtype=float))
+        keep = coefs != 0.0
+        n_rows = len(cols)
+        tag = tag.value if isinstance(tag, Family) else str(tag)
+        self._blocks.append(_RowBlock(
+            cols[keep], coefs[keep], keep.sum(axis=1), tag, sense, owner,
+            np.broadcast_to(np.asarray(rhs, dtype=float), (n_rows,)),
+            np.full(n_rows, -1, dtype=np.int64) if steps is None
+            else np.broadcast_to(np.asarray(steps, dtype=np.int64), (n_rows,))))
+        if n_rows:
+            self.families_emitted.add(tag)
 
     def add_row(self, tag: Family | str, terms: Iterable[tuple[VarRef | int, float]],
                 sense: str, rhs: float, owner: str = "", step: int | None = None) -> None:
-        for ref, coef in terms:
-            if coef != 0.0:
-                self._cols.append(ref if isinstance(ref, int) else self._index[ref])
-                self._coefs.append(float(coef))
-        self._indptr.append(len(self._cols))
-        tag = tag.value if isinstance(tag, Family) else str(tag)
-        self.sense.append(sense)
-        self.rhs.append(float(rhs))
-        self.tag.append(tag)
-        self.owner.append(owner)
-        self.step.append(-1 if step is None else step)
-        self.families_emitted.add(tag)
+        terms = list(terms)
+        cols = [ref if isinstance(ref, int) else self._index[ref] for ref, _ in terms]
+        self.add_rows(tag, np.reshape(cols, (1, -1)), np.reshape([c for _, c in terms], (1, -1)),
+                      sense, rhs, owner, step)
 
     def note_family(self, tag: Family | str) -> None:
         self.families_emitted.add(tag.value if isinstance(tag, Family) else str(tag))
@@ -257,22 +300,37 @@ class LinearProgram:
 
     def finalize(self) -> "LinearProgram":
         """Store the rows as arrays, in canonical order; called once."""
-        step = np.asarray(self.step, dtype=np.int64)
+        blocks = self._blocks
+        n_rows = [len(b.rhs) for b in blocks]
+
+        def joined(arrays, dtype):
+            return np.concatenate([np.zeros(0, dtype), *arrays])
+
+        def per_row(values, dtype):
+            return np.repeat(np.asarray(values, dtype=dtype), n_rows)
+
+        step = joined([b.steps for b in blocks], np.int64)
+        owners = sorted({b.owner for b in blocks})
+        rank = {owner: i for i, owner in enumerate(owners)}
         # lexsort is stable, so insertion order breaks ties
-        order = np.lexsort((step, np.asarray(self.owner, dtype=str),
-                            [family_number(t) for t in self.tag]))
-        self.A = sp.csr_matrix((self._coefs, self._cols, self._indptr),
+        order = np.lexsort((step, per_row([rank[b.owner] for b in blocks], np.int64),
+                            per_row([family_number(b.tag) for b in blocks], np.int64)))
+        indptr = np.concatenate([[0], np.cumsum(joined([b.counts for b in blocks], np.int64))])
+        self.A = sp.csr_matrix((joined([b.coefs for b in blocks], float),
+                                joined([b.cols for b in blocks], np.int64), indptr),
                                shape=(len(order), self.num_vars))[order]
         # object arrays share the compiler's strings, so the rows view copies none
         self.sense, self.tag, self.owner = (
-            np.array(a, dtype=object)[order] for a in (self.sense, self.tag, self.owner))
-        self.rhs = np.asarray(self.rhs, dtype=float)[order]
+            per_row([getattr(b, field) for b in blocks], object)[order]
+            for field in ("sense", "tag", "owner"))
+        self.rhs = joined([b.rhs for b in blocks], float)[order]
         self.step = step[order]
-        self._cols = self._coefs = self._indptr = None
+        self._blocks = None
         obj = np.zeros(len(self.var_refs))
-        for idx, coef in self._cost.items():
-            obj[idx] = coef
+        for cols, coefs in self._costs:
+            np.add.at(obj, cols, coefs)
         self.objective = obj
+        self._costs = None
         return self
 
     # -- inspection ---------------------------------------------------------
@@ -285,19 +343,27 @@ class LinearProgram:
     def num_rows(self) -> int:
         return len(self.rhs)
 
-    @property
-    def rows(self) -> list[Row]:
-        """Every row, in order, built from the arrays on each access."""
-        ptr, cols, coefs, sense, rhs, tag, owner, step = (a.tolist() for a in (
-            self.A.indptr, self.A.indices, self.A.data,
-            self.sense, self.rhs, self.tag, self.owner, self.step))
+    def _rows(self, which: np.ndarray | None) -> list[Row]:
+        """The rows ``which`` lists, or every row (None), in order."""
+        A = self.A
+        fields = (self.sense, self.rhs, self.tag, self.owner, self.step)
+        if which is not None:
+            A, fields = A[which], (a[which] for a in fields)
+        ptr, cols, coefs, sense, rhs, tag, owner, step = (
+            a.tolist() for a in (A.indptr, A.indices, A.data, *fields))
         return [Row(tuple(zip(cols[ptr[i]:ptr[i + 1]], coefs[ptr[i]:ptr[i + 1]])),
                     sense[i], rhs[i], tag[i], owner[i], None if step[i] < 0 else step[i])
                 for i in range(len(rhs))]
 
+    @property
+    def rows(self) -> list[Row]:
+        """Every row, in order, built from the arrays on each access."""
+        return self._rows(None)
+
     def rows_tagged(self, tag: Family | str) -> list[Row]:
+        """The rows of one family, in order; builds only those."""
         tag = tag.value if isinstance(tag, Family) else str(tag)
-        return [r for r in self.rows if r.tag == tag]
+        return self._rows(np.flatnonzero(self.tag == tag))
 
     def cost_of(self, ref: VarRef) -> float:
         return float(self.objective[self._index[ref]])
@@ -330,6 +396,20 @@ class LinearProgram:
         return b"\x00".join(parts)
 
 
+class _RowBlock(NamedTuple):
+    """Rows of one :meth:`LinearProgram.add_rows` call: the kept terms
+    row-major, the kept-term count per row, shared fields, per-row fields."""
+
+    cols: np.ndarray
+    coefs: np.ndarray
+    counts: np.ndarray
+    tag: str
+    sense: str
+    owner: str
+    rhs: np.ndarray
+    steps: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # shared lookups
 
@@ -342,10 +422,36 @@ def _on(comp_id: str, t: int) -> VarRef:
     return VarRef(VarKind.ON, comp_id, t)
 
 
-def _installed_ref(comp: Component, period: int) -> VarRef:
+def _per_step(kind: VarKind, owner: str, T: int) -> list[VarRef]:
+    return [VarRef(kind, owner, t) for t in range(T)]
+
+
+def _steps(prog: LinearProgram, kind: VarKind, owner: str, T: int) -> np.ndarray:
+    """Columns of a per-step block, steps 0..T-1."""
+    return prog.index(VarRef(kind, owner, 0)) + np.arange(T)
+
+
+def _block_cols(prog: LinearProgram, refs: tuple[VarRef, ...], n: int) -> np.ndarray:
+    """n x len(refs) columns: entry (r, j) is the variable r places after refs[j]."""
+    return np.array([prog.index(ref) for ref in refs], dtype=np.int64) + np.arange(n)[:, None]
+
+
+def _stack(*columns) -> np.ndarray:
+    """R x k array from column blocks: R x j arrays, length-R arrays and
+    scalars (repeated down all R rows)."""
+    n_rows = next(len(c) for c in columns if np.ndim(c))
+    return np.column_stack([c if np.ndim(c) else np.full(n_rows, c) for c in columns])
+
+
+def _installed_cols(prog: LinearProgram, comp: Component,
+                    periods: np.ndarray) -> np.ndarray | None:
+    """Column of the installed capacity in force at each step; None when the
+    capacity is not optimizable."""
+    if not comp.capacity.optimizable:
+        return None
     if comp.capacity.per_period:
-        return VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=period)
-    return VarRef(VarKind.INSTALLED, comp.id)
+        return prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0)) + periods
+    return np.full(len(periods), prog.index(VarRef(VarKind.INSTALLED, comp.id)))
 
 
 def _effective_invest(comp: Component) -> float:
@@ -364,27 +470,24 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
     T = sys.time.num_steps
     P = sys.time.num_periods
     for comp in sys.sorted_components():
-        for t in range(T):
-            prog.add_variable(_out(comp.id, t))
+        prog.add_variables(_per_step(VarKind.OUTPUT, comp.id, T))
         if isinstance(comp.conversion, FieldConversion):
-            for t in range(T):
-                prog.add_variable(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, t))
+            prog.add_variables(_per_step(VarKind.SECONDARY_OUTPUT, comp.id, T))
         com = comp.commitment
         if com is not None:
-            for t in range(T):
-                prog.add_variable(_on(comp.id, t), 0.0, com.max_units, integer=True)
-            for t in range(T):
-                prog.add_variable(VarRef(VarKind.STARTUP, comp.id, t), 0.0, com.max_units,
-                                  integer=True)
+            prog.add_variables(_per_step(VarKind.ON, comp.id, T), 0.0, com.max_units,
+                               integer=True)
+            prog.add_variables(_per_step(VarKind.STARTUP, comp.id, T), 0.0, com.max_units,
+                               integer=True)
             if com.optimize_units:
                 prog.add_variable(VarRef(VarKind.UNITS, comp.id), 0.0, com.max_units,
                                   integer=True)
         elif comp.capacity.optimizable:
             if comp.capacity.per_period:
-                for p in range(P):
-                    prog.add_variable(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p))
-                for p in range(1, P):
-                    prog.add_variable(VarRef(VarKind.BUILT, comp.id, period=p))
+                prog.add_variables([VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p)
+                                    for p in range(P)])
+                prog.add_variables([VarRef(VarKind.BUILT, comp.id, period=p)
+                                    for p in range(1, P)])
             else:
                 prog.add_variable(VarRef(VarKind.INSTALLED, comp.id))
         if isinstance(comp.ramp, OptimizedRamp):
@@ -402,10 +505,8 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
             charge_ub = discharge_ub = stor.capacity_fixed / rate.ratio
             prog.note_family(Family.CHARGE_RATE)
             prog.note_family(Family.DISCHARGE_RATE)
-        for t in range(T):
-            prog.add_variable(VarRef(VarKind.CHARGE, stor.id, t), 0.0, charge_ub)
-        for t in range(T):
-            prog.add_variable(VarRef(VarKind.DISCHARGE, stor.id, t), 0.0, discharge_ub)
+        prog.add_variables(_per_step(VarKind.CHARGE, stor.id, T), 0.0, charge_ub)
+        prog.add_variables(_per_step(VarKind.DISCHARGE, stor.id, T), 0.0, discharge_ub)
         if stor.capacity_optimizable:
             cap_ub = math.inf
             if stor.capacity_max is not None:
@@ -417,7 +518,8 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
 
 
 # ---------------------------------------------------------------------------
-# emitters, one per equation family
+# emitters, one per equation family; each adds a family's rows for all steps
+# of one component, storage or node as one block
 
 
 def emit_capacity_limits(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -425,18 +527,21 @@ def emit_capacity_limits(sys: EnergySystem, prog: LinearProgram) -> None:
     with per-period capacity use the capacity variable of the step's period;
     committed components are handled by :func:`emit_unit_commitment`."""
     T = sys.time.num_steps
-    periods = sys.time.period_of_step
+    steps = np.arange(T)
+    periods = np.asarray(sys.time.period_of_step)
     for comp in sys.sorted_components():
         if comp.committed:
             continue
         cap = comp.capacity
-        avail = cap.availability_series(T)
+        avail = np.asarray(cap.availability_series(T))
         tag = Family.PERIOD_CAPACITY if cap.per_period else Family.CAPACITY_LIMIT
-        for t in range(T):
-            terms: list[tuple[VarRef, float]] = [(_out(comp.id, t), 1.0)]
-            if cap.optimizable:
-                terms.append((_installed_ref(comp, periods[t]), -avail[t]))
-            prog.add_row(tag, terms, LE, avail[t] * cap.initial, owner=comp.id, step=t)
+        out = _steps(prog, VarKind.OUTPUT, comp.id, T)
+        inst = _installed_cols(prog, comp, periods)
+        if inst is None:
+            cols, coefs = out[:, None], 1.0
+        else:
+            cols, coefs = _stack(out, inst), _stack(1.0, -avail)
+        prog.add_rows(tag, cols, coefs, LE, avail * cap.initial, owner=comp.id, steps=steps)
 
 
 def emit_max_installed(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -456,10 +561,11 @@ def emit_max_installed(sys: EnergySystem, prog: LinearProgram) -> None:
         prog.note_family(Family.MAX_INSTALLED)
 
 
-def _balance_terms(sys: EnergySystem, node_id: str,
-                   t: int) -> tuple[dict[VarRef, float], list[Family]]:
-    """Coefficients of one node balance row plus every balance family the row
-    realises (plain, coupled-ratio term, field secondary, partial load)."""
+def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float], list[Family]]:
+    """Coefficients of a node's balance row at step 0 (the row at step t
+    has the same coefficients on the variables of step t) plus every balance
+    family the row realises (plain, coupled-ratio term, field secondary,
+    partial load)."""
     terms: dict[VarRef, float] = {}
     fams = {Family.NODE_BALANCE}
 
@@ -469,39 +575,40 @@ def _balance_terms(sys: EnergySystem, node_id: str,
     for comp in sys.sorted_components():
         conv = comp.conversion
         partial = comp.commitment.partial_load if comp.committed else None
+        out = _out(comp.id, 0)
         if isinstance(conv, SingleConversion):
             if conv.output_node == node_id:
-                bump(_out(comp.id, t), 1.0)
+                bump(out, 1.0)
             if conv.input_node == node_id:
                 if partial is not None:
-                    bump(_out(comp.id, t), -partial.slope)
-                    bump(_on(comp.id, t), -partial.offset)
+                    bump(out, -partial.slope)
+                    bump(_on(comp.id, 0), -partial.offset)
                     fams.add(Family.PARTIAL_BALANCE)
                 else:
-                    bump(_out(comp.id, t), -1.0 / conv.efficiency)
+                    bump(out, -1.0 / conv.efficiency)
         elif isinstance(conv, SourceConversion):
             if conv.output_node == node_id:
-                bump(_out(comp.id, t), 1.0)
+                bump(out, 1.0)
         elif isinstance(conv, CoupledConversion):
             if conv.primary_output == node_id:
-                bump(_out(comp.id, t), 1.0)
+                bump(out, 1.0)
             if conv.secondary_output == node_id:
-                bump(_out(comp.id, t), conv.ratio)
+                bump(out, conv.ratio)
                 fams.add(Family.COUPLED_OUTPUT)
             if conv.input_node == node_id:
-                bump(_out(comp.id, t), -1.0 / conv.primary_efficiency)
+                bump(out, -1.0 / conv.primary_efficiency)
         elif isinstance(conv, FieldConversion):
             if conv.primary_output == node_id:
-                bump(_out(comp.id, t), 1.0)
+                bump(out, 1.0)
             if conv.secondary_output == node_id:
-                bump(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, t), 1.0)
+                bump(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, 0), 1.0)
                 fams.add(Family.FIELD_BALANCE)
             if conv.input_node == node_id:
-                bump(_out(comp.id, t), -1.0 / conv.primary_efficiency)
+                bump(out, -1.0 / conv.primary_efficiency)
     for stor in sys.sorted_storages():
         if stor.node == node_id:
-            bump(VarRef(VarKind.DISCHARGE, stor.id, t), 1.0)
-            bump(VarRef(VarKind.CHARGE, stor.id, t), -1.0)
+            bump(VarRef(VarKind.DISCHARGE, stor.id, 0), 1.0)
+            bump(VarRef(VarKind.CHARGE, stor.id, 0), -1.0)
     order = [Family.PARTIAL_BALANCE, Family.FIELD_BALANCE, Family.COUPLED_OUTPUT,
              Family.NODE_BALANCE]
     ordered = [f for f in order if f in fams]
@@ -513,35 +620,36 @@ def emit_node_balances(sys: EnergySystem, prog: LinearProgram) -> None:
     minus consumption from it, plus storage discharge minus charge, equals
     the load.  Boundary nodes get no balance; the row carries the most
     specific family it realises and registers the others."""
+    T = sys.time.num_steps
+    steps = np.arange(T)
     for node in sys.balanced_nodes():
-        for t in range(sys.time.num_steps):
-            terms, fams = _balance_terms(sys, node.id, t)
-            prog.add_row(fams[0], list(terms.items()), EQ, node.load[t],
-                         owner=node.id, step=t)
-            for fam in fams[1:]:
-                prog.note_family(fam)
+        terms, fams = _balance_terms(sys, node.id)
+        prog.add_rows(fams[0], _block_cols(prog, tuple(terms), T), list(terms.values()), EQ,
+                      node.load, owner=node.id, steps=steps)
+        for fam in fams[1:]:
+            prog.note_family(fam)
 
 
 def emit_characteristic_field(sys: EnergySystem, prog: LinearProgram) -> None:
     """Half-plane rows tying a field component's secondary output to its
     primary output, one row per plane and step."""
     T = sys.time.num_steps
+    steps = np.arange(T)
     for comp in sys.sorted_components():
         conv = comp.conversion
         if not isinstance(conv, FieldConversion):
             continue
-        for t in range(T):
-            seen_le = False
-            for hp in conv.half_planes:
-                terms = [(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, t), 1.0),
-                         (_out(comp.id, t), -hp.slope)]
-                if hp.sense == model.SENSE_LE:
-                    tag = Family.FIELD_UPPER_MORE if seen_le else Family.FIELD_UPPER
-                    seen_le = True
-                    prog.add_row(tag, terms, LE, hp.intercept, owner=comp.id, step=t)
-                else:
-                    prog.add_row(Family.FIELD_LOWER, terms, GE, hp.intercept,
-                                 owner=comp.id, step=t)
+        cols = _stack(_steps(prog, VarKind.SECONDARY_OUTPUT, comp.id, T),
+                      _steps(prog, VarKind.OUTPUT, comp.id, T))
+        seen_le = False
+        for hp in conv.half_planes:
+            if hp.sense == model.SENSE_LE:
+                tag, sense = (Family.FIELD_UPPER_MORE if seen_le else Family.FIELD_UPPER), LE
+                seen_le = True
+            else:
+                tag, sense = Family.FIELD_LOWER, GE
+            prog.add_rows(tag, cols, [1.0, -hp.slope], sense, hp.intercept,
+                          owner=comp.id, steps=steps)
 
 
 def emit_storage(sys: EnergySystem, prog: LinearProgram,
@@ -556,78 +664,61 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
     if formulation not in ("recurrence", "cumulative"):
         raise ValueError(f"unknown storage formulation '{formulation}'")
     T = sys.time.num_steps
-    dt = sys.time.step_hours
+    steps = np.arange(T)
+    dt = np.asarray(sys.time.step_hours)
     for stor in sys.sorted_storages():
-        cap_ref = VarRef(VarKind.STORAGE_CAPACITY, stor.id)
         has_cap_var = stor.capacity_optimizable
-        etac, etad = stor.charge_efficiency, stor.discharge_efficiency
-
-        def flow_terms(t: int) -> list[tuple[VarRef, float]]:
-            return [(VarRef(VarKind.CHARGE, stor.id, t), etac * dt[t]),
-                    (VarRef(VarKind.DISCHARGE, stor.id, t), -dt[t] / etad)]
+        cap_col = prog.index(VarRef(VarKind.STORAGE_CAPACITY, stor.id)) if has_cap_var else None
+        charge = _steps(prog, VarKind.CHARGE, stor.id, T)
+        discharge = _steps(prog, VarKind.DISCHARGE, stor.id, T)
+        # the fill change of step t: etac * dt * charge - dt / etad * discharge
+        flow = _stack(charge, discharge)
+        flow_coefs = _stack(stor.charge_efficiency * dt, -dt / stor.discharge_efficiency)
 
         if formulation == "recurrence":
-            for t in range(T):
-                fill_ub = math.inf if has_cap_var else stor.capacity_fixed
-                prog.add_variable(VarRef(VarKind.FILL, stor.id, t), 0.0, fill_ub)
-            for t in range(T):
-                terms = [(VarRef(VarKind.FILL, stor.id, t), 1.0)]
-                terms += [(ref, -c) for ref, c in flow_terms(t)]
-                rhs = stor.initial_fill
-                if t > 0:
-                    terms.append((VarRef(VarKind.FILL, stor.id, t - 1), -1.0))
-                    rhs = 0.0
-                prog.add_row(Family.FILL_FLOOR, terms, EQ, rhs, owner=stor.id, step=t)
+            fill_ub = math.inf if has_cap_var else stor.capacity_fixed
+            fill = prog.add_variables(_per_step(VarKind.FILL, stor.id, T), 0.0, fill_ub) + steps
+            # fill[t] - flow(t) - fill[t-1] = 0, and fill[0] - flow(0) = initial
+            # fill (its previous-fill column is padding with coefficient 0)
+            later = steps > 0
+            prog.add_rows(Family.FILL_FLOOR, _stack(fill, flow, np.maximum(fill - 1, fill[0])),
+                          _stack(1.0, -flow_coefs, np.where(later, -1.0, 0.0)), EQ,
+                          np.where(later, 0.0, stor.initial_fill), owner=stor.id, steps=steps)
             if has_cap_var:
-                for t in range(T):
-                    prog.add_row(Family.FILL_CAP,
-                                 [(VarRef(VarKind.FILL, stor.id, t), 1.0), (cap_ref, -1.0)],
-                                 LE, stor.capacity_fixed, owner=stor.id, step=t)
+                prog.add_rows(Family.FILL_CAP, _stack(fill, cap_col), [1.0, -1.0], LE,
+                              stor.capacity_fixed, owner=stor.id, steps=steps)
             else:
                 prog.note_family(Family.FILL_CAP)
             if sys.final_fill_at_least_initial:
-                prog.add_row(Family.FILL_FLOOR,
-                             [(VarRef(VarKind.FILL, stor.id, T - 1), 1.0)],
-                             GE, stor.initial_fill, owner=stor.id, step=T - 1)
+                prog.add_row(Family.FILL_FLOOR, [(int(fill[-1]), 1.0)], GE, stor.initial_fill,
+                             owner=stor.id, step=T - 1)
         else:
-            for t in range(T):
-                cum = []
-                for u in range(t + 1):
-                    cum += flow_terms(u)
-                prog.add_row(Family.FILL_FLOOR, cum, GE, -stor.initial_fill,
-                             owner=stor.id, step=t)
-                cap_terms = list(cum)
-                if has_cap_var:
-                    cap_terms.append((cap_ref, -1.0))
-                prog.add_row(Family.FILL_CAP, cap_terms, LE,
-                             stor.capacity_fixed - stor.initial_fill,
-                             owner=stor.id, step=t)
+            # row t sums the flows of steps 0..t; later steps are zero padding
+            cum_cols = np.broadcast_to(flow.ravel(), (T, 2 * T))
+            upto = np.repeat(steps[None, :] <= steps[:, None], 2, axis=1)
+            cum_coefs = np.where(upto, flow_coefs.ravel(), 0.0)
+            prog.add_rows(Family.FILL_FLOOR, cum_cols, cum_coefs, GE, -stor.initial_fill,
+                          owner=stor.id, steps=steps)
+            if has_cap_var:
+                cum_cols = _stack(cum_cols, cap_col)
+                cum_coefs = _stack(cum_coefs, -1.0)
+            prog.add_rows(Family.FILL_CAP, cum_cols, cum_coefs, LE,
+                          stor.capacity_fixed - stor.initial_fill, owner=stor.id, steps=steps)
             if sys.final_fill_at_least_initial:
-                cum = []
-                for u in range(T):
-                    cum += flow_terms(u)
-                prog.add_row(Family.FILL_FLOOR, cum, GE, 0.0, owner=stor.id, step=T - 1)
+                prog.add_rows(Family.FILL_FLOOR, flow.reshape(1, -1), flow_coefs.reshape(1, -1),
+                              GE, 0.0, owner=stor.id, steps=T - 1)
 
         rate = stor.rate
         if isinstance(rate, CRateLink) and has_cap_var:
             inv = 1.0 / rate.ratio
-            for t in range(T):
-                prog.add_row(Family.CHARGE_RATE,
-                             [(VarRef(VarKind.CHARGE, stor.id, t), 1.0), (cap_ref, -inv)],
-                             LE, inv * stor.capacity_fixed, owner=stor.id, step=t)
-                prog.add_row(Family.DISCHARGE_RATE,
-                             [(VarRef(VarKind.DISCHARGE, stor.id, t), 1.0), (cap_ref, -inv)],
-                             LE, inv * stor.capacity_fixed, owner=stor.id, step=t)
+            for tag, flows in ((Family.CHARGE_RATE, charge), (Family.DISCHARGE_RATE, discharge)):
+                prog.add_rows(tag, _stack(flows, cap_col), [1.0, -inv], LE,
+                              inv * stor.capacity_fixed, owner=stor.id, steps=steps)
         elif isinstance(rate, OptimizedRate):
-            for t in range(T):
-                prog.add_row(Family.CHARGE_RATE,
-                             [(VarRef(VarKind.CHARGE, stor.id, t), 1.0),
-                              (VarRef(VarKind.MAX_CHARGE, stor.id), -1.0)],
-                             LE, 0.0, owner=stor.id, step=t)
-                prog.add_row(Family.DISCHARGE_RATE,
-                             [(VarRef(VarKind.DISCHARGE, stor.id, t), 1.0),
-                              (VarRef(VarKind.MAX_DISCHARGE, stor.id), -1.0)],
-                             LE, 0.0, owner=stor.id, step=t)
+            for tag, flows, kind in ((Family.CHARGE_RATE, charge, VarKind.MAX_CHARGE),
+                                     (Family.DISCHARGE_RATE, discharge, VarKind.MAX_DISCHARGE)):
+                prog.add_rows(tag, _stack(flows, prog.index(VarRef(kind, stor.id))),
+                              [1.0, -1.0], LE, 0.0, owner=stor.id, steps=steps)
 
 
 def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -642,40 +733,42 @@ def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
     building period).  Committed components have no such row and keep all
     their ramp rows."""
     T = sys.time.num_steps
-    periods = sys.time.period_of_step
+    if T < 2:
+        return
+    steps = np.arange(1, T)
+    periods = np.asarray(sys.time.period_of_step)
     for comp in sys.sorted_components():
         ramp = comp.ramp
         if ramp is None:
             continue
-        capped = not comp.committed  # has a capacity row per step
-        avail = comp.capacity.availability_series(T)
-        for t in range(1, T):
-            up = [(_out(comp.id, t), 1.0), (_out(comp.id, t - 1), -1.0)]
-            down = [(_out(comp.id, t - 1), 1.0), (_out(comp.id, t), -1.0)]
-            if isinstance(ramp, FixedRamp):
-                # the fraction is applied per step, whatever the step length
-                up_frac, down_frac = ramp.up_per_hour, ramp.down_per_hour
-                inst = _installed_ref(comp, periods[t]) if comp.capacity.optimizable else None
-                if inst is not None:
-                    up.append((inst, -up_frac))
-                    down.append((inst, -down_frac))
-                same_cap = inst is None or inst == _installed_ref(comp, periods[t - 1])
-                if capped and up_frac >= avail[t]:
-                    prog.note_family(Family.RAMP_UP)
-                else:
-                    prog.add_row(Family.RAMP_UP, up, LE, up_frac * comp.capacity.initial,
-                                 owner=comp.id, step=t)
-                if capped and down_frac >= avail[t - 1] and same_cap:
-                    prog.note_family(Family.RAMP_DOWN)
-                else:
-                    prog.add_row(Family.RAMP_DOWN, down, LE,
-                                 down_frac * comp.capacity.initial,
-                                 owner=comp.id, step=t)
+        prog.note_family(Family.RAMP_UP)
+        prog.note_family(Family.RAMP_DOWN)
+        out = _steps(prog, VarKind.OUTPUT, comp.id, T)
+        now, prev = out[1:], out[:-1]
+        if isinstance(ramp, FixedRamp):
+            # the fraction is applied per step, whatever the step length
+            up_frac, down_frac = ramp.up_per_hour, ramp.down_per_hour
+            capped = not comp.committed  # has a capacity row per step
+            avail = np.asarray(comp.capacity.availability_series(T))
+            inst = _installed_cols(prog, comp, periods)
+            if inst is None:
+                up, down, same_cap = _stack(now, prev), _stack(prev, now), True
+                up_coefs = down_coefs = [1.0, -1.0]
             else:
-                up.append((VarRef(VarKind.RAMP_UP, comp.id), -1.0))
-                down.append((VarRef(VarKind.RAMP_DOWN, comp.id), -1.0))
-                prog.add_row(Family.RAMP_UP, up, LE, 0.0, owner=comp.id, step=t)
-                prog.add_row(Family.RAMP_DOWN, down, LE, 0.0, owner=comp.id, step=t)
+                up, down = _stack(now, prev, inst[1:]), _stack(prev, now, inst[1:])
+                up_coefs, down_coefs = [1.0, -1.0, -up_frac], [1.0, -1.0, -down_frac]
+                same_cap = inst[1:] == inst[:-1]
+            keep = ~(capped & (up_frac >= avail[1:]))
+            prog.add_rows(Family.RAMP_UP, up[keep], up_coefs, LE,
+                          up_frac * comp.capacity.initial, owner=comp.id, steps=steps[keep])
+            keep = ~(capped & (down_frac >= avail[:-1]) & same_cap)
+            prog.add_rows(Family.RAMP_DOWN, down[keep], down_coefs, LE,
+                          down_frac * comp.capacity.initial, owner=comp.id, steps=steps[keep])
+        else:
+            for tag, cols, kind in ((Family.RAMP_UP, _stack(now, prev), VarKind.RAMP_UP),
+                                    (Family.RAMP_DOWN, _stack(prev, now), VarKind.RAMP_DOWN)):
+                prog.add_rows(tag, _stack(cols, prog.index(VarRef(kind, comp.id))),
+                              [1.0, -1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
 
 
 def emit_build_periods(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -684,15 +777,14 @@ def emit_build_periods(sys: EnergySystem, prog: LinearProgram) -> None:
     P = sys.time.num_periods
     if P < 2:
         return
+    periods = np.arange(1, P)
     for comp in sys.sorted_components():
         if comp.committed or not (comp.capacity.optimizable and comp.capacity.per_period):
             continue
-        for p in range(1, P):
-            prog.add_row(Family.BUILT_DEFINITION,
-                         [(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p), 1.0),
-                          (VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p - 1), -1.0),
-                          (VarRef(VarKind.BUILT, comp.id, period=p), -1.0)],
-                         LE, 0.0, owner=comp.id, step=p)
+        installed = prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0)) + periods
+        built = prog.index(VarRef(VarKind.BUILT, comp.id, period=1)) + periods - 1
+        prog.add_rows(Family.BUILT_DEFINITION, _stack(installed, installed - 1, built),
+                      [1.0, -1.0, -1.0], LE, 0.0, owner=comp.id, steps=periods)
 
 
 def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -700,6 +792,8 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
     on*unit_capacity*availability, startup accounting, optional unit-count
     coupling and minimum up/down times (binary on only)."""
     T = sys.time.num_steps
+    steps = np.arange(T)
+    later = steps > 0
     for comp in sys.sorted_components():
         com = comp.commitment
         if com is None:
@@ -710,27 +804,24 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
             raise CompileError(model.ValidationReport((model.Violation(
                 model.BINARY_REQUIRED, f"components[{comp.id}].commitment",
                 "minimum up/down times need binary on-variables"),)))
-        avail = comp.capacity.availability_series(T)
-        for t in range(T):
-            prog.add_row(Family.COMMIT_MAX,
-                         [(_out(comp.id, t), 1.0),
-                          (_on(comp.id, t), -com.unit_capacity * avail[t])],
-                         LE, 0.0, owner=comp.id, step=t)
-            prog.add_row(Family.COMMIT_MIN,
-                         [(_out(comp.id, t), 1.0), (_on(comp.id, t), -com.unit_min_load)],
-                         GE, 0.0, owner=comp.id, step=t)
-            terms = [(_on(comp.id, t), 1.0),
-                     (VarRef(VarKind.STARTUP, comp.id, t), -1.0)]
-            rhs = 0.0
-            if t > 0:
-                terms.append((_on(comp.id, t - 1), -1.0))
-            else:
-                rhs = float(com.initial_on)
-            prog.add_row(Family.STARTUP_DEFINITION, terms, LE, rhs, owner=comp.id, step=t)
-            if com.optimize_units:
-                prog.add_row(Family.UNIT_COUNT,
-                             [(_on(comp.id, t), 1.0), (VarRef(VarKind.UNITS, comp.id), -1.0)],
-                             LE, 0.0, owner=comp.id, step=t)
+        avail = np.asarray(comp.capacity.availability_series(T))
+        out = _steps(prog, VarKind.OUTPUT, comp.id, T)
+        on = _steps(prog, VarKind.ON, comp.id, T)
+        startup = _steps(prog, VarKind.STARTUP, comp.id, T)
+        prog.add_rows(Family.COMMIT_MAX, _stack(out, on),
+                      _stack(1.0, -com.unit_capacity * avail), LE, 0.0,
+                      owner=comp.id, steps=steps)
+        prog.add_rows(Family.COMMIT_MIN, _stack(out, on), [1.0, -com.unit_min_load], GE, 0.0,
+                      owner=comp.id, steps=steps)
+        # on[t] - startup[t] - on[t-1] <= 0, and on[0] - startup[0] <= initial_on
+        # (its previous-on column is padding with coefficient 0)
+        prog.add_rows(Family.STARTUP_DEFINITION, _stack(on, startup, np.maximum(on - 1, on[0])),
+                      _stack(1.0, -1.0, np.where(later, -1.0, 0.0)), LE,
+                      np.where(later, 0.0, float(com.initial_on)), owner=comp.id, steps=steps)
+        if com.optimize_units:
+            prog.add_rows(Family.UNIT_COUNT,
+                          _stack(on, prog.index(VarRef(VarKind.UNITS, comp.id))),
+                          [1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
         if com.partial_load is not None:
             prog.note_family(Family.PARTIAL_EFFICIENCY)
 
@@ -742,23 +833,25 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
                              (com.min_up_steps, Family.MIN_UPTIME)):
             if n_steps <= 0:
                 continue
-            for t in range(T):
-                terms = [(VarRef(VarKind.STARTUP, comp.id, i), 1.0)
-                         for i in range(max(0, t - n_steps + 1), t + 1)]
-                rhs = 0.0
-                if tag == Family.MIN_UPTIME:
-                    terms.append((_on(comp.id, t), -1.0))
-                elif t >= n_steps:
-                    terms.append((_on(comp.id, t - n_steps), 1.0))
-                    rhs = 1.0
-                else:
-                    rhs = 1.0 - com.initial_on
-                prog.add_row(tag, terms, LE, rhs, owner=comp.id, step=t)
+            # window entry j of row t is startup[t-N+1+j]; steps before 0 are padding
+            lag = steps[:, None] - n_steps + 1 + np.arange(n_steps)
+            window, window_coefs = startup[0] + np.maximum(lag, 0), (lag >= 0) * 1.0
+            if tag == Family.MIN_UPTIME:
+                prog.add_rows(tag, _stack(window, on), _stack(window_coefs, -1.0), LE, 0.0,
+                              owner=comp.id, steps=steps)
+            else:
+                back = steps - n_steps
+                prog.add_rows(tag, _stack(window, on[0] + np.maximum(back, 0)),
+                              _stack(window_coefs, (back >= 0) * 1.0), LE,
+                              np.where(back >= 0, 1.0, 1.0 - com.initial_on),
+                              owner=comp.id, steps=steps)
 
 
-def _objective_terms(sys: EnergySystem) -> Iterator[tuple[VarRef, str, float]]:
-    """All objective contributions as (variable, category, coefficient).
+def _objective_blocks(sys: EnergySystem) -> Iterator[tuple[tuple[VarRef, ...], str, np.ndarray]]:
+    """All objective contributions as (refs, category, coefficients) blocks.
 
+    ``coefficients`` is an R x len(refs) array whose entry (r, j) costs the
+    variable r places after ``refs[j]`` (step or period r of its block).
     Categories: fuel, invest, maintenance, startup, storage, ramp, emission,
     built.  Fuel and emission terms are per MWh of input and weighted by the
     step duration; annualised capacity costs are scaled by the covered share
@@ -766,86 +859,105 @@ def _objective_terms(sys: EnergySystem) -> Iterator[tuple[VarRef, str, float]]:
     """
     grid = sys.time
     T = grid.num_steps
-    dt = grid.step_hours
+    P = grid.num_periods
+    dt = np.asarray(grid.step_hours)
     share_total = annual_share(grid.total_hours)
+
+    def one(coef: float) -> np.ndarray:
+        return np.array([[coef]], dtype=float)
+
     for comp in sys.sorted_components():
         costs = comp.costs
         eta = comp.primary_efficiency()
-        fuel = costs.fuel_series(T)
+        fuel = np.asarray(costs.fuel_series(T))
         emis = (costs.emission_price or 0.0) * costs.emission_factor
         com = comp.commitment
         partial = com.partial_load if com is not None else None
-        for t in range(T):
-            if partial is not None:
-                if fuel[t]:
-                    yield _out(comp.id, t), "fuel", partial.slope * dt[t] * fuel[t]
-                    yield _on(comp.id, t), "fuel", partial.offset * dt[t] * fuel[t]
-                if emis:
-                    yield _out(comp.id, t), "emission", partial.slope * dt[t] * emis
-                    yield _on(comp.id, t), "emission", partial.offset * dt[t] * emis
-            else:
-                if fuel[t]:
-                    yield _out(comp.id, t), "fuel", dt[t] * fuel[t] / eta
-                if emis:
-                    yield _out(comp.id, t), "emission", dt[t] * emis / eta
+        if partial is not None:
+            refs = (_out(comp.id, 0), _on(comp.id, 0))
+            if fuel.any():
+                yield refs, "fuel", _stack(partial.slope * dt * fuel, partial.offset * dt * fuel)
+            if emis:
+                yield refs, "emission", _stack(partial.slope * dt * emis,
+                                               partial.offset * dt * emis)
+        else:
+            refs = (_out(comp.id, 0),)
+            if fuel.any():
+                yield refs, "fuel", (dt * fuel / eta)[:, None]
+            if emis:
+                yield refs, "emission", (dt * emis / eta)[:, None]
         invest = _effective_invest(comp)
         maint = costs.maintenance
         if com is not None:
             if com.optimize_units:
+                units = (VarRef(VarKind.UNITS, comp.id),)
                 if invest:
-                    yield (VarRef(VarKind.UNITS, comp.id), "invest",
-                           invest * com.unit_capacity * share_total)
+                    yield units, "invest", one(invest * com.unit_capacity * share_total)
                 if maint:
-                    yield (VarRef(VarKind.UNITS, comp.id), "maintenance",
-                           maint * com.unit_capacity * share_total)
+                    yield units, "maintenance", one(maint * com.unit_capacity * share_total)
             if com.startup_cost:
-                for t in range(T):
-                    yield VarRef(VarKind.STARTUP, comp.id, t), "startup", com.startup_cost
+                yield ((VarRef(VarKind.STARTUP, comp.id, 0),), "startup",
+                       np.full((T, 1), com.startup_cost, dtype=float))
         elif comp.capacity.optimizable:
             if comp.capacity.per_period:
-                for p in range(grid.num_periods):
-                    share_p = annual_share(grid.hours_in_period(p))
-                    ref = VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p)
-                    if invest:
-                        yield ref, "invest", invest * share_p
-                    if maint:
-                        yield ref, "maintenance", maint * share_p
-                if costs.built:
-                    for p in range(1, grid.num_periods):
-                        yield VarRef(VarKind.BUILT, comp.id, period=p), "built", costs.built
-            else:
-                ref = VarRef(VarKind.INSTALLED, comp.id)
+                shares = np.array([annual_share(grid.hours_in_period(p)) for p in range(P)])
+                first = (VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0),)
                 if invest:
-                    yield ref, "invest", invest * share_total
+                    yield first, "invest", (invest * shares)[:, None]
                 if maint:
-                    yield ref, "maintenance", maint * share_total
+                    yield first, "maintenance", (maint * shares)[:, None]
+                if costs.built and P > 1:
+                    yield ((VarRef(VarKind.BUILT, comp.id, period=1),), "built",
+                           np.full((P - 1, 1), costs.built, dtype=float))
+            else:
+                ref = (VarRef(VarKind.INSTALLED, comp.id),)
+                if invest:
+                    yield ref, "invest", one(invest * share_total)
+                if maint:
+                    yield ref, "maintenance", one(maint * share_total)
         if isinstance(comp.ramp, OptimizedRamp):
             if comp.ramp.cost_up:
-                yield VarRef(VarKind.RAMP_UP, comp.id), "ramp", comp.ramp.cost_up
+                yield (VarRef(VarKind.RAMP_UP, comp.id),), "ramp", one(comp.ramp.cost_up)
             if comp.ramp.cost_down:
-                yield VarRef(VarKind.RAMP_DOWN, comp.id), "ramp", comp.ramp.cost_down
+                yield (VarRef(VarKind.RAMP_DOWN, comp.id),), "ramp", one(comp.ramp.cost_down)
     for stor in sys.sorted_storages():
         if stor.capacity_optimizable and stor.capacity_cost:
-            yield (VarRef(VarKind.STORAGE_CAPACITY, stor.id), "storage",
-                   stor.capacity_cost * share_total)
+            yield ((VarRef(VarKind.STORAGE_CAPACITY, stor.id),), "storage",
+                   one(stor.capacity_cost * share_total))
         if isinstance(stor.rate, OptimizedRate):
             if stor.rate.cost_charge:
-                yield (VarRef(VarKind.MAX_CHARGE, stor.id), "storage",
-                       stor.rate.cost_charge * share_total)
+                yield ((VarRef(VarKind.MAX_CHARGE, stor.id),), "storage",
+                       one(stor.rate.cost_charge * share_total))
             if stor.rate.cost_discharge:
-                yield (VarRef(VarKind.MAX_DISCHARGE, stor.id), "storage",
-                       stor.rate.cost_discharge * share_total)
+                yield ((VarRef(VarKind.MAX_DISCHARGE, stor.id),), "storage",
+                       one(stor.rate.cost_discharge * share_total))
+
+
+def _objective_terms(sys: EnergySystem) -> Iterator[tuple[VarRef, str, float]]:
+    """The nonzero entries of :func:`_objective_blocks` one by one, as
+    (variable, category, coefficient), in the order of each block's rows."""
+    for refs, category, coefs in _objective_blocks(sys):
+        for r, row in enumerate(coefs.tolist()):
+            for ref, coef in zip(refs, row):
+                if coef != 0.0:
+                    if r:
+                        ref = (VarRef(ref.kind, ref.owner, ref.step + r) if ref.period is None
+                               else VarRef(ref.kind, ref.owner, period=ref.period + r))
+                    yield ref, category, coef
 
 
 def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
     """Minimisation coefficients for every costed variable; warns about
     decision variables whose mechanism relies on a positive cost but got
     none (their optimal values carry no meaning)."""
+    obj = np.zeros(prog.num_vars)
     extended = False
-    for ref, category, coef in _objective_terms(sys):
-        prog.add_cost(ref, coef)
+    for refs, category, coefs in _objective_blocks(sys):
+        obj[_block_cols(prog, refs, len(coefs))] += coefs
         if category not in ("fuel", "invest", "maintenance"):
             extended = True
+    costed = np.flatnonzero(obj)
+    prog.add_costs(costed, obj[costed])
     prog.note_family(Family.COST_TOTAL)
     prog.note_family(Family.OBJECTIVE_VALUE)
     if extended:
@@ -857,7 +969,7 @@ def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
             prog.note_family(Family.COST_SIDE_CONVERSION)
 
     def costless(ref: VarRef, what: str) -> None:
-        if prog.has_var(ref) and prog._cost.get(prog.index(ref), 0.0) <= 0.0:
+        if prog.has_var(ref) and obj[prog.index(ref)] <= 0.0:
             prog.warn(f"COSTLESS_SLACK: {what} of '{ref.owner}' has no objective cost; "
                       "its optimal value is arbitrary")
 
@@ -886,21 +998,23 @@ def emit_co2_cap(sys: EnergySystem, prog: LinearProgram) -> None:
     if sys.co2_cap is None or math.isinf(sys.co2_cap):
         return
     T = sys.time.num_steps
-    dt = sys.time.step_hours
-    terms: list[tuple[VarRef, float]] = []
+    dt = np.asarray(sys.time.step_hours)
+    cols, coefs = [np.zeros(0, np.int64)], [np.zeros(0)]
     for comp in sys.sorted_components():
         factor = comp.costs.emission_factor
         if factor == 0.0:
             continue
         partial = comp.commitment.partial_load if comp.committed else None
-        eta = comp.primary_efficiency()
-        for t in range(T):
-            if partial is not None:
-                terms.append((_out(comp.id, t), partial.slope * factor * dt[t]))
-                terms.append((_on(comp.id, t), partial.offset * factor * dt[t]))
-            else:
-                terms.append((_out(comp.id, t), factor * dt[t] / eta))
-    prog.add_row(Family.CO2_CAP, terms, LE, sys.co2_cap)
+        if partial is not None:
+            refs = (_out(comp.id, 0), _on(comp.id, 0))
+            block = _stack(partial.slope * factor * dt, partial.offset * factor * dt)
+        else:
+            refs = (_out(comp.id, 0),)
+            block = factor * dt[:, None] / comp.primary_efficiency()
+        cols.append(_block_cols(prog, refs, T).ravel())
+        coefs.append(block.ravel())
+    prog.add_rows(Family.CO2_CAP, np.concatenate(cols)[None], np.concatenate(coefs)[None], LE,
+                  sys.co2_cap)
 
 
 def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence",

@@ -30,9 +30,9 @@ class SolverConfig:
     ``feasibility_tol`` is absolute on row residuals, ``optimality_tol`` on
     (objective-normalised) reduced costs, ``integrality_tol`` on the distance
     of integer variables from the nearest integer and ``mip_gap`` is the
-    relative bound gap at which branch and bound stops.  ``seed`` is kept for
-    interface stability; the built-in algorithms are fully deterministic and
-    do not consume randomness.
+    relative bound gap at which branch and bound stops.  ``seed`` is accepted
+    and inert: the built-in algorithms are deterministic and draw no random
+    numbers, so it changes no result.
     """
 
     feasibility_tol: float = 1e-6

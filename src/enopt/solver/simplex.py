@@ -8,9 +8,10 @@ Design notes:
   coefficient +1 (the layout ``standardize`` builds).  A basis therefore
   holds slack columns, one per row they cover, and structural columns.  Only
   the structural columns restricted to the uncovered rows (the "bump", the
-  LU nucleus of Suhl & Suhl 1990) go to a sparse LU (scipy ``splu``); the
-  entries of the covered rows follow from the structural basic columns,
-  kept as raw column arrays.  An all-slack basis needs no factorisation.
+  LU nucleus of Suhl & Suhl 1990) go to a sparse LU (SuperLU, called on
+  raw arrays as scipy's ``splu`` calls it, see :func:`splu`); the entries
+  of the covered rows follow from the structural basic columns, kept as raw
+  column arrays.  An all-slack basis needs no factorisation.
 * Pivots since the last factorisation form a product-form eta file
   (Dantzig & Orchard-Hays 1954) held in closed form: a fixed store of the
   vectors ``w_k - e_{r_k}`` and the inverse of the small lower-triangular
@@ -61,11 +62,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_array, csc_matrix
 # the kernels behind scipy's own ``S @ w`` for CSC and CSR matrices, called on
 # raw arrays so no checked matrix is built per factorisation
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-from scipy.sparse.linalg import splu
+# the SuperLU factorisation call behind ``scipy.sparse.linalg.splu``
+from scipy.sparse.linalg._dsolve._superlu import gstrf
 
 from .core import SolverError
 from .standard import StandardForm
@@ -103,6 +105,20 @@ class SimplexOutcome:
     farkas: np.ndarray | None = None
     phase: int = 2  # the pass the solve ended in: 1 dual, 2 primal clean-up
     state: BasisState | None = None  # the optimal basis, to warm-start from
+
+
+# the options ``scipy.sparse.linalg.splu`` passes with its default arguments
+_SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
+
+
+def splu(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """``scipy.sparse.linalg.splu`` of the n x n CSC matrix (data, indices,
+    indptr), called on the raw arrays: for a typical bump, the checked
+    ``csc_matrix`` splu builds costs more than the factorisation itself.
+    The arrays must be canonical (sorted row indices, no repeated entries,
+    of which SuperLU keeps only the last); bumps of ``standardize``'s A are."""
+    return gstrf(n, data.size, data, indices.astype(np.intc), indptr.astype(np.intc),
+                 csc_construct_func=csc_array, ilu=False, options=_SPLU_OPTIONS)
 
 
 def gather_columns(A: csc_matrix, cols: np.ndarray):
@@ -193,10 +209,8 @@ class BoundedSimplex:
             keep = bump_row[indices] >= 0
             kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
             np.cumsum(keep, out=kept[1:])
-            bump = csc_matrix((data[keep], bump_row[indices[keep]], kept[indptr]),
-                              shape=(nb, nb))
             try:
-                self.lu = splu(bump)
+                self.lu = splu(nb, data[keep], bump_row[indices[keep]], kept[indptr])
             except RuntimeError as exc:  # singular basis: numerical breakdown
                 raise SolverError(f"basis factorisation failed: {exc}") from exc
         self.n_etas = 0

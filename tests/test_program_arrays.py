@@ -278,3 +278,77 @@ def test_pipeline_builds_no_row_values(scenario_dir, tmp_path, monkeypatch):
     assert prog.fingerprint() and prog.validate() == [] and prog.num_rows > 0
     with pytest.raises(AssertionError, match="a Row was built"):
         prog.rows
+
+
+def _block_program(build_rows):
+    prog = formulate.LinearProgram()
+    prog.add_variables([formulate.VarRef(formulate.VarKind.OUTPUT, "x", t) for t in range(4)])
+    build_rows(prog)
+    return prog.finalize()
+
+
+def test_add_rows_drops_zero_coefficients_in_row_major_order():
+    def rows(prog):
+        prog.add_rows("EQ2", [[3, 0, 1], [2, 2, 0], [1, 3, 2]],
+                      [[1.0, 0.0, -2.0], [-0.0, 5.0, 7.0], [0.0, 0.0, 0.0]], LE, [1.0, 2.0, 3.0],
+                      owner="n", steps=[0, 1, 2])
+
+    prog = _block_program(rows)
+    assert prog.A.indptr.tolist() == [0, 2, 4, 4]
+    assert prog.A.indices.tolist() == [3, 1, 2, 0]  # the order given, zeros left out
+    assert prog.A.data.tolist() == [1.0, -2.0, 5.0, 7.0]
+    assert prog.rhs.tolist() == [1.0, 2.0, 3.0] and prog.step.tolist() == [0, 1, 2]
+    assert prog.families_emitted == {"EQ2"}
+
+
+def test_add_row_is_the_one_row_case_of_add_rows():
+    x = [formulate.VarRef(formulate.VarKind.OUTPUT, "x", t) for t in range(4)]
+
+    def by_block(prog):
+        prog.add_rows("EQ2", [[2, 0]], [[1.5, 0.0]], GE, 4.0, owner="n", steps=3)
+        prog.add_rows("EQ1", np.zeros((1, 0), dtype=int), np.zeros((1, 0)), EQ, 0.0)
+        prog.add_rows("EQ16", np.zeros((0, 2), dtype=int), [1.0, -1.0], LE, 0.0)
+
+    def by_row(prog):
+        prog.add_row("EQ2", [(x[2], 1.5), (0, 0.0)], GE, 4.0, owner="n", step=3)
+        prog.add_row("EQ1", [], EQ, 0.0)
+
+    block, row = _block_program(by_block), _block_program(by_row)
+    assert block.fingerprint() == row.fingerprint()
+    assert block.families_emitted == row.families_emitted == {"EQ1", "EQ2"}  # no rows, no EQ16
+
+
+def test_add_variables_declares_a_block_and_refuses_repeats():
+    prog = formulate.LinearProgram()
+    ons = [formulate.VarRef(formulate.VarKind.ON, "u", t) for t in range(3)]
+    assert prog.add_variables(ons[:2], 0.0, 2.0, integer=True) == 0
+    assert prog.add_variables(ons[2:], upper=5.0) == 2
+    assert (prog.lower, prog.upper, prog.is_integer) == ([0.0] * 3, [2.0, 2.0, 5.0],
+                                                          [True, True, False])
+    assert [prog.index(ref) for ref in ons] == [0, 1, 2]
+    with pytest.raises(ValueError, match="declared twice"):
+        prog.add_variables([formulate.VarRef(formulate.VarKind.ON, "u", 7), ons[1]])
+    with pytest.raises(ValueError, match="declared twice"):
+        prog.add_variables([formulate.VarRef(formulate.VarKind.ON, "v", 0)] * 2)
+    with pytest.raises(ValueError, match="integrality"):
+        prog.add_variables([formulate.VarRef(formulate.VarKind.OUTPUT, "u", 0)], integer=True)
+    assert prog.num_vars == 3 and len(prog.lower) == 3  # a refused block leaves no trace
+
+
+def test_rows_tagged_builds_only_the_rows_of_its_family(scenario_dir, monkeypatch):
+    prog = _paper_48(scenario_dir)
+    want = [r for r in prog.rows if r.tag == "EQ13"]
+    built, row = [], formulate.Row
+    monkeypatch.setattr(formulate, "Row", lambda *a: built.append(a) or row(*a))
+    assert prog.rows_tagged(formulate.Family.FILL_CAP) == want and len(built) == len(want) > 0
+
+
+def test_objective_terms_add_up_to_the_objective(scenario_dir):
+    systems = [coverage_fixture(), load_scenario(scenario_dir / "commitment_demo.json").system,
+               load_scenario(scenario_dir / "paper_system_48.json").system]
+    for sys_ in systems:
+        prog = compile_system(sys_)
+        total = np.zeros(prog.num_vars)
+        for ref, _, coef in formulate._objective_terms(sys_):
+            total[prog.index(ref)] += coef
+        assert total.tobytes() == prog.objective.tobytes()

@@ -166,6 +166,17 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path, capsys, scenario_d
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_cli_seed_is_accepted_and_changes_no_output(tmp_path, capsys, scenario_dir):
+    outputs = []
+    for seed in ("1", "987"):
+        out = tmp_path / seed
+        assert cli.main(["run", str(scenario_dir / "commitment_demo.json"), "--out", str(out),
+                         "--seed", seed, "--export-lp"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    capsys.readouterr()
+    assert "program.lp" in outputs[0] and outputs[0] == outputs[1]
+
+
 def test_cli_zero_cap_gas_only_is_infeasible(tmp_path, capsys, scenario_dir):
     doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
     doc["system"]["co2_cap"] = 0.0

@@ -317,17 +317,29 @@ def test_bump_covering_the_whole_basis():
     check_pricing_and_ratio(s, rng, set())
 
 
-def _recorded_bump(monkeypatch, s):
-    """Refactor s and return the matrix ``splu`` received (None if none)."""
+def _recording_splu(monkeypatch):
+    """Make ``simplex.splu`` record the (n, data, indices, indptr) of every
+    bump it factorises; returns the list it appends to."""
     seen = []
+    original = simplex.splu
 
-    def recording_splu(bump):
-        seen.append(bump.copy())
-        return splu(bump)
+    def recording_splu(n, data, indices, indptr):
+        seen.append((n, data.copy(), indices.copy(), indptr.copy()))
+        return original(n, data, indices, indptr)
 
     monkeypatch.setattr(simplex, "splu", recording_splu)
+    return seen
+
+
+def _recorded_bump(monkeypatch, s):
+    """Refactor s and return the bump ``splu`` received as a CSC matrix
+    (None if none)."""
+    seen = _recording_splu(monkeypatch)
     s._refactor()
-    return seen[0] if seen else None
+    if not seen:
+        return None
+    n, data, indices, indptr = seen[0]
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 def test_gathered_columns_equal_column_indexing(desk_std):
@@ -378,6 +390,34 @@ def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
     assert s.rows_bump.size == m and same_csc(structural_csc(s), S_ref)
     assert same_arrays(bump, bump_ref)
     check_kernels(s, rng)
+
+
+def _assert_same_lu(n, data, indices, indptr, rng):
+    """``simplex.splu`` on the raw arrays equals scipy's ``splu`` on the
+    matrix, factors and solves bit for bit."""
+    ours = simplex.splu(n, data, indices, indptr)
+    ref = splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
+    assert np.array_equal(ours.perm_r, ref.perm_r) and np.array_equal(ours.perm_c, ref.perm_c)
+    assert same_arrays(ours.L, ref.L) and same_arrays(ours.U, ref.U)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        for trans in ("N", "T"):
+            assert ours.solve(rhs, trans=trans).tobytes() == ref.solve(rhs, trans=trans).tobytes()
+
+
+def test_raw_superlu_call_matches_splu(monkeypatch, desk_std):
+    rng = np.random.default_rng(17)
+    for n, density in ((1, 1.0), (6, 0.5), (40, 0.1), (300, 0.01)):
+        M = sp.random(n, n, density=density, random_state=rng, format="csc")
+        M = (M + sp.identity(n, format="csc") * 2.0).tocsc()
+        _assert_same_lu(n, M.data, M.indices, M.indptr.astype(np.int64), rng)
+    # the bumps of every refactorisation of a solve, cold and mid-solve
+    bumps = _recording_splu(monkeypatch)
+    s = fresh(desk_std)
+    assert s.solve().status == "optimal"
+    monkeypatch.undo()
+    assert len(bumps) > 2 and max(b[0] for b in bumps) > 20
+    for bump in bumps:
+        _assert_same_lu(*bump, rng)
 
 
 class DualWatchingSimplex(BoundedSimplex):

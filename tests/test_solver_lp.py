@@ -240,3 +240,18 @@ def test_transpose_is_made_on_the_first_solve_and_shared():
     again = solve_standard_lp(std, SolverConfig(), start=first.state)
     assert again.status == "optimal" and std.AT is AT
     assert np.shares_memory(AT.data, std.A.data)
+
+
+def test_repeated_column_in_a_row_adds_up():
+    # 2 x0 + x1 <= 4 written with x0 twice; both columns end up basic, and
+    # the LU (SuperLU keeps the last of repeated entries) must see their sum,
+    # which standardize forms
+    rows = [([(1, 3.0), (0, 1.0)], "<=", 6.0)]
+    repeated = make_program([-1.0, -1.0], [([(0, 1.0), (1, 1.0), (0, 1.0)], "<=", 4.0)] + rows)
+    merged = make_program([-1.0, -1.0], [([(0, 2.0), (1, 1.0)], "<=", 4.0)] + rows)
+    assert repeated.A.nnz == merged.A.nnz + 1
+    assert standardize(repeated).A.nnz == standardize(merged).A.nnz
+    for prog in (repeated, merged):
+        sol = solve_lp(prog)
+        assert sol.status == Status.OPTIMAL and check_certificate(prog, sol).ok
+        assert sol.values == pytest.approx([1.2, 1.6], abs=1e-12)
