@@ -1,7 +1,7 @@
 """Map raw solver output back to the energy-system domain and verify it.
 
-``extract_report`` resolves every variable through its reference and derives
-schedules, fill levels, capacities, a cost breakdown and emission totals.
+``extract_report`` slices every variable out of the solution by its block and
+derives schedules, fill levels, capacities, a cost breakdown and emissions.
 ``verify_solution`` re-evaluates every constraint family directly from the
 :class:`~enopt.model.EnergySystem`, bypassing the compiler's rows: a compiler
 bug and a verifier bug would have to coincide to stay hidden.
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model
 from .finance import annual_share, capital_recovery_factor, output_side_cost
-from .formulate import Family, LinearProgram, VarKind, VarRef, _objective_terms
+from .formulate import Family, LinearProgram, VarKind, VarRef, _block_cols, _objective_blocks
 from .model import (
     Component,
     CoupledConversion,
@@ -53,24 +53,20 @@ class NoSolutionError(Exception):
 
 
 class SolutionView:
-    """Typed access to a solution's values via variable references."""
+    """Typed access to a solution's values, sliced by the program's blocks."""
 
-    def __init__(self, sys: EnergySystem, sol: Solution):
-        if not sol.var_refs:
-            raise ValueError("solution carries no variable references")
+    def __init__(self, sys: EnergySystem, prog: LinearProgram, sol: Solution):
         self.sys = sys
-        self.sol = sol
-        self._map = dict(zip(sol.var_refs, np.asarray(sol.values, dtype=float)))
+        self.prog = prog
+        self.values = np.asarray(sol.values, dtype=float)
         self.T = sys.time.num_steps
 
-    def value(self, ref: VarRef, default: float = 0.0) -> float:
-        return float(self._map.get(ref, default))
-
-    def has(self, ref: VarRef) -> bool:
-        return ref in self._map
+    def value(self, ref: VarRef) -> float:
+        return float(self.values[self.prog.index(ref)])
 
     def series(self, kind: VarKind, owner: str) -> np.ndarray:
-        return np.array([self.value(VarRef(kind, owner, t)) for t in range(self.T)])
+        first = self.prog.index(VarRef(kind, owner, 0))
+        return self.values[first:first + self.T].copy()
 
     def output(self, comp_id: str) -> np.ndarray:
         return self.series(VarKind.OUTPUT, comp_id)
@@ -106,8 +102,8 @@ class SolutionView:
             return np.full(P, self.units(comp) * comp.commitment.unit_capacity)
         if cap.optimizable:
             if cap.per_period:
-                for p in range(P):
-                    out[p] += self.value(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p))
+                first = self.prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0))
+                out += self.values[first:first + P]
             else:
                 out += self.value(VarRef(VarKind.INSTALLED, comp.id))
         return out
@@ -131,7 +127,7 @@ class SolutionView:
         return stor.initial_fill + np.cumsum(delta)
 
     def fill(self, stor: Storage) -> np.ndarray:
-        if self.has(VarRef(VarKind.FILL, stor.id, 0)):
+        if self.prog.has_var(VarRef(VarKind.FILL, stor.id, 0)):
             return self.series(VarKind.FILL, stor.id)
         return self.fill_recomputed(stor)
 
@@ -150,9 +146,9 @@ class SolutionView:
 # emission accounting
 
 
-def emissions_total(sys: EnergySystem, sol: Solution) -> float:
+def emissions_total(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> float:
     """Total emissions in kg over the horizon, mirroring the cap row."""
-    view = SolutionView(sys, sol)
+    view = SolutionView(sys, prog, sol)
     total = 0.0
     for comp in sys.sorted_components():
         factor = comp.costs.emission_factor
@@ -208,12 +204,12 @@ def _partial_efficiency(out: np.ndarray, on: np.ndarray, slope: float,
 def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> RunReport:
     """Resolve a solution into domain quantities.
 
-    Accepts optimal solutions and bound-limited incumbents; infeasible or
-    unbounded runs raise :class:`NoSolutionError`.
+    Accepts optimal solutions and bound-limited incumbents; anything else,
+    a bound-limited run without an incumbent too, raises :class:`NoSolutionError`.
     """
-    if sol.status not in (Status.OPTIMAL, Status.GAP_LIMIT):
-        raise NoSolutionError(f"no usable solution: status is {sol.status.value}")
-    view = SolutionView(sys, sol)
+    if sol.status not in (Status.OPTIMAL, Status.GAP_LIMIT) or not sol.integral:
+        raise NoSolutionError(f"no usable solution: {sol.status.value} ({sol.message})")
+    view = SolutionView(sys, prog, sol)
     T = sys.time.num_steps
 
     schedules, secondary, on_s, starts, curtail, eff = {}, {}, {}, {}, {}, {}
@@ -259,10 +255,12 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         stor_caps[stor.id] = view.storage_capacity(stor)
 
     breakdown = {cat: 0.0 for cat in COST_CATEGORIES}
-    for ref, category, coef in _objective_terms(sys):
-        breakdown[category] += coef * view.value(ref)
+    for refs, category, coefs in _objective_blocks(sys):
+        terms = coefs * view.values[_block_cols(prog, refs, len(coefs))]
+        for term in terms[coefs != 0.0].tolist():  # the nonzero terms, row-major
+            breakdown[category] += term
 
-    residuals = verify_solution(sys, sol, prog)
+    residuals = verify_solution(sys, prog, sol)
     return RunReport(
         status=sol.status.value,
         objective=sol.objective,
@@ -280,7 +278,7 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         storage_capacities=stor_caps,
         unit_counts=unit_counts,
         cost_breakdown=breakdown,
-        emissions_kg=emissions_total(sys, sol),
+        emissions_kg=emissions_total(sys, prog, sol),
         partial_load_efficiency=eff,
         capacity_factors=cap_factor,
         output_variance=variance,
@@ -323,7 +321,8 @@ class ResidualReport:
 
     @property
     def worst(self) -> float:
-        return max((f.residual for f in self.families), default=0.0)
+        """The largest residual; NaN when any residual is NaN."""
+        return float(np.max([f.residual for f in self.families], initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -346,7 +345,8 @@ class _Collector:
 
     def note(self, family: Family, residual: float, checks: int = 1) -> None:
         tag = family.value
-        self.worst[tag] = max(self.worst[tag], float(residual))
+        if residual > self.worst[tag] or math.isnan(residual):  # a noted NaN stays
+            self.worst[tag] = float(residual)
         self.count[tag] += checks
 
     def report(self, tol: float) -> ResidualReport:
@@ -448,13 +448,13 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
         scale = max(1.0, cap_total)
         fill = view.fill_recomputed(stor)
         resid = _pos(-fill / scale)
-        if view.has(VarRef(VarKind.FILL, stor.id, 0)):
+        if view.prog.has_var(VarRef(VarKind.FILL, stor.id, 0)):
             # compiler's fill variables must agree with the raw cumulative sum
-            resid = max(resid, float(np.max(np.abs(view.fill(stor) - fill))) / scale)
+            resid = _pos([resid, float(np.max(np.abs(view.fill(stor) - fill))) / scale])
         col.note(Family.FILL_FLOOR, resid, T)
         col.note(Family.FILL_CAP, _pos((fill - cap_total) / scale), T)
         if sys.final_fill_at_least_initial and T:
-            col.note(Family.FILL_FLOOR, max(0.0, (stor.initial_fill - fill[-1]) / scale))
+            col.note(Family.FILL_FLOOR, _pos((stor.initial_fill - fill[-1]) / scale))
 
         charge = view.charge(stor.id)
         discharge = view.discharge(stor.id)
@@ -487,7 +487,7 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
             if isinstance(rate, CRateLink):
                 needed = max(needed, rate.ratio * float(charge.max(initial=0.0)),
                              rate.ratio * float(discharge.max(initial=0.0)))
-            needed_var = max(0.0, needed - stor.capacity_fixed)
+            needed_var = _pos(needed - stor.capacity_fixed)
             col.note(Family.COST_EXTENDED,
                      abs(view.value(VarRef(VarKind.STORAGE_CAPACITY, stor.id)) - needed_var)
                      / max(1.0, needed_var))
@@ -535,9 +535,9 @@ def _verify_periods(sys, view, col, optimal: bool) -> None:
             built = view.value(VarRef(VarKind.BUILT, comp.id, period=p))
             growth = float(inst[p] - inst[p - 1])
             scale = max(1.0, abs(growth))
-            col.note(Family.BUILT_DEFINITION, max(0.0, (growth - built) / scale))
+            col.note(Family.BUILT_DEFINITION, _pos((growth - built) / scale))
             if optimal and comp.costs.built > 0:
-                col.note(Family.BUILT_DEFINITION, abs(built - max(0.0, growth)) / scale)
+                col.note(Family.BUILT_DEFINITION, abs(built - _pos(growth)) / scale)
 
 
 def _verify_commitment(sys, view, col, optimal: bool) -> None:
@@ -586,10 +586,10 @@ def _verify_commitment(sys, view, col, optimal: bool) -> None:
                     viol = (-jump) * n_steps - window
                 else:
                     viol = jump * n_steps - (n_steps - window)
-                col.note(fam, max(0.0, viol / n_steps))
+                col.note(fam, _pos(viol / n_steps))
 
 
-def _verify_costs(sys, view, col, sol, prog) -> None:
+def _verify_costs(sys, view, col, sol) -> None:
     """Recompute the full cost from the system with independent loops."""
     grid = sys.time
     share = annual_share(grid.total_hours)
@@ -656,36 +656,38 @@ def _verify_costs(sys, view, col, sol, prog) -> None:
 
     scale = max(1.0, abs(sol.objective))
     col.note(Family.COST_TOTAL, abs(total - sol.objective) / scale)
-    if prog is not None:
-        recomputed = float(np.asarray(prog.objective) @ np.asarray(sol.values))
-        col.note(Family.OBJECTIVE_VALUE, abs(recomputed - sol.objective) / scale)
+    recomputed = float(np.asarray(view.prog.objective) @ view.values)
+    col.note(Family.OBJECTIVE_VALUE, abs(recomputed - sol.objective) / scale)
 
 
-def verify_solution(sys: EnergySystem, sol: Solution,
-                    prog: LinearProgram | None = None,
+def verify_solution(sys: EnergySystem, prog: LinearProgram, sol: Solution,
                     feasibility_tol: float = 1e-6) -> ResidualReport:
     """Independent residuals per equation family, scaled per check by
     max(1, |reference|); PASS means all stay within ``feasibility_tol``.
 
-    Mechanism checks that only hold at optimality (costed slack variables
-    sitting on their lower envelope) run only for Optimal solutions.  The
-    objective re-check against the compiled coefficients needs ``prog``.
+    The program names the variables and gives the objective re-check its
+    coefficients; all else comes from the system.  Mechanism checks that
+    only hold at optimality (costed slack variables sitting on their lower
+    envelope) run only for Optimal solutions.  A NaN or infinite value or
+    objective reaches at least the objective re-check, whose residual is
+    then NaN or infinite: the point fails.
     """
-    view = SolutionView(sys, sol)
+    view = SolutionView(sys, prog, sol)
     col = _Collector()
     optimal = sol.status == Status.OPTIMAL
 
-    _verify_capacity(sys, view, col)
-    _verify_balances(sys, view, col)
-    _verify_field(sys, view, col)
-    _verify_storage(sys, view, col, optimal)
-    _verify_ramps(sys, view, col, optimal)
-    _verify_periods(sys, view, col, optimal)
-    _verify_commitment(sys, view, col, optimal)
-    _verify_costs(sys, view, col, sol, prog)
-
-    if sys.co2_cap is not None and not math.isinf(sys.co2_cap):
-        emis = emissions_total(sys, sol)
-        col.note(Family.CO2_CAP, max(0.0, (emis - sys.co2_cap) / max(1.0, sys.co2_cap)))
+    # an infinity makes inf - inf or 0 * inf somewhere; that NaN is the verdict
+    with np.errstate(invalid="ignore"):
+        _verify_capacity(sys, view, col)
+        _verify_balances(sys, view, col)
+        _verify_field(sys, view, col)
+        _verify_storage(sys, view, col, optimal)
+        _verify_ramps(sys, view, col, optimal)
+        _verify_periods(sys, view, col, optimal)
+        _verify_commitment(sys, view, col, optimal)
+        _verify_costs(sys, view, col, sol)
+        if sys.co2_cap is not None and not math.isinf(sys.co2_cap):
+            emis = emissions_total(sys, prog, sol)
+            col.note(Family.CO2_CAP, _pos((emis - sys.co2_cap) / max(1.0, sys.co2_cap)))
 
     return col.report(feasibility_tol)

@@ -177,13 +177,12 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
     log.info("solver finished: %s (objective %s)", sol.status.value, sol.objective)
     exit_code = _STATUS_EXIT[sol.status]
 
-    if sol.status not in (Status.OPTIMAL, Status.GAP_LIMIT) or (
-            sol.status == Status.GAP_LIMIT and not sol.integral):
+    try:
+        report = analyze.extract_report(scn.system, prog, sol)
+    except analyze.NoSolutionError:
         (out / "summary.txt").write_text(
             f"status: {sol.status.value}\nmessage: {sol.message}\n")
         return None, sol, exit_code
-
-    report = analyze.extract_report(scn.system, prog, sol)
     if scn.outputs.schedule_csv:
         _schedule_csv(report, scn.system, out / "schedule.csv")
     if scn.outputs.fill_csv:

@@ -7,10 +7,10 @@ model-equation family it implements; :data:`Family` maps descriptive names to
 those tags.  Compilation is deterministic: identical systems produce
 byte-identical programs (see :meth:`LinearProgram.fingerprint`).
 
-The paper states each equation as a family indexed over all time steps, and
-the emitters compile it that way: one array block per family and component
-(or storage, or node).  Each per-step variable block is declared in step
-order, so an emitter looks up the first index of each block it needs and
+The paper states each equation and variable as a family indexed over all
+time steps, and the compiler keeps them that way: one array block per
+family and component (or storage, or node).  Variables are declared per
+block, so an emitter looks up the first column of each block it needs and
 gets the column of step t by adding t; :meth:`LinearProgram.add_rows` takes
 the R x k column and coefficient arrays and drops zero coefficients, so rows
 of one block may differ in length (a window that starts before step 0, the
@@ -188,11 +188,11 @@ class CompileWarning(UserWarning):
 class LinearProgram:
     """A compiled program.
 
-    Variables have bounds (lower defaults to 0: all decision quantities are
-    non-negative unless stated otherwise) and an integrality flag that is
-    only legal on on/startup/units variables.  :meth:`add_variables`
-    declares a block at once; a per-step block is declared in step order, so
-    the variable of step t sits at the block's first index plus t.
+    Variables are declared a block at a time, with common bounds (lower
+    defaults to 0: all decision quantities are non-negative unless stated
+    otherwise) and an integrality flag only legal on on/startup/units.  One
+    name is stored per block: step (or period) t sits at the block's first
+    column plus t, and :attr:`var_refs` is a view for inspection.
 
     Rows are added a block at a time: :meth:`add_rows` takes R rows as R x k
     arrays of column indices and coefficients, with one tag, sense and owner
@@ -208,13 +208,12 @@ class LinearProgram:
     """
 
     def __init__(self):
-        self.var_refs: list[VarRef] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.is_integer: list[bool] = []
         self.families_emitted: set[str] = set()
         self.warnings: list[str] = []
-        self._index: dict[VarRef, int] = {}
+        self._vars: dict = {}  # (kind, owner) -> (first VarRef, its column, count), in order
         self.objective: np.ndarray | None = None
         self.A: sp.csr_matrix | None = None
         # per-row arrays, set by finalize
@@ -224,40 +223,50 @@ class LinearProgram:
 
     # -- building ----------------------------------------------------------
 
-    def add_variables(self, refs: list[VarRef], lower: float = 0.0, upper: float = math.inf,
-                      integer: bool = False) -> int:
-        """Declare a block of variables with common bounds; returns the
-        index of its first variable."""
-        if integer:
-            for ref in refs:
-                if ref.kind not in INTEGER_KINDS:
-                    raise ValueError(
-                        f"integrality is only allowed on on/startup/units, got {ref.kind}")
-        first, n = len(self.var_refs), len(refs)
-        self._index.update(zip(refs, range(first, first + n)))
-        if len(self._index) < first + n:  # a repeat: restore the index, name it
-            self._index = {ref: i for i, ref in enumerate(self.var_refs)}
-            seen = set(self._index)
-            dup = next(ref for ref in refs if ref in seen or seen.add(ref))
-            raise ValueError(f"variable declared twice: {dup}")
-        self.var_refs.extend(refs)
-        self.lower.extend([float(lower)] * n)
-        self.upper.extend([float(upper)] * n)
-        self.is_integer.extend([bool(integer)] * n)
-        return first
+    def add_variables(self, first: VarRef, count: int = 1, lower: float = 0.0,
+                      upper: float = math.inf, integer: bool = False) -> int:
+        """Declare a block: ``first`` and the ``count - 1`` variables after it
+        in its step (or, without a step, its period), with common bounds;
+        returns the column of ``first``.  One block per kind and owner."""
+        if (first.kind, first.owner) in self._vars:
+            raise ValueError(f"variable declared twice: {first.kind.value} of '{first.owner}'")
+        if integer and first.kind not in INTEGER_KINDS:
+            raise ValueError(f"integrality is only allowed on on/startup/units, got {first.kind}")
+        if count > 1 and first.step is None and first.period is None:
+            raise ValueError(f"a block of {count} variables needs a step or period: {first}")
+        col = self.num_vars
+        self._vars[first.kind, first.owner] = (first, col, count)
+        self.lower.extend([float(lower)] * count)
+        self.upper.extend([float(upper)] * count)
+        self.is_integer.extend([bool(integer)] * count)
+        return col
 
     def add_variable(self, ref: VarRef, lower: float = 0.0, upper: float = math.inf,
                      integer: bool = False) -> int:
-        return self.add_variables([ref], lower, upper, integer)
+        return self.add_variables(ref, 1, lower, upper, integer)
 
     def index(self, ref: VarRef) -> int:
-        return self._index[ref]
+        """Column of ``ref``, by its offset in its block; KeyError outside every block."""
+        # an undeclared kind and owner reads as an empty block
+        first, col, count = self._vars.get((ref.kind, ref.owner), (ref, 0, 0))
+        r = (ref.step or 0) - (first.step or 0) + (ref.period or 0) - (first.period or 0)
+        if 0 <= r < count and _nth(first, r) == ref:
+            return col + r
+        raise KeyError(ref)
 
     def has_var(self, ref: VarRef) -> bool:
-        return ref in self._index
+        try:
+            self.index(ref)
+        except KeyError:
+            return False
+        return True
 
-    def set_upper(self, ref: VarRef, upper: float) -> None:
-        self.upper[self._index[ref]] = float(upper)
+    def ref(self, col: int) -> VarRef:
+        """Name of column ``col``, found through its block."""
+        for first, start, count in self._vars.values():
+            if start <= col < start + count:
+                return _nth(first, int(col) - start)
+        raise IndexError(col)
 
     def add_costs(self, cols, coefs) -> None:
         """Add objective coefficients; repeated columns accumulate in order."""
@@ -265,7 +274,7 @@ class LinearProgram:
                             np.asarray(coefs, dtype=float).ravel()))
 
     def add_cost(self, ref: VarRef, coef: float) -> None:
-        self.add_costs([self._index[ref]], [coef])
+        self.add_costs([self.index(ref)], [coef])
 
     def add_rows(self, tag: Family | str, cols, coefs, sense: str, rhs,
                  owner: str = "", steps=None) -> None:
@@ -287,7 +296,7 @@ class LinearProgram:
     def add_row(self, tag: Family | str, terms: Iterable[tuple[VarRef | int, float]],
                 sense: str, rhs: float, owner: str = "", step: int | None = None) -> None:
         terms = list(terms)
-        cols = [ref if isinstance(ref, int) else self._index[ref] for ref, _ in terms]
+        cols = [ref if isinstance(ref, int) else self.index(ref) for ref, _ in terms]
         self.add_rows(tag, np.reshape(cols, (1, -1)), np.reshape([c for _, c in terms], (1, -1)),
                       sense, rhs, owner, step)
 
@@ -326,7 +335,7 @@ class LinearProgram:
         self.rhs = joined([b.rhs for b in blocks], float)[order]
         self.step = step[order]
         self._blocks = None
-        obj = np.zeros(len(self.var_refs))
+        obj = np.zeros(self.num_vars)
         for cols, coefs in self._costs:
             np.add.at(obj, cols, coefs)
         self.objective = obj
@@ -337,7 +346,7 @@ class LinearProgram:
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_refs)
+        return len(self.lower)
 
     @property
     def num_rows(self) -> int:
@@ -365,8 +374,27 @@ class LinearProgram:
         tag = tag.value if isinstance(tag, Family) else str(tag)
         return self._rows(np.flatnonzero(self.tag == tag))
 
+    @property
+    def var_refs(self) -> list[VarRef]:
+        """Every variable's name, in column order, built from the blocks on
+        each access."""
+        return [_nth(first, r) for first, _, count in self._vars.values() for r in range(count)]
+
+    def labels(self) -> list[str]:
+        """:meth:`VarRef.label` of every variable, in column order, formatted
+        a block at a time: a block runs along its first label's last part."""
+        labels = []
+        for first, _, count in self._vars.values():
+            if first.step is None and first.period is None:
+                labels += [first.label()] * count
+            else:
+                stem, _, last = first.label().rpartition("_")  # last: t<step> or p<period>
+                start = int(last[1:])
+                labels += [f"{stem}_{last[0]}{i}" for i in range(start, start + count)]
+        return labels
+
     def cost_of(self, ref: VarRef) -> float:
-        return float(self.objective[self._index[ref]])
+        return float(self.objective[self.index(ref)])
 
     def validate(self) -> list[str]:
         """Internal consistency: indices in range, integrality only on
@@ -377,9 +405,9 @@ class LinearProgram:
             for k in np.flatnonzero((cols < 0) | (cols >= self.num_vars)):
                 row = np.searchsorted(self.A.indptr, k, side="right") - 1
                 problems.append(f"row {self.tag[row]} references undefined variable {cols[k]}")
-        for idx, flag in enumerate(self.is_integer):
-            if flag and self.var_refs[idx].kind not in INTEGER_KINDS:
-                problems.append(f"integer flag on {self.var_refs[idx]}")
+        for first, col, count in self._vars.values():
+            if first.kind not in INTEGER_KINDS and any(self.is_integer[col:col + count]):
+                problems.append(f"integer flag on {first.kind.value} of '{first.owner}'")
         if self.objective is None:
             problems.append("program not finalized")
         return problems
@@ -387,13 +415,22 @@ class LinearProgram:
     def fingerprint(self) -> bytes:
         """Byte-stable encoding of the whole finalized program, for
         determinism checks."""
-        parts = [ref.label().encode() for ref in self.var_refs]
+        parts = [label.encode() for label in self.labels()]
         parts += [np.asarray(self.lower).tobytes(), np.asarray(self.upper).tobytes(),
                   np.asarray(self.is_integer, dtype=np.uint8).tobytes()]
         parts += [a.tobytes() for a in (self.objective, self.A.indptr, self.A.indices,
                                         self.A.data, self.rhs, self.step)]
         parts += ["\x1f".join(a.tolist()).encode() for a in (self.sense, self.tag, self.owner)]
         return b"\x00".join(parts)
+
+
+def _nth(first: VarRef, r: int) -> VarRef:
+    """The variable ``r`` places after ``first`` in its block."""
+    if first.step is not None:
+        return VarRef(first.kind, first.owner, first.step + r, first.period)
+    if first.period is not None:
+        return VarRef(first.kind, first.owner, period=first.period + r)
+    return first
 
 
 class _RowBlock(NamedTuple):
@@ -420,10 +457,6 @@ def _out(comp_id: str, t: int) -> VarRef:
 
 def _on(comp_id: str, t: int) -> VarRef:
     return VarRef(VarKind.ON, comp_id, t)
-
-
-def _per_step(kind: VarKind, owner: str, T: int) -> list[VarRef]:
-    return [VarRef(kind, owner, t) for t in range(T)]
 
 
 def _steps(prog: LinearProgram, kind: VarKind, owner: str, T: int) -> np.ndarray:
@@ -467,29 +500,34 @@ def _effective_invest(comp: Component) -> float:
 
 
 def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
+    """Declare every variable block with its bounds, which realise the cap on
+    total installed capacity and fixed storage rates."""
     T = sys.time.num_steps
     P = sys.time.num_periods
     for comp in sys.sorted_components():
-        prog.add_variables(_per_step(VarKind.OUTPUT, comp.id, T))
+        prog.add_variables(_out(comp.id, 0), T)
         if isinstance(comp.conversion, FieldConversion):
-            prog.add_variables(_per_step(VarKind.SECONDARY_OUTPUT, comp.id, T))
+            prog.add_variables(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, 0), T)
         com = comp.commitment
+        cap = comp.capacity
         if com is not None:
-            prog.add_variables(_per_step(VarKind.ON, comp.id, T), 0.0, com.max_units,
-                               integer=True)
-            prog.add_variables(_per_step(VarKind.STARTUP, comp.id, T), 0.0, com.max_units,
+            prog.add_variables(_on(comp.id, 0), T, 0.0, com.max_units, integer=True)
+            prog.add_variables(VarRef(VarKind.STARTUP, comp.id, 0), T, 0.0, com.max_units,
                                integer=True)
             if com.optimize_units:
                 prog.add_variable(VarRef(VarKind.UNITS, comp.id), 0.0, com.max_units,
                                   integer=True)
-        elif comp.capacity.optimizable:
-            if comp.capacity.per_period:
-                prog.add_variables([VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p)
-                                    for p in range(P)])
-                prog.add_variables([VarRef(VarKind.BUILT, comp.id, period=p)
-                                    for p in range(1, P)])
+        elif cap.optimizable:
+            headroom = math.inf
+            if cap.max_total is not None:
+                headroom = cap.max_total - cap.initial
+                prog.note_family(Family.MAX_INSTALLED)
+            if cap.per_period:
+                prog.add_variables(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0), P,
+                                   0.0, headroom)
+                prog.add_variables(VarRef(VarKind.BUILT, comp.id, period=1), P - 1)
             else:
-                prog.add_variable(VarRef(VarKind.INSTALLED, comp.id))
+                prog.add_variable(VarRef(VarKind.INSTALLED, comp.id), 0.0, headroom)
         if isinstance(comp.ramp, OptimizedRamp):
             prog.add_variable(VarRef(VarKind.RAMP_UP, comp.id))
             prog.add_variable(VarRef(VarKind.RAMP_DOWN, comp.id))
@@ -505,8 +543,8 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
             charge_ub = discharge_ub = stor.capacity_fixed / rate.ratio
             prog.note_family(Family.CHARGE_RATE)
             prog.note_family(Family.DISCHARGE_RATE)
-        prog.add_variables(_per_step(VarKind.CHARGE, stor.id, T), 0.0, charge_ub)
-        prog.add_variables(_per_step(VarKind.DISCHARGE, stor.id, T), 0.0, discharge_ub)
+        prog.add_variables(VarRef(VarKind.CHARGE, stor.id, 0), T, 0.0, charge_ub)
+        prog.add_variables(VarRef(VarKind.DISCHARGE, stor.id, 0), T, 0.0, discharge_ub)
         if stor.capacity_optimizable:
             cap_ub = math.inf
             if stor.capacity_max is not None:
@@ -542,23 +580,6 @@ def emit_capacity_limits(sys: EnergySystem, prog: LinearProgram) -> None:
         else:
             cols, coefs = _stack(out, inst), _stack(1.0, -avail)
         prog.add_rows(tag, cols, coefs, LE, avail * cap.initial, owner=comp.id, steps=steps)
-
-
-def emit_max_installed(sys: EnergySystem, prog: LinearProgram) -> None:
-    """Cap on total installed capacity, applied as a variable upper bound on
-    the optimizable share (total minus initial)."""
-    P = sys.time.num_periods
-    for comp in sys.sorted_components():
-        cap = comp.capacity
-        if comp.committed or not cap.optimizable or cap.max_total is None:
-            continue
-        headroom = cap.max_total - cap.initial
-        if cap.per_period:
-            for p in range(P):
-                prog.set_upper(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p), headroom)
-        else:
-            prog.set_upper(VarRef(VarKind.INSTALLED, comp.id), headroom)
-        prog.note_family(Family.MAX_INSTALLED)
 
 
 def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float], list[Family]]:
@@ -677,7 +698,7 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
 
         if formulation == "recurrence":
             fill_ub = math.inf if has_cap_var else stor.capacity_fixed
-            fill = prog.add_variables(_per_step(VarKind.FILL, stor.id, T), 0.0, fill_ub) + steps
+            fill = prog.add_variables(VarRef(VarKind.FILL, stor.id, 0), T, 0.0, fill_ub) + steps
             # fill[t] - flow(t) - fill[t-1] = 0, and fill[0] - flow(0) = initial
             # fill (its previous-fill column is padding with coefficient 0)
             later = steps > 0
@@ -933,19 +954,6 @@ def _objective_blocks(sys: EnergySystem) -> Iterator[tuple[tuple[VarRef, ...], s
                        one(stor.rate.cost_discharge * share_total))
 
 
-def _objective_terms(sys: EnergySystem) -> Iterator[tuple[VarRef, str, float]]:
-    """The nonzero entries of :func:`_objective_blocks` one by one, as
-    (variable, category, coefficient), in the order of each block's rows."""
-    for refs, category, coefs in _objective_blocks(sys):
-        for r, row in enumerate(coefs.tolist()):
-            for ref, coef in zip(refs, row):
-                if coef != 0.0:
-                    if r:
-                        ref = (VarRef(ref.kind, ref.owner, ref.step + r) if ref.period is None
-                               else VarRef(ref.kind, ref.owner, period=ref.period + r))
-                    yield ref, category, coef
-
-
 def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
     """Minimisation coefficients for every costed variable; warns about
     decision variables whose mechanism relies on a positive cost but got
@@ -1031,7 +1039,6 @@ def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence"
     prog = LinearProgram()
     _declare_variables(sys, prog)
     emit_capacity_limits(sys, prog)
-    emit_max_installed(sys, prog)
     emit_node_balances(sys, prog)
     emit_characteristic_field(sys, prog)
     emit_storage(sys, prog, formulation=storage_formulation)
@@ -1062,7 +1069,7 @@ def _lp_terms(cols: list[int], coefs: list[float], names: list[str]) -> str:
 
 def write_lp(prog: LinearProgram, path) -> None:
     """Write the program in LP text format."""
-    names = [_lp_name(ref.label()) for ref in prog.var_refs]
+    names = [_lp_name(label) for label in prog.labels()]
     costed = np.flatnonzero(prog.objective)
     objective = _lp_terms(costed.tolist(), prog.objective[costed].tolist(), names)
     lines = ["Minimize", " obj: " + objective, "Subject To"]

@@ -781,7 +781,7 @@ def validate_system(sys: EnergySystem) -> ValidationReport:
 
 
 def system_dimensions(sys: EnergySystem) -> SystemDimensions:
-    """Counts used to pre-size the compiled program."""
+    """The counts ``enopt dimensions`` prints."""
     return SystemDimensions(
         num_steps=sys.time.num_steps,
         num_nodes=len(sys.nodes),

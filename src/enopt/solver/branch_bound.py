@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .core import Solution, SolverConfig, Status, relative_gap
-from .lp import solve_standard_lp, _as_solution
+from . import lp
+from .lp import _as_solution, solve_standard_lp
 from .simplex import BasisState
 from .standard import standardize
 
@@ -55,10 +57,8 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     nodes_explored = 1
     iterations = root.iterations
     if root.status in ("infeasible", "unbounded", "iteration_limit"):
-        sol = _as_solution(prog, root)
-        sol = Solution(**{**sol.__dict__, "nodes": nodes_explored,
-                          "duals": None, "reduced_costs": None})
-        return sol
+        return replace(_as_solution(prog, root), nodes=nodes_explored, duals=None,
+                       reduced_costs=None)
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
@@ -116,9 +116,8 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
             continue
         if out.status == "unbounded":
             # a subproblem ray is feasible for the root as well
-            sol = _as_solution(prog, out)
-            return Solution(**{**sol.__dict__, "nodes": nodes_explored,
-                               "duals": None, "reduced_costs": None})
+            return replace(_as_solution(prog, out), nodes=nodes_explored, duals=None,
+                           reduced_costs=None)
         if out.status == "iteration_limit":
             status = Status.GAP_LIMIT
             break
@@ -150,36 +149,29 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         if status == Status.GAP_LIMIT:
             return Solution(status=Status.GAP_LIMIT, values=np.zeros(prog.num_vars),
                             objective=math.inf, bound=bound, gap=math.inf,
-                            iterations=iterations, nodes=nodes_explored,
-                            var_refs=tuple(prog.var_refs), integral=False,
+                            iterations=iterations, nodes=nodes_explored, integral=False,
                             message="node limit reached before any incumbent")
         return Solution(status=Status.INFEASIBLE, values=np.zeros(prog.num_vars),
                         objective=math.inf, bound=math.inf, gap=0.0,
-                        iterations=iterations, nodes=nodes_explored,
-                        var_refs=tuple(prog.var_refs), integral=False,
+                        iterations=iterations, nodes=nodes_explored, integral=False,
                         message="all branches fathomed without a feasible point")
 
-    n = prog.num_vars
-    values = incumbent_x[:n].copy()
+    values = incumbent_x[:prog.num_vars].copy()
     # snap integer values exactly and let the reported objective match the
     # reported point
     for j in int_idx:
-        if j < n:
-            values[j] = float(np.round(values[j])) + 0.0  # also clears -0.0
+        values[j] = float(np.round(values[j])) + 0.0  # also clears -0.0
     incumbent_obj = float(np.asarray(prog.objective) @ values)
     gap = relative_gap(incumbent_obj, bound)
     if status == Status.OPTIMAL and gap > cfg.mip_gap:
         status = Status.GAP_LIMIT
     return Solution(status=status, values=values, objective=incumbent_obj,
                     bound=bound, gap=gap, iterations=iterations, nodes=nodes_explored,
-                    var_refs=tuple(prog.var_refs), integral=True,
-                    message=f"branch and bound explored {nodes_explored} nodes")
+                    integral=True, message=f"branch and bound explored {nodes_explored} nodes")
 
 
 def solve(prog, config: SolverConfig | None = None) -> Solution:
     """Dispatch on integrality: MILP when any variable is integer-flagged."""
-    from .lp import solve_lp
-
     if any(prog.is_integer):
         return solve_milp(prog, config)
-    return solve_lp(prog, config)
+    return lp.solve_lp(prog, config)  # looked up per call, so a wrapper on it is seen

@@ -51,7 +51,7 @@ def _primal_residuals(prog, x: np.ndarray, act: np.ndarray) -> tuple[float, list
     lower = np.asarray(prog.lower, dtype=float)
     upper = np.asarray(prog.upper, dtype=float)
     bound = np.maximum(np.maximum(lower - x, x - upper), 0.0) / np.maximum(1.0, np.abs(x))
-    notes += [f"variable {prog.var_refs[j].label()} out of bounds by {bound[j]:.3e}"
+    notes += [f"variable {prog.ref(j).label()} out of bounds by {bound[j]:.3e}"
               for j in np.flatnonzero(bound > 1e-6)]
     worst = max(resid.max(initial=0.0), bound.max(initial=0.0))
     return float(worst), notes
@@ -92,7 +92,7 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
         int_idx = np.flatnonzero(np.asarray(prog.is_integer, dtype=bool))
         frac = np.abs(x[int_idx] - np.round(x[int_idx]))
         max_int = float(frac.max(initial=0.0))
-        notes += [f"integer variable {prog.var_refs[j].label()} has fractional value {x[j]!r}"
+        notes += [f"integer variable {prog.ref(j).label()} has fractional value {x[j]!r}"
                   for j in int_idx[frac > 1e-5]]
         gap = sol.objective - sol.bound
         if gap < -tol * max(1.0, abs(sol.objective)):
@@ -131,7 +131,7 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     var_comp[lo] = np.abs(x[lo] - np.asarray(prog.lower, dtype=float)[lo]) * d[lo] / cscale
     var_comp[hi] = np.abs(np.asarray(prog.upper, dtype=float)[hi] - x[hi]) * -d[hi] / cscale
     var_comp /= np.maximum(1.0, np.abs(x))
-    notes += [f"variable {prog.var_refs[j].label()} violates complementary "
+    notes += [f"variable {prog.ref(j).label()} violates complementary "
               f"slackness by {var_comp[j]:.3e}" for j in np.flatnonzero(var_comp > tol)]
     comp = float(max(slack_comp.max(initial=0.0), var_comp.max(initial=0.0)))
     obj = float(c @ x)

@@ -59,11 +59,11 @@ class Solution:
     the optimality certificate; ``ray``/``farkas`` carry unboundedness and
     infeasibility certificates.  ``farkas`` is a vector ``y`` over the rows
     with ``y'b`` above every value of ``y'Ax`` (slack columns included)
-    within the variable bounds of the standard form.  ``var_refs`` mirrors
-    the program's variable name map so downstream analysis can interpret
-    ``values`` without the program at hand.  For an LP, ``message`` names
-    the simplex phase the solve ended in: 1 is the dual pass that restores
-    feasibility (so an infeasible LP ends there), 2 the primal pass.
+    within the variable bounds of the standard form.  A solution is numbers
+    only: it carries no variable names, so interpreting ``values`` needs the
+    program it came from.  For an LP, ``message`` names the simplex phase
+    the solve ended in: 1 is the dual pass that restores feasibility (so an
+    infeasible LP ends there), 2 the primal pass.
     """
 
     status: Status
@@ -77,7 +77,6 @@ class Solution:
     reduced_costs: np.ndarray | None = None
     ray: np.ndarray | None = None
     farkas: np.ndarray | None = None
-    var_refs: tuple = ()
     integral: bool = True
     message: str = ""
 

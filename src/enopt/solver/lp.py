@@ -48,7 +48,7 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
 
 
 def _as_solution(prog, out: SimplexOutcome) -> Solution:
-    n = getattr(prog, "num_vars")
+    n = prog.num_vars
     values = np.asarray(out.x[:n], dtype=float)
     status = _STATUS[out.status]
     objective = out.objective
@@ -69,7 +69,6 @@ def _as_solution(prog, out: SimplexOutcome) -> Solution:
         reduced_costs=None if out.reduced_costs is None else out.reduced_costs[:n],
         ray=None if out.ray is None else np.asarray(out.ray[:n]),
         farkas=out.farkas,
-        var_refs=tuple(getattr(prog, "var_refs", ())),
         integral=True,
         message=f"simplex finished in phase {out.phase}",
     )

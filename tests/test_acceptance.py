@@ -97,7 +97,7 @@ def test_criterion_3_equation_coverage(coverage_system):
         assert {f"EQ{i}" for i in row_families} <= tags_with_rows
         sol = solve(prog)
         assert sol.status == Status.OPTIMAL
-        report = verify_solution(coverage_system, sol, prog, feasibility_tol=1e-6)
+        report = verify_solution(coverage_system, prog, sol, feasibility_tol=1e-6)
         assert report.passed, [str(f) for f in report.families
                                if f.residual > 1e-6]
         for fam in report.families:
@@ -196,16 +196,17 @@ def test_criterion_7_commitment_semantics():
                 feasible_patterns.add(pattern)
                 # startup cost is positive: at this fixing's optimum the
                 # startup variables sit exactly on the positive on-difference
-                vals = dict(zip(sol.var_refs, sol.values))
+                vals = dict(zip(prog.var_refs, sol.values))
                 prev = 0
                 for t, on_t in enumerate(pattern):
                     want = max(0, on_t - prev)
                     got = vals[VarRef(VarKind.STARTUP, "unit", t)]
                     assert got == pytest.approx(want, abs=1e-7), (pattern, t)
                     prev = on_t
-        sol = solve_milp(compile_system(sys_))
+        prog = compile_system(sys_)
+        sol = solve_milp(prog)
         assert sol.status == Status.OPTIMAL
-        vals = dict(zip(sol.var_refs, sol.values))
+        vals = dict(zip(prog.var_refs, sol.values))
         pattern = tuple(int(vals[VarRef(VarKind.ON, "unit", t)]) for t in range(4))
         assert pattern in feasible_patterns
         prev = 0
@@ -223,9 +224,10 @@ def test_criterion_8_building_periods():
         for loads, wanted in (((5.0, 8.0), 3.0), ((8.0, 5.0), 0.0)):
             sys_ = _period_system(*loads)
             assert sys_.components[0].costs.built > 0
-            sol = solve(compile_system(sys_))
+            prog = compile_system(sys_)
+            sol = solve(prog)
             assert sol.status == Status.OPTIMAL
-            vals = dict(zip(sol.var_refs, sol.values))
+            vals = dict(zip(prog.var_refs, sol.values))
             p0 = vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=0)]
             p1 = vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=1)]
             built = vals[VarRef(VarKind.BUILT, "plant", period=1)]
@@ -241,9 +243,10 @@ def test_criterion_9_co2_cap_monotonicity(scenario_dir):
         from enopt.analyze import emissions_total
 
         scn = load_scenario(scenario_dir / "paper_system.json")
-        base = solve(compile_system(scn.system))
+        prog = compile_system(scn.system)
+        base = solve(prog)
         assert base.status == Status.OPTIMAL
-        e0 = emissions_total(scn.system, base)
+        e0 = emissions_total(scn.system, prog, base)
         assert e0 > 0
 
         # the lowest reachable emission level bounds the sweep from below

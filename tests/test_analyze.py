@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from enopt import cli
 from enopt import model as M
 from enopt.analyze import (
     NoSolutionError,
@@ -12,7 +14,8 @@ from enopt.analyze import (
     verify_solution,
 )
 from enopt.formulate import Family, VarKind, VarRef, compile_system
-from enopt.solver import Status, solve, solve_milp
+from enopt.scenario import load_scenario
+from enopt.solver import SolverConfig, Status, solve, solve_milp
 
 from conftest import single_node_system, storage_system
 
@@ -75,7 +78,7 @@ def test_emissions_hand_computation():
         costs=M.CostSpec(fuel=5.0, emission_factor=0.202))
     sys_ = dataclasses.replace(sys_, components=(comp,))
     prog, sol = _solved(sys_)
-    assert emissions_total(sys_, sol) == pytest.approx(10.0 / 0.4 * 0.202)  # 5.05
+    assert emissions_total(sys_, prog, sol) == pytest.approx(10.0 / 0.4 * 0.202)  # 5.05
     report = extract_report(sys_, prog, sol)
     assert report.emissions_kg == pytest.approx(5.05)
 
@@ -88,7 +91,7 @@ def test_zero_schedule_and_clean_sources_emit_nothing():
                      M.CapacitySpec(optimizable=True, availability=(0.8, 0.5)),
                      costs=M.CostSpec(invest=100.0)),))
     prog, sol = _solved(sys_)
-    assert emissions_total(sys_, sol) == 0.0
+    assert emissions_total(sys_, prog, sol) == 0.0
 
 
 def test_cost_breakdown_matches_objective(coverage_system):
@@ -119,7 +122,7 @@ def test_fill_levels_within_bounds(coverage_system):
 
 def test_verify_passes_on_clean_optimum(coverage_system):
     prog, sol = _solved(coverage_system)
-    report = verify_solution(coverage_system, sol, prog)
+    report = verify_solution(coverage_system, prog, sol)
     assert report.passed
     assert all(f.checks > 0 for f in report.families), [
         f.family for f in report.families if f.checks == 0]
@@ -134,7 +137,7 @@ def test_verify_accepts_other_feasible_points(coverage_system):
     prog = compile_system(coverage_system)
     relaxed = solve_lp(prog)
     assert relaxed.status == Status.OPTIMAL
-    report = verify_solution(coverage_system, relaxed, prog)
+    report = verify_solution(coverage_system, prog, relaxed)
     assert report.passed, [str(f) for f in report.families
                            if f.residual > report.tol]
 
@@ -145,7 +148,7 @@ def test_verify_flags_capacity_violation():
     values = sol.values.copy()
     values[prog.index(VarRef(VarKind.OUTPUT, "plant", 0))] += 3.0
     bad = dataclasses.replace(sol, values=values)
-    report = verify_solution(sys_, bad, prog)
+    report = verify_solution(sys_, prog, bad)
     assert report.residual(Family.CAPACITY_LIMIT) > 0.1
     assert not report.passed
 
@@ -155,7 +158,7 @@ def test_verify_flags_node_imbalance():
     prog, sol = _solved(sys_)
     values = sol.values.copy()
     values[prog.index(VarRef(VarKind.OUTPUT, "plant", 1))] -= 1.0
-    report = verify_solution(sys_, dataclasses.replace(sol, values=values), prog)
+    report = verify_solution(sys_, prog, dataclasses.replace(sol, values=values))
     assert report.residual(Family.NODE_BALANCE) > 0.1
 
 
@@ -165,7 +168,7 @@ def test_verify_downtime_windows_clean_after_milp():
     sys_ = downtime_toy()
     prog = compile_system(sys_)
     sol = solve_milp(prog)
-    report = verify_solution(sys_, sol, prog)
+    report = verify_solution(sys_, prog, sol)
     assert report.residual(Family.MIN_DOWNTIME) == 0.0
     assert report.checks(Family.MIN_DOWNTIME) > 0
 
@@ -173,10 +176,51 @@ def test_verify_downtime_windows_clean_after_milp():
 def test_verify_objective_recheck_needs_program():
     sys_ = single_node_system(loads=(2.0,))
     prog, sol = _solved(sys_)
-    with_prog = verify_solution(sys_, sol, prog)
-    without = verify_solution(sys_, sol)
-    assert with_prog.checks(Family.OBJECTIVE_VALUE) == 1
-    assert without.checks(Family.OBJECTIVE_VALUE) == 0
+    assert verify_solution(sys_, prog, sol).checks(Family.OBJECTIVE_VALUE) == 1
+    with pytest.raises(TypeError):
+        verify_solution(sys_, sol)  # the program is required
+
+
+@pytest.fixture(scope="module")
+def paper_48(scenario_dir):
+    sys_ = load_scenario(scenario_dir / "paper_system_48.json").system
+    prog, sol = _solved(sys_)
+    return sys_, prog, sol
+
+
+@pytest.mark.parametrize("spoil", ["every value NaN", "one output NaN", "objective NaN",
+                                   "one output inf"])
+def test_verify_fails_on_non_finite_points(paper_48, spoil):
+    sys_, prog, sol = paper_48
+    assert verify_solution(sys_, prog, sol).passed
+    values, objective = sol.values.copy(), sol.objective
+    out = prog.index(VarRef(VarKind.OUTPUT, sys_.components[0].id, 5))
+    if spoil == "every value NaN":
+        values[:] = np.nan
+    elif spoil == "one output NaN":
+        values[out] = np.nan
+    elif spoil == "one output inf":
+        values[out] = np.inf
+    else:
+        objective = np.nan
+    report = verify_solution(sys_, prog, dataclasses.replace(sol, values=values,
+                                                             objective=objective))
+    assert not report.passed
+    assert not math.isfinite(report.worst)
+    assert report.summary_lines()[0].startswith("verification FAIL")
+
+
+def test_report_refuses_a_limit_run_without_incumbent(scenario_dir, tmp_path):
+    scn = load_scenario(scenario_dir / "commitment_demo.json")
+    prog = compile_system(scn.system)
+    sol = solve(prog, SolverConfig(max_nodes=1))
+    assert sol.status == Status.GAP_LIMIT and not sol.integral and math.isinf(sol.objective)
+    with pytest.raises(NoSolutionError, match="before any incumbent"):
+        extract_report(scn.system, prog, sol)
+    report, _, code = cli.run(scn, tmp_path, solver_overrides={"max_nodes": 1})
+    assert report is None and code == cli.EXIT_LIMIT == 5
+    assert (tmp_path / "summary.txt").read_text() == (
+        f"status: gap_limit\nmessage: {sol.message}\n")
 
 
 def test_emissions_match_cap_row_activity():
@@ -190,7 +234,7 @@ def test_emissions_match_cap_row_activity():
     prog, sol = _solved(sys_)
     row = prog.rows_tagged(Family.CO2_CAP)[0]
     activity = sum(coef * sol.values[j] for j, coef in row.terms)
-    assert abs(emissions_total(sys_, sol) - activity) <= 1e-9
+    assert abs(emissions_total(sys_, prog, sol) - activity) <= 1e-9
 
 
 def test_dispatch_statistics_reported(coverage_system):
@@ -206,7 +250,7 @@ def test_storage_report_fill_matches_hand_cumulative():
     sys_ = storage_system((4.0, 2.0, 6.0), etac=0.9, etad=0.8)
     prog, sol = _solved(sys_)
     report = extract_report(sys_, prog, sol)
-    view = SolutionView(sys_, sol)
+    view = SolutionView(sys_, prog, sol)
     charge = report.storage_charge["store"]
     discharge = report.storage_discharge["store"]
     fill = 0.0

@@ -97,9 +97,10 @@ def test_max_equal_to_initial_means_no_added_capacity():
         sys_.components[0],
         capacity=M.CapacitySpec(initial=8.0, optimizable=True, max_total=8.0))
     sys_ = dataclasses.replace(sys_, components=(comp,))
-    sol = solve(compile_system(sys_))
+    prog = compile_system(sys_)
+    sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    added = dict(zip(sol.var_refs, sol.values))[VarRef(VarKind.INSTALLED, "plant")]
+    added = dict(zip(prog.var_refs, sol.values))[VarRef(VarKind.INSTALLED, "plant")]
     assert added == pytest.approx(0.0, abs=1e-9)
 
 
@@ -313,9 +314,10 @@ def test_fixed_ramp_row_on_fixed_capacity():
 def test_zero_up_rate_makes_output_non_increasing():
     sys_ = _ramp_system(M.FixedRamp(0.0, 1.0), loads=(8.0, 2.0))
     # loads (8, 2) are fine; reversed loads would need an upward ramp
-    sol = solve(compile_system(sys_))
+    prog = compile_system(sys_)
+    sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(sol.var_refs, sol.values))
+    vals = dict(zip(prog.var_refs, sol.values))
     assert (vals[VarRef(VarKind.OUTPUT, "plant", 1)]
             <= vals[VarRef(VarKind.OUTPUT, "plant", 0)] + 1e-9)
     infeasible = _ramp_system(M.FixedRamp(0.0, 1.0), loads=(2.0, 8.0))
@@ -342,11 +344,11 @@ def test_fixed_ramp_fraction_applies_per_step_on_a_two_hour_grid():
     assert _row(prog, Family.RAMP_DOWN, "plant", 1).rhs == 0.4 * 10.0
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    assert verify_solution(sys_, sol, prog).passed
+    assert verify_solution(sys_, prog, sol).passed
     # 3.5 MW up in one 2-hour step: allowed per hour, not per step
     values = sol.values.copy()
     values[prog.index(VarRef(VarKind.OUTPUT, "plant", 2))] += 0.5
-    bad = verify_solution(sys_, dataclasses.replace(sol, values=values), prog)
+    bad = verify_solution(sys_, prog, dataclasses.replace(sol, values=values))
     assert bad.residual(Family.RAMP_UP) == pytest.approx(0.5 / 3.0)
     assert solve(compile_system(system((2.0, 8.0)))).status == Status.INFEASIBLE
 
@@ -385,7 +387,7 @@ def test_full_ramp_emits_no_rows_but_notes_both_families(optimizable):
     assert {Family.RAMP_UP.value, Family.RAMP_DOWN.value} <= prog.families_emitted
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    report = verify_solution(sys_, sol, prog)
+    report = verify_solution(sys_, prog, sol)
     assert report.passed
     assert report.checks(Family.RAMP_UP) == report.checks(Family.RAMP_DOWN) == 2
 
@@ -421,7 +423,7 @@ def test_per_period_capacity_keeps_the_down_row_across_a_period_boundary():
     row = _row(prog, Family.RAMP_DOWN, "plant", 3)
     assert VarRef(VarKind.INSTALLED_PERIOD, "plant", period=1) in _terms_by_ref(prog, row)
     sol = solve(prog)
-    assert sol.status == Status.OPTIMAL and verify_solution(sys_, sol, prog).passed
+    assert sol.status == Status.OPTIMAL and verify_solution(sys_, prog, sol).passed
 
 
 def test_committed_component_keeps_every_ramp_row():
@@ -449,7 +451,7 @@ def test_verification_still_flags_ramps_whose_rows_were_not_emitted():
     # 0 -> 10.5 -> 0 on a 10 MW plant: both ramps exceed the 10 MW limit
     for t, v in ((0, 0.0), (1, 10.5), (2, 0.0)):
         values[prog.index(VarRef(VarKind.OUTPUT, "plant", t))] = v
-    report = verify_solution(sys_, dataclasses.replace(sol, values=values), prog)
+    report = verify_solution(sys_, prog, dataclasses.replace(sol, values=values))
     assert report.residual(Family.RAMP_UP) == pytest.approx(0.05)
     assert report.residual(Family.RAMP_DOWN) == pytest.approx(0.05)
     assert not report.passed
@@ -483,15 +485,16 @@ def test_growth_between_periods_is_priced_as_built_capacity():
     assert len(prog.rows_tagged(Family.BUILT_DEFINITION)) == 1
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(sol.var_refs, sol.values))
+    vals = dict(zip(prog.var_refs, sol.values))
     assert vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=0)] == pytest.approx(5.0)
     assert vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=1)] == pytest.approx(8.0)
     assert vals[VarRef(VarKind.BUILT, "plant", period=1)] == pytest.approx(3.0)
 
 
 def test_shrinking_capacity_builds_nothing():
-    sol = solve(compile_system(_period_system(8.0, 5.0)))
-    vals = dict(zip(sol.var_refs, sol.values))
+    prog = compile_system(_period_system(8.0, 5.0))
+    sol = solve(prog)
+    vals = dict(zip(prog.var_refs, sol.values))
     assert vals[VarRef(VarKind.BUILT, "plant", period=1)] == pytest.approx(0.0, abs=1e-9)
 
 

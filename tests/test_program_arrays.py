@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from enopt import formulate
+from enopt.analyze import extract_report
 from enopt.formulate import GE, LE, EQ, compile_system, write_lp
 from enopt.scenario import load_scenario
 from enopt.solver import Status, check_certificate, solve, solve_lp
@@ -280,9 +281,54 @@ def test_pipeline_builds_no_row_values(scenario_dir, tmp_path, monkeypatch):
         prog.rows
 
 
+@pytest.mark.parametrize("name", ["commitment_demo", "paper_system_48"])
+def test_pipeline_reads_no_variable_names(scenario_dir, tmp_path, monkeypatch, name):
+    def no_names(self):
+        raise AssertionError("the var_refs view was built")
+
+    monkeypatch.setattr(formulate.LinearProgram, "var_refs", property(no_names))
+    scn = load_scenario(scenario_dir / f"{name}.json")
+    prog = compile_system(scn.system)
+    assert standardize(prog).num_rows == prog.num_rows
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL
+    assert extract_report(scn.system, prog, sol).residuals.passed
+    assert check_certificate(prog, sol).ok
+    write_lp(prog, tmp_path / "program.lp")
+    assert prog.fingerprint()
+    with pytest.raises(AssertionError, match="var_refs view"):
+        prog.var_refs
+
+
+def test_pipeline_builds_as_many_names_at_any_horizon(scenario_dir, tmp_path, monkeypatch):
+    """compile, solve, report, certificate, LP export and fingerprint build
+    VarRef values per block, none per variable: 168 steps build as many as
+    48 steps of the same system."""
+    built, init = [], formulate.VarRef.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(formulate.VarRef, "__init__", counting)
+    counts = []
+    for name in ("paper_system_48", "paper_system"):
+        scn = load_scenario(scenario_dir / f"{name}.json")
+        built.clear()
+        prog = compile_system(scn.system)
+        sol = solve(prog)
+        extract_report(scn.system, prog, sol)
+        check_certificate(prog, sol)
+        write_lp(prog, tmp_path / "program.lp")
+        prog.fingerprint()
+        counts.append((len(built), prog.num_vars))
+    (short, n_short), (long, n_long) = counts
+    assert n_long > 3 * n_short and long == short < n_short
+
+
 def _block_program(build_rows):
     prog = formulate.LinearProgram()
-    prog.add_variables([formulate.VarRef(formulate.VarKind.OUTPUT, "x", t) for t in range(4)])
+    prog.add_variables(formulate.VarRef(formulate.VarKind.OUTPUT, "x", 0), 4)
     build_rows(prog)
     return prog.finalize()
 
@@ -319,20 +365,47 @@ def test_add_row_is_the_one_row_case_of_add_rows():
 
 
 def test_add_variables_declares_a_block_and_refuses_repeats():
+    V, K = formulate.VarRef, formulate.VarKind
     prog = formulate.LinearProgram()
-    ons = [formulate.VarRef(formulate.VarKind.ON, "u", t) for t in range(3)]
-    assert prog.add_variables(ons[:2], 0.0, 2.0, integer=True) == 0
-    assert prog.add_variables(ons[2:], upper=5.0) == 2
+    refs = [V(K.ON, "u", 0), V(K.ON, "u", 1), V(K.STARTUP, "u", 0)]
+    assert prog.add_variables(refs[0], 2, 0.0, 2.0, integer=True) == 0
+    assert prog.add_variables(refs[2], upper=5.0) == 2
     assert (prog.lower, prog.upper, prog.is_integer) == ([0.0] * 3, [2.0, 2.0, 5.0],
                                                           [True, True, False])
-    assert [prog.index(ref) for ref in ons] == [0, 1, 2]
+    assert [prog.index(ref) for ref in refs] == [0, 1, 2]
     with pytest.raises(ValueError, match="declared twice"):
-        prog.add_variables([formulate.VarRef(formulate.VarKind.ON, "u", 7), ons[1]])
-    with pytest.raises(ValueError, match="declared twice"):
-        prog.add_variables([formulate.VarRef(formulate.VarKind.ON, "v", 0)] * 2)
+        prog.add_variables(V(K.ON, "u", 7), 2)
+    with pytest.raises(ValueError, match="declared twice"):  # one block per kind and owner
+        prog.add_variables(V(K.ON, "u", 2))
     with pytest.raises(ValueError, match="integrality"):
-        prog.add_variables([formulate.VarRef(formulate.VarKind.OUTPUT, "u", 0)], integer=True)
+        prog.add_variables(V(K.OUTPUT, "u", 0), integer=True)
+    with pytest.raises(ValueError, match="needs a step or period"):
+        prog.add_variables(V(K.UNITS, "u"), 2)
     assert prog.num_vars == 3 and len(prog.lower) == 3  # a refused block leaves no trace
+
+
+@pytest.mark.parametrize("formulation", ["recurrence", "cumulative"])
+def test_index_inverts_the_var_refs_view(formulation):
+    prog = compile_system(coverage_fixture(), storage_formulation=formulation)
+    refs = prog.var_refs
+    assert len(refs) == len(set(refs)) == prog.num_vars
+    assert [prog.index(ref) for ref in refs] == list(range(prog.num_vars))
+    assert [prog.ref(j) for j in range(prog.num_vars)] == refs
+    assert prog.labels() == [ref.label() for ref in refs]
+
+
+def test_index_refuses_names_outside_every_block():
+    sys_ = coverage_fixture()
+    prog = compile_system(sys_)
+    V, K = formulate.VarRef, formulate.VarKind
+    comp = sys_.components[0].id
+    T = sys_.time.num_steps
+    assert prog.index(V(K.OUTPUT, comp, T - 1)) == prog.index(V(K.OUTPUT, comp, 0)) + T - 1
+    for ref in (V(K.OUTPUT, comp, T), V(K.OUTPUT, comp, -1), V(K.OUTPUT, comp, period=0),
+                V(K.OUTPUT, "no such owner", 0)):
+        with pytest.raises(KeyError):
+            prog.index(ref)
+        assert not prog.has_var(ref)
 
 
 def test_rows_tagged_builds_only_the_rows_of_its_family(scenario_dir, monkeypatch):
@@ -349,6 +422,9 @@ def test_objective_terms_add_up_to_the_objective(scenario_dir):
     for sys_ in systems:
         prog = compile_system(sys_)
         total = np.zeros(prog.num_vars)
-        for ref, _, coef in formulate._objective_terms(sys_):
-            total[prog.index(ref)] += coef
+        for refs, _, coefs in formulate._objective_blocks(sys_):
+            cols = formulate._block_cols(prog, refs, len(coefs))
+            for j, coef in zip(cols.ravel().tolist(), coefs.ravel().tolist()):
+                if coef != 0.0:
+                    total[j] += coef
         assert total.tobytes() == prog.objective.tobytes()

@@ -298,15 +298,18 @@ def test_solver_failure_exits_with_solver_code(tmp_path, capsys, scenario_dir,
     assert "error: basis factorisation failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verify, expected", [(True, cli.EXIT_VERIFY), (False, cli.EXIT_OPTIMAL)])
+@pytest.mark.parametrize("verify, scale, expected", [
+    pytest.param(True, 1.5, cli.EXIT_VERIFY, id="True-9"),
+    pytest.param(False, 1.5, cli.EXIT_OPTIMAL, id="False-0"),
+    pytest.param(True, float("nan"), cli.EXIT_VERIFY, id="nan-True-9")])
 def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, scenario_dir,
-                                                           monkeypatch, verify, expected):
+                                                           monkeypatch, verify, scale, expected):
     import dataclasses
     from enopt.solver import solve
 
     def perturbed_solve(prog, cfg):
         sol = solve(prog, cfg)
-        return dataclasses.replace(sol, values=sol.values * 1.5)
+        return dataclasses.replace(sol, values=sol.values * scale)
 
     monkeypatch.setattr(cli, "solve", perturbed_solve)
     argv = ["run", str(scenario_dir / "paper_system_48.json"), "--out", str(tmp_path / "out")]

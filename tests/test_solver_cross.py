@@ -277,7 +277,7 @@ def test_two_unit_commitment_day_matches_highs():
 
     from enopt.analyze import verify_solution
 
-    assert verify_solution(sys_, sol, prog).passed
+    assert verify_solution(sys_, prog, sol).passed
 
 
 def _random_general_lp(rng):
@@ -442,7 +442,7 @@ def test_tight_updown_rows_keep_the_milp_optimum(initial_on, n_steps):
         sol = solve_milp(prog)
         assert sol.status == Status.OPTIMAL
         assert sol.objective == pytest.approx(old, rel=1e-6)
-        assert verify_solution(sys_, sol, prog).passed
+        assert verify_solution(sys_, prog, sol).passed
 
 
 def test_tight_updown_rows_do_not_lower_the_root_bound():

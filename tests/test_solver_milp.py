@@ -33,7 +33,7 @@ def test_forced_binary_commitment():
     prog = compile_system(sys_)
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(sol.var_refs, sol.values))
+    vals = dict(zip(prog.var_refs, sol.values))
     assert vals[VarRef(VarKind.ON, "unit", 0)] == 1.0
     assert vals[VarRef(VarKind.STARTUP, "unit", 0)] == 1.0
 
@@ -222,7 +222,7 @@ def test_downtime_schedule_honoured_at_milp_optimum():
     prog = compile_system(sys_)
     sol = solve_milp(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(sol.var_refs, sol.values))
+    vals = dict(zip(prog.var_refs, sol.values))
     pattern = [int(vals[VarRef(VarKind.ON, "unit", t)]) for t in range(4)]
     assert _downtime_ok(pattern, 2)
     # switching off at t=1 would force two idle steps; serving t=1's zero load
@@ -242,7 +242,7 @@ def test_startups_equal_positive_on_differences_at_optimum():
     prog = compile_system(sys_)
     sol = solve_milp(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(sol.var_refs, sol.values))
+    vals = dict(zip(prog.var_refs, sol.values))
     on = [vals[VarRef(VarKind.ON, "unit", t)] for t in range(4)]
     starts = [vals[VarRef(VarKind.STARTUP, "unit", t)] for t in range(4)]
     prev = [0.0] + on[:-1]

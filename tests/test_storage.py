@@ -96,10 +96,11 @@ def test_final_fill_hold_prevents_free_draining():
     free = storage_system(loads, cap_opt=False, cap_fixed=8.0, initial_fill=8.0,
                           source_fuel=(50.0, 50.0), rate=M.FixedRate(10.0, 10.0))
     held = dataclasses.replace(free, final_fill_at_least_initial=True)
-    sol_free = solve(compile_system(free))
-    sol_held = solve(compile_system(held))
-    view_free = SolutionView(free, sol_free)
-    view_held = SolutionView(held, sol_held)
+    prog_free, prog_held = compile_system(free), compile_system(held)
+    sol_free = solve(prog_free)
+    sol_held = solve(prog_held)
+    view_free = SolutionView(free, prog_free, sol_free)
+    view_held = SolutionView(held, prog_held, sol_held)
     # without the hold the optimiser drains the pre-charged store
     assert view_free.fill(free.storages[0])[-1] < 1e-6
     assert view_held.fill(held.storages[0])[-1] >= 8.0 - 1e-9
@@ -132,7 +133,7 @@ def test_verifier_checks_fill_variables_against_raw_flows():
     sys_ = storage_system((4.0, 6.0, 3.0))
     prog = compile_system(sys_)
     sol = solve(prog)
-    report = verify_solution(sys_, sol, prog)
+    report = verify_solution(sys_, prog, sol)
     assert report.residual(Family.FILL_FLOOR) <= 1e-9
 
     # corrupt the fill variable: the independent recomputation must notice
@@ -140,5 +141,5 @@ def test_verifier_checks_fill_variables_against_raw_flows():
     j = prog.index(VarRef(VarKind.FILL, "store", 1))
     values[j] += 0.5
     tampered = dataclasses.replace(sol, values=values)
-    report = verify_solution(sys_, tampered, prog)
+    report = verify_solution(sys_, prog, tampered)
     assert report.residual(Family.FILL_FLOOR) > 0.01
