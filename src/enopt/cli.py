@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys as _sys
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 from . import analyze, formulate, scenario as scenario_mod
 from .model import system_dimensions, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario
-from .solver import SolverConfig, SolverError, Status, certificate, solve
+from .solver import SolverError, Status, certificate, solve
 
 log = logging.getLogger("enopt")
 
@@ -109,6 +110,21 @@ def format_summary(report, sys) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _null_if_not_finite(value):
+    if isinstance(value, dict):
+        return {k: _null_if_not_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_if_not_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json_text(doc: dict) -> str:
+    """Strict JSON: a non-finite number (a NaN point, an infinite gap) is
+    written as null, never as a bare ``NaN`` or ``Infinity`` token."""
+    return json.dumps(_null_if_not_finite(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def _report_json(report, sys) -> str:
     doc = {
         "status": report.status,
@@ -134,7 +150,7 @@ def _report_json(report, sys) -> str:
                          for f in report.residuals.families},
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def _plot_data_json(report, sys) -> str:
@@ -145,7 +161,7 @@ def _plot_data_json(report, sys) -> str:
         "schedules": {k: list(v) for k, v in report.schedules.items()},
         "storage_fill": {k: list(v) for k, v in report.storage_fill.items()},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
@@ -158,16 +174,9 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
 
     Returns (report_or_None, solution, exit_code).
     """
+    cfg = scenario_mod.solver_config({**scn.solver, **(solver_overrides or {})})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_fields = dict(scn.solver)
-    cfg_fields.update(solver_overrides or {})
-    known = set(SolverConfig.__dataclass_fields__)
-    bad = set(cfg_fields) - known
-    if bad:
-        raise ScenarioError(f"unknown solver options: {sorted(bad)}",
-                            scenario_mod.EXIT_SCHEMA)
-    cfg = SolverConfig(**cfg_fields)
 
     prog = formulate.compile_system(scn.system)
     log.info("compiled %d variables, %d rows", prog.num_vars, prog.num_rows)

@@ -1,17 +1,29 @@
 """Scenario files: JSON documents describing a system, solver overrides and
 requested output artifacts.
 
+The format is written down once, as one table per record (``_TABLES``).
+Each entry is (JSON key, dataclass field, kind); ``_read_fields`` walks a
+table to load a record and ``_write_fields`` walks the same table to save
+it.  A key may be absent or null exactly when its field has a default, and
+then takes that default.  Numbers go through ``float()``, integers through
+``int()``; bools and strings are kept as given.  A conversion, a ramp and a
+storage rate are objects whose ``"type"`` picks the record.  ``time``,
+``nodes`` and the top-level sections are read by hand.
+
 Time series may be inline arrays or references to sidecar CSV files
 (``{"csv": "series.csv", "column": "load_electricity"}``, resolved relative
-to the scenario file).  ``load_scenario`` parses, builds the system and runs
-full validation; every error names the offending field.
+to the scenario file).  ``load_scenario`` parses, builds the system, checks
+the ``outputs`` and ``solver`` sections and runs full validation; every
+error names the full JSON path of the offending field, such as
+``system.components[0].capacity.availability``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import model
@@ -37,9 +49,10 @@ from .model import (
     TimeGrid,
     UnitCommitment,
 )
+from .solver import SolverConfig
 
 __all__ = ["Scenario", "OutputSpec", "ScenarioError", "load_scenario", "save_scenario",
-           "system_to_dict", "system_from_dict", "scenario_to_dict"]
+           "system_to_dict", "system_from_dict", "scenario_to_dict", "solver_config"]
 
 SCHEMA_VERSION = 1
 
@@ -87,17 +100,13 @@ class _Ctx:
     def fail(self, message: str, code: int = EXIT_SCHEMA):
         raise ScenarioError(f"at {self.where()}: {message}", code)
 
+    @contextmanager
     def enter(self, key: str):
-        ctx = self
-
-        class _Scope:
-            def __enter__(self_inner):
-                ctx.path.append(key)
-
-            def __exit__(self_inner, *exc):
-                ctx.path.pop()
-
-        return _Scope()
+        self.path.append(key)
+        try:
+            yield
+        finally:
+            self.path.pop()
 
 
 def _get(ctx: _Ctx, obj: dict, key: str, expected=None, default=..., choices=None):
@@ -146,130 +155,147 @@ def _series(ctx: _Ctx, value, key: str, allow_scalar: bool):
         ctx.fail("expected number, array or {csv, column}")
 
 
-def _conversion(ctx: _Ctx, obj: dict):
-    kind = _get(ctx, obj, "type", str,
-                choices={"single", "source", "coupled", "field"})
-    if kind == "single":
-        return SingleConversion(_get(ctx, obj, "input", str),
-                                _get(ctx, obj, "output", str),
-                                float(_get(ctx, obj, "efficiency", (int, float))))
-    if kind == "source":
-        return SourceConversion(_get(ctx, obj, "output", str))
-    if kind == "coupled":
-        return CoupledConversion(
-            _get(ctx, obj, "input", str),
-            _get(ctx, obj, "primary_output", str),
-            _get(ctx, obj, "secondary_output", str),
-            float(_get(ctx, obj, "primary_efficiency", (int, float))),
-            float(_get(ctx, obj, "secondary_efficiency", (int, float))))
-    planes = []
-    for k, hp in enumerate(_get(ctx, obj, "half_planes", list)):
-        with ctx.enter(f"half_planes[{k}]"):
-            planes.append(HalfPlane(float(_get(ctx, hp, "slope", (int, float))),
-                                    float(_get(ctx, hp, "intercept", (int, float))),
-                                    _get(ctx, hp, "sense", str,
-                                         choices={model.SENSE_LE, model.SENSE_GE})))
-    return FieldConversion(
-        _get(ctx, obj, "input", str),
-        _get(ctx, obj, "primary_output", str),
-        _get(ctx, obj, "secondary_output", str),
-        float(_get(ctx, obj, "primary_efficiency", (int, float))),
-        tuple(planes))
+# ---------------------------------------------------------------------------
+# the format: one table per record, read by _read_fields, written by _write_fields
+#
+# A kind is float, int, bool or str; a frozenset of string choices; _SERIES (a
+# number or a time series); a record class (a nested object); [class] (an
+# array of objects); a {"type" value: class} union; or a table of its own (a
+# JSON object grouping fields of the enclosing record, field name None).
+
+_SERIES = "series"
+_SENSES = frozenset({model.SENSE_LE, model.SENSE_GE})
+_CONVERSIONS = {"single": SingleConversion, "source": SourceConversion,
+                "coupled": CoupledConversion, "field": FieldConversion}
+_RAMPS = {"fixed": FixedRamp, "optimized": OptimizedRamp}
+_RATES = {"fixed": FixedRate, "c_rate": CRateLink, "optimized": OptimizedRate}
+_TYPE_OF = {cls: name for union in (_CONVERSIONS, _RAMPS, _RATES)
+            for name, cls in union.items()}
+
+_TABLES: dict[type, tuple] = {
+    SingleConversion: (("input", "input_node", str), ("output", "output_node", str),
+                       ("efficiency", "efficiency", float)),
+    SourceConversion: (("output", "output_node", str),),
+    CoupledConversion: (("input", "input_node", str),
+                        ("primary_output", "primary_output", str),
+                        ("secondary_output", "secondary_output", str),
+                        ("primary_efficiency", "primary_efficiency", float),
+                        ("secondary_efficiency", "secondary_efficiency", float)),
+    HalfPlane: (("slope", "slope", float), ("intercept", "intercept", float),
+                ("sense", "sense", _SENSES)),
+    FieldConversion: (("input", "input_node", str),
+                      ("primary_output", "primary_output", str),
+                      ("secondary_output", "secondary_output", str),
+                      ("primary_efficiency", "primary_efficiency", float),
+                      ("half_planes", "half_planes", [HalfPlane])),
+    CapacitySpec: (("initial", "initial", float), ("optimizable", "optimizable", bool),
+                   ("max", "max_total", float), ("availability", "availability", _SERIES),
+                   ("per_period", "per_period", bool)),
+    FixedRamp: (("up", "up_per_hour", float), ("down", "down_per_hour", float)),
+    OptimizedRamp: (("cost_up", "cost_up", float), ("cost_down", "cost_down", float)),
+    PartialLoad: (("slope", "slope", float), ("offset", "offset", float)),
+    UnitCommitment: (("unit_capacity", "unit_capacity", float),
+                     ("unit_min_load", "unit_min_load", float),
+                     ("max_units", "max_units", int),
+                     ("optimize_units", "optimize_units", bool),
+                     ("startup_cost", "startup_cost", float),
+                     ("min_up_steps", "min_up_steps", int),
+                     ("min_down_steps", "min_down_steps", int),
+                     ("partial_load", "partial_load", PartialLoad),
+                     ("initial_on", "initial_on", int)),
+    AnnuityInput: (("total_investment", "total_investment", float),
+                   ("interest_rate", "interest_rate", float),
+                   ("lifetime", "lifetime", int)),
+    CostSpec: (("invest", "invest", float), ("maintenance", "maintenance", float),
+               ("fuel", "fuel", _SERIES), ("emission_factor", "emission_factor", float),
+               ("emission_price", "emission_price", float),
+               ("invest_side", "invest_side", frozenset({"output", "input"})),
+               ("annuity", "annuity", AnnuityInput), ("built", "built", float)),
+    Component: (("id", "id", str), ("conversion", "conversion", _CONVERSIONS),
+                ("capacity", "capacity", CapacitySpec), ("ramp", "ramp", _RAMPS),
+                ("commitment", "commitment", UnitCommitment), ("costs", "costs", CostSpec)),
+    FixedRate: (("max_charge", "max_charge", float),
+                ("max_discharge", "max_discharge", float)),
+    CRateLink: (("ratio", "ratio", float),),
+    OptimizedRate: (("cost_charge", "cost_charge", float),
+                    ("cost_discharge", "cost_discharge", float)),
+    Storage: (("id", "id", str), ("node", "node", str),
+              ("charge_efficiency", "charge_efficiency", float),
+              ("discharge_efficiency", "discharge_efficiency", float),
+              ("rate", "rate", _RATES), ("initial_fill", "initial_fill", float),
+              ("capacity", None, (("fixed", "capacity_fixed", float),
+                                  ("optimizable", "capacity_optimizable", bool),
+                                  ("cost", "capacity_cost", float),
+                                  ("max", "capacity_max", float)))),
+    # `time` and `nodes` are read and written by hand in system_from_dict/_to_dict
+    EnergySystem: (("components", "components", [Component]),
+                   ("storages", "storages", [Storage]), ("co2_cap", "co2_cap", float),
+                   ("final_fill_at_least_initial", "final_fill_at_least_initial", bool)),
+    OutputSpec: tuple((f.name, f.name, bool) for f in fields(OutputSpec)),
+}
+# a JSON key is required exactly when its dataclass field has no default
+_DEFAULTS = {cls: {f.name: ... if f.default is MISSING else f.default for f in fields(cls)}
+             for cls in _TABLES}
 
 
-def _capacity(ctx: _Ctx, obj: dict) -> CapacitySpec:
-    max_total = _get(ctx, obj, "max", (int, float), default=None)
-    avail = obj.get("availability")
-    return CapacitySpec(
-        initial=float(_get(ctx, obj, "initial", (int, float), default=0.0)),
-        optimizable=_get(ctx, obj, "optimizable", bool, default=False),
-        max_total=None if max_total is None else float(max_total),
-        availability=_series(ctx, 1.0 if avail is None else avail, "availability", True),
-        per_period=_get(ctx, obj, "per_period", bool, default=False))
-
-
-def _ramp(ctx: _Ctx, obj):
-    if obj is None:
-        return None
-    kind = _get(ctx, obj, "type", str, choices={"fixed", "optimized"})
-    if kind == "fixed":
-        return FixedRamp(float(_get(ctx, obj, "up", (int, float))),
-                         float(_get(ctx, obj, "down", (int, float))))
-    return OptimizedRamp(float(_get(ctx, obj, "cost_up", (int, float))),
-                         float(_get(ctx, obj, "cost_down", (int, float))))
-
-
-def _commitment(ctx: _Ctx, obj):
-    if obj is None:
-        return None
-    partial = _get(ctx, obj, "partial_load", dict, default=None)
-    if partial is not None:
-        with ctx.enter("partial_load"):
-            partial = PartialLoad(float(_get(ctx, partial, "slope", (int, float))),
-                                  float(_get(ctx, partial, "offset", (int, float))))
-    return UnitCommitment(
-        unit_capacity=float(_get(ctx, obj, "unit_capacity", (int, float))),
-        unit_min_load=float(_get(ctx, obj, "unit_min_load", (int, float), default=0.0)),
-        max_units=int(_get(ctx, obj, "max_units", int, default=1)),
-        optimize_units=_get(ctx, obj, "optimize_units", bool, default=False),
-        startup_cost=float(_get(ctx, obj, "startup_cost", (int, float), default=0.0)),
-        min_up_steps=int(_get(ctx, obj, "min_up_steps", int, default=0)),
-        min_down_steps=int(_get(ctx, obj, "min_down_steps", int, default=0)),
-        partial_load=partial,
-        initial_on=int(_get(ctx, obj, "initial_on", int, default=0)))
-
-
-def _costs(ctx: _Ctx, obj: dict) -> CostSpec:
-    annuity = _get(ctx, obj, "annuity", dict, default=None)
-    if annuity is not None:
-        with ctx.enter("annuity"):
-            annuity = AnnuityInput(
-                float(_get(ctx, annuity, "total_investment", (int, float))),
-                float(_get(ctx, annuity, "interest_rate", (int, float))),
-                int(_get(ctx, annuity, "lifetime", int)))
-    price = _get(ctx, obj, "emission_price", (int, float), default=None)
-    fuel = obj.get("fuel")
-    return CostSpec(
-        invest=float(_get(ctx, obj, "invest", (int, float), default=0.0)),
-        maintenance=float(_get(ctx, obj, "maintenance", (int, float), default=0.0)),
-        fuel=_series(ctx, 0.0 if fuel is None else fuel, "fuel", True),
-        emission_factor=float(_get(ctx, obj, "emission_factor", (int, float), default=0.0)),
-        emission_price=None if price is None else float(price),
-        invest_side=_get(ctx, obj, "invest_side", str, default="output",
-                         choices={"output", "input"}),
-        annuity=annuity,
-        built=float(_get(ctx, obj, "built", (int, float), default=0.0)))
-
-
-def _storage(ctx: _Ctx, obj: dict) -> Storage:
-    cap = _get(ctx, obj, "capacity", dict, default={})
-    with ctx.enter("capacity"):
-        cap_fixed = float(_get(ctx, cap, "fixed", (int, float), default=0.0))
-        cap_opt = _get(ctx, cap, "optimizable", bool, default=False)
-        cap_cost = float(_get(ctx, cap, "cost", (int, float), default=0.0))
-        cap_max = _get(ctx, cap, "max", (int, float), default=None)
-    rate_obj = _get(ctx, obj, "rate", dict)
-    with ctx.enter("rate"):
-        kind = _get(ctx, rate_obj, "type", str, choices={"fixed", "c_rate", "optimized"})
-        if kind == "fixed":
-            rate = FixedRate(float(_get(ctx, rate_obj, "max_charge", (int, float))),
-                             float(_get(ctx, rate_obj, "max_discharge", (int, float))))
-        elif kind == "c_rate":
-            rate = CRateLink(float(_get(ctx, rate_obj, "ratio", (int, float))))
+def _read_fields(ctx: _Ctx, obj: dict, table: tuple, defaults: dict) -> dict:
+    """Read one record's JSON object into keyword arguments of its dataclass."""
+    kwargs = {}
+    for key, name, kind in table:
+        if isinstance(kind, tuple):  # a JSON group of the record's own fields
+            group = _get(ctx, obj, key, dict, default={})
+            with ctx.enter(key):
+                kwargs.update(_read_fields(ctx, group, kind, defaults))
+        elif obj.get(key) is None:
+            kwargs[name] = _get(ctx, obj, key, default=defaults[name])
+        elif kind is float:
+            kwargs[name] = float(_get(ctx, obj, key, (int, float)))
+        elif kind is int:
+            kwargs[name] = int(_get(ctx, obj, key, int))
+        elif kind is bool or kind is str:
+            kwargs[name] = _get(ctx, obj, key, kind)
+        elif isinstance(kind, frozenset):
+            kwargs[name] = _get(ctx, obj, key, str, choices=kind)
+        elif kind is _SERIES:
+            kwargs[name] = _series(ctx, obj[key], key, True)
+        elif isinstance(kind, list):
+            kwargs[name] = tuple(_read_record(ctx, item, f"{key}[{k}]", kind[0])
+                                 for k, item in enumerate(_get(ctx, obj, key, list)))
         else:
-            rate = OptimizedRate(float(_get(ctx, rate_obj, "cost_charge", (int, float))),
-                                 float(_get(ctx, rate_obj, "cost_discharge", (int, float))))
-    return Storage(
-        id=_get(ctx, obj, "id", str),
-        node=_get(ctx, obj, "node", str),
-        charge_efficiency=float(_get(ctx, obj, "charge_efficiency", (int, float))),
-        discharge_efficiency=float(_get(ctx, obj, "discharge_efficiency", (int, float))),
-        rate=rate,
-        initial_fill=float(_get(ctx, obj, "initial_fill", (int, float), default=0.0)),
-        capacity_fixed=cap_fixed,
-        capacity_optimizable=cap_opt,
-        capacity_cost=cap_cost,
-        capacity_max=None if cap_max is None else float(cap_max))
+            kwargs[name] = _read_record(ctx, _get(ctx, obj, key, dict), key, kind)
+    return kwargs
+
+
+def _read_record(ctx: _Ctx, obj, key: str, kind):
+    with ctx.enter(key):
+        if not isinstance(obj, dict):
+            ctx.fail(f"expected an object, got {type(obj).__name__}")
+        if isinstance(kind, dict):  # a union: the object's "type" picks the record
+            kind = kind[_get(ctx, obj, "type", str, choices=kind.keys())]
+        return kind(**_read_fields(ctx, obj, _TABLES[kind], _DEFAULTS[kind]))
+
+
+def _write_fields(obj, table: tuple) -> dict:
+    """The inverse of _read_fields: every key of the table, null for None."""
+    doc = {}
+    for key, name, kind in table:
+        if isinstance(kind, tuple):
+            doc[key] = _write_fields(obj, kind)
+            continue
+        value = getattr(obj, name)
+        if isinstance(kind, list):
+            value = [_write_record(item) for item in value]
+        elif is_dataclass(value):
+            value = _write_record(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[key] = value
+    return doc
+
+
+def _write_record(rec) -> dict:
+    tag = {"type": _TYPE_OF[type(rec)]} if type(rec) in _TYPE_OF else {}
+    return tag | _write_fields(rec, _TABLES[type(rec)])
 
 
 def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
@@ -287,7 +313,8 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
             periods = time_obj.get("period_of_step")
             if periods is not None:
                 with ctx.enter("period_of_step"):
-                    if not isinstance(periods, list):
+                    if not (isinstance(periods, list)
+                            and all(isinstance(p, int) for p in periods)):
                         ctx.fail("expected an array of period indices")
                     periods = tuple(int(p) for p in periods)
             grid = TimeGrid(steps, periods or ())
@@ -295,6 +322,8 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
         nodes = []
         for k, n in enumerate(_get(ctx, doc, "nodes", list)):
             with ctx.enter(f"nodes[{k}]"):
+                if not isinstance(n, dict):
+                    ctx.fail(f"expected an object, got {type(n).__name__}")
                 boundary = _get(ctx, n, "boundary", bool, default=False)
                 load = n.get("load")
                 if load is None:
@@ -305,31 +334,9 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
                 nodes.append(Node(_get(ctx, n, "id", str),
                                   _get(ctx, n, "carrier", str, default=""),
                                   load, boundary))
-
-        comps = []
-        for k, c in enumerate(_get(ctx, doc, "components", list, default=[])):
-            with ctx.enter(f"components[{k}]"):
-                comps.append(Component(
-                    id=_get(ctx, c, "id", str),
-                    conversion=_conversion(ctx, _get(ctx, c, "conversion", dict)),
-                    capacity=_capacity(ctx, _get(ctx, c, "capacity", dict, default={})),
-                    ramp=_ramp(ctx, _get(ctx, c, "ramp", dict, default=None)),
-                    commitment=_commitment(ctx, _get(ctx, c, "commitment", dict,
-                                                     default=None)),
-                    costs=_costs(ctx, _get(ctx, c, "costs", dict, default={}))))
-
-        stors = []
-        for k, s in enumerate(_get(ctx, doc, "storages", list, default=[])):
-            with ctx.enter(f"storages[{k}]"):
-                stors.append(_storage(ctx, s))
-
-        cap = _get(ctx, doc, "co2_cap", (int, float), default=None)
-        return EnergySystem(
-            time=grid, nodes=tuple(nodes), components=tuple(comps),
-            storages=tuple(stors),
-            co2_cap=None if cap is None else float(cap),
-            final_fill_at_least_initial=_get(ctx, doc, "final_fill_at_least_initial",
-                                             bool, default=False))
+        return EnergySystem(time=grid, nodes=tuple(nodes),
+                            **_read_fields(ctx, doc, _TABLES[EnergySystem],
+                                           _DEFAULTS[EnergySystem]))
 
 
 def load_scenario(path) -> Scenario:
@@ -355,128 +362,56 @@ def load_scenario(path) -> Scenario:
             f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
             EXIT_SCHEMA)
     ctx = _Ctx(path.parent)
-    system_doc = _get(ctx, doc, "system", dict)
-    system = system_from_dict(system_doc, path.parent)
+    system = system_from_dict(_get(ctx, doc, "system", dict), path.parent)
+    outputs_doc = _get(ctx, doc, "outputs", dict, default={})
+    with ctx.enter("outputs"):
+        bad = set(outputs_doc) - set(_DEFAULTS[OutputSpec])
+        if bad:
+            ctx.fail(f"unknown output keys: {sorted(bad)}")
+    outputs = _read_record(ctx, outputs_doc, "outputs", OutputSpec)
+    solver = _get(ctx, doc, "solver", dict, default={})
+    solver_config(solver)
     report = model.validate_system(system)
     if not report.ok:
         lines = [f"{v.code} at {v.where}: {v.message}" for v in report.errors]
         raise ScenarioError("scenario failed validation:\n  " + "\n  ".join(lines),
                             EXIT_VALIDATION)
-    outputs_doc = doc.get("outputs", {})
-    known = set(OutputSpec.__dataclass_fields__)
-    bad = set(outputs_doc) - known
-    if bad:
-        raise ScenarioError(f"unknown output keys: {sorted(bad)}", EXIT_SCHEMA)
-    outputs = OutputSpec(**{k: bool(v) for k, v in outputs_doc.items()})
-    solver = doc.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ScenarioError("'solver' must be an object", EXIT_SCHEMA)
     return Scenario(system=system, solver=dict(solver), outputs=outputs,
                     schema_version=version, name=path.stem)
+
+
+def solver_config(options: dict) -> SolverConfig:
+    """The solver settings of a ``solver`` section (scenario values with any
+    command-line overrides); each unknown key, value of the wrong kind or
+    value :class:`SolverConfig` rejects is a schema error at ``solver.<key>``.
+    """
+    ctx = _Ctx(Path())
+    defaults = {f.name: f.default for f in fields(SolverConfig)}
+    for key, value in options.items():
+        with ctx.enter(f"solver.{key}"):
+            if key not in defaults:
+                ctx.fail("unknown solver option")
+            kinds = (int,) if isinstance(defaults[key], int) else (int, float)
+            if not isinstance(value, kinds):
+                ctx.fail(f"expected {'/'.join(t.__name__ for t in kinds)}, "
+                         f"got {type(value).__name__}")
+            try:
+                SolverConfig(**{key: value})
+            except ValueError as exc:
+                ctx.fail(str(exc))
+    return SolverConfig(**options)
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization (round-trip stable)
 
 
-def _conversion_to_dict(conv) -> dict:
-    if isinstance(conv, SingleConversion):
-        return {"type": "single", "input": conv.input_node, "output": conv.output_node,
-                "efficiency": conv.efficiency}
-    if isinstance(conv, SourceConversion):
-        return {"type": "source", "output": conv.output_node}
-    if isinstance(conv, CoupledConversion):
-        return {"type": "coupled", "input": conv.input_node,
-                "primary_output": conv.primary_output,
-                "secondary_output": conv.secondary_output,
-                "primary_efficiency": conv.primary_efficiency,
-                "secondary_efficiency": conv.secondary_efficiency}
-    return {"type": "field", "input": conv.input_node,
-            "primary_output": conv.primary_output,
-            "secondary_output": conv.secondary_output,
-            "primary_efficiency": conv.primary_efficiency,
-            "half_planes": [{"slope": hp.slope, "intercept": hp.intercept,
-                             "sense": hp.sense} for hp in conv.half_planes]}
-
-
 def system_to_dict(sys: EnergySystem) -> dict:
-    doc: dict = {"time": {"step_hours": list(sys.time.step_hours),
-                          "period_of_step": list(sys.time.period_of_step)}}
-    doc["nodes"] = [{"id": n.id, "carrier": n.carrier, "load": list(n.load),
-                     "boundary": n.boundary} for n in sys.nodes]
-    comps = []
-    for c in sys.components:
-        avail = c.capacity.availability
-        entry = {
-            "id": c.id,
-            "conversion": _conversion_to_dict(c.conversion),
-            "capacity": {
-                "initial": c.capacity.initial,
-                "optimizable": c.capacity.optimizable,
-                "max": c.capacity.max_total,
-                "availability": list(avail) if isinstance(avail, tuple) else avail,
-                "per_period": c.capacity.per_period,
-            },
-            "ramp": None,
-            "commitment": None,
-            "costs": {
-                "invest": c.costs.invest,
-                "maintenance": c.costs.maintenance,
-                "fuel": (list(c.costs.fuel) if isinstance(c.costs.fuel, tuple)
-                         else c.costs.fuel),
-                "emission_factor": c.costs.emission_factor,
-                "emission_price": c.costs.emission_price,
-                "invest_side": c.costs.invest_side,
-                "annuity": None if c.costs.annuity is None else asdict(c.costs.annuity),
-                "built": c.costs.built,
-            },
-        }
-        if isinstance(c.ramp, FixedRamp):
-            entry["ramp"] = {"type": "fixed", "up": c.ramp.up_per_hour,
-                             "down": c.ramp.down_per_hour}
-        elif isinstance(c.ramp, OptimizedRamp):
-            entry["ramp"] = {"type": "optimized", "cost_up": c.ramp.cost_up,
-                             "cost_down": c.ramp.cost_down}
-        if c.commitment is not None:
-            com = c.commitment
-            entry["commitment"] = {
-                "unit_capacity": com.unit_capacity,
-                "unit_min_load": com.unit_min_load,
-                "max_units": com.max_units,
-                "optimize_units": com.optimize_units,
-                "startup_cost": com.startup_cost,
-                "min_up_steps": com.min_up_steps,
-                "min_down_steps": com.min_down_steps,
-                "partial_load": (None if com.partial_load is None
-                                 else {"slope": com.partial_load.slope,
-                                       "offset": com.partial_load.offset}),
-                "initial_on": com.initial_on,
-            }
-        comps.append(entry)
-    doc["components"] = comps
-    stors = []
-    for s in sys.storages:
-        if isinstance(s.rate, FixedRate):
-            rate = {"type": "fixed", "max_charge": s.rate.max_charge,
-                    "max_discharge": s.rate.max_discharge}
-        elif isinstance(s.rate, CRateLink):
-            rate = {"type": "c_rate", "ratio": s.rate.ratio}
-        else:
-            rate = {"type": "optimized", "cost_charge": s.rate.cost_charge,
-                    "cost_discharge": s.rate.cost_discharge}
-        stors.append({
-            "id": s.id, "node": s.node,
-            "charge_efficiency": s.charge_efficiency,
-            "discharge_efficiency": s.discharge_efficiency,
-            "rate": rate,
-            "initial_fill": s.initial_fill,
-            "capacity": {"fixed": s.capacity_fixed, "optimizable": s.capacity_optimizable,
-                         "cost": s.capacity_cost, "max": s.capacity_max},
-        })
-    doc["storages"] = stors
-    doc["co2_cap"] = sys.co2_cap
-    doc["final_fill_at_least_initial"] = sys.final_fill_at_least_initial
-    return doc
+    return {"time": {"step_hours": list(sys.time.step_hours),
+                     "period_of_step": list(sys.time.period_of_step)},
+            "nodes": [{"id": n.id, "carrier": n.carrier, "load": list(n.load),
+                       "boundary": n.boundary} for n in sys.nodes],
+            **_write_fields(sys, _TABLES[EnergySystem])}
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
@@ -484,7 +419,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
         "schema_version": scn.schema_version,
         "system": system_to_dict(scn.system),
         "solver": dict(scn.solver),
-        "outputs": asdict(scn.outputs),
+        "outputs": _write_record(scn.outputs),
     }
 
 

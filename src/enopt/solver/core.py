@@ -45,7 +45,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
 
 

@@ -23,7 +23,6 @@ _STATUS = {
 def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
                       lower: np.ndarray | None = None,
                       upper: np.ndarray | None = None,
-                      max_iterations: int | None = None,
                       start: BasisState | None = None) -> SimplexOutcome:
     """Solve the LP relaxation of a standard form, optionally with replaced
     bound vectors (used by branch and bound).
@@ -42,7 +41,7 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
         std, lo, hi, start=start,
         feasibility_tol=cfg.feasibility_tol,
         optimality_tol=cfg.optimality_tol,
-        max_iterations=cfg.max_iterations if max_iterations is None else max_iterations,
+        max_iterations=cfg.max_iterations,
     )
     return simplex.solve()
 

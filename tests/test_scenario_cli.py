@@ -13,6 +13,7 @@ from enopt.scenario import (
     ScenarioError,
     load_scenario,
     save_scenario,
+    scenario_to_dict,
     system_from_dict,
     system_to_dict,
 )
@@ -71,23 +72,76 @@ def test_short_availability_series_names_the_field(tmp_path, scenario_dir):
     assert "pv" in str(err.value)
 
 
-def test_roundtrip_preserves_the_system(tmp_path):
-    sys_ = coverage_fixture()
-    scn = Scenario(system=sys_, solver={"mip_gap": 1e-7})
-    out = tmp_path / "canonical.json"
-    save_scenario(scn, out)
-    again = load_scenario(out)
-    assert again.system == sys_
-    assert again.solver == {"mip_gap": 1e-7}
-    # and a second hop stays identical byte for byte
-    out2 = tmp_path / "canonical2.json"
-    save_scenario(again, out2)
-    assert out.read_text() == out2.read_text()
+def test_roundtrip_preserves_the_system(tmp_path, scenario_dir):
+    cases = [("coverage", Scenario(system=coverage_fixture(), solver={"mip_gap": 1e-7}))]
+    cases += [(name, load_scenario(scenario_dir / f"{name}.json"))
+              for name in ("commitment_demo", "paper_system_48", "paper_system")]
+    for name, scn in cases:
+        out = tmp_path / f"{name}.json"
+        save_scenario(scn, out)
+        again = load_scenario(out)
+        assert again.system == scn.system, name
+        assert again.solver == scn.solver, name
+        assert again.outputs == scn.outputs, name
+        # and a second hop stays identical byte for byte
+        out2 = tmp_path / f"{name}.2.json"
+        save_scenario(again, out2)
+        assert out.read_text() == out2.read_text(), name
 
 
 def test_system_dict_roundtrip_without_files():
     sys_ = coverage_fixture()
     assert system_from_dict(system_to_dict(sys_)) == sys_
+
+
+def _set(path: list, value):
+    """A change to the system document: set the value at a key path."""
+    def change(doc):
+        for step in path[:-1]:
+            doc = doc[step]
+        doc[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("change, where", [
+    (_set(["components", 8, "capacity", "availability"], "abc"),
+     "system.components[8].capacity.availability: expected number, array or {csv, column}"),
+    (_set(["components", 0, "costs", "invest"], "abc"),
+     "system.components[0].costs: field 'invest' expected int/float, got str"),
+    (_set(["components", 0, "conversion", "efficiency"], None),
+     "system.components[0].conversion: missing required field 'efficiency'"),
+    (_set(["components", 5, "conversion", "half_planes", 1, "sense"], "eq"),
+     "system.components[5].conversion.half_planes[1]: field 'sense' must be one of "
+     "['ge', 'le'], got 'eq'"),
+    (_set(["components", 2, "ramp", "up"], "fast"),
+     "system.components[2].ramp: field 'up' expected int/float, got str"),
+    (_set(["components", 7, "commitment", "max_units"], 1.5),
+     "system.components[7].commitment: field 'max_units' expected int, got float"),
+    (_set(["components", 6, "commitment", "partial_load", "slope"], [1.0]),
+     "system.components[6].commitment.partial_load: field 'slope' expected int/float, got list"),
+    (_set(["components", 3, "costs", "annuity", "lifetime"], 10.5),
+     "system.components[3].costs.annuity: field 'lifetime' expected int, got float"),
+    (_set(["storages", 0, "capacity", "optimizable"], "yes"),
+     "system.storages[0].capacity: field 'optimizable' expected bool, got str"),
+    (_set(["storages", 1, "rate", "type"], "turbo"),
+     "system.storages[1].rate: field 'type' must be one of ['c_rate', 'fixed', 'optimized'], "
+     "got 'turbo'"),
+    (_set(["nodes", 1, "load"], 5.0),
+     "system.nodes[1].load: expected a series, got a scalar"),
+    (_set(["time", "period_of_step"], 3),
+     "system.time.period_of_step: expected an array of period indices"),
+    (_set(["time", "period_of_step"], ["a"] * 6),
+     "system.time.period_of_step: expected an array of period indices"),
+], ids=["capacity", "costs", "conversion", "half_plane", "ramp", "commitment",
+        "partial_load", "annuity", "storage_capacity", "storage_rate", "node", "time",
+        "time_period_entry"])
+def test_schema_error_names_the_full_path(tmp_path, capsys, change, where):
+    doc = scenario_to_dict(Scenario(system=coverage_fixture()))
+    change(doc["system"])
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(p)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: at {where}\n"
 
 
 def test_desk_replica_variable_count_matches_documented_formula(scenario_dir):
@@ -249,6 +303,57 @@ def test_cli_unknown_solver_option_is_schema_error(tmp_path, scenario_dir):
     assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
 
+def _variant(tmp_path, scenario_dir, section: str, value) -> str:
+    """paper_system_48 with one top-level section replaced, and its sidecar."""
+    doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
+    doc[section] = value
+    p = tmp_path / "variant.json"
+    p.write_text(json.dumps(doc))
+    shutil.copy(scenario_dir / "series_48.csv", tmp_path / "series_48.csv")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("solver, where", [
+    ({"mip_gap": -1}, "solver.mip_gap: mip_gap must be positive"),
+    ({"mip_gap": "abc"}, "solver.mip_gap: expected int/float, got str"),
+    ({"feasibility_tol": None}, "solver.feasibility_tol: expected int/float, got NoneType"),
+    ({"optimality_tol": float("nan")}, "solver.optimality_tol: optimality_tol must be positive"),
+    ({"max_nodes": 1.5}, "solver.max_nodes: expected int, got float"),
+    ({"warp_speed": True}, "solver.warp_speed: unknown solver option"),
+], ids=["negative", "string", "null", "nan", "fractional_int", "unknown"])
+def test_bad_solver_value_is_schema_error(tmp_path, capsys, scenario_dir, command,
+                                          solver, where):
+    p = _variant(tmp_path, scenario_dir, "solver", solver)
+    argv = [command, p] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(argv) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: at {where}\n"
+
+
+def test_bad_solver_override_on_the_command_line_is_schema_error(tmp_path, capsys,
+                                                                 scenario_dir):
+    code = cli.main(["run", str(scenario_dir / "paper_system_48.json"),
+                     "--out", str(tmp_path / "out"), "--mip-gap", "-1"])
+    assert code == EXIT_SCHEMA
+    assert "at solver.mip_gap: mip_gap must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("outputs, message", [
+    ({"summary": "false"}, "at outputs: field 'summary' expected bool, got str"),
+    ({"plot_data": 1}, "at outputs: field 'plot_data' expected bool, got int"),
+    ({"pdf": True}, "at outputs: unknown output keys: ['pdf']"),
+], ids=["string", "int", "unknown"])
+def test_bad_output_switch_is_schema_error(tmp_path, capsys, scenario_dir, command,
+                                           outputs, message):
+    p = _variant(tmp_path, scenario_dir, "outputs", outputs)
+    argv = [command, p] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(argv) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_load_fails_validation_naming_the_step(tmp_path, capsys, scenario_dir):
     doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
     scn = load_scenario(scenario_dir / "paper_system_48.json")
@@ -318,7 +423,12 @@ def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, sce
     assert cli.EXIT_VERIFY == 9
     for name in ("schedule.csv", "fill.csv", "summary.txt", "report.json"):
         assert (tmp_path / "out" / name).is_file()
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+
+    def no_constants(token):
+        raise ValueError(f"report.json holds the non-JSON token {token}")
+
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=no_constants)
     assert report["verification"]["passed"] is False
 
 
