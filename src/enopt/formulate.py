@@ -59,6 +59,7 @@ from .model import (
     SingleConversion,
     SourceConversion,
 )
+from .solver.standard import EQ, GE, LE
 
 __all__ = [
     "VarKind",
@@ -74,10 +75,6 @@ __all__ = [
     "EQ",
     "GE",
 ]
-
-LE = "<="
-EQ = "="
-GE = ">="
 
 
 class VarKind(str, Enum):

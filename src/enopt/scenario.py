@@ -5,10 +5,11 @@ The format is written down once, as one table per record (``_TABLES``).
 Each entry is (JSON key, dataclass field, kind); ``_read_fields`` walks a
 table to load a record and ``_write_fields`` walks the same table to save
 it.  A key may be absent or null exactly when its field has a default, and
-then takes that default.  Numbers go through ``float()``, integers through
-``int()``; bools and strings are kept as given.  A conversion, a ramp and a
-storage rate are objects whose ``"type"`` picks the record.  ``time``,
-``nodes`` and the top-level sections are read by hand.
+then takes that default; a key the table does not name is an error.
+Numbers go through ``float()``, integers through ``int()``, and a JSON
+``true``/``false`` is not a number; bools and strings are kept as given.  A
+conversion, a ramp and a storage rate are objects whose ``"type"`` picks the
+record.  ``time``, ``nodes`` and the top-level sections are read by hand.
 
 Time series may be inline arrays or references to sidecar CSV files
 (``{"csv": "series.csv", "column": "load_electricity"}``, resolved relative
@@ -109,13 +110,20 @@ class _Ctx:
             self.path.pop()
 
 
+def _is_a(value, expected) -> bool:
+    """isinstance, except that a bool is not an int or a float here."""
+    if isinstance(value, bool):
+        return expected is bool or (isinstance(expected, tuple) and bool in expected)
+    return isinstance(value, expected)
+
+
 def _get(ctx: _Ctx, obj: dict, key: str, expected=None, default=..., choices=None):
     value = obj.get(key)
     if value is None:
         if default is not ...:
             return default
         ctx.fail(f"missing required field '{key}'")
-    if expected is not None and not isinstance(value, expected):
+    if expected is not None and not _is_a(value, expected):
         names = expected if isinstance(expected, tuple) else (expected,)
         ctx.fail(f"field '{key}' expected {'/'.join(t.__name__ for t in names)}, "
                  f"got {type(value).__name__}")
@@ -140,12 +148,12 @@ def _read_csv_column(ctx: _Ctx, path: Path, column: str) -> list[float]:
 
 def _series(ctx: _Ctx, value, key: str, allow_scalar: bool):
     with ctx.enter(key):
-        if isinstance(value, (int, float)):
+        if _is_a(value, (int, float)):
             if allow_scalar:
                 return float(value)
             ctx.fail("expected a series, got a scalar")
         if isinstance(value, list):
-            if not all(isinstance(v, (int, float)) for v in value):
+            if not all(_is_a(v, (int, float)) for v in value):
                 ctx.fail("series entries must be numbers")
             return tuple(float(v) for v in value)
         if isinstance(value, dict):
@@ -238,8 +246,13 @@ _DEFAULTS = {cls: {f.name: ... if f.default is MISSING else f.default for f in f
              for cls in _TABLES}
 
 
-def _read_fields(ctx: _Ctx, obj: dict, table: tuple, defaults: dict) -> dict:
-    """Read one record's JSON object into keyword arguments of its dataclass."""
+def _read_fields(ctx: _Ctx, obj: dict, table: tuple, defaults: dict,
+                 known: tuple = ()) -> dict:
+    """Read one record's JSON object into keyword arguments of its dataclass;
+    a key neither in the table nor in ``known`` is an error."""
+    unknown = obj.keys() - {entry[0] for entry in table} - set(known)
+    if unknown:
+        ctx.fail(f"unknown keys: {sorted(unknown)}")
     kwargs = {}
     for key, name, kind in table:
         if isinstance(kind, tuple):  # a JSON group of the record's own fields
@@ -270,9 +283,11 @@ def _read_record(ctx: _Ctx, obj, key: str, kind):
     with ctx.enter(key):
         if not isinstance(obj, dict):
             ctx.fail(f"expected an object, got {type(obj).__name__}")
+        known = ()
         if isinstance(kind, dict):  # a union: the object's "type" picks the record
             kind = kind[_get(ctx, obj, "type", str, choices=kind.keys())]
-        return kind(**_read_fields(ctx, obj, _TABLES[kind], _DEFAULTS[kind]))
+            known = ("type",)
+        return kind(**_read_fields(ctx, obj, _TABLES[kind], _DEFAULTS[kind], known))
 
 
 def _write_fields(obj, table: tuple) -> dict:
@@ -314,7 +329,7 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
             if periods is not None:
                 with ctx.enter("period_of_step"):
                     if not (isinstance(periods, list)
-                            and all(isinstance(p, int) for p in periods)):
+                            and all(_is_a(p, int) for p in periods)):
                         ctx.fail("expected an array of period indices")
                     periods = tuple(int(p) for p in periods)
             grid = TimeGrid(steps, periods or ())
@@ -336,7 +351,7 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
                                   load, boundary))
         return EnergySystem(time=grid, nodes=tuple(nodes),
                             **_read_fields(ctx, doc, _TABLES[EnergySystem],
-                                           _DEFAULTS[EnergySystem]))
+                                           _DEFAULTS[EnergySystem], ("time", "nodes")))
 
 
 def load_scenario(path) -> Scenario:
@@ -363,12 +378,8 @@ def load_scenario(path) -> Scenario:
             EXIT_SCHEMA)
     ctx = _Ctx(path.parent)
     system = system_from_dict(_get(ctx, doc, "system", dict), path.parent)
-    outputs_doc = _get(ctx, doc, "outputs", dict, default={})
-    with ctx.enter("outputs"):
-        bad = set(outputs_doc) - set(_DEFAULTS[OutputSpec])
-        if bad:
-            ctx.fail(f"unknown output keys: {sorted(bad)}")
-    outputs = _read_record(ctx, outputs_doc, "outputs", OutputSpec)
+    outputs = _read_record(ctx, _get(ctx, doc, "outputs", dict, default={}), "outputs",
+                           OutputSpec)
     solver = _get(ctx, doc, "solver", dict, default={})
     solver_config(solver)
     report = model.validate_system(system)
@@ -392,7 +403,7 @@ def solver_config(options: dict) -> SolverConfig:
             if key not in defaults:
                 ctx.fail("unknown solver option")
             kinds = (int,) if isinstance(defaults[key], int) else (int, float)
-            if not isinstance(value, kinds):
+            if not _is_a(value, kinds):
                 ctx.fail(f"expected {'/'.join(t.__name__ for t in kinds)}, "
                          f"got {type(value).__name__}")
             try:

@@ -1,17 +1,22 @@
 """Built-in exact solver: bounded-variable dual simplex with a primal
-clean-up, plus best-bound branch and bound.  The entry points take any object shaped like
-:class:`enopt.formulate.LinearProgram`, so an adapter around an external
-solver can slot in behind the same interface."""
+clean-up, plus best-bound branch and bound.
+
+Every result, from one simplex solve up to a whole MILP, is a
+:class:`Solution`; an optimal LP's also carries its optimal
+:class:`BasisState`, which a warm start reads.  The entry points take any
+object shaped like :class:`enopt.formulate.LinearProgram`, so an adapter
+around an external solver can slot in behind the same interface."""
 
 from .branch_bound import solve, solve_milp
 from .certificate import CertificateReport, check_certificate
-from .core import Solution, SolverConfig, SolverError, Status
+from .core import BasisState, Solution, SolverConfig, SolverError, Status
 from .lp import solve_lp
 
 __all__ = [
     "Status",
     "SolverConfig",
     "Solution",
+    "BasisState",
     "SolverError",
     "solve",
     "solve_lp",

@@ -22,10 +22,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Solution, SolverConfig, Status, relative_gap
+from .core import BasisState, Solution, SolverConfig, Status, relative_gap
 from . import lp
-from .lp import _as_solution, solve_standard_lp
-from .simplex import BasisState
+from .lp import solve_standard_lp
 from .standard import standardize
 
 __all__ = ["solve_milp", "solve"]
@@ -56,16 +55,14 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     root = solve_standard_lp(std, cfg)
     nodes_explored = 1
     iterations = root.iterations
-    if root.status in ("infeasible", "unbounded", "iteration_limit"):
-        return replace(_as_solution(prog, root), nodes=nodes_explored, duals=None,
-                       reduced_costs=None)
+    if root.status != Status.OPTIMAL:
+        return replace(root, nodes=nodes_explored, duals=None, reduced_costs=None)
 
-    incumbent_x: np.ndarray | None = None
+    incumbent: np.ndarray | None = None  # the best integral point's values
     incumbent_obj = math.inf
     counter = 0
     # (bound, creation order, bound overrides, the parent's optimal basis)
     heap: list[tuple[float, int, dict, BasisState]] = []
-    root_x = root.x.copy()
 
     def push(bound: float, overrides: dict, state: BasisState) -> None:
         nonlocal counter
@@ -75,24 +72,24 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     def frontier_bound() -> float:
         return heap[0][0] if heap else incumbent_obj
 
-    def branch(out, overrides: dict) -> None:
-        frac = _fractionality(out.x, int_idx)
+    def branch(out: Solution, overrides: dict) -> None:
+        frac = _fractionality(out.values, int_idx)
         cand = np.flatnonzero(frac > cfg.integrality_tol)
         # most fractional: fractional part closest to one half, lowest index first
         dist = np.abs(frac[cand] - 0.5)
         j = int(int_idx[cand[int(np.lexsort((cand, dist))[0])]])
-        xj = out.x[j]
+        xj = out.values[j]
         plo, phi = overrides.get(j, (std.lower[j], std.upper[j]))
         down = math.floor(xj + cfg.integrality_tol)
         up = math.ceil(xj - cfg.integrality_tol)
         if down >= plo - 1e-12:
-            push(out.objective, {**overrides, j: (plo, float(down))}, out.state)
+            push(out.objective, {**overrides, j: (plo, float(down))}, out.basis)
         if up <= phi + 1e-12:
-            push(out.objective, {**overrides, j: (float(up), phi)}, out.state)
+            push(out.objective, {**overrides, j: (float(up), phi)}, out.basis)
 
     # root handling
-    if np.all(_fractionality(root.x, int_idx) <= cfg.integrality_tol):
-        incumbent_x = root.x.copy()
+    if np.all(_fractionality(root.values, int_idx) <= cfg.integrality_tol):
+        incumbent = root.values
         incumbent_obj = root.objective
     else:
         branch(root, {})
@@ -102,50 +99,49 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         if nodes_explored >= cfg.max_nodes:
             status = Status.GAP_LIMIT
             break
-        if incumbent_x is not None and relative_gap(incumbent_obj, frontier_bound()) <= cfg.mip_gap:
+        if incumbent is not None and relative_gap(incumbent_obj, frontier_bound()) <= cfg.mip_gap:
             break
         bound_est, _, overrides, state = heapq.heappop(heap)
-        if incumbent_x is not None and bound_est >= incumbent_obj - 1e-9 * max(
+        if incumbent is not None and bound_est >= incumbent_obj - 1e-9 * max(
                 1.0, abs(incumbent_obj)):
             continue
         lower, upper = _apply_overrides(std, overrides)
         out = solve_standard_lp(std, cfg, lower, upper, start=state)
         nodes_explored += 1
         iterations += out.iterations
-        if out.status == "infeasible":
+        if out.status == Status.INFEASIBLE:
             continue
-        if out.status == "unbounded":
+        if out.status == Status.UNBOUNDED:
             # a subproblem ray is feasible for the root as well
-            return replace(_as_solution(prog, out), nodes=nodes_explored, duals=None,
-                           reduced_costs=None)
-        if out.status == "iteration_limit":
+            return replace(out, nodes=nodes_explored, duals=None, reduced_costs=None)
+        if out.status == Status.ITERATION_LIMIT:
             status = Status.GAP_LIMIT
             break
-        if incumbent_x is not None and out.objective >= incumbent_obj - 1e-9 * max(
+        if incumbent is not None and out.objective >= incumbent_obj - 1e-9 * max(
                 1.0, abs(incumbent_obj)):
             continue
-        if np.all(_fractionality(out.x, int_idx) <= cfg.integrality_tol):
-            incumbent_x = out.x.copy()
+        if np.all(_fractionality(out.values, int_idx) <= cfg.integrality_tol):
+            incumbent = out.values
             incumbent_obj = out.objective
         else:
             branch(out, overrides)
 
-    if incumbent_x is None and status == Status.GAP_LIMIT:
+    if incumbent is None and status == Status.GAP_LIMIT:
         # completion dive: fix every integer to the rounded root relaxation
         overrides = {}
         for j in int_idx:
-            r = float(np.round(root_x[j]))
+            r = float(np.round(root.values[j]))
             r = min(max(r, std.lower[j]), std.upper[j])
             overrides[int(j)] = (r, r)
         lower, upper = _apply_overrides(std, overrides)
-        out = solve_standard_lp(std, cfg, lower, upper, start=root.state)
+        out = solve_standard_lp(std, cfg, lower, upper, start=root.basis)
         iterations += out.iterations
-        if out.status == "optimal":
-            incumbent_x = out.x.copy()
+        if out.status == Status.OPTIMAL:
+            incumbent = out.values
             incumbent_obj = out.objective
 
     bound = frontier_bound() if heap else incumbent_obj
-    if incumbent_x is None:
+    if incumbent is None:
         if status == Status.GAP_LIMIT:
             return Solution(status=Status.GAP_LIMIT, values=np.zeros(prog.num_vars),
                             objective=math.inf, bound=bound, gap=math.inf,
@@ -156,16 +152,14 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
                         iterations=iterations, nodes=nodes_explored, integral=False,
                         message="all branches fathomed without a feasible point")
 
-    values = incumbent_x[:prog.num_vars].copy()
-    # snap integer values exactly and let the reported objective match the
-    # reported point
-    for j in int_idx:
-        values[j] = float(np.round(values[j])) + 0.0  # also clears -0.0
-    incumbent_obj = float(np.asarray(prog.objective) @ values)
+    # snap integer values exactly (in place: the array came from its node's
+    # solve alone) and let the reported objective match the reported point
+    incumbent[int_idx] = np.round(incumbent[int_idx]) + 0.0  # also clears -0.0
+    incumbent_obj = float(np.asarray(prog.objective) @ incumbent)
     gap = relative_gap(incumbent_obj, bound)
     if status == Status.OPTIMAL and gap > cfg.mip_gap:
         status = Status.GAP_LIMIT
-    return Solution(status=status, values=values, objective=incumbent_obj,
+    return Solution(status=status, values=incumbent, objective=incumbent_obj,
                     bound=bound, gap=gap, iterations=iterations, nodes=nodes_explored,
                     integral=True, message=f"branch and bound explored {nodes_explored} nodes")
 

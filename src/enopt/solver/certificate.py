@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Solution, Status
+from .standard import GE, LE
 
 __all__ = ["CertificateReport", "check_certificate"]
-
-LE, EQ, GE = "<=", "=", ">="
 
 
 @dataclass(frozen=True)

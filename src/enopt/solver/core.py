@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["Status", "SolverConfig", "Solution", "SolverError"]
+__all__ = ["Status", "SolverConfig", "BasisState", "Solution", "SolverError"]
 
 
 class SolverError(Exception):
@@ -30,9 +30,10 @@ class SolverConfig:
     ``feasibility_tol`` is absolute on row residuals, ``optimality_tol`` on
     (objective-normalised) reduced costs, ``integrality_tol`` on the distance
     of integer variables from the nearest integer and ``mip_gap`` is the
-    relative bound gap at which branch and bound stops.  ``seed`` is accepted
-    and inert: the built-in algorithms are deterministic and draw no random
-    numbers, so it changes no result.
+    relative bound gap at which branch and bound stops; ``max_iterations``
+    (simplex pivots per LP) and ``max_nodes`` must not be negative.  ``seed``
+    is accepted and inert: the built-in algorithms are deterministic and draw
+    no random numbers, so it changes no result.
     """
 
     feasibility_tol: float = 1e-6
@@ -47,6 +48,19 @@ class SolverConfig:
         for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_iterations", "max_nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+
+
+@dataclass(frozen=True)
+class BasisState:
+    """An optimal basis that a solve of the same standard form with
+    tightened bounds can start from: the basic column of each row and the
+    status of every column."""
+
+    basis: np.ndarray  # (m,) int64
+    status: np.ndarray  # (n,) int8
 
 
 @dataclass(frozen=True)
@@ -63,7 +77,9 @@ class Solution:
     only: it carries no variable names, so interpreting ``values`` needs the
     program it came from.  For an LP, ``message`` names the simplex phase
     the solve ended in: 1 is the dual pass that restores feasibility (so an
-    infeasible LP ends there), 2 the primal pass.
+    infeasible LP ends there), 2 the primal pass, and ``basis`` is the
+    optimal basis of an optimal solve, which a warm start reads (None for
+    every other result, MILP results included).
     """
 
     status: Status
@@ -79,6 +95,7 @@ class Solution:
     farkas: np.ndarray | None = None
     integral: bool = True
     message: str = ""
+    basis: BasisState | None = None
 
 
 def relative_gap(objective: float, bound: float) -> float:

@@ -54,12 +54,18 @@ Both starts run the same two passes:
    otherwise), kept up to date at every status change, turns the reduced
    costs into violations with one product; the ratio test looks only at rows
    with a usable pivot entry.
+
+:meth:`BoundedSimplex.solve` returns a :class:`~enopt.solver.core.Solution`
+over the structural columns: values, objective and bound (+inf for an
+infeasible LP, -inf for an unbounded one), the duals and reduced costs of an
+optimum, the ray or Farkas vector that certifies the other two outcomes,
+and, for an optimum only, the :class:`~enopt.solver.core.BasisState` to warm
+start from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_array, csc_matrix
@@ -69,10 +75,10 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 # the SuperLU factorisation call behind ``scipy.sparse.linalg.splu``
 from scipy.sparse.linalg._dsolve._superlu import gstrf
 
-from .core import SolverError
+from .core import BasisState, Solution, SolverError, Status, relative_gap
 from .standard import StandardForm
 
-__all__ = ["BasisState", "SimplexOutcome", "BoundedSimplex"]
+__all__ = ["BoundedSimplex"]
 
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
@@ -80,31 +86,6 @@ PIVOT_TOL = 1e-9
 DEGENERATE_STEP = 1e-10
 REFACTOR_EVERY = 64
 STALL_WINDOW = 40
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """An optimal basis that a solve of the same standard form with
-    tightened bounds can start from: the basic column of each row and the
-    status of every column."""
-
-    basis: np.ndarray  # (m,) int64
-    status: np.ndarray  # (n,) int8
-
-
-@dataclass
-class SimplexOutcome:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
-    x: np.ndarray  # all columns (structural + slack)
-    objective: float
-    y: np.ndarray | None  # row duals, original objective units
-    reduced_costs: np.ndarray | None  # all columns, original objective units
-    iterations: int
-    ray: np.ndarray | None = None
-    # infeasibility certificate: y with y'b > max of y'Ax over the bounds
-    farkas: np.ndarray | None = None
-    phase: int = 2  # the pass the solve ended in: 1 dual, 2 primal clean-up
-    state: BasisState | None = None  # the optimal basis, to warm-start from
 
 
 # the options ``scipy.sparse.linalg.splu`` passes with its default arguments
@@ -355,8 +336,8 @@ class BoundedSimplex:
     def _run_phase(self, cost: np.ndarray):
         """Iterate until no violated reduced cost remains.
 
-        Returns (outcome_tag, y, d) where outcome_tag is "optimal",
-        "unbounded" or "iteration_limit".
+        Returns (status, y, d) where status is OPTIMAL, UNBOUNDED (d is
+        then the ray over all columns) or ITERATION_LIMIT.
         """
         stall = 0
         bland = False
@@ -368,9 +349,9 @@ class BoundedSimplex:
                 y, d = self._price(cost)
                 q = self._entering(d, bland)
             if q is None:
-                return "optimal", y, d
+                return Status.OPTIMAL, y, d
             if self.iterations >= self.max_iterations:
-                return "iteration_limit", y, d
+                return Status.ITERATION_LIMIT, y, d
             self.iterations += 1
 
             sigma = 1.0 if (self.status[q] == AT_LOWER
@@ -381,7 +362,7 @@ class BoundedSimplex:
                 ray = np.zeros(self.n)
                 ray[q] = sigma
                 ray[self.basis] = -sigma * w
-                return "unbounded", y, ray
+                return Status.UNBOUNDED, y, ray
             if r is None:
                 # bound flip: entering runs to its other bound, basis unchanged
                 self.xB -= t * (sigma * w)
@@ -440,15 +421,16 @@ class BoundedSimplex:
         feasible for ``cost``, whose reduced costs are ``d``: pivot bound
         violations out of the basis while the reduced costs keep their signs.
 
-        Returns (tag, farkas): tag is "feasible", "infeasible" or
-        "iteration_limit"; farkas is the certificate of an infeasible one.
+        Returns (status, farkas): status is None once the basis is primal
+        feasible, else INFEASIBLE, with farkas its certificate, or
+        ITERATION_LIMIT.
         """
         stall = 0
         bland = False
         while True:
             r, toward = self._leaving_row(bland)
             if r is None:
-                return "feasible", None
+                return None, None
             er = np.zeros(self.m)
             er[r] = 1.0
             rho = self._btran(er)
@@ -461,9 +443,9 @@ class BoundedSimplex:
             if q is None:
                 # no column can move x_B[r] toward its bound: rho'b lies
                 # beyond the range of rho'Ax over the bounds
-                return "infeasible", -toward * rho
+                return Status.INFEASIBLE, -toward * rho
             if self.iterations >= self.max_iterations:
-                return "iteration_limit", None
+                return Status.ITERATION_LIMIT, None
             self.iterations += 1
 
             theta = d[q] / alpha[q]
@@ -483,7 +465,7 @@ class BoundedSimplex:
                 stall = 0
                 bland = False
 
-    def solve(self) -> SimplexOutcome:
+    def solve(self) -> Solution:
         _, d = self._price(self.cost)
         # cost modification: columns whose reduced cost has the wrong sign
         # for their bound get a cost with reduced cost zero for the dual pass
@@ -493,33 +475,36 @@ class BoundedSimplex:
             cost = cost.copy()
             cost[shifted] -= d[shifted]
             d[shifted] = 0.0
-        tag, farkas = self._run_dual(cost, d)
-        if tag != "feasible":
-            out = self._outcome(tag, phase=1)
-            out.farkas = farkas
-            return out
+        status, farkas = self._run_dual(cost, d)
+        if status is not None:
+            return self._solution(status, phase=1, farkas=farkas)
 
         # primal clean-up with the true costs
-        tag, y, extra = self._run_phase(self.cost)
-        if tag == "unbounded":
-            out = self._outcome("unbounded")
-            out.ray = extra
-            out.y = y * self.scale
-            return out
-        if tag == "iteration_limit":
-            return self._outcome("iteration_limit")
-        out = self._outcome("optimal")
-        out.y = y * self.scale
-        d = extra.copy()
+        status, y, d = self._run_phase(self.cost)
+        if status == Status.UNBOUNDED:  # d is the ray
+            return self._solution(status, duals=y * self.scale, ray=d[:self.n_struct])
+        if status == Status.ITERATION_LIMIT:
+            return self._solution(status)
         d[self.status == BASIC] = 0.0
-        out.reduced_costs = d * self.scale
-        out.state = BasisState(self.basis.copy(), self.status.copy())
-        return out
+        return self._solution(status, duals=y * self.scale,
+                              reduced_costs=d[:self.n_struct] * self.scale,
+                              basis=BasisState(self.basis.copy(), self.status.copy()))
 
-    def _outcome(self, status: str, phase: int = 2) -> SimplexOutcome:
+    def _solution(self, status: Status, phase: int = 2, **fields) -> Solution:
+        """The solve's result over the structural columns; an infeasible or
+        unbounded LP reports the objective +inf or -inf, and only an
+        iteration limit leaves the bound open."""
         x = self._nonbasic_values()
         x[self.basis] = self.xB
         x += 0.0  # a basic value of -0.0 is reported as 0.0
-        obj = float(self.cost_orig @ x)
-        return SimplexOutcome(status=status, x=x, objective=obj, y=None,
-                              reduced_costs=None, iterations=self.iterations, phase=phase)
+        if status == Status.INFEASIBLE:
+            objective = math.inf
+        elif status == Status.UNBOUNDED:
+            objective = -math.inf
+        else:
+            objective = float(self.cost_orig @ x)
+        bound = -math.inf if status == Status.ITERATION_LIMIT else objective
+        return Solution(status=status, values=x[:self.n_struct], objective=objective,
+                        bound=bound, gap=relative_gap(objective, bound),
+                        iterations=self.iterations,
+                        message=f"simplex finished in phase {phase}", **fields)

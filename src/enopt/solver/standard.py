@@ -13,8 +13,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["StandardForm", "standardize"]
+__all__ = ["LE", "EQ", "GE", "StandardForm", "standardize"]
 
+# the row senses of every program the solver reads
 LE, EQ, GE = "<=", "=", ">="
 
 

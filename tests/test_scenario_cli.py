@@ -132,9 +132,29 @@ def _set(path: list, value):
      "system.time.period_of_step: expected an array of period indices"),
     (_set(["time", "period_of_step"], ["a"] * 6),
      "system.time.period_of_step: expected an array of period indices"),
+    (_set(["components", 8, "capacity", "optimisable"], True),
+     "system.components[8].capacity: unknown keys: ['optimisable']"),
+    (_set(["components", 0, "costz"], {}),
+     "system.components[0]: unknown keys: ['costz']"),
+    (_set(["components", 4, "conversion", "eff"], 0.5),
+     "system.components[4].conversion: unknown keys: ['eff']"),
+    (_set(["storages", 0, "capacity", "fixd"], 5.0),
+     "system.storages[0].capacity: unknown keys: ['fixd']"),
+    (_set(["co2cap"], 1.0), "system: unknown keys: ['co2cap']"),
+    (_set(["components", 7, "commitment", "max_units"], True),
+     "system.components[7].commitment: field 'max_units' expected int, got bool"),
+    (_set(["components", 0, "conversion", "efficiency"], True),
+     "system.components[0].conversion: field 'efficiency' expected int/float, got bool"),
+    (_set(["components", 8, "capacity", "availability"], [True] * 6),
+     "system.components[8].capacity.availability: series entries must be numbers"),
+    (_set(["time"], {"count": True}), "system.time: field 'count' expected int, got bool"),
+    (_set(["time"], {"count": 6, "hours": False}),
+     "system.time: field 'hours' expected int/float, got bool"),
 ], ids=["capacity", "costs", "conversion", "half_plane", "ramp", "commitment",
         "partial_load", "annuity", "storage_capacity", "storage_rate", "node", "time",
-        "time_period_entry"])
+        "time_period_entry", "unknown_capacity_key", "unknown_component_key",
+        "unknown_union_key", "unknown_group_key", "unknown_system_key", "bool_int",
+        "bool_float", "bool_series", "bool_count", "bool_hours"])
 def test_schema_error_names_the_full_path(tmp_path, capsys, change, where):
     doc = scenario_to_dict(Scenario(system=coverage_fixture()))
     change(doc["system"])
@@ -321,7 +341,12 @@ def _variant(tmp_path, scenario_dir, section: str, value) -> str:
     ({"optimality_tol": float("nan")}, "solver.optimality_tol: optimality_tol must be positive"),
     ({"max_nodes": 1.5}, "solver.max_nodes: expected int, got float"),
     ({"warp_speed": True}, "solver.warp_speed: unknown solver option"),
-], ids=["negative", "string", "null", "nan", "fractional_int", "unknown"])
+    ({"max_nodes": True}, "solver.max_nodes: expected int, got bool"),
+    ({"mip_gap": False}, "solver.mip_gap: expected int/float, got bool"),
+    ({"max_nodes": -1}, "solver.max_nodes: max_nodes must not be negative"),
+    ({"max_iterations": -5}, "solver.max_iterations: max_iterations must not be negative"),
+], ids=["negative", "string", "null", "nan", "fractional_int", "unknown", "bool_int",
+        "bool_float", "negative_nodes", "negative_iterations"])
 def test_bad_solver_value_is_schema_error(tmp_path, capsys, scenario_dir, command,
                                           solver, where):
     p = _variant(tmp_path, scenario_dir, "solver", solver)
@@ -339,11 +364,22 @@ def test_bad_solver_override_on_the_command_line_is_schema_error(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--max-nodes", "-1"), ("--max-iterations", "-5")])
+def test_negative_limit_on_the_command_line_is_schema_error(tmp_path, capsys, scenario_dir,
+                                                            flag, value):
+    code = cli.main(["run", str(scenario_dir / "commitment_demo.json"),
+                     "--out", str(tmp_path / "out"), flag, value])
+    assert code == EXIT_SCHEMA
+    key = flag[2:].replace("-", "_")
+    assert f"at solver.{key}: {key} must not be negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("outputs, message", [
     ({"summary": "false"}, "at outputs: field 'summary' expected bool, got str"),
     ({"plot_data": 1}, "at outputs: field 'plot_data' expected bool, got int"),
-    ({"pdf": True}, "at outputs: unknown output keys: ['pdf']"),
+    ({"pdf": True}, "at outputs: unknown keys: ['pdf']"),
 ], ids=["string", "int", "unknown"])
 def test_bad_output_switch_is_schema_error(tmp_path, capsys, scenario_dir, command,
                                            outputs, message):

@@ -237,7 +237,7 @@ def test_transpose_is_made_on_the_first_solve_and_shared():
     assert "AT" not in vars(std)  # standardize alone never builds it
     first = solve_standard_lp(std, SolverConfig())
     AT = vars(std)["AT"]
-    again = solve_standard_lp(std, SolverConfig(), start=first.state)
+    again = solve_standard_lp(std, SolverConfig(), start=first.basis)
     assert again.status == "optimal" and std.AT is AT
     assert np.shares_memory(AT.data, std.A.data)
 

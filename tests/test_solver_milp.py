@@ -6,6 +6,7 @@ import pytest
 
 from enopt import model as M
 from enopt.formulate import VarKind, VarRef, compile_system
+from enopt.scenario import load_scenario
 from enopt.solver import (
     SolverConfig,
     Status,
@@ -14,6 +15,8 @@ from enopt.solver import (
     solve_lp,
     solve_milp,
 )
+from enopt.solver.lp import solve_standard_lp
+from enopt.solver.standard import standardize
 
 import oracles
 from conftest import make_program
@@ -248,3 +251,42 @@ def test_startups_equal_positive_on_differences_at_optimum():
     prev = [0.0] + on[:-1]
     assert starts == pytest.approx([max(0.0, a - b) for a, b in zip(on, prev)])
     assert on == [1.0, 0.0, 0.0, 1.0]  # cycling beats idling at min load
+
+
+def test_crossed_variable_bounds_are_infeasible_without_a_pivot():
+    # x1 has lower bound 3 above its upper bound 2: no point exists, and
+    # both entry points say so before the simplex starts
+    prog = make_program([1.0, 1.0], [([(0, 1.0), (1, 1.0)], ">=", 1.0)],
+                        lower=[0.0, 3.0], upper=[5.0, 2.0], integer=[1, 0])
+    for sol in (solve_lp(prog), solve_milp(prog)):
+        assert sol.status == Status.INFEASIBLE
+        assert sol.iterations == 0
+        assert sol.values.shape == (prog.num_vars,)
+        assert sol.basis is None
+    assert solve_milp(prog).nodes == 1
+
+
+def test_basis_is_set_for_an_optimal_lp_only():
+    optimal = solve_lp(make_program([-1.0], [([(0, 1.0)], "<=", 5.0)]))
+    assert optimal.status == Status.OPTIMAL and optimal.basis is not None
+    infeasible = solve_lp(make_program([1.0], [([(0, 1.0)], "<=", 1.0),
+                                               ([(0, 1.0)], ">=", 2.0)]))
+    assert infeasible.status == Status.INFEASIBLE and infeasible.basis is None
+    unbounded = solve_lp(make_program([-1.0, 0.0], [([(0, 1.0), (1, -1.0)], "<=", 0.0)]))
+    assert unbounded.status == Status.UNBOUNDED and unbounded.basis is None
+    # the root relaxation (x0 = 2.3) is optimal with a basis; the MILP result is not an LP's
+    milp = solve_milp(make_program([-1.0, 0.0], [([(0, 1.0), (1, 1.0)], "<=", 2.3)],
+                                   upper=[10.0, 10.0], integer=[1, 0]))
+    assert milp.status == Status.OPTIMAL and milp.values[0] == 2.0
+    assert milp.basis is None
+
+
+def test_resolve_from_the_returned_basis_takes_no_iterations(scenario_dir):
+    prog = compile_system(load_scenario(scenario_dir / "paper_system_48.json").system)
+    sol = solve_lp(prog)
+    assert sol.status == Status.OPTIMAL and sol.iterations > 0
+    again = solve_standard_lp(standardize(prog), SolverConfig(), start=sol.basis)
+    assert again.status == Status.OPTIMAL
+    assert again.iterations == 0
+    np.testing.assert_array_equal(again.values, sol.values)
+    assert again.objective == sol.objective

@@ -57,11 +57,11 @@ def test_infeasible_child_is_reported_infeasible():
     cfg = SolverConfig()
     root = solve_standard_lp(std, cfg)
     assert root.status == "optimal"
-    assert root.x[0] == pytest.approx(2.3)
+    assert root.values[0] == pytest.approx(2.3)
     for lo, hi in ((0.0, 2.0), (3.0, 10.0)):
         lower, upper = std.lower.copy(), std.upper.copy()
         lower[0], upper[0] = lo, hi
-        child = solve_standard_lp(std, cfg, lower, upper, start=root.state)
+        child = solve_standard_lp(std, cfg, lower, upper, start=root.basis)
         assert child.status == "infeasible"
         assert solve_standard_lp(std, cfg, lower, upper).status == "infeasible"
     sol = solve_milp(prog)
@@ -73,12 +73,12 @@ def test_warm_start_with_unchanged_bounds_takes_no_iterations(commitment_prog):
     std = standardize(commitment_prog)
     cfg = SolverConfig()
     root = solve_standard_lp(std, cfg)
-    again = solve_standard_lp(std, cfg, start=root.state)
+    again = solve_standard_lp(std, cfg, start=root.basis)
     assert again.status == "optimal"
     assert again.iterations == 0
     assert again.objective == root.objective
-    np.testing.assert_array_equal(again.x, root.x)
-    np.testing.assert_array_equal(again.state.basis, root.state.basis)
+    np.testing.assert_array_equal(again.values, root.values)
+    np.testing.assert_array_equal(again.basis.basis, root.basis.basis)
 
 
 def test_commitment_demo_needs_few_iterations_per_node(commitment_prog):
