@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -231,6 +232,8 @@ class LinearProgram:
             raise ValueError(f"integrality is only allowed on on/startup/units, got {first.kind}")
         if count > 1 and first.step is None and first.period is None:
             raise ValueError(f"a block of {count} variables needs a step or period: {first}")
+        if min(first.step or 0, first.period or 0) < 0:
+            raise ValueError(f"steps and periods count from 0: {first}")
         col = self.num_vars
         self._vars[first.kind, first.owner] = (first, col, count)
         self.lower.extend([float(lower)] * count)
@@ -380,15 +383,7 @@ class LinearProgram:
     def labels(self) -> list[str]:
         """:meth:`VarRef.label` of every variable, in column order, formatted
         a block at a time: a block runs along its first label's last part."""
-        labels = []
-        for first, _, count in self._vars.values():
-            if first.step is None and first.period is None:
-                labels += [first.label()] * count
-            else:
-                stem, _, last = first.label().rpartition("_")  # last: t<step> or p<period>
-                start = int(last[1:])
-                labels += [f"{stem}_{last[0]}{i}" for i in range(start, start + count)]
-        return labels
+        return _block_names(self, str)
 
     def cost_of(self, ref: VarRef) -> float:
         return float(self.objective[self.index(ref)])
@@ -419,6 +414,21 @@ class LinearProgram:
                                         self.A.data, self.rhs, self.step)]
         parts += ["\x1f".join(a.tolist()).encode() for a in (self.sense, self.tag, self.owner)]
         return b"\x00".join(parts)
+
+
+def _block_names(prog: LinearProgram, stem_name) -> list[str]:
+    """A name for every variable, in column order, built a block at a time:
+    ``stem_name`` of the block's label stem, then the step or period suffix
+    (``_t<step>``, ``_p<period>``, counting from 0, so word characters only)."""
+    names = []
+    for first, _, count in prog._vars.values():
+        if first.step is None and first.period is None:
+            names += [stem_name(first.label())] * count
+        else:
+            stem, _, last = first.label().rpartition("_")  # last: t<step> or p<period>
+            stem, start = stem_name(stem), int(last[1:])
+            names += [f"{stem}_{last[0]}{i}" for i in range(start, start + count)]
+    return names
 
 
 def _nth(first: VarRef, r: int) -> VarRef:
@@ -1052,54 +1062,116 @@ def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence"
 
 
 _NOT_NAME = re.compile(r"\W")  # a character neither alphanumeric nor "_"
+_LP_CHUNK_ROWS = 8192  # constraint rows formatted and written at a time
 
 
 def _lp_name(text: str) -> str:
     return _NOT_NAME.sub("_", text)
 
 
-def _lp_terms(cols: list[int], coefs: list[float], names: list[str]) -> str:
-    terms = " ".join(f"- {-coef:.17g} {names[j]}" if coef < 0 else f"+ {coef:.17g} {names[j]}"
-                     for j, coef in zip(cols, coefs))
-    return terms.removeprefix("+ ") or "0"
+def _distinct(values) -> tuple[list[float], np.ndarray]:
+    """The distinct float64 bit patterns among ``values``, as floats (so
+    -0.0 and 0.0 stay apart), and each value's place among them."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    return bits.view(float).tolist(), inverse.reshape(-1)
+
+
+def _g17(values) -> np.ndarray:
+    """The ``.17g`` text of each value, formatted once per distinct value."""
+    distinct, inverse = _distinct(values)
+    return np.array([f"{v:.17g}" for v in distinct], dtype=object)[inverse]
+
+
+def _term_texts(coefs) -> tuple[np.ndarray, np.ndarray]:
+    """Each coefficient's text as a row's first term ("2", "- 2") and as a
+    later term (" + 2", " - 2"), formatted once per distinct value."""
+    distinct, inverse = _distinct(coefs)
+    first = [f"- {-v:.17g}" if v < 0 else f"{v:.17g}" for v in distinct]
+    later = [f" - {-v:.17g}" if v < 0 else f" + {v:.17g}" for v in distinct]
+    return np.array(first, dtype=object)[inverse], np.array(later, dtype=object)[inverse]
+
+
+def _lp_lines(heads, tails, indptr: np.ndarray, first: np.ndarray, later: np.ndarray,
+              names: np.ndarray) -> str:
+    """Rows as text: row i is heads[i], then its terms indptr[i]:indptr[i+1],
+    each the coefficient's text (``first`` for the row's first term, else
+    ``later``) and its variable's ``names`` entry, then tails[i]."""
+    counts = np.diff(indptr)
+    # row i takes pieces 2 * (i + indptr[i]) to 2 * (i + indptr[i + 1]) + 1
+    head_at = 2 * (np.arange(counts.size) + indptr[:-1])
+    term_at = 2 * (np.repeat(np.arange(counts.size), counts) + np.arange(indptr[-1])) + 1
+    pieces = np.empty(2 * (counts.size + indptr[-1]), dtype=object)
+    pieces[head_at] = heads
+    pieces[head_at + 2 * counts + 1] = tails
+    pieces[term_at] = later
+    pieces[term_at + 1] = names
+    starts = indptr[:-1][counts > 0]
+    pieces[term_at[starts]] = first[starts]
+    return "".join(pieces.tolist())
 
 
 def write_lp(prog: LinearProgram, path) -> None:
-    """Write the program in LP text format."""
-    names = [_lp_name(label) for label in prog.labels()]
-    costed = np.flatnonzero(prog.objective)
-    objective = _lp_terms(costed.tolist(), prog.objective[costed].tolist(), names)
-    lines = ["Minimize", " obj: " + objective, "Subject To"]
-    ptr, cols, coefs = (a.tolist() for a in (prog.A.indptr, prog.A.indices, prog.A.data))
-    for i, (sense, rhs, tag, owner, step) in enumerate(zip(
-            *(a.tolist() for a in (prog.sense, prog.rhs, prog.tag, prog.owner, prog.step)))):
-        lo, hi = ptr[i], ptr[i + 1]
-        if lo == hi:
-            lines.append(f"\\ empty row {tag}_{i}: 0 {sense} {rhs:.17g}")
-            continue
-        name = _lp_name(f"{tag}_{owner}_{None if step < 0 else step}_{i}")
-        lines.append(f" {name}: {_lp_terms(cols[lo:hi], coefs[lo:hi], names)} {sense} {rhs:.17g}")
-    lines.append("Bounds")
-    for i, name in enumerate(names):
-        lo, hi = prog.lower[i], prog.upper[i]
-        if lo == 0.0 and math.isinf(hi):
-            continue
-        if math.isinf(-lo) and math.isinf(hi):
-            lines.append(f" {name} free")
-        elif lo == hi:
-            lines.append(f" {name} = {lo:.17g}")
-        elif math.isinf(hi):
-            lines.append(f" {lo:.17g} <= {name}")
-        else:
-            lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
-    integers = [names[i] for i in range(prog.num_vars) if prog.is_integer[i]]
-    if integers:
-        lines.append("General")
-        lines.extend(" " + n for n in integers)
-    lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    """Write the program in LP text format to a path or a text file object.
+
+    The constraint rows are built from the program's arrays and written
+    ``_LP_CHUNK_ROWS`` rows at a time.  Each distinct number is formatted
+    once (``.17g``, keyed by its float64 bit pattern, so -0.0 stays ``-0``),
+    and each row name's (tag, owner) part and each variable block's name
+    stem are made LP-safe once (non-word characters become ``_``).  The text
+    is byte-identical to that of earlier versions, which formatted every
+    term on its own."""
+    names = _block_names(prog, _lp_name)
+    spaced = np.array([" " + name for name in names], dtype=object)
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
+        costed = np.flatnonzero(prog.objective)
+        fh.write("Minimize\n")
+        fh.write(_lp_lines([" obj: " if costed.size else " obj: 0"], ["\n"],
+                           np.array([0, costed.size]), *_term_texts(prog.objective[costed]),
+                           spaced[costed]))
+        fh.write("Subject To\n")
+        A, m = prog.A, prog.num_rows
+        first, later = _term_texts(A.data)
+        rhs = _g17(prog.rhs)
+        steps, at = np.unique(prog.step, return_inverse=True)
+        step_text = np.array(["None" if s < 0 else str(s) for s in steps.tolist()],
+                             dtype=object)[at.reshape(-1)]
+        # rows are ordered by family and owner, so a (tag, owner) pair is one run
+        tag, owner = prog.tag, prog.owner
+        new_run = np.ones(m, dtype=bool)
+        new_run[1:] = (tag[1:] != tag[:-1]) | (owner[1:] != owner[:-1])
+        starts = np.flatnonzero(new_run)
+        prefix = np.repeat(np.array([f" {_lp_name(f'{tag[k]}_{owner[k]}')}_"
+                                     for k in starts.tolist()], dtype=object),
+                           np.diff(starts, append=m))
+        for r0 in range(0, m, _LP_CHUNK_ROWS):
+            r1 = min(r0 + _LP_CHUNK_ROWS, m)
+            heads = prefix[r0:r1] + step_text[r0:r1] + np.array(
+                [f"_{i}: " for i in range(r0, r1)], dtype=object)
+            indptr = A.indptr[r0:r1 + 1]
+            for i in np.flatnonzero(indptr[1:] == indptr[:-1]).tolist():
+                heads[i] = f"\\ empty row {tag[r0 + i]}_{r0 + i}: 0"
+            tails = " " + prog.sense[r0:r1] + " " + rhs[r0:r1] + "\n"
+            p0, p1 = indptr[0], indptr[-1]
+            fh.write(_lp_lines(heads, tails, indptr - p0, first[p0:p1], later[p0:p1],
+                               spaced[A.indices[p0:p1]]))
+        fh.write("Bounds\n")
+        lower, upper = np.asarray(prog.lower), np.asarray(prog.upper)
+        lo_text, hi_text = _g17(lower).tolist(), _g17(upper).tolist()
+        lines = []
+        for i in np.flatnonzero((lower != 0.0) | ~np.isinf(upper)).tolist():
+            lo, hi = prog.lower[i], prog.upper[i]
+            if math.isinf(-lo) and math.isinf(hi):
+                lines.append(f" {names[i]} free\n")
+            elif lo == hi:
+                lines.append(f" {names[i]} = {lo_text[i]}\n")
+            elif math.isinf(hi):
+                lines.append(f" {lo_text[i]} <= {names[i]}\n")
+            else:
+                lines.append(f" {lo_text[i]} <= {names[i]} <= {hi_text[i]}\n")
+        integers = np.flatnonzero(prog.is_integer).tolist()
+        if integers:
+            lines.append("General\n")
+            lines += [f" {names[i]}\n" for i in integers]
+        lines.append("End\n")
+        fh.write("".join(lines))

@@ -9,7 +9,9 @@ then takes that default; a key the table does not name is an error.
 Numbers go through ``float()``, integers through ``int()``, and a JSON
 ``true``/``false`` is not a number; bools and strings are kept as given.  A
 conversion, a ramp and a storage rate are objects whose ``"type"`` picks the
-record.  ``time``, ``nodes`` and the top-level sections are read by hand.
+record.  ``time``, ``nodes``, a series reference and the top level are read
+by hand and reject unknown keys too; only the top level has a free-text
+key, ``_comment``.
 
 Time series may be inline arrays or references to sidecar CSV files
 (``{"csv": "series.csv", "column": "load_electricity"}``, resolved relative
@@ -132,6 +134,13 @@ def _get(ctx: _Ctx, obj: dict, key: str, expected=None, default=..., choices=Non
     return value
 
 
+def _known_keys(ctx: _Ctx, obj: dict, known) -> None:
+    """Fail, naming every key of the JSON object ``obj`` outside ``known``."""
+    unknown = obj.keys() - set(known)
+    if unknown:
+        ctx.fail(f"unknown keys: {sorted(unknown)}")
+
+
 def _read_csv_column(ctx: _Ctx, path: Path, column: str) -> list[float]:
     if not path.exists():
         ctx.fail(f"sidecar file not found: {path}")
@@ -157,6 +166,7 @@ def _series(ctx: _Ctx, value, key: str, allow_scalar: bool):
                 ctx.fail("series entries must be numbers")
             return tuple(float(v) for v in value)
         if isinstance(value, dict):
+            _known_keys(ctx, value, ("csv", "column"))
             path = ctx.base_dir / _get(ctx, value, "csv", str)
             column = _get(ctx, value, "column", str)
             return tuple(_read_csv_column(ctx, path, column))
@@ -250,9 +260,7 @@ def _read_fields(ctx: _Ctx, obj: dict, table: tuple, defaults: dict,
                  known: tuple = ()) -> dict:
     """Read one record's JSON object into keyword arguments of its dataclass;
     a key neither in the table nor in ``known`` is an error."""
-    unknown = obj.keys() - {entry[0] for entry in table} - set(known)
-    if unknown:
-        ctx.fail(f"unknown keys: {sorted(unknown)}")
+    _known_keys(ctx, obj, [entry[0] for entry in table] + list(known))
     kwargs = {}
     for key, name, kind in table:
         if isinstance(kind, tuple):  # a JSON group of the record's own fields
@@ -318,6 +326,7 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
     with ctx.enter("system"):
         time_obj = _get(ctx, doc, "time", dict)
         with ctx.enter("time"):
+            _known_keys(ctx, time_obj, ("count", "hours", "step_hours", "period_of_step"))
             if "count" in time_obj:
                 count = int(_get(ctx, time_obj, "count", int))
                 hours = float(_get(ctx, time_obj, "hours", (int, float), default=1.0))
@@ -339,6 +348,7 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
             with ctx.enter(f"nodes[{k}]"):
                 if not isinstance(n, dict):
                     ctx.fail(f"expected an object, got {type(n).__name__}")
+                _known_keys(ctx, n, ("id", "carrier", "load", "boundary"))
                 boundary = _get(ctx, n, "boundary", bool, default=False)
                 load = n.get("load")
                 if load is None:
@@ -377,6 +387,8 @@ def load_scenario(path) -> Scenario:
             f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
             EXIT_SCHEMA)
     ctx = _Ctx(path.parent)
+    # only the top level has a free-text key
+    _known_keys(ctx, doc, ("schema_version", "system", "solver", "outputs", "_comment"))
     system = system_from_dict(_get(ctx, doc, "system", dict), path.parent)
     outputs = _read_record(ctx, _get(ctx, doc, "outputs", dict, default={}), "outputs",
                            OutputSpec)

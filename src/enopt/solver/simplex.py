@@ -44,7 +44,11 @@ Both starts run the same two passes:
    entry and then the lowest index; a run of degenerate dual pivots switches
    to lowest-index choices.  No candidate column, checked on a fresh
    factorisation, means the program is infeasible, and the leaving row's
-   btran vector is returned as a Farkas certificate.
+   btran vector is returned as a Farkas certificate.  Before each pivot the
+   pivot element is read from the tableau row and from the ftran'd column;
+   when they disagree (or the column's is below ``PIVOT_TOL``) the basis is
+   refactored and the iteration redone, and a disagreement on a fresh
+   factorisation raises :class:`~enopt.solver.core.SolverError`.
 2. The primal simplex with the true costs finishes: it declares optimality
    as above or finds an unbounded ray.  Pricing is Dantzig (largest
    reduced-cost violation).  A run of degenerate pivots switches to Bland's
@@ -446,11 +450,21 @@ class BoundedSimplex:
                 return Status.INFEASIBLE, -toward * rho
             if self.iterations >= self.max_iterations:
                 return Status.ITERATION_LIMIT, None
+            # the pivot element twice: from the tableau row and from the
+            # column; where they disagree the factorisation has lost accuracy
+            w = self._ftran(self._column(q))
+            if abs(w[r]) <= PIVOT_TOL or abs(w[r] - alpha[q]) > 1e-9 * abs(alpha[q]):
+                if not self.n_etas:
+                    raise SolverError(f"pivot element of row {r} and column {q} is "
+                                      f"{alpha[q]!r} in the tableau row but {w[r]!r} in "
+                                      "the column on a fresh factorisation")
+                self._refactor()
+                _, d = self._price(cost)
+                continue
             self.iterations += 1
 
             theta = d[q] / alpha[q]
             d -= theta * alpha
-            w = self._ftran(self._column(q))
             # the entering column moves until the leaving one sits at its bound
             leaving = self.basis[r]
             if toward > 0:

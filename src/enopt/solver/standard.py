@@ -33,10 +33,6 @@ class StandardForm:
     def num_rows(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def num_cols(self) -> int:
-        return self.A.shape[1]
-
     @cached_property
     def AT(self) -> sp.csr_matrix:
         """A's transpose, a CSR view of A's arrays, made on the first solve

@@ -4,13 +4,16 @@ Both are independent of the package's solver: LPs are solved by enumerating
 basic points (intersections of n constraint hyperplanes) over a compact
 polytope, MILPs by enumerating all binary fixings and handing the remaining
 continuous problem to the vertex oracle.  A third check tests an
-infeasibility certificate directly against the standard form.
+infeasibility certificate directly against the standard form, and
+:func:`reference_lp_text` is the LP writer the package's ``write_lp`` must
+match byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -124,3 +127,51 @@ def farkas_proves_infeasible(std, y, tol=1e-7):
         z_max = np.where(z > 0, z * std.upper, np.where(z < 0, z * std.lower, 0.0)).sum()
     yb = float(y @ std.b)
     return bool(yb > z_max + tol * max(1.0, abs(yb)))
+
+
+def _lp_name(text: str) -> str:
+    return re.sub(r"\W", "_", text)
+
+
+def _lp_terms(cols, coefs, names) -> str:
+    terms = " ".join(f"- {-coef:.17g} {names[j]}" if coef < 0 else f"+ {coef:.17g} {names[j]}"
+                     for j, coef in zip(cols, coefs))
+    return terms.removeprefix("+ ") or "0"
+
+
+def reference_lp_text(prog) -> str:
+    """The LP text of a finalized program, formatted one term and one name
+    at a time: every name through the ``\\W`` substitution, every number
+    through its own ``.17g`` f-string."""
+    names = [_lp_name(label) for label in prog.labels()]
+    costed = np.flatnonzero(prog.objective)
+    lines = ["Minimize", " obj: " + _lp_terms(costed.tolist(), prog.objective[costed].tolist(),
+                                               names), "Subject To"]
+    ptr, cols, coefs = (a.tolist() for a in (prog.A.indptr, prog.A.indices, prog.A.data))
+    for i, (sense, rhs, tag, owner, step) in enumerate(zip(
+            *(a.tolist() for a in (prog.sense, prog.rhs, prog.tag, prog.owner, prog.step)))):
+        lo, hi = ptr[i], ptr[i + 1]
+        if lo == hi:
+            lines.append(f"\\ empty row {tag}_{i}: 0 {sense} {rhs:.17g}")
+            continue
+        name = _lp_name(f"{tag}_{owner}_{None if step < 0 else step}_{i}")
+        lines.append(f" {name}: {_lp_terms(cols[lo:hi], coefs[lo:hi], names)} {sense} {rhs:.17g}")
+    lines.append("Bounds")
+    for i, name in enumerate(names):
+        lo, hi = prog.lower[i], prog.upper[i]
+        if lo == 0.0 and math.isinf(hi):
+            continue
+        if math.isinf(-lo) and math.isinf(hi):
+            lines.append(f" {name} free")
+        elif lo == hi:
+            lines.append(f" {name} = {lo:.17g}")
+        elif math.isinf(hi):
+            lines.append(f" {lo:.17g} <= {name}")
+        else:
+            lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
+    integers = [names[i] for i in range(prog.num_vars) if prog.is_integer[i]]
+    if integers:
+        lines.append("General")
+        lines.extend(" " + n for n in integers)
+    lines.append("End")
+    return "\n".join(lines) + "\n"

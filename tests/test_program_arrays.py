@@ -381,6 +381,10 @@ def test_add_variables_declares_a_block_and_refuses_repeats():
         prog.add_variables(V(K.OUTPUT, "u", 0), integer=True)
     with pytest.raises(ValueError, match="needs a step or period"):
         prog.add_variables(V(K.UNITS, "u"), 2)
+    with pytest.raises(ValueError, match="count from 0"):  # LP names take no sign
+        prog.add_variables(V(K.OUTPUT, "u", -1), 2)
+    with pytest.raises(ValueError, match="count from 0"):
+        prog.add_variables(V(K.BUILT, "u", period=-1))
     assert prog.num_vars == 3 and len(prog.lower) == 3  # a refused block leaves no trace
 
 

@@ -150,11 +150,17 @@ def _set(path: list, value):
     (_set(["time"], {"count": True}), "system.time: field 'count' expected int, got bool"),
     (_set(["time"], {"count": 6, "hours": False}),
      "system.time: field 'hours' expected int/float, got bool"),
+    (_set(["nodes", 0, "boundry"], True), "system.nodes[0]: unknown keys: ['boundry']"),
+    (_set(["nodes", 1, "_comment"], "x"), "system.nodes[1]: unknown keys: ['_comment']"),
+    (_set(["time", "period_of_stepz"], [0] * 6), "system.time: unknown keys: ['period_of_stepz']"),
+    (_set(["nodes", 0, "load"], {"csv": "s.csv", "column": "load", "sheet": 1}),
+     "system.nodes[0].load: unknown keys: ['sheet']"),
 ], ids=["capacity", "costs", "conversion", "half_plane", "ramp", "commitment",
         "partial_load", "annuity", "storage_capacity", "storage_rate", "node", "time",
         "time_period_entry", "unknown_capacity_key", "unknown_component_key",
         "unknown_union_key", "unknown_group_key", "unknown_system_key", "bool_int",
-        "bool_float", "bool_series", "bool_count", "bool_hours"])
+        "bool_float", "bool_series", "bool_count", "bool_hours", "unknown_node_key",
+        "node_comment", "unknown_time_key", "unknown_series_reference_key"])
 def test_schema_error_names_the_full_path(tmp_path, capsys, change, where):
     doc = scenario_to_dict(Scenario(system=coverage_fixture()))
     change(doc["system"])
@@ -388,6 +394,19 @@ def test_bad_output_switch_is_schema_error(tmp_path, capsys, scenario_dir, comma
     assert cli.main(argv) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, accepted", [("_comment", True), ("outputz", False)])
+def test_top_level_keeps_only_comment_free(tmp_path, capsys, scenario_dir, section, accepted):
+    p = _variant(tmp_path, scenario_dir, section, {})
+    if accepted:
+        assert load_scenario(p).system.time.num_steps == 48
+        return
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(p)
+    assert err.value.exit_code == EXIT_SCHEMA
+    assert cli.main(["validate", p]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: at <root>: unknown keys: ['{section}']\n"
 
 
 def test_nan_load_fails_validation_naming_the_step(tmp_path, capsys, scenario_dir):

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import splu
 
 from enopt import formulate
 from enopt.scenario import load_scenario
-from enopt.solver import simplex
+from enopt.solver import SolverError, simplex
 from enopt.solver.simplex import (AT_LOWER, AT_UPPER, BASIC, FREE, PIVOT_TOL,
                                   REFACTOR_EVERY, BoundedSimplex, gather_columns)
 from enopt.solver.standard import StandardForm, standardize
@@ -443,3 +443,45 @@ def test_dual_pass_stays_dual_feasible_under_cost_modification(seed):
     out = s.solve()
     assert out.status in ("optimal", "unbounded")
     assert s.worst <= 10 * s.otol
+
+
+class DamagedColumnSimplex(BoundedSimplex):
+    """Entering columns come back 1e-6 too large, so the pivot element from
+    the column disagrees with the tableau row's: on every pivot (``always``)
+    or only on the first one made with etas in the file.  ``events`` records
+    each damage and each factorisation with the iteration count."""
+
+    always = False
+    damaged = 0
+
+    def _column(self, j):
+        col = super()._column(j)
+        if self.always or (self.n_etas and not self.damaged):
+            self.damaged += 1
+            self.events.append(("damaged", self.iterations))
+            col *= 1.0 + 1e-6
+        return col
+
+    def _refactor(self):
+        self.events = getattr(self, "events", []) + [("refactor", self.iterations)]
+        super()._refactor()
+
+
+def test_dual_pivot_disagreement_refactors_and_redoes_the_iteration(desk_std):
+    plain = BoundedSimplex(desk_std, desk_std.lower, desk_std.upper).solve()
+    s = DamagedColumnSimplex(desk_std, desk_std.lower, desk_std.upper)
+    out = s.solve()
+    assert s.damaged == 1
+    # the damaged pivot is not taken: the basis is refactored before any other
+    at = s.events.index(("damaged", 1))
+    assert s.events[at + 1] == ("refactor", 1)
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(plain.objective, rel=1e-12)
+
+
+def test_dual_pivot_disagreement_on_a_fresh_factorisation_raises(desk_std):
+    s = DamagedColumnSimplex(desk_std, desk_std.lower, desk_std.upper)
+    s.always = True
+    with pytest.raises(SolverError, match=r"pivot element of row \d+ and column \d+"):
+        s.solve()
+    assert s.damaged == 1 and s.iterations == 0

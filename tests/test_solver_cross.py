@@ -2,6 +2,8 @@
 instances.  The acceptance oracles stay enumeration-based; these tests add
 independent coverage at sizes enumeration cannot reach."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize as sopt
@@ -9,7 +11,7 @@ import scipy.sparse as sp
 
 from enopt import model as M
 from enopt.formulate import Family, VarKind, VarRef, compile_system
-from enopt.scenario import load_scenario
+from enopt.scenario import load_scenario, system_from_dict
 from enopt.solver import Status, solve_lp, solve_milp
 
 from conftest import make_program
@@ -115,6 +117,26 @@ def test_desk_replica_lp_matches_highs(scenario_dir):
     sol = solve_lp(prog)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+@pytest.mark.parametrize("efficiency", [1e-6, 1e-9, 1e-12])
+def test_tiny_heat_pump_efficiency_matches_highs(scenario_dir, efficiency):
+    """A near-zero efficiency makes the program badly scaled: the dual pass
+    met pivots whose element was zero in the ftran'd column but not in the
+    tableau row, and divided by it or factorised a singular basis.  It now
+    refactors before such a pivot.  Only the objective is compared: at 1e-12
+    the point still overshoots a bound in the primal clean-up's ratio test."""
+    doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
+    pump = next(c for c in doc["system"]["components"] if c["id"] == "heat_pump")
+    pump["conversion"]["efficiency"] = efficiency
+    prog = compile_system(system_from_dict(doc["system"], scenario_dir))
+    ref = sopt.milp(c=np.asarray(prog.objective), constraints=_prog_to_scipy(prog),
+                    bounds=sopt.Bounds(np.asarray(prog.lower), np.asarray(prog.upper)),
+                    integrality=np.zeros(prog.num_vars))
+    assert ref.status == 0
+    sol = solve_lp(prog)
+    assert sol.status == Status.OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
 
 
 def _ramp_rows_from_system(sys_, prog):
