@@ -656,7 +656,7 @@ def _verify_costs(sys, view, col, sol) -> None:
 
     scale = max(1.0, abs(sol.objective))
     col.note(Family.COST_TOTAL, abs(total - sol.objective) / scale)
-    recomputed = float(np.asarray(view.prog.objective) @ view.values)
+    recomputed = float(view.prog.objective @ view.values)
     col.note(Family.OBJECTIVE_VALUE, abs(recomputed - sol.objective) / scale)
 
 

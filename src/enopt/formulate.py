@@ -190,7 +190,8 @@ class LinearProgram:
     defaults to 0: all decision quantities are non-negative unless stated
     otherwise) and an integrality flag only legal on on/startup/units.  One
     name is stored per block: step (or period) t sits at the block's first
-    column plus t, and :attr:`var_refs` is a view for inspection.
+    column plus t; :meth:`index` and :meth:`ref` map a name to its column
+    and back.
 
     Rows are added a block at a time: :meth:`add_rows` takes R rows as R x k
     arrays of column indices and coefficients, with one tag, sense and owner
@@ -201,14 +202,19 @@ class LinearProgram:
     rows by (family, owner, step, insertion) into the CSR matrix ``A`` (rows
     x variables, terms in the order given) and one array entry per row in
     ``sense``, ``rhs``, ``tag``, ``owner`` and ``step`` (-1 where a row has
-    none).  :attr:`rows` is a view for inspection that nothing in the
-    pipeline reads.
+    none).  It also turns the columns into arrays: ``lower`` and ``upper``
+    (float64), ``is_integer`` (bool) and ``objective`` (float64), one entry
+    per variable.  The solver, the certificate, the LP writer and the
+    verifier read these arrays as they are.  :attr:`rows` is the only
+    derived view; it is kept for ``perfbench/workloads.py``, its only reader
+    outside the tests.
     """
 
     def __init__(self):
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.is_integer: list[bool] = []
+        # lists while variables are declared, arrays after finalize
+        self.lower: list[float] | np.ndarray = []
+        self.upper: list[float] | np.ndarray = []
+        self.is_integer: list[bool] | np.ndarray = []
         self.families_emitted: set[str] = set()
         self.warnings: list[str] = []
         self._vars: dict = {}  # (kind, owner) -> (first VarRef, its column, count), in order
@@ -308,7 +314,8 @@ class LinearProgram:
         warnings.warn(message, CompileWarning, stacklevel=3)
 
     def finalize(self) -> "LinearProgram":
-        """Store the rows as arrays, in canonical order; called once."""
+        """Store the rows, in canonical order, and the columns as arrays;
+        called once."""
         blocks = self._blocks
         n_rows = [len(b.rhs) for b in blocks]
 
@@ -335,6 +342,9 @@ class LinearProgram:
         self.rhs = joined([b.rhs for b in blocks], float)[order]
         self.step = step[order]
         self._blocks = None
+        self.lower = np.array(self.lower, dtype=float)
+        self.upper = np.array(self.upper, dtype=float)
+        self.is_integer = np.array(self.is_integer, dtype=bool)
         obj = np.zeros(self.num_vars)
         for cols, coefs in self._costs:
             np.add.at(obj, cols, coefs)
@@ -352,66 +362,45 @@ class LinearProgram:
     def num_rows(self) -> int:
         return len(self.rhs)
 
-    def _rows(self, which: np.ndarray | None) -> list[Row]:
-        """The rows ``which`` lists, or every row (None), in order."""
-        A = self.A
-        fields = (self.sense, self.rhs, self.tag, self.owner, self.step)
-        if which is not None:
-            A, fields = A[which], (a[which] for a in fields)
+    @property
+    def rows(self) -> list[Row]:
+        """Every row, in order, built from the arrays on each access; kept
+        for ``perfbench/workloads.py``."""
         ptr, cols, coefs, sense, rhs, tag, owner, step = (
-            a.tolist() for a in (A.indptr, A.indices, A.data, *fields))
+            a.tolist() for a in (self.A.indptr, self.A.indices, self.A.data, self.sense,
+                                 self.rhs, self.tag, self.owner, self.step))
         return [Row(tuple(zip(cols[ptr[i]:ptr[i + 1]], coefs[ptr[i]:ptr[i + 1]])),
                     sense[i], rhs[i], tag[i], owner[i], None if step[i] < 0 else step[i])
                 for i in range(len(rhs))]
-
-    @property
-    def rows(self) -> list[Row]:
-        """Every row, in order, built from the arrays on each access."""
-        return self._rows(None)
-
-    def rows_tagged(self, tag: Family | str) -> list[Row]:
-        """The rows of one family, in order; builds only those."""
-        tag = tag.value if isinstance(tag, Family) else str(tag)
-        return self._rows(np.flatnonzero(self.tag == tag))
-
-    @property
-    def var_refs(self) -> list[VarRef]:
-        """Every variable's name, in column order, built from the blocks on
-        each access."""
-        return [_nth(first, r) for first, _, count in self._vars.values() for r in range(count)]
 
     def labels(self) -> list[str]:
         """:meth:`VarRef.label` of every variable, in column order, formatted
         a block at a time: a block runs along its first label's last part."""
         return _block_names(self, str)
 
-    def cost_of(self, ref: VarRef) -> float:
-        return float(self.objective[self.index(ref)])
-
     def validate(self) -> list[str]:
         """Internal consistency: indices in range, integrality only on
         commitment kinds, finalized objective."""
-        problems = []
-        if self.A is not None:
-            cols = self.A.indices
-            for k in np.flatnonzero((cols < 0) | (cols >= self.num_vars)):
-                row = np.searchsorted(self.A.indptr, k, side="right") - 1
-                problems.append(f"row {self.tag[row]} references undefined variable {cols[k]}")
-        for first, col, count in self._vars.values():
-            if first.kind not in INTEGER_KINDS and any(self.is_integer[col:col + count]):
-                problems.append(f"integer flag on {first.kind.value} of '{first.owner}'")
         if self.objective is None:
-            problems.append("program not finalized")
+            return ["program not finalized"]
+        problems = []
+        cols = self.A.indices
+        for k in np.flatnonzero((cols < 0) | (cols >= self.num_vars)):
+            row = np.searchsorted(self.A.indptr, k, side="right") - 1
+            problems.append(f"row {self.tag[row]} references undefined variable {cols[k]}")
+        for first, col, count in self._vars.values():
+            if first.kind not in INTEGER_KINDS and self.is_integer[col:col + count].any():
+                problems.append(f"integer flag on {first.kind.value} of '{first.owner}'")
         return problems
 
     def fingerprint(self) -> bytes:
         """Byte-stable encoding of the whole finalized program, for
         determinism checks."""
         parts = [label.encode() for label in self.labels()]
-        parts += [np.asarray(self.lower).tobytes(), np.asarray(self.upper).tobytes(),
-                  np.asarray(self.is_integer, dtype=np.uint8).tobytes()]
-        parts += [a.tobytes() for a in (self.objective, self.A.indptr, self.A.indices,
-                                        self.A.data, self.rhs, self.step)]
+        # a bool is one byte, 0 or 1
+        parts += [a.tobytes() for a in (self.lower, self.upper, self.is_integer, self.objective,
+                                        self.A.indptr, self.A.indices, self.A.data, self.rhs,
+                                        self.step)]
         parts += ["\x1f".join(a.tolist()).encode() for a in (self.sense, self.tag, self.owner)]
         return b"\x00".join(parts)
 
@@ -1069,21 +1058,20 @@ def _lp_name(text: str) -> str:
     return _NOT_NAME.sub("_", text)
 
 
-def _distinct(values) -> tuple[list[float], np.ndarray]:
+def _distinct(values: np.ndarray) -> tuple[list[float], np.ndarray]:
     """The distinct float64 bit patterns among ``values``, as floats (so
     -0.0 and 0.0 stay apart), and each value's place among them."""
-    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.uint64),
-                              return_inverse=True)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     return bits.view(float).tolist(), inverse.reshape(-1)
 
 
-def _g17(values) -> np.ndarray:
+def _g17(values: np.ndarray) -> np.ndarray:
     """The ``.17g`` text of each value, formatted once per distinct value."""
     distinct, inverse = _distinct(values)
     return np.array([f"{v:.17g}" for v in distinct], dtype=object)[inverse]
 
 
-def _term_texts(coefs) -> tuple[np.ndarray, np.ndarray]:
+def _term_texts(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each coefficient's text as a row's first term ("2", "- 2") and as a
     later term (" + 2", " - 2"), formatted once per distinct value."""
     distinct, inverse = _distinct(coefs)
@@ -1156,11 +1144,11 @@ def write_lp(prog: LinearProgram, path) -> None:
             fh.write(_lp_lines(heads, tails, indptr - p0, first[p0:p1], later[p0:p1],
                                spaced[A.indices[p0:p1]]))
         fh.write("Bounds\n")
-        lower, upper = np.asarray(prog.lower), np.asarray(prog.upper)
+        lower, upper = prog.lower, prog.upper
         lo_text, hi_text = _g17(lower).tolist(), _g17(upper).tolist()
         lines = []
         for i in np.flatnonzero((lower != 0.0) | ~np.isinf(upper)).tolist():
-            lo, hi = prog.lower[i], prog.upper[i]
+            lo, hi = lower[i], upper[i]
             if math.isinf(-lo) and math.isinf(hi):
                 lines.append(f" {names[i]} free\n")
             elif lo == hi:

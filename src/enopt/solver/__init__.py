@@ -3,9 +3,8 @@ clean-up, plus best-bound branch and bound.
 
 Every result, from one simplex solve up to a whole MILP, is a
 :class:`Solution`; an optimal LP's also carries its optimal
-:class:`BasisState`, which a warm start reads.  The entry points take any
-object shaped like :class:`enopt.formulate.LinearProgram`, so an adapter
-around an external solver can slot in behind the same interface."""
+:class:`BasisState`, which a warm start reads.  The entry points take a
+finalized :class:`enopt.formulate.LinearProgram` and read its arrays."""
 
 from .branch_bound import solve, solve_milp
 from .certificate import CertificateReport, check_certificate

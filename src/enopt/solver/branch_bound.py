@@ -155,7 +155,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     # snap integer values exactly (in place: the array came from its node's
     # solve alone) and let the reported objective match the reported point
     incumbent[int_idx] = np.round(incumbent[int_idx]) + 0.0  # also clears -0.0
-    incumbent_obj = float(np.asarray(prog.objective) @ incumbent)
+    incumbent_obj = float(prog.objective @ incumbent)
     gap = relative_gap(incumbent_obj, bound)
     if status == Status.OPTIMAL and gap > cfg.mip_gap:
         status = Status.GAP_LIMIT
@@ -166,6 +166,6 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
 
 def solve(prog, config: SolverConfig | None = None) -> Solution:
     """Dispatch on integrality: MILP when any variable is integer-flagged."""
-    if any(prog.is_integer):
+    if prog.is_integer.any():
         return solve_milp(prog, config)
     return lp.solve_lp(prog, config)  # looked up per call, so a wrapper on it is seen

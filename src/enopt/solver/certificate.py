@@ -39,19 +39,18 @@ class CertificateReport:
         return head
 
 
-def _primal_residuals(prog, x: np.ndarray, act: np.ndarray) -> tuple[float, list[str]]:
-    rhs = np.asarray(prog.rhs, dtype=float)
-    sense = np.asarray(prog.sense)
+def _primal_residuals(prog, x: np.ndarray, act: np.ndarray,
+                      tol: float) -> tuple[float, list[str]]:
+    rhs, sense = prog.rhs, prog.sense
     resid = np.where(sense == LE, act - rhs, np.where(sense == GE, rhs - act, np.abs(act - rhs)))
     resid /= np.maximum(1.0, np.abs(rhs))
     notes = [f"row {i} ({prog.tag[i]} {prog.owner[i]} "
              f"t={None if prog.step[i] < 0 else prog.step[i]}) residual {resid[i]:.3e}"
-             for i in np.flatnonzero(resid > 1e-6)]
-    lower = np.asarray(prog.lower, dtype=float)
-    upper = np.asarray(prog.upper, dtype=float)
-    bound = np.maximum(np.maximum(lower - x, x - upper), 0.0) / np.maximum(1.0, np.abs(x))
+             for i in np.flatnonzero(resid > tol)]
+    bound = np.maximum(np.maximum(prog.lower - x, x - prog.upper), 0.0)
+    bound /= np.maximum(1.0, np.abs(x))
     notes += [f"variable {prog.ref(j).label()} out of bounds by {bound[j]:.3e}"
-              for j in np.flatnonzero(bound > 1e-6)]
+              for j in np.flatnonzero(bound > tol)]
     worst = max(resid.max(initial=0.0), bound.max(initial=0.0))
     return float(worst), notes
 
@@ -73,10 +72,15 @@ def _non_finite(sol: Solution) -> list[str]:
 
 
 def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateReport:
-    """Verify an Optimal solution against the program it came from."""
+    """Verify an Optimal solution against the program it came from.
+
+    ``tol`` bounds every scaled residual: row and bound violations, the
+    reported bound and objective, and for LPs the reduced costs,
+    complementarity and duality gap.  MILP integrality is judged at 1e-5,
+    the integrality tolerance, whatever ``tol`` is."""
     if sol.status != Status.OPTIMAL:
         raise ValueError(f"certificates only apply to optimal solutions, got {sol.status}")
-    milp = sol.duals is None or any(prog.is_integer)
+    milp = sol.duals is None or prog.is_integer.any()
     bad = _non_finite(sol)
     if bad:
         nan = float("nan")
@@ -84,11 +88,11 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
                                  nan, nan, nan, nan, nan, tuple(bad))
     x = np.asarray(sol.values, dtype=float)
     act = prog.A @ x
-    primal, notes = _primal_residuals(prog, x, act)
+    primal, notes = _primal_residuals(prog, x, act, tol)
 
     if milp:
         # MILP incumbent: feasibility + integrality + bound validity
-        int_idx = np.flatnonzero(np.asarray(prog.is_integer, dtype=bool))
+        int_idx = np.flatnonzero(prog.is_integer)
         frac = np.abs(x[int_idx] - np.round(x[int_idx]))
         max_int = float(frac.max(initial=0.0))
         notes += [f"integer variable {prog.ref(j).label()} has fractional value {x[j]!r}"
@@ -106,8 +110,7 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
 
     y = np.asarray(sol.duals, dtype=float)
     d = np.asarray(sol.reduced_costs, dtype=float)
-    c = np.asarray(prog.objective, dtype=float)
-    rhs = np.asarray(prog.rhs, dtype=float)
+    c, rhs = prog.objective, prog.rhs
     cscale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
 
     # reduced costs consistent with duals: d = c - A^T y
@@ -127,8 +130,8 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     var_comp = np.zeros(prog.num_vars)
     lo = d > tol * cscale
     hi = d < -tol * cscale
-    var_comp[lo] = np.abs(x[lo] - np.asarray(prog.lower, dtype=float)[lo]) * d[lo] / cscale
-    var_comp[hi] = np.abs(np.asarray(prog.upper, dtype=float)[hi] - x[hi]) * -d[hi] / cscale
+    var_comp[lo] = np.abs(x[lo] - prog.lower[lo]) * d[lo] / cscale
+    var_comp[hi] = np.abs(prog.upper[hi] - x[hi]) * -d[hi] / cscale
     var_comp /= np.maximum(1.0, np.abs(x))
     notes += [f"variable {prog.ref(j).label()} violates complementary "
               f"slackness by {var_comp[j]:.3e}" for j in np.flatnonzero(var_comp > tol)]

@@ -41,16 +41,17 @@ class StandardForm:
 
 
 def standardize(prog) -> StandardForm:
-    m = prog.num_rows
-    sense = np.asarray(prog.sense)
+    """The standard form of a finalized
+    :class:`~enopt.formulate.LinearProgram`, whose arrays it reads as they
+    are."""
+    m, sense = prog.num_rows, prog.sense
     if not np.isin(sense, (LE, EQ, GE)).all():
         raise ValueError(f"unknown row senses {set(sense.tolist()) - {LE, EQ, GE}}")
     A = sp.hstack([prog.A, sp.identity(m, format="csr")], format="csc")
     slack_lo = np.where(sense == GE, -np.inf, 0.0)
     slack_hi = np.where(sense == LE, np.inf, 0.0)
-    b = np.array(prog.rhs, dtype=float)
-    lower = np.concatenate([np.asarray(prog.lower, dtype=float), slack_lo])
-    upper = np.concatenate([np.asarray(prog.upper, dtype=float), slack_hi])
-    cost = np.concatenate([np.asarray(prog.objective, dtype=float), np.zeros(m)])
-    integer_idx = np.flatnonzero(np.asarray(prog.is_integer, dtype=bool))
-    return StandardForm(A, b, lower, upper, cost, prog.num_vars, integer_idx)
+    lower = np.concatenate([prog.lower, slack_lo])
+    upper = np.concatenate([prog.upper, slack_hi])
+    cost = np.concatenate([prog.objective, np.zeros(m)])
+    return StandardForm(A, prog.rhs.copy(), lower, upper, cost, prog.num_vars,
+                        np.flatnonzero(prog.is_integer))

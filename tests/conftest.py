@@ -31,7 +31,7 @@ def make_program(c, rows, lower=None, upper=None, integer=None) -> LinearProgram
         prog.add_row(Family.NODE_BALANCE, list(terms), sense, rhs)
     for j, cj in enumerate(c):
         if cj:
-            prog.add_cost(prog.var_refs[j], cj)
+            prog.add_cost(prog.ref(j), cj)
     return prog.finalize()
 
 

@@ -6,7 +6,8 @@ polytope, MILPs by enumerating all binary fixings and handing the remaining
 continuous problem to the vertex oracle.  A third check tests an
 infeasibility certificate directly against the standard form, and
 :func:`reference_lp_text` is the LP writer the package's ``write_lp`` must
-match byte for byte.
+match byte for byte.  :func:`rows_tagged` and :func:`var_refs` are views of
+a compiled program for reading it in tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ import re
 import numpy as np
 
 LE, EQ, GE = "<=", "=", ">="
+
+
+def rows_tagged(prog, family) -> list:
+    """The rows of one family (a :class:`~enopt.formulate.Family` or its
+    tag), in order: a filter over ``prog.rows``."""
+    return [row for row in prog.rows if row.tag == family]
+
+
+def var_refs(prog) -> list:
+    """Every variable's name, in column order."""
+    return [prog.ref(j) for j in range(prog.num_vars)]
 
 
 def as_le_rows(A, senses, b):

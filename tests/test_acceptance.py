@@ -196,7 +196,7 @@ def test_criterion_7_commitment_semantics():
                 feasible_patterns.add(pattern)
                 # startup cost is positive: at this fixing's optimum the
                 # startup variables sit exactly on the positive on-difference
-                vals = dict(zip(prog.var_refs, sol.values))
+                vals = dict(zip(oracles.var_refs(prog), sol.values))
                 prev = 0
                 for t, on_t in enumerate(pattern):
                     want = max(0, on_t - prev)
@@ -206,7 +206,7 @@ def test_criterion_7_commitment_semantics():
         prog = compile_system(sys_)
         sol = solve_milp(prog)
         assert sol.status == Status.OPTIMAL
-        vals = dict(zip(prog.var_refs, sol.values))
+        vals = dict(zip(oracles.var_refs(prog), sol.values))
         pattern = tuple(int(vals[VarRef(VarKind.ON, "unit", t)]) for t in range(4))
         assert pattern in feasible_patterns
         prev = 0
@@ -227,7 +227,7 @@ def test_criterion_8_building_periods():
             prog = compile_system(sys_)
             sol = solve(prog)
             assert sol.status == Status.OPTIMAL
-            vals = dict(zip(prog.var_refs, sol.values))
+            vals = dict(zip(oracles.var_refs(prog), sol.values))
             p0 = vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=0)]
             p1 = vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=1)]
             built = vals[VarRef(VarKind.BUILT, "plant", period=1)]
@@ -252,7 +252,7 @@ def test_criterion_9_co2_cap_monotonicity(scenario_dir):
         # the lowest reachable emission level bounds the sweep from below
         # (an all-renewable week is not guaranteed under the battery cap)
         probe = compile_system(dataclasses.replace(scn.system, co2_cap=float(e0)))
-        emission_row = probe.rows_tagged(Family.CO2_CAP)[0]
+        emission_row = oracles.rows_tagged(probe, Family.CO2_CAP)[0]
         probe.objective[:] = 0.0
         for idx, coef in emission_row.terms:
             probe.objective[idx] = coef

@@ -18,6 +18,7 @@ from enopt.scenario import load_scenario
 from enopt.solver import SolverConfig, Status, solve, solve_milp
 
 from conftest import single_node_system, storage_system
+from oracles import rows_tagged
 
 
 def _solved(sys_, **kwargs):
@@ -232,7 +233,7 @@ def test_emissions_match_cap_row_activity():
         costs=M.CostSpec(fuel=5.0, emission_factor=0.202))
     sys_ = dataclasses.replace(sys_, components=(comp,))
     prog, sol = _solved(sys_)
-    row = prog.rows_tagged(Family.CO2_CAP)[0]
+    row = rows_tagged(prog, Family.CO2_CAP)[0]
     activity = sum(coef * sol.values[j] for j, coef in row.terms)
     assert abs(emissions_total(sys_, prog, sol) - activity) <= 1e-9
 

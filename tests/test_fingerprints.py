@@ -21,6 +21,7 @@ from enopt.formulate import Family, compile_system
 from enopt.scenario import load_scenario
 
 from conftest import SCENARIO_DIR, coverage_fixture
+from oracles import var_refs
 
 
 def _values(rng, n, lo, hi):
@@ -177,7 +178,7 @@ def test_generated_systems_cover_every_branch():
                 seen.add(("single-term", owner))
             if tag == "EQ16" and owner == "pv" and mine.sum() < T - 1:
                 seen.add(("ramp rows dropped", owner))
-        seen.update(ref.kind.value for ref in prog.var_refs)
+        seen.update(ref.kind.value for ref in var_refs(prog))
     for want in [("EQ18", "pv"), ("EQ1", "pv"), ("EQ16", "pv"), ("ramp rows dropped", "pv"),
                  ("EQ17", "turbine"), ("EQ16", "chp"), ("EQ16", "peaker"),
                  ("single-term", "pv"), ("EQ19", "turbine"), ("EQ8", "field"),

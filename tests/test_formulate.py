@@ -24,14 +24,15 @@ from enopt.formulate import (
 from enopt.solver import Status, solve, solve_lp
 
 from conftest import single_node_system
+from oracles import rows_tagged, var_refs
 
 
 def _terms_by_ref(prog, row):
-    return {prog.var_refs[idx]: coef for idx, coef in row.terms}
+    return {prog.ref(idx): coef for idx, coef in row.terms}
 
 
 def _row(prog, family, owner, step):
-    rows = [r for r in prog.rows_tagged(family) if r.owner == owner and r.step == step]
+    rows = [r for r in rows_tagged(prog, family) if r.owner == owner and r.step == step]
     assert len(rows) == 1, f"expected one row, found {len(rows)}"
     return rows[0]
 
@@ -100,7 +101,7 @@ def test_max_equal_to_initial_means_no_added_capacity():
     prog = compile_system(sys_)
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    added = dict(zip(prog.var_refs, sol.values))[VarRef(VarKind.INSTALLED, "plant")]
+    added = dict(zip(var_refs(prog), sol.values))[VarRef(VarKind.INSTALLED, "plant")]
     assert added == pytest.approx(0.0, abs=1e-9)
 
 
@@ -189,14 +190,14 @@ def test_isolated_zero_load_node_compiles_to_feasible_identity():
         (M.Component("src", M.SourceConversion("elec"),
                      M.CapacitySpec(optimizable=True), costs=M.CostSpec(fuel=1.0)),))
     prog = compile_system(sys_)
-    rows = [r for r in prog.rows_tagged(Family.NODE_BALANCE) if r.owner == "island"]
+    rows = [r for r in rows_tagged(prog, Family.NODE_BALANCE) if r.owner == "island"]
     assert len(rows) == 2 and all(r.terms == () and r.rhs == 0.0 for r in rows)
     assert solve(prog).status == Status.OPTIMAL
 
 
 def test_boundary_nodes_get_no_balance_row():
     prog = compile_system(single_node_system())
-    assert not [r for r in prog.rows_tagged(Family.NODE_BALANCE) if r.owner == "fuel"]
+    assert not [r for r in rows_tagged(prog, Family.NODE_BALANCE) if r.owner == "fuel"]
 
 
 def test_componentless_system_compiles_to_trivial_balances():
@@ -207,7 +208,7 @@ def test_componentless_system_compiles_to_trivial_balances():
     report = M.validate_system(sys_)
     assert report.warnings and report.ok
     prog = compile_system(sys_)
-    rows = prog.rows_tagged(Family.NODE_BALANCE)
+    rows = rows_tagged(prog, Family.NODE_BALANCE)
     assert len(rows) == 3
     assert all(r.terms == () and r.rhs == 0.0 for r in rows)
     assert solve(prog).status == Status.OPTIMAL
@@ -279,10 +280,10 @@ def test_field_plane_tags_split_by_sense():
               M.HalfPlane(-1.0, 4.0, M.SENSE_LE),
               M.HalfPlane(0.2, 0.0, M.SENSE_GE))
     prog = compile_system(_field_system(planes))
-    assert len(prog.rows_tagged(Family.FIELD_UPPER)) == 1
-    assert len(prog.rows_tagged(Family.FIELD_UPPER_MORE)) == 1
-    assert len(prog.rows_tagged(Family.FIELD_LOWER)) == 1
-    assert all(r.sense == GE for r in prog.rows_tagged(Family.FIELD_LOWER))
+    assert len(rows_tagged(prog, Family.FIELD_UPPER)) == 1
+    assert len(rows_tagged(prog, Family.FIELD_UPPER_MORE)) == 1
+    assert len(rows_tagged(prog, Family.FIELD_LOWER)) == 1
+    assert all(r.sense == GE for r in rows_tagged(prog, Family.FIELD_LOWER))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ def test_fixed_ramp_row_on_fixed_capacity():
                      VarRef(VarKind.OUTPUT, "plant", 0): -1.0}
     assert row.rhs == pytest.approx(0.8 * 10.0)
     # no ramp row for the first step
-    assert not [r for r in prog.rows_tagged(Family.RAMP_UP) if r.step == 0]
+    assert not [r for r in rows_tagged(prog, Family.RAMP_UP) if r.step == 0]
 
 
 def test_zero_up_rate_makes_output_non_increasing():
@@ -317,7 +318,7 @@ def test_zero_up_rate_makes_output_non_increasing():
     prog = compile_system(sys_)
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(prog.var_refs, sol.values))
+    vals = dict(zip(var_refs(prog), sol.values))
     assert (vals[VarRef(VarKind.OUTPUT, "plant", 1)]
             <= vals[VarRef(VarKind.OUTPUT, "plant", 0)] + 1e-9)
     infeasible = _ramp_system(M.FixedRamp(0.0, 1.0), loads=(2.0, 8.0))
@@ -328,8 +329,8 @@ def test_optimized_ramp_uses_headroom_variable():
     prog = compile_system(_ramp_system(M.OptimizedRamp(3.0, 2.0)))
     row = _row(prog, Family.RAMP_UP, "plant", 1)
     assert _terms_by_ref(prog, row)[VarRef(VarKind.RAMP_UP, "plant")] == -1.0
-    assert prog.cost_of(VarRef(VarKind.RAMP_UP, "plant")) == 3.0
-    assert prog.cost_of(VarRef(VarKind.RAMP_DOWN, "plant")) == 2.0
+    assert prog.objective[prog.index(VarRef(VarKind.RAMP_UP, "plant"))] == 3.0
+    assert prog.objective[prog.index(VarRef(VarKind.RAMP_DOWN, "plant"))] == 2.0
 
 
 def test_fixed_ramp_fraction_applies_per_step_on_a_two_hour_grid():
@@ -375,15 +376,15 @@ def _avail_ramp_system(ramp, avail, periods=(), per_period=False, committed=Fals
 
 
 def _ramp_steps(prog, family):
-    return [r.step for r in prog.rows_tagged(family) if r.owner == "plant"]
+    return [r.step for r in rows_tagged(prog, family) if r.owner == "plant"]
 
 
 @pytest.mark.parametrize("optimizable", [False, True])
 def test_full_ramp_emits_no_rows_but_notes_both_families(optimizable):
     sys_ = _ramp_system(M.FixedRamp(1.0, 1.0), optimizable=optimizable)
     prog = compile_system(sys_)
-    assert not prog.rows_tagged(Family.RAMP_UP)
-    assert not prog.rows_tagged(Family.RAMP_DOWN)
+    assert not rows_tagged(prog, Family.RAMP_UP)
+    assert not rows_tagged(prog, Family.RAMP_DOWN)
     assert {Family.RAMP_UP.value, Family.RAMP_DOWN.value} <= prog.families_emitted
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
@@ -392,8 +393,8 @@ def test_full_ramp_emits_no_rows_but_notes_both_families(optimizable):
     assert report.checks(Family.RAMP_UP) == report.checks(Family.RAMP_DOWN) == 2
 
     series = compile_system(_avail_ramp_system(M.FixedRamp(1.0, 1.0), (0.0, 0.4, 1.0, 0.7)))
-    assert not series.rows_tagged(Family.RAMP_UP)
-    assert not series.rows_tagged(Family.RAMP_DOWN)
+    assert not rows_tagged(series, Family.RAMP_UP)
+    assert not rows_tagged(series, Family.RAMP_DOWN)
 
 
 def test_ramp_rows_kept_where_fraction_is_below_availability():
@@ -445,7 +446,7 @@ def test_committed_component_keeps_every_ramp_row():
 def test_verification_still_flags_ramps_whose_rows_were_not_emitted():
     sys_ = _ramp_system(M.FixedRamp(1.0, 1.0))
     prog = compile_system(sys_)
-    assert not prog.rows_tagged(Family.RAMP_UP)
+    assert not rows_tagged(prog, Family.RAMP_UP)
     sol = solve(prog)
     values = sol.values.copy()
     # 0 -> 10.5 -> 0 on a 10 MW plant: both ramps exceed the 10 MW limit
@@ -476,16 +477,16 @@ def _period_system(load_p1, load_p2, built_cost=0.05):
 
 def test_single_period_emits_no_built_rows():
     prog = compile_system(single_node_system())
-    assert not prog.rows_tagged(Family.BUILT_DEFINITION)
+    assert not rows_tagged(prog, Family.BUILT_DEFINITION)
 
 
 def test_growth_between_periods_is_priced_as_built_capacity():
     sys_ = _period_system(5.0, 8.0)
     prog = compile_system(sys_)
-    assert len(prog.rows_tagged(Family.BUILT_DEFINITION)) == 1
+    assert len(rows_tagged(prog, Family.BUILT_DEFINITION)) == 1
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(prog.var_refs, sol.values))
+    vals = dict(zip(var_refs(prog), sol.values))
     assert vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=0)] == pytest.approx(5.0)
     assert vals[VarRef(VarKind.INSTALLED_PERIOD, "plant", period=1)] == pytest.approx(8.0)
     assert vals[VarRef(VarKind.BUILT, "plant", period=1)] == pytest.approx(3.0)
@@ -494,7 +495,7 @@ def test_growth_between_periods_is_priced_as_built_capacity():
 def test_shrinking_capacity_builds_nothing():
     prog = compile_system(_period_system(8.0, 5.0))
     sol = solve(prog)
-    vals = dict(zip(prog.var_refs, sol.values))
+    vals = dict(zip(var_refs(prog), sol.values))
     assert vals[VarRef(VarKind.BUILT, "plant", period=1)] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -513,7 +514,7 @@ def test_fuel_coefficient_divides_by_efficiency():
         sys_.components[0],
         conversion=M.SingleConversion("fuel", "elec", 0.4))
     prog = compile_system(dataclasses.replace(sys_, components=(comp,)))
-    assert prog.cost_of(VarRef(VarKind.OUTPUT, "plant", 0)) == pytest.approx(54.025)
+    assert prog.objective[prog.index(VarRef(VarKind.OUTPUT, "plant", 0))] == pytest.approx(54.025)
 
 
 def test_boundary_source_without_fuel_cost_is_free_to_run():
@@ -524,7 +525,7 @@ def test_boundary_source_without_fuel_cost_is_free_to_run():
                      M.CapacitySpec(optimizable=True),
                      costs=M.CostSpec(invest=21300.0)),))
     prog = compile_system(sys_)
-    assert prog.cost_of(VarRef(VarKind.OUTPUT, "pv", 0)) == 0.0
+    assert prog.objective[prog.index(VarRef(VarKind.OUTPUT, "pv", 0))] == 0.0
 
 
 def test_storage_capacity_cost_over_a_full_year():
@@ -538,7 +539,8 @@ def test_storage_capacity_cost_over_a_full_year():
         (M.Storage("battery", "n", 0.98, 0.98, M.CRateLink(1.0),
                    capacity_optimizable=True, capacity_cost=8520.0),))
     prog = compile_system(sys_)
-    assert prog.cost_of(VarRef(VarKind.STORAGE_CAPACITY, "battery")) == pytest.approx(8520.0)
+    assert prog.objective[prog.index(VarRef(VarKind.STORAGE_CAPACITY, "battery"))] == (
+        pytest.approx(8520.0))
 
 
 def test_emission_price_adds_input_weighted_term():
@@ -548,7 +550,7 @@ def test_emission_price_adds_input_weighted_term():
         costs=M.CostSpec(emission_factor=0.202, emission_price=30.0))
     prog = compile_system(dataclasses.replace(sys_, components=(comp,)))
     # 30 EUR/kg * 0.202 kg/MWh-input / 0.5 efficiency
-    assert prog.cost_of(VarRef(VarKind.OUTPUT, "plant", 0)) == pytest.approx(
+    assert prog.objective[prog.index(VarRef(VarKind.OUTPUT, "plant", 0))] == pytest.approx(
         30.0 * 0.202 / 0.5)
 
 
@@ -566,9 +568,9 @@ def test_zero_cap_with_gas_only_supply_is_infeasible():
 
 def test_absent_cap_emits_no_row():
     prog = compile_system(single_node_system())
-    assert not prog.rows_tagged(Family.CO2_CAP)
+    assert not rows_tagged(prog, Family.CO2_CAP)
     prog = compile_system(single_node_system(co2_cap=math.inf))
-    assert not prog.rows_tagged(Family.CO2_CAP)
+    assert not rows_tagged(prog, Family.CO2_CAP)
 
 
 def test_cap_row_counts_input_energy():
@@ -578,7 +580,7 @@ def test_cap_row_counts_input_energy():
         conversion=M.SingleConversion("fuel", "elec", 0.4),
         costs=M.CostSpec(fuel=20.0, emission_factor=0.202))
     prog = compile_system(dataclasses.replace(sys_, components=(comp,)))
-    rows = prog.rows_tagged(Family.CO2_CAP)
+    rows = rows_tagged(prog, Family.CO2_CAP)
     assert len(rows) == 1
     terms = _terms_by_ref(prog, rows[0])
     # a 10 MW output at 0.4 efficiency burns 25 MWh input -> 5.05 kg per hour
@@ -618,7 +620,7 @@ def test_program_internal_consistency(coverage_system):
     assert prog.validate() == []
     for j, flag in enumerate(prog.is_integer):
         if flag:
-            assert prog.var_refs[j].kind in (VarKind.ON, VarKind.STARTUP, VarKind.UNITS)
+            assert prog.ref(j).kind in (VarKind.ON, VarKind.STARTUP, VarKind.UNITS)
 
 
 def test_balance_sign_convention(coverage_system):
@@ -629,7 +631,7 @@ def test_balance_sign_convention(coverage_system):
                     Family.FIELD_BALANCE, Family.PARTIAL_BALANCE)
     seen = 0
     for fam in balance_tags:
-        for row in prog.rows_tagged(fam):
+        for row in rows_tagged(prog, fam):
             for ref, coef in _terms_by_ref(prog, row).items():
                 comp = comps.get(ref.owner)
                 if comp is None:  # storage flows

@@ -19,6 +19,7 @@ from enopt.scenario import (
 )
 
 from conftest import coverage_fixture
+from oracles import rows_tagged
 
 
 def test_shipped_scenario_loads_cleanly(scenario_dir):
@@ -189,7 +190,7 @@ def test_pv_capacity_coefficients_equal_scenario_series(scenario_dir):
     with open(scenario_dir / "series_48.csv", newline="") as fh:
         series = [float(row["availability_pv"]) for row in csv.DictReader(fh)]
     inst = prog.index(VarRef(VarKind.INSTALLED, "pv"))
-    rows = [r for r in prog.rows_tagged(Family.CAPACITY_LIMIT) if r.owner == "pv"]
+    rows = [r for r in rows_tagged(prog, Family.CAPACITY_LIMIT) if r.owner == "pv"]
     assert len(rows) == 48
     for row in rows:
         coefs = dict(row.terms)

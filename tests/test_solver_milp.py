@@ -36,7 +36,7 @@ def test_forced_binary_commitment():
     prog = compile_system(sys_)
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(prog.var_refs, sol.values))
+    vals = dict(zip(oracles.var_refs(prog), sol.values))
     assert vals[VarRef(VarKind.ON, "unit", 0)] == 1.0
     assert vals[VarRef(VarKind.STARTUP, "unit", 0)] == 1.0
 
@@ -150,6 +150,28 @@ def test_milp_certificate_accepts_true_incumbent():
         assert check_certificate(prog, sol).ok
 
 
+def test_milp_certificate_honours_tol(scenario_dir):
+    """``tol`` bounds the row and bound residuals as well; integrality is
+    judged at 1e-5 whatever ``tol`` is."""
+    prog = compile_system(load_scenario(scenario_dir / "commitment_demo.json").system)
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL
+
+    def moved(j, step):
+        values = sol.values.copy()
+        values[j] += step
+        return dataclasses.replace(sol, values=values, objective=float(prog.objective @ values))
+
+    # breaks the wind's t=3 capacity row (EQ1) by 2.8e-5
+    wind = moved(prog.index(VarRef(VarKind.OUTPUT, "wind", 3)), 5e-5)
+    assert not check_certificate(prog, wind).ok
+    assert check_certificate(prog, wind, tol=1e-3).ok
+    fractional = moved(int(np.flatnonzero(prog.is_integer)[0]), 1e-4)
+    report = check_certificate(prog, fractional, tol=1e-3)
+    assert not report.ok
+    assert all("fractional" in v for v in report.violations)
+
+
 def test_milp_certificate_rejects_non_finite_incumbent():
     rng = np.random.default_rng(9)
     c, A, senses, b, upper, integer, rows, _ = _random_milp(rng)
@@ -225,7 +247,7 @@ def test_downtime_schedule_honoured_at_milp_optimum():
     prog = compile_system(sys_)
     sol = solve_milp(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(prog.var_refs, sol.values))
+    vals = dict(zip(oracles.var_refs(prog), sol.values))
     pattern = [int(vals[VarRef(VarKind.ON, "unit", t)]) for t in range(4)]
     assert _downtime_ok(pattern, 2)
     # switching off at t=1 would force two idle steps; serving t=1's zero load
@@ -245,7 +267,7 @@ def test_startups_equal_positive_on_differences_at_optimum():
     prog = compile_system(sys_)
     sol = solve_milp(prog)
     assert sol.status == Status.OPTIMAL
-    vals = dict(zip(prog.var_refs, sol.values))
+    vals = dict(zip(oracles.var_refs(prog), sol.values))
     on = [vals[VarRef(VarKind.ON, "unit", t)] for t in range(4)]
     starts = [vals[VarRef(VarKind.STARTUP, "unit", t)] for t in range(4)]
     prev = [0.0] + on[:-1]

@@ -9,17 +9,18 @@ from enopt.formulate import GE, LE, Family, VarKind, VarRef, compile_system
 from enopt.solver import Status, solve
 
 from conftest import storage_system
+from oracles import rows_tagged
 
 
 def _terms(prog, row):
-    return {prog.var_refs[idx]: coef for idx, coef in row.terms}
+    return {prog.ref(idx): coef for idx, coef in row.terms}
 
 
 def test_single_step_cumulative_rows():
     sys_ = storage_system((5.0,), etac=1.0, etad=1.0, cap_opt=True, cap_cost=1.0)
     prog = compile_system(sys_, storage_formulation="cumulative")
-    floor = prog.rows_tagged(Family.FILL_FLOOR)
-    cap = prog.rows_tagged(Family.FILL_CAP)
+    floor = rows_tagged(prog, Family.FILL_FLOOR)
+    cap = rows_tagged(prog, Family.FILL_CAP)
     assert len(floor) == 1 and len(cap) == 1
     t = _terms(prog, floor[0])
     assert t[VarRef(VarKind.CHARGE, "store", 0)] == 1.0
@@ -33,7 +34,7 @@ def test_single_step_cumulative_rows():
 def test_crate_rows_tie_flow_to_capacity():
     sys_ = storage_system((5.0, 5.0), rate=M.CRateLink(1.0))
     prog = compile_system(sys_)
-    rows = prog.rows_tagged(Family.CHARGE_RATE)
+    rows = rows_tagged(prog, Family.CHARGE_RATE)
     assert len(rows) == 2
     t = _terms(prog, rows[0])
     assert t == {VarRef(VarKind.CHARGE, "store", 0): 1.0,
@@ -44,7 +45,7 @@ def test_crate_without_capacity_variable_becomes_bound():
     sys_ = storage_system((5.0, 5.0), rate=M.CRateLink(2.0), cap_opt=False,
                           cap_fixed=10.0)
     prog = compile_system(sys_)
-    assert not prog.rows_tagged(Family.CHARGE_RATE)
+    assert not rows_tagged(prog, Family.CHARGE_RATE)
     j = prog.index(VarRef(VarKind.CHARGE, "store", 0))
     assert prog.upper[j] == pytest.approx(5.0)  # 10 MWh / ratio 2
 
@@ -61,11 +62,12 @@ def test_fixed_rates_become_bounds():
 def test_optimized_rates_add_costed_limit_variables():
     sys_ = storage_system((5.0, 5.0), rate=M.OptimizedRate(7.0, 9.0))
     prog = compile_system(sys_)
-    rows = prog.rows_tagged(Family.DISCHARGE_RATE)
+    rows = rows_tagged(prog, Family.DISCHARGE_RATE)
     t = _terms(prog, rows[0])
     assert t[VarRef(VarKind.MAX_DISCHARGE, "store")] == -1.0
     share = sum(sys_.time.step_hours) / 8760.0
-    assert prog.cost_of(VarRef(VarKind.MAX_CHARGE, "store")) == pytest.approx(7.0 * share)
+    assert prog.objective[prog.index(VarRef(VarKind.MAX_CHARGE, "store"))] == pytest.approx(
+        7.0 * share)
 
 
 def test_fill_level_hand_computation():
