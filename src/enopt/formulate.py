@@ -208,6 +208,12 @@ class LinearProgram:
     verifier read these arrays as they are.  :attr:`rows` is the only
     derived view; it is kept for ``perfbench/workloads.py``, its only reader
     outside the tests.
+
+    The row tags are the program's only record of the equations it
+    realises.  The families realised as bounds (a fixed storage rate, the
+    cap on total installed capacity, a fixed store's fill cap) or in the
+    objective and its cost arithmetic leave no row; ``analyze.verify_solution``
+    checks every family against the system instead.
     """
 
     def __init__(self):
@@ -215,8 +221,6 @@ class LinearProgram:
         self.lower: list[float] | np.ndarray = []
         self.upper: list[float] | np.ndarray = []
         self.is_integer: list[bool] | np.ndarray = []
-        self.families_emitted: set[str] = set()
-        self.warnings: list[str] = []
         self._vars: dict = {}  # (kind, owner) -> (first VarRef, its column, count), in order
         self.objective: np.ndarray | None = None
         self.A: sp.csr_matrix | None = None
@@ -296,8 +300,6 @@ class LinearProgram:
             np.broadcast_to(np.asarray(rhs, dtype=float), (n_rows,)),
             np.full(n_rows, -1, dtype=np.int64) if steps is None
             else np.broadcast_to(np.asarray(steps, dtype=np.int64), (n_rows,))))
-        if n_rows:
-            self.families_emitted.add(tag)
 
     def add_row(self, tag: Family | str, terms: Iterable[tuple[VarRef | int, float]],
                 sense: str, rhs: float, owner: str = "", step: int | None = None) -> None:
@@ -305,13 +307,6 @@ class LinearProgram:
         cols = [ref if isinstance(ref, int) else self.index(ref) for ref, _ in terms]
         self.add_rows(tag, np.reshape(cols, (1, -1)), np.reshape([c for _, c in terms], (1, -1)),
                       sense, rhs, owner, step)
-
-    def note_family(self, tag: Family | str) -> None:
-        self.families_emitted.add(tag.value if isinstance(tag, Family) else str(tag))
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
-        warnings.warn(message, CompileWarning, stacklevel=3)
 
     def finalize(self) -> "LinearProgram":
         """Store the rows, in canonical order, and the columns as arrays;
@@ -517,7 +512,6 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
             headroom = math.inf
             if cap.max_total is not None:
                 headroom = cap.max_total - cap.initial
-                prog.note_family(Family.MAX_INSTALLED)
             if cap.per_period:
                 prog.add_variables(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0), P,
                                    0.0, headroom)
@@ -533,12 +527,8 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
         charge_ub = discharge_ub = math.inf
         if isinstance(rate, FixedRate):
             charge_ub, discharge_ub = rate.max_charge, rate.max_discharge
-            prog.note_family(Family.CHARGE_RATE)
-            prog.note_family(Family.DISCHARGE_RATE)
         elif isinstance(rate, CRateLink) and not stor.capacity_optimizable:
             charge_ub = discharge_ub = stor.capacity_fixed / rate.ratio
-            prog.note_family(Family.CHARGE_RATE)
-            prog.note_family(Family.DISCHARGE_RATE)
         prog.add_variables(VarRef(VarKind.CHARGE, stor.id, 0), T, 0.0, charge_ub)
         prog.add_variables(VarRef(VarKind.DISCHARGE, stor.id, 0), T, 0.0, discharge_ub)
         if stor.capacity_optimizable:
@@ -578,11 +568,11 @@ def emit_capacity_limits(sys: EnergySystem, prog: LinearProgram) -> None:
         prog.add_rows(tag, cols, coefs, LE, avail * cap.initial, owner=comp.id, steps=steps)
 
 
-def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float], list[Family]]:
+def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float], Family]:
     """Coefficients of a node's balance row at step 0 (the row at step t
-    has the same coefficients on the variables of step t) plus every balance
-    family the row realises (plain, coupled-ratio term, field secondary,
-    partial load)."""
+    has the same coefficients on the variables of step t) plus the row's
+    tag: the most specific balance family among partial load, field
+    secondary, coupled-ratio term and plain balance."""
     terms: dict[VarRef, float] = {}
     fams = {Family.NODE_BALANCE}
 
@@ -626,25 +616,22 @@ def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float]
         if stor.node == node_id:
             bump(VarRef(VarKind.DISCHARGE, stor.id, 0), 1.0)
             bump(VarRef(VarKind.CHARGE, stor.id, 0), -1.0)
-    order = [Family.PARTIAL_BALANCE, Family.FIELD_BALANCE, Family.COUPLED_OUTPUT,
-             Family.NODE_BALANCE]
-    ordered = [f for f in order if f in fams]
-    return terms, ordered
+    order = (Family.PARTIAL_BALANCE, Family.FIELD_BALANCE, Family.COUPLED_OUTPUT,
+             Family.NODE_BALANCE)
+    return terms, next(f for f in order if f in fams)
 
 
 def emit_node_balances(sys: EnergySystem, prog: LinearProgram) -> None:
     """Conservation at every balanced node and step: production into the node
     minus consumption from it, plus storage discharge minus charge, equals
     the load.  Boundary nodes get no balance; the row carries the most
-    specific family it realises and registers the others."""
+    specific family it realises."""
     T = sys.time.num_steps
     steps = np.arange(T)
     for node in sys.balanced_nodes():
-        terms, fams = _balance_terms(sys, node.id)
-        prog.add_rows(fams[0], _block_cols(prog, tuple(terms), T), list(terms.values()), EQ,
+        terms, tag = _balance_terms(sys, node.id)
+        prog.add_rows(tag, _block_cols(prog, tuple(terms), T), list(terms.values()), EQ,
                       node.load, owner=node.id, steps=steps)
-        for fam in fams[1:]:
-            prog.note_family(fam)
 
 
 def emit_characteristic_field(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -704,8 +691,6 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
             if has_cap_var:
                 prog.add_rows(Family.FILL_CAP, _stack(fill, cap_col), [1.0, -1.0], LE,
                               stor.capacity_fixed, owner=stor.id, steps=steps)
-            else:
-                prog.note_family(Family.FILL_CAP)
             if sys.final_fill_at_least_initial:
                 prog.add_row(Family.FILL_FLOOR, [(int(fill[-1]), 1.0)], GE, stor.initial_fill,
                              owner=stor.id, step=T - 1)
@@ -743,12 +728,11 @@ def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
     of installed capacity or to a costed headroom variable.
 
     A fixed-ramp row that the capacity limit already implies is not emitted
-    (its family is still noted, and verification still checks it).  With
-    C = initial + installed >= 0, the capacity row gives out_t <= avail[t] * C
-    and out >= 0, so the up row at t holds whenever up >= avail[t], and the
-    down row whenever down >= avail[t-1] and both steps share C (the same
-    building period).  Committed components have no such row and keep all
-    their ramp rows."""
+    (verification checks it from the system).  With C = initial + installed
+    >= 0, the capacity row gives out_t <= avail[t] * C and out >= 0, so the
+    up row at t holds whenever up >= avail[t], and the down row whenever
+    down >= avail[t-1] and both steps share C (the same building period).
+    Committed components have no such row and keep all their ramp rows."""
     T = sys.time.num_steps
     if T < 2:
         return
@@ -758,8 +742,6 @@ def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
         ramp = comp.ramp
         if ramp is None:
             continue
-        prog.note_family(Family.RAMP_UP)
-        prog.note_family(Family.RAMP_DOWN)
         out = _steps(prog, VarKind.OUTPUT, comp.id, T)
         now, prev = out[1:], out[:-1]
         if isinstance(ramp, FixedRamp):
@@ -839,8 +821,6 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
             prog.add_rows(Family.UNIT_COUNT,
                           _stack(on, prog.index(VarRef(VarKind.UNITS, comp.id))),
                           [1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
-        if com.partial_load is not None:
-            prog.note_family(Family.PARTIAL_EFFICIENCY)
 
         # minimum up/down times as startup windows (Rajan & Takriti 2005), no
         # startups before step 0 and on[t] = initial_on for t < 0:
@@ -950,32 +930,24 @@ def _objective_blocks(sys: EnergySystem) -> Iterator[tuple[tuple[VarRef, ...], s
                        one(stor.rate.cost_discharge * share_total))
 
 
+def _warn(message: str) -> None:
+    warnings.warn(message, CompileWarning, stacklevel=3)
+
+
 def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
     """Minimisation coefficients for every costed variable; warns about
     decision variables whose mechanism relies on a positive cost but got
     none (their optimal values carry no meaning)."""
     obj = np.zeros(prog.num_vars)
-    extended = False
-    for refs, category, coefs in _objective_blocks(sys):
+    for refs, _, coefs in _objective_blocks(sys):
         obj[_block_cols(prog, refs, len(coefs))] += coefs
-        if category not in ("fuel", "invest", "maintenance"):
-            extended = True
     costed = np.flatnonzero(obj)
     prog.add_costs(costed, obj[costed])
-    prog.note_family(Family.COST_TOTAL)
-    prog.note_family(Family.OBJECTIVE_VALUE)
-    if extended:
-        prog.note_family(Family.COST_EXTENDED)
-    for comp in sys.sorted_components():
-        if comp.costs.annuity is not None:
-            prog.note_family(Family.ANNUITY_FACTOR)
-        if comp.costs.invest_side == "input":
-            prog.note_family(Family.COST_SIDE_CONVERSION)
 
     def costless(ref: VarRef, what: str) -> None:
         if prog.has_var(ref) and obj[prog.index(ref)] <= 0.0:
-            prog.warn(f"COSTLESS_SLACK: {what} of '{ref.owner}' has no objective cost; "
-                      "its optimal value is arbitrary")
+            _warn(f"COSTLESS_SLACK: {what} of '{ref.owner}' has no objective cost; "
+                  "its optimal value is arbitrary")
 
     P = sys.time.num_periods
     for comp in sys.sorted_components():
@@ -986,8 +958,8 @@ def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
             costless(VarRef(VarKind.RAMP_UP, comp.id), "ramp-up limit")
             costless(VarRef(VarKind.RAMP_DOWN, comp.id), "ramp-down limit")
         if comp.committed and sys.time.num_steps and comp.commitment.startup_cost <= 0.0:
-            prog.warn(f"COSTLESS_SLACK: startups of '{comp.id}' have no cost; "
-                      "startup counts are arbitrary")
+            _warn(f"COSTLESS_SLACK: startups of '{comp.id}' have no cost; "
+                  "startup counts are arbitrary")
     for stor in sys.sorted_storages():
         if stor.capacity_optimizable:
             costless(VarRef(VarKind.STORAGE_CAPACITY, stor.id), "storage capacity")

@@ -60,10 +60,11 @@ def _as_tuple(values) -> tuple:
 
 
 def _series(value, num_steps: int) -> tuple[float, ...]:
-    """Broadcast a scalar to a per-step series; pass sequences through."""
+    """Broadcast a scalar to a per-step series; a stored series (already a
+    tuple of floats, see ``__post_init__``) is returned as it is."""
     if isinstance(value, (int, float)):
         return (float(value),) * num_steps
-    return tuple(float(v) for v in value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +331,6 @@ class Component:
     @property
     def committed(self) -> bool:
         return self.commitment is not None
-
-    def input_node(self) -> str | None:
-        conv = self.conversion
-        return None if isinstance(conv, SourceConversion) else conv.input_node
-
-    def output_nodes(self) -> tuple[str, ...]:
-        conv = self.conversion
-        if isinstance(conv, SingleConversion):
-            return (conv.output_node,)
-        if isinstance(conv, SourceConversion):
-            return (conv.output_node,)
-        return (conv.primary_output, conv.secondary_output)
 
     def primary_efficiency(self) -> float:
         conv = self.conversion

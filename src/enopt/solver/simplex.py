@@ -50,14 +50,20 @@ Both starts run the same two passes:
    refactored and the iteration redone, and a disagreement on a fresh
    factorisation raises :class:`~enopt.solver.core.SolverError`.
 2. The primal simplex with the true costs finishes: it declares optimality
-   as above or finds an unbounded ray.  Pricing is Dantzig (largest
-   reduced-cost violation).  A run of degenerate pivots switches to Bland's
-   rule (smallest index in, smallest index out), which guarantees
-   termination; the first non-degenerate step switches back.  A per-column
-   sign (-1 at a movable lower bound, +1 at a movable upper bound, 0
-   otherwise), kept up to date at every status change, turns the reduced
-   costs into violations with one product; the ratio test looks only at rows
-   with a usable pivot entry.
+   as above or finds an unbounded ray.  When the dual pass left etas, it
+   refactors before it first prices, so a solve without a primal pivot
+   prices once, from the fresh factorisation it declares optimality from.
+   Pricing is Dantzig (largest reduced-cost violation).  A run of
+   degenerate pivots switches to Bland's rule (smallest index in, smallest
+   index out), which guarantees termination; the first non-degenerate step
+   switches back.  A per-column sign (-1 at a movable lower bound, +1 at a
+   movable upper bound, 0 otherwise), kept up to date at every status
+   change, turns the reduced costs into violations with one product.  The
+   ratio test looks only at rows with a usable pivot entry and bounds the
+   overshoot as Harris (1973) does: among the rows whose limit lies within
+   the smallest limit relaxed by the feasibility tolerance, it takes the
+   largest pivot entry, so no basic moves more than the tolerance past its
+   bound.
 
 :meth:`BoundedSimplex.solve` returns a :class:`~enopt.solver.core.Solution`
 over the structural columns: values, objective and bound (+inf for an
@@ -280,11 +286,17 @@ class BoundedSimplex:
         return q
 
     def _ratio_test(self, q: int, sigma: float, w: np.ndarray, bland: bool):
-        """Largest step t >= 0 keeping all basics inside their bounds.
+        """Step t >= 0 and leaving row, moving no basic more than the
+        feasibility tolerance past its bound (Harris 1973; a basic already
+        past it counts from where it is).
 
-        Returns (t, leaving_row or None); None means the entering variable
-        hits its opposite bound first (a bound flip), or that the step is
-        unbounded when t is inf.
+        Every row whose own limit is within the smallest limit relaxed by
+        the tolerance (``ftol / |delta|`` for a row that moves by delta per
+        unit step) is a candidate; the largest pivot entry, then the lowest
+        column, leaves (in Bland mode the lowest column).  Returns
+        (t, leaving_row or None); None means the entering variable hits its
+        opposite bound first (a bound flip), or that the step is unbounded
+        when t is inf.
         """
         rows = np.flatnonzero(np.abs(w) > PIVOT_TOL)
         delta = sigma * w[rows]
@@ -299,7 +311,9 @@ class BoundedSimplex:
             return own, None
         if not math.isfinite(t_rows):
             return math.inf, None
-        cand = np.flatnonzero(lims <= t_rows + 1e-9 * (1.0 + t_rows))
+        # Harris: no candidate's step moves another basic more than ftol
+        # past its bound, nor the entering column past its own
+        cand = np.flatnonzero(lims <= min((lims + self.ftol / np.abs(delta)).min(), own))
         if bland:
             k = cand[int(np.argmin(cols[cand]))]
         else:
@@ -345,6 +359,10 @@ class BoundedSimplex:
         """
         stall = 0
         bland = False
+        # the dual pass leaves etas behind; without a pivot here, this
+        # factorisation is the fresh one optimality is declared from
+        if self.n_etas:
+            self._refactor()
         while True:
             y, d = self._price(cost)
             q = self._entering(d, bland)

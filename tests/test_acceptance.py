@@ -91,8 +91,6 @@ def test_criterion_3_equation_coverage(coverage_system):
 
     def body():
         prog = compile_system(coverage_system)
-        emitted = {f"EQ{i}" for i in range(1, 31)}
-        assert emitted <= prog.families_emitted
         tags_with_rows = {row.tag for row in prog.rows}
         assert {f"EQ{i}" for i in row_families} <= tags_with_rows
         sol = solve(prog)

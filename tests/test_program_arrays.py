@@ -351,7 +351,7 @@ def test_add_rows_drops_zero_coefficients_in_row_major_order():
     assert prog.A.indices.tolist() == [3, 1, 2, 0]  # the order given, zeros left out
     assert prog.A.data.tolist() == [1.0, -2.0, 5.0, 7.0]
     assert prog.rhs.tolist() == [1.0, 2.0, 3.0] and prog.step.tolist() == [0, 1, 2]
-    assert prog.families_emitted == {"EQ2"}
+    assert prog.tag.tolist() == ["EQ2"] * 3
 
 
 def test_add_row_is_the_one_row_case_of_add_rows():
@@ -368,7 +368,8 @@ def test_add_row_is_the_one_row_case_of_add_rows():
 
     block, row = _block_program(by_block), _block_program(by_row)
     assert block.fingerprint() == row.fingerprint()
-    assert block.families_emitted == row.families_emitted == {"EQ1", "EQ2"}  # no rows, no EQ16
+    assert block.tag.tolist() == row.tag.tolist()
+    assert set(block.tag) == set(row.tag) == {"EQ1", "EQ2"}  # no rows, no EQ16
 
 
 def test_add_variables_declares_a_block_and_refuses_repeats():

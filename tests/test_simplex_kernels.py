@@ -82,7 +82,10 @@ def ref_ratio_test(s, q, sigma, w, bland):
         return own, None
     if not math.isfinite(t_rows):
         return math.inf, None
-    cand = np.flatnonzero(lims <= t_rows + 1e-9 * (1.0 + t_rows))
+    # Harris (1973): limits relaxed by the feasibility tolerance, capped at own
+    with np.errstate(divide="ignore"):
+        relaxed = lims + s.ftol / np.abs(delta)
+    cand = np.flatnonzero(lims <= min(relaxed.min(), own))
     if bland:
         r = cand[int(np.argmin(s.basis[cand]))]
     else:

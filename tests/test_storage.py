@@ -56,7 +56,6 @@ def test_fixed_rates_become_bounds():
     prog = compile_system(sys_)
     assert prog.upper[prog.index(VarRef(VarKind.CHARGE, "store", 0))] == 3.0
     assert prog.upper[prog.index(VarRef(VarKind.DISCHARGE, "store", 1))] == 4.0
-    assert Family.CHARGE_RATE.value in prog.families_emitted
 
 
 def test_optimized_rates_add_costed_limit_variables():
