@@ -238,8 +238,6 @@ def _cmd_run(args) -> int:
     overrides: dict = {}
     if args.mip_gap is not None:
         overrides["mip_gap"] = args.mip_gap
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.max_nodes is not None:
         overrides["max_nodes"] = args.max_nodes
     if args.max_iterations is not None:

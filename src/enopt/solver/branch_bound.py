@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import BasisState, Solution, SolverConfig, Status, relative_gap
+from .core import INTEGRALITY_TOL, BasisState, Solution, SolverConfig, Status, relative_gap
 from . import lp
 from .lp import solve_standard_lp
 from .standard import standardize
@@ -59,7 +59,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         return replace(root, nodes=nodes_explored, duals=None, reduced_costs=None)
 
     incumbent: np.ndarray | None = None  # the best integral point's values
-    incumbent_obj = math.inf
+    incumbent_obj = cutoff = math.inf
     counter = 0
     # (bound, creation order, bound overrides, the parent's optimal basis)
     heap: list[tuple[float, int, dict, BasisState]] = []
@@ -74,23 +74,29 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
 
     def branch(out: Solution, overrides: dict) -> None:
         frac = _fractionality(out.values, int_idx)
-        cand = np.flatnonzero(frac > cfg.integrality_tol)
+        cand = np.flatnonzero(frac > INTEGRALITY_TOL)
         # most fractional: fractional part closest to one half, lowest index first
         dist = np.abs(frac[cand] - 0.5)
         j = int(int_idx[cand[int(np.lexsort((cand, dist))[0])]])
         xj = out.values[j]
         plo, phi = overrides.get(j, (std.lower[j], std.upper[j]))
-        down = math.floor(xj + cfg.integrality_tol)
-        up = math.ceil(xj - cfg.integrality_tol)
+        down = math.floor(xj + INTEGRALITY_TOL)
+        up = math.ceil(xj - INTEGRALITY_TOL)
         if down >= plo - 1e-12:
             push(out.objective, {**overrides, j: (plo, float(down))}, out.basis)
         if up <= phi + 1e-12:
             push(out.objective, {**overrides, j: (float(up), phi)}, out.basis)
 
+    def accept(out: Solution) -> None:
+        """Make an integral point the incumbent and set the pruning cutoff."""
+        nonlocal incumbent, incumbent_obj, cutoff
+        incumbent = out.values
+        incumbent_obj = out.objective
+        cutoff = incumbent_obj - 1e-9 * max(1.0, abs(incumbent_obj))
+
     # root handling
-    if np.all(_fractionality(root.values, int_idx) <= cfg.integrality_tol):
-        incumbent = root.values
-        incumbent_obj = root.objective
+    if np.all(_fractionality(root.values, int_idx) <= INTEGRALITY_TOL):
+        accept(root)
     else:
         branch(root, {})
 
@@ -102,8 +108,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         if incumbent is not None and relative_gap(incumbent_obj, frontier_bound()) <= cfg.mip_gap:
             break
         bound_est, _, overrides, state = heapq.heappop(heap)
-        if incumbent is not None and bound_est >= incumbent_obj - 1e-9 * max(
-                1.0, abs(incumbent_obj)):
+        if bound_est >= cutoff:
             continue
         lower, upper = _apply_overrides(std, overrides)
         out = solve_standard_lp(std, cfg, lower, upper, start=state)
@@ -117,12 +122,10 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         if out.status == Status.ITERATION_LIMIT:
             status = Status.GAP_LIMIT
             break
-        if incumbent is not None and out.objective >= incumbent_obj - 1e-9 * max(
-                1.0, abs(incumbent_obj)):
+        if out.objective >= cutoff:
             continue
-        if np.all(_fractionality(out.values, int_idx) <= cfg.integrality_tol):
-            incumbent = out.values
-            incumbent_obj = out.objective
+        if np.all(_fractionality(out.values, int_idx) <= INTEGRALITY_TOL):
+            accept(out)
         else:
             branch(out, overrides)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Solution, Status
+from .core import INTEGRALITY_TOL, Solution, Status
 from .standard import GE, LE
 
 __all__ = ["CertificateReport", "check_certificate"]
@@ -76,8 +76,8 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
 
     ``tol`` bounds every scaled residual: row and bound violations, the
     reported bound and objective, and for LPs the reduced costs,
-    complementarity and duality gap.  MILP integrality is judged at 1e-5,
-    the integrality tolerance, whatever ``tol`` is."""
+    complementarity and duality gap.  MILP integrality is judged at
+    ``INTEGRALITY_TOL`` whatever ``tol`` is."""
     if sol.status != Status.OPTIMAL:
         raise ValueError(f"certificates only apply to optimal solutions, got {sol.status}")
     milp = sol.duals is None or prog.is_integer.any()
@@ -96,7 +96,7 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
         frac = np.abs(x[int_idx] - np.round(x[int_idx]))
         max_int = float(frac.max(initial=0.0))
         notes += [f"integer variable {prog.ref(j).label()} has fractional value {x[j]!r}"
-                  for j in int_idx[frac > 1e-5]]
+                  for j in int_idx[frac > INTEGRALITY_TOL]]
         gap = sol.objective - sol.bound
         if gap < -tol * max(1.0, abs(sol.objective)):
             notes.append(f"reported bound {sol.bound} exceeds objective {sol.objective}")

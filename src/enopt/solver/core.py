@@ -8,7 +8,15 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["Status", "SolverConfig", "BasisState", "Solution", "SolverError"]
+__all__ = ["Status", "SolverConfig", "BasisState", "Solution", "SolverError",
+           "FEASIBILITY_TOL", "OPTIMALITY_TOL", "INTEGRALITY_TOL"]
+
+# absolute on basic variables' bound violations
+FEASIBILITY_TOL = 1e-6
+# on reduced costs of the objective normalised by its largest coefficient
+OPTIMALITY_TOL = 1e-7
+# on the distance of an integer variable from the nearest integer
+INTEGRALITY_TOL = 1e-5
 
 
 class SolverError(Exception):
@@ -25,29 +33,20 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and effort limits.
-
-    ``feasibility_tol`` is absolute on row residuals, ``optimality_tol`` on
-    (objective-normalised) reduced costs, ``integrality_tol`` on the distance
-    of integer variables from the nearest integer and ``mip_gap`` is the
-    relative bound gap at which branch and bound stops; ``max_iterations``
-    (simplex pivots per LP) and ``max_nodes`` must not be negative.  ``seed``
-    is accepted and inert: the built-in algorithms are deterministic and draw
-    no random numbers, so it changes no result.
+    """The settings that change a run: ``mip_gap`` is the relative bound
+    gap at which branch and bound stops and must be positive;
+    ``max_iterations`` (simplex pivots per LP) and ``max_nodes`` must not be
+    negative.  The tolerances are fixed: ``FEASIBILITY_TOL``,
+    ``OPTIMALITY_TOL`` and ``INTEGRALITY_TOL`` above.
     """
 
-    feasibility_tol: float = 1e-6
-    optimality_tol: float = 1e-7
-    integrality_tol: float = 1e-5
     mip_gap: float = 1e-6
     max_iterations: int = 200_000
     max_nodes: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):
-            if not getattr(self, name) > 0:  # NaN too
-                raise ValueError(f"{name} must be positive")
+        if not self.mip_gap > 0:  # NaN too
+            raise ValueError("mip_gap must be positive")
         for name in ("max_iterations", "max_nodes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")

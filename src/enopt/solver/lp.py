@@ -34,13 +34,7 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
         return Solution(status=Status.INFEASIBLE, values=np.zeros(std.n_struct),
                         objective=math.inf, bound=math.inf, gap=0.0, iterations=0,
                         message="simplex finished in phase 1")
-    simplex = BoundedSimplex(
-        std, lo, hi, start=start,
-        feasibility_tol=cfg.feasibility_tol,
-        optimality_tol=cfg.optimality_tol,
-        max_iterations=cfg.max_iterations,
-    )
-    return simplex.solve()
+    return BoundedSimplex(std, lo, hi, start=start, max_iterations=cfg.max_iterations).solve()
 
 
 def solve_lp(prog, config: SolverConfig | None = None) -> Solution:

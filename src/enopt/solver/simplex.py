@@ -22,6 +22,9 @@ Design notes:
 * The objective is normalised by its largest coefficient internally, so
   scaling the objective by any positive factor leaves the pivot sequence,
   and therefore the returned vertex, unchanged.
+* The tolerances are the constants of :mod:`enopt.solver.core`:
+  ``FEASIBILITY_TOL`` on basic variables' bound violations,
+  ``OPTIMALITY_TOL`` on reduced costs of the normalised objective.
 
 A cold solve starts from the slack basis: every structural column at a
 finite bound (lower if it has one, else upper; free columns at 0) and every
@@ -85,7 +88,8 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 # the SuperLU factorisation call behind ``scipy.sparse.linalg.splu``
 from scipy.sparse.linalg._dsolve._superlu import gstrf
 
-from .core import BasisState, Solution, SolverError, Status, relative_gap
+from .core import (FEASIBILITY_TOL, OPTIMALITY_TOL, BasisState, Solution, SolverConfig,
+                   SolverError, Status, relative_gap)
 from .standard import StandardForm
 
 __all__ = ["BoundedSimplex"]
@@ -124,21 +128,22 @@ def gather_columns(A: csc_matrix, cols: np.ndarray):
 
 
 class BoundedSimplex:
+    """One LP solve over a standard form with the given bound vectors, from
+    the slack basis or ``start``; :meth:`solve` runs it once.  The only
+    setting is ``max_iterations``, the pivot limit of the whole solve."""
+
     def __init__(self, std: StandardForm, lower: np.ndarray, upper: np.ndarray, *,
                  start: BasisState | None = None,
-                 feasibility_tol: float = 1e-6, optimality_tol: float = 1e-7,
-                 max_iterations: int = 200_000):
+                 max_iterations: int = SolverConfig.max_iterations):
         self.A, self.AT = std.A, std.AT
         self.m, self.n = std.A.shape
         self.n_struct = self.n - self.m
-        self.ftol = feasibility_tol
-        self.otol = optimality_tol
         self.max_iterations = max_iterations
         self.lower, self.upper = lower, upper
-        self.b = std.b.astype(float)
+        self.b = std.b
 
         # normalise the objective so tolerances are scale-free
-        self.cost_orig = std.cost.astype(float)
+        self.cost_orig = std.cost
         self.scale = float(np.max(np.abs(self.cost_orig))) if self.n else 0.0
         if self.scale <= 0.0:
             self.scale = 1.0
@@ -279,10 +284,10 @@ class BoundedSimplex:
     def _entering(self, d: np.ndarray, bland: bool) -> int | None:
         viol = self._violations(d)
         q = int(np.argmax(viol))
-        if not viol[q] > self.otol:
+        if not viol[q] > OPTIMALITY_TOL:
             return None
         if bland:
-            return int(np.argmax(viol > self.otol))
+            return int(np.argmax(viol > OPTIMALITY_TOL))
         return q
 
     def _ratio_test(self, q: int, sigma: float, w: np.ndarray, bland: bool):
@@ -291,9 +296,9 @@ class BoundedSimplex:
         past it counts from where it is).
 
         Every row whose own limit is within the smallest limit relaxed by
-        the tolerance (``ftol / |delta|`` for a row that moves by delta per
-        unit step) is a candidate; the largest pivot entry, then the lowest
-        column, leaves (in Bland mode the lowest column).  Returns
+        the tolerance (``FEASIBILITY_TOL / |delta|`` for a row that moves by
+        delta per unit step) is a candidate; the largest pivot entry, then
+        the lowest column, leaves (in Bland mode the lowest column).  Returns
         (t, leaving_row or None); None means the entering variable hits its
         opposite bound first (a bound flip), or that the step is unbounded
         when t is inf.
@@ -311,9 +316,9 @@ class BoundedSimplex:
             return own, None
         if not math.isfinite(t_rows):
             return math.inf, None
-        # Harris: no candidate's step moves another basic more than ftol
-        # past its bound, nor the entering column past its own
-        cand = np.flatnonzero(lims <= min((lims + self.ftol / np.abs(delta)).min(), own))
+        # Harris: no candidate's step moves another basic more than the
+        # tolerance past its bound, nor the entering column past its own
+        cand = np.flatnonzero(lims <= min((lims + FEASIBILITY_TOL / np.abs(delta)).min(), own))
         if bland:
             k = cand[int(np.argmin(cols[cand]))]
         else:
@@ -357,13 +362,13 @@ class BoundedSimplex:
         Returns (status, y, d) where status is OPTIMAL, UNBOUNDED (d is
         then the ray over all columns) or ITERATION_LIMIT.
         """
-        stall = 0
-        bland = False
+        stall = 0  # degenerate pivots in a row; a run of them switches to Bland
         # the dual pass leaves etas behind; without a pivot here, this
         # factorisation is the fresh one optimality is declared from
         if self.n_etas:
             self._refactor()
         while True:
+            bland = stall >= STALL_WINDOW
             y, d = self._price(cost)
             q = self._entering(d, bland)
             if q is None and self.n_etas:
@@ -393,13 +398,7 @@ class BoundedSimplex:
                 # a leaving variable always stops at a finite bound
                 # (infinite bounds never limit the ratio test)
                 self._pivot(r, q, w, sigma * t, AT_LOWER if sigma * w[r] > 0 else AT_UPPER)
-            if t <= DEGENERATE_STEP:
-                stall += 1
-                if stall >= STALL_WINDOW:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if t <= DEGENERATE_STEP else 0
 
     def _leaving_row(self, bland: bool) -> tuple[int | None, float]:
         """The basic row with the largest bound violation (lowest column in
@@ -408,7 +407,7 @@ class BoundedSimplex:
         below = self.lower[cols] - self.xB
         above = self.xB - self.upper[cols]
         viol = np.maximum(below, above)
-        rows = np.flatnonzero(viol > self.ftol)
+        rows = np.flatnonzero(viol > FEASIBILITY_TOL)
         if not rows.size:
             return None, 0.0
         r = int(rows[np.argmin(cols[rows])] if bland else rows[np.argmax(viol[rows])])
@@ -447,9 +446,9 @@ class BoundedSimplex:
         feasible, else INFEASIBLE, with farkas its certificate, or
         ITERATION_LIMIT.
         """
-        stall = 0
-        bland = False
+        stall = 0  # degenerate pivots in a row; a run of them switches to Bland
         while True:
+            bland = stall >= STALL_WINDOW
             r, toward = self._leaving_row(bland)
             if r is None:
                 return None, None
@@ -489,20 +488,14 @@ class BoundedSimplex:
                 self._pivot(r, q, w, (self.xB[r] - self.lower[leaving]) / w[r], AT_LOWER)
             else:
                 self._pivot(r, q, w, (self.xB[r] - self.upper[leaving]) / w[r], AT_UPPER)
-            if abs(theta) <= DEGENERATE_STEP:
-                stall += 1
-                if stall >= STALL_WINDOW:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if abs(theta) <= DEGENERATE_STEP else 0
 
     def solve(self) -> Solution:
         _, d = self._price(self.cost)
         # cost modification: columns whose reduced cost has the wrong sign
         # for their bound get a cost with reduced cost zero for the dual pass
         cost = self.cost
-        shifted = self._violations(d) > self.otol
+        shifted = self._violations(d) > OPTIMALITY_TOL
         if shifted.any():
             cost = cost.copy()
             cost[shifted] -= d[shifted]

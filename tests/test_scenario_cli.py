@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,16 +348,22 @@ def _variant(tmp_path, scenario_dir, section: str, value) -> str:
 @pytest.mark.parametrize("solver, where", [
     ({"mip_gap": -1}, "solver.mip_gap: mip_gap must be positive"),
     ({"mip_gap": "abc"}, "solver.mip_gap: expected int/float, got str"),
-    ({"feasibility_tol": None}, "solver.feasibility_tol: expected int/float, got NoneType"),
-    ({"optimality_tol": float("nan")}, "solver.optimality_tol: optimality_tol must be positive"),
+    ({"mip_gap": None}, "solver.mip_gap: expected int/float, got NoneType"),
+    ({"mip_gap": float("nan")}, "solver.mip_gap: mip_gap must be positive"),
     ({"max_nodes": 1.5}, "solver.max_nodes: expected int, got float"),
     ({"warp_speed": True}, "solver.warp_speed: unknown solver option"),
     ({"max_nodes": True}, "solver.max_nodes: expected int, got bool"),
     ({"mip_gap": False}, "solver.mip_gap: expected int/float, got bool"),
     ({"max_nodes": -1}, "solver.max_nodes: max_nodes must not be negative"),
     ({"max_iterations": -5}, "solver.max_iterations: max_iterations must not be negative"),
+    # the tolerances are constants of the solver, and no seed is drawn from
+    ({"feasibility_tol": 1e-6}, "solver.feasibility_tol: unknown solver option"),
+    ({"optimality_tol": 1e-7}, "solver.optimality_tol: unknown solver option"),
+    ({"integrality_tol": 1e-5}, "solver.integrality_tol: unknown solver option"),
+    ({"seed": 0}, "solver.seed: unknown solver option"),
 ], ids=["negative", "string", "null", "nan", "fractional_int", "unknown", "bool_int",
-        "bool_float", "negative_nodes", "negative_iterations"])
+        "bool_float", "negative_nodes", "negative_iterations", "feasibility_tol",
+        "optimality_tol", "integrality_tol", "seed"])
 def test_bad_solver_value_is_schema_error(tmp_path, capsys, scenario_dir, command,
                                           solver, where):
     p = _variant(tmp_path, scenario_dir, "solver", solver)
@@ -380,6 +390,30 @@ def test_negative_limit_on_the_command_line_is_schema_error(tmp_path, capsys, sc
     key = flag[2:].replace("-", "_")
     assert f"at solver.{key}: {key} must not be negative" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_loosened_integrality_tolerance_is_schema_error(tmp_path, capsys, scenario_dir):
+    # a loose tolerance would only yield a point the verifier rejects (exit 9)
+    doc = json.loads((scenario_dir / "commitment_demo.json").read_text())
+    doc["solver"]["integrality_tol"] = 0.4
+    p = tmp_path / "loose.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: at solver.integrality_tol: unknown solver option\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module", ["enopt", "enopt.cli"])
+def test_module_entry_points_run_without_warnings(capsys, scenario_dir, module):
+    scenario = str(scenario_dir / "paper_system_48.json")
+    assert cli.main(["validate", scenario]) == 0
+    want = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                           "validate", scenario], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

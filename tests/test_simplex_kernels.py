@@ -10,6 +10,7 @@ float64 arithmetic; pricing and the ratio test do the same arithmetic and
 must agree exactly.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from scipy.sparse.linalg import splu
 from enopt import formulate
 from enopt.scenario import load_scenario
 from enopt.solver import SolverError, simplex
+from enopt.solver.core import FEASIBILITY_TOL, OPTIMALITY_TOL
 from enopt.solver.simplex import (AT_LOWER, AT_UPPER, BASIC, FREE, PIVOT_TOL,
                                   REFACTOR_EVERY, BoundedSimplex, gather_columns)
 from enopt.solver.standard import StandardForm, standardize
@@ -52,9 +54,9 @@ def ref_entering(s, d, bland):
     nb = s.status != BASIC
     movable = s.upper > s.lower
     viol = np.zeros(d.shape)
-    lo = nb & movable & (s.status == AT_LOWER) & (d < -s.otol)
-    up = nb & movable & (s.status == AT_UPPER) & (d > s.otol)
-    fr = nb & movable & (s.status == FREE) & (np.abs(d) > s.otol)
+    lo = nb & movable & (s.status == AT_LOWER) & (d < -OPTIMALITY_TOL)
+    up = nb & movable & (s.status == AT_UPPER) & (d > OPTIMALITY_TOL)
+    fr = nb & movable & (s.status == FREE) & (np.abs(d) > OPTIMALITY_TOL)
     viol[lo] = -d[lo]
     viol[up] = d[up]
     viol[fr] = np.abs(d[fr])
@@ -84,7 +86,7 @@ def ref_ratio_test(s, q, sigma, w, bland):
         return math.inf, None
     # Harris (1973): limits relaxed by the feasibility tolerance, capped at own
     with np.errstate(divide="ignore"):
-        relaxed = lims + s.ftol / np.abs(delta)
+        relaxed = lims + FEASIBILITY_TOL / np.abs(delta)
     cand = np.flatnonzero(lims <= min(relaxed.min(), own))
     if bland:
         r = cand[int(np.argmin(s.basis[cand]))]
@@ -215,7 +217,7 @@ def check_pricing_and_ratio(s, rng, kinds):
     # coarse values make many exact ties for the tie-breaks to settle
     ds.append(np.round(rng.standard_normal(s.A.shape[1]), 1) * 1e-3)
     # reduced costs exactly at the optimality tolerance are not violations
-    edge = np.where(rng.random(s.A.shape[1]) < 0.5, s.otol, -s.otol)
+    edge = np.where(rng.random(s.A.shape[1]) < 0.5, OPTIMALITY_TOL, -OPTIMALITY_TOL)
     ds.append(edge)
     # ... also when Bland's rule looks for the first real violation behind them
     at_lower = np.flatnonzero((s.status == AT_LOWER) & (s.upper > s.lower))
@@ -229,16 +231,20 @@ def check_pricing_and_ratio(s, rng, kinds):
         w = s._ftran(s._column(q))
         # entries exactly at the pivot tolerance never limit the step
         w[rng.random(s.m) < 0.2] = PIVOT_TOL
-        for sigma in (1.0, -1.0):
-            for bland in (False, True):
-                got = s._ratio_test(int(q), sigma, w, bland)
-                want = ref_ratio_test(s, int(q), sigma, w, bland)
-                assert got == want
-                assert type(got[0]) is type(want[0])
-                if math.isinf(got[0]):
-                    kinds.add("unbounded")
-                else:
-                    kinds.add("flip" if got[1] is None else "pivot")
+        # entries spread over many magnitudes give Harris's relaxed limits,
+        # FEASIBILITY_TOL / |delta|, widths no fixed tie window has
+        spread = w.copy()
+        scaled = rng.random(s.m) < 0.3
+        spread[scaled] *= 10.0 ** rng.uniform(3.0, 12.0, scaled.sum())
+        for w, sigma, bland in itertools.product((w, spread), (1.0, -1.0), (False, True)):
+            got = s._ratio_test(int(q), sigma, w, bland)
+            want = ref_ratio_test(s, int(q), sigma, w, bland)
+            assert got == want
+            assert type(got[0]) is type(want[0])
+            if math.isinf(got[0]):
+                kinds.add("unbounded")
+            else:
+                kinds.add("flip" if got[1] is None else "pivot")
     # a column with an infinite range that no row limits
     for q in np.flatnonzero((s.status != BASIC) & np.isinf(s.upper))[:1]:
         w = np.zeros(s.m)
@@ -445,7 +451,7 @@ def test_dual_pass_stays_dual_feasible_under_cost_modification(seed):
     s = DualWatchingSimplex(std, std.lower, std.upper)
     out = s.solve()
     assert out.status in ("optimal", "unbounded")
-    assert s.worst <= 10 * s.otol
+    assert s.worst <= 10 * OPTIMALITY_TOL
 
 
 class DamagedColumnSimplex(BoundedSimplex):
