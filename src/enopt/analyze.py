@@ -32,6 +32,7 @@ from .model import (
     Storage,
 )
 from .solver import Solution, Status
+from .solver.core import FEASIBILITY_TOL
 
 __all__ = [
     "NoSolutionError",
@@ -302,8 +303,9 @@ class FamilyResidual:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Per-family residuals; each passes within ``FEASIBILITY_TOL``."""
+
     families: tuple
-    tol: float
 
     def residual(self, family) -> float:
         tag = family.value if isinstance(family, Family) else str(family)
@@ -326,13 +328,13 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return all(f.residual <= self.tol for f in self.families)
+        return all(f.residual <= FEASIBILITY_TOL for f in self.families)
 
     def summary_lines(self) -> list[str]:
         word = "PASS" if self.passed else "FAIL"
         lines = [f"verification {word} (worst scaled residual {self.worst:.3e})"]
         for fam in self.families:
-            flag = "ok" if fam.residual <= self.tol else "VIOLATED"
+            flag = "ok" if fam.residual <= FEASIBILITY_TOL else "VIOLATED"
             lines.append(f"  {fam.family:<5} {flag:<9} residual {fam.residual:.3e} "
                          f"({fam.checks} checks)")
         return lines
@@ -349,10 +351,9 @@ class _Collector:
             self.worst[tag] = float(residual)
         self.count[tag] += checks
 
-    def report(self, tol: float) -> ResidualReport:
-        fams = tuple(FamilyResidual(f.value, self.worst[f.value], self.count[f.value])
-                     for f in Family)
-        return ResidualReport(fams, tol)
+    def report(self) -> ResidualReport:
+        return ResidualReport(tuple(FamilyResidual(f.value, self.worst[f.value],
+                                                   self.count[f.value]) for f in Family))
 
 
 def _pos(x) -> float:
@@ -453,6 +454,9 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
             resid = _pos([resid, float(np.max(np.abs(view.fill(stor) - fill))) / scale])
         col.note(Family.FILL_FLOOR, resid, T)
         col.note(Family.FILL_CAP, _pos((fill - cap_total) / scale), T)
+        if stor.capacity_optimizable and stor.capacity_max is not None:
+            col.note(Family.MAX_INSTALLED,
+                     _pos((cap_total - stor.capacity_max) / max(1.0, stor.capacity_max)))
         if sys.final_fill_at_least_initial and T:
             col.note(Family.FILL_FLOOR, _pos((stor.initial_fill - fill[-1]) / scale))
 
@@ -562,9 +566,10 @@ def _verify_commitment(sys, view, col, optimal: bool) -> None:
             col.note(Family.STARTUP_DEFINITION,
                      float(np.max(np.abs(startup - np.maximum(diff, 0.0)), initial=0.0)), T)
 
+        units = view.units(comp)  # max_units when the count is fixed
+        col.note(Family.UNIT_COUNT, _pos((on - units) / max(1.0, units)), T)
         if com.optimize_units:
-            units = view.units(comp)
-            col.note(Family.UNIT_COUNT, _pos((on - units) / max(1.0, units)), T)
+            col.note(Family.MAX_INSTALLED, _pos((units - com.max_units) / com.max_units))
 
         if com.partial_load is not None:
             eta = _partial_efficiency(out, on, com.partial_load.slope,
@@ -660,17 +665,18 @@ def _verify_costs(sys, view, col, sol) -> None:
     col.note(Family.OBJECTIVE_VALUE, abs(recomputed - sol.objective) / scale)
 
 
-def verify_solution(sys: EnergySystem, prog: LinearProgram, sol: Solution,
-                    feasibility_tol: float = 1e-6) -> ResidualReport:
+def verify_solution(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> ResidualReport:
     """Independent residuals per equation family, scaled per check by
-    max(1, |reference|); PASS means all stay within ``feasibility_tol``.
+    max(1, |reference|); PASS means all stay within ``FEASIBILITY_TOL``.
 
     The program names the variables and gives the objective re-check its
-    coefficients; all else comes from the system.  Mechanism checks that
-    only hold at optimality (costed slack variables sitting on their lower
-    envelope) run only for Optimal solutions.  A NaN or infinite value or
-    objective reaches at least the objective re-check, whose residual is
-    then NaN or infinite: the point fails.
+    coefficients; all else comes from the system, the limits the compiler
+    realises only as column bounds (installed and storage capacity caps,
+    unit counts) included.  Mechanism checks that only hold at optimality
+    (costed slack variables sitting on their lower envelope) run only for
+    Optimal solutions.  A NaN or infinite value or objective reaches at
+    least the objective re-check, whose residual is then NaN or infinite:
+    the point fails.
     """
     view = SolutionView(sys, prog, sol)
     col = _Collector()
@@ -690,4 +696,4 @@ def verify_solution(sys: EnergySystem, prog: LinearProgram, sol: Solution,
             emis = emissions_total(sys, prog, sol)
             col.note(Family.CO2_CAP, _pos((emis - sys.co2_cap) / max(1.0, sys.co2_cap)))
 
-    return col.report(feasibility_tol)
+    return col.report()

@@ -3,11 +3,10 @@
 Exit codes: 0 optimal, 2 parse error, 3 infeasible, 4 unbounded, 5 gap or
 iteration/node limit, 6 schema mismatch, 7 validation failure, 8 solver
 failure (numerical breakdown), 9 the returned point failed the independent
-verification or its optimality certificate (artifacts are still written;
-``--no-verify`` exits by the solver status instead and skips the
-certificate).  Output files are byte-identical across runs of the same
-scenario.  ``run --seed`` is accepted and inert: the solver draws no random
-numbers, so the seed changes no output.
+verification or its optimality certificate (artifacts are still written).
+Output files are byte-identical across runs of the same scenario.
+``run --seed`` is accepted and inert: the solver draws no random numbers,
+so the seed changes no output.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from . import analyze, formulate, scenario as scenario_mod
 from .model import system_dimensions, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solver import SolverError, Status, certificate, solve
+from .solver.core import FEASIBILITY_TOL
 
 log = logging.getLogger("enopt")
 
@@ -145,7 +145,7 @@ def _report_json(report, sys) -> str:
         "storage_fill_mwh": {k: list(v) for k, v in report.storage_fill.items()},
         "verification": {
             "passed": report.residuals.passed,
-            "tolerance": report.residuals.tol,
+            "tolerance": FEASIBILITY_TOL,
             "families": {f.family: {"residual": f.residual, "checks": f.checks}
                          for f in report.residuals.families},
         },
@@ -165,12 +165,12 @@ def _plot_data_json(report, sys) -> str:
 
 
 def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
-        export_lp: bool = False, verify: bool = True):
+        export_lp: bool = False):
     """Compile, solve and write the requested artifacts.
 
-    With ``verify``, a point that fails ``analyze.verify_solution`` or, for
-    an optimal solve, ``check_certificate`` turns the exit code into
-    ``EXIT_VERIFY``; the artifacts are written either way.
+    A point that fails ``analyze.verify_solution`` or, for an optimal
+    solve, ``check_certificate`` turns the exit code into ``EXIT_VERIFY``;
+    the artifacts are written either way.
 
     Returns (report_or_None, solution, exit_code).
     """
@@ -202,10 +202,10 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
         (out / "report.json").write_text(_report_json(report, scn.system))
     if scn.outputs.plot_data:
         (out / "plot_data.json").write_text(_plot_data_json(report, scn.system))
-    if verify and not report.residuals.passed:
+    if not report.residuals.passed:
         log.warning("verification failed: %s", report.residuals.summary_lines()[0])
         exit_code = EXIT_VERIFY
-    if verify and sol.status == Status.OPTIMAL:
+    if sol.status == Status.OPTIMAL:
         cert = certificate.check_certificate(prog, sol)
         if not cert.ok:
             log.warning("%s", cert)
@@ -244,7 +244,7 @@ def _cmd_run(args) -> int:
         overrides["max_iterations"] = args.max_iterations
     out_dir = args.out or f"{Path(args.scenario).stem}_out"
     report, sol, code = run(scn, out_dir, solver_overrides=overrides,
-                            export_lp=args.export_lp, verify=args.verify)
+                            export_lp=args.export_lp)
     if report is not None:
         print(format_summary(report, scn.system), end="")
     else:
@@ -274,12 +274,6 @@ def main(argv=None) -> int:
                        help="simplex iteration limit")
     p_run.add_argument("--export-lp", action="store_true",
                        help="write the compiled program in LP text format")
-    p_run.add_argument("--verify", dest="verify", action="store_true", default=True,
-                       help="exit with code 9 when the independent verification "
-                            "or the optimality certificate fails (default)")
-    p_run.add_argument("--no-verify", dest="verify", action="store_false",
-                       help="exit by the solver status whatever verification "
-                            "finds, and skip the certificate")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse and validate a scenario")

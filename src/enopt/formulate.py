@@ -211,9 +211,10 @@ class LinearProgram:
 
     The row tags are the program's only record of the equations it
     realises.  The families realised as bounds (a fixed storage rate, the
-    cap on total installed capacity, a fixed store's fill cap) or in the
-    objective and its cost arithmetic leave no row; ``analyze.verify_solution``
-    checks every family against the system instead.
+    caps on total installed and total storage capacity, the unit count of a
+    committed component, a fixed store's fill cap) or in the objective and
+    its cost arithmetic leave no row; ``analyze.verify_solution`` checks
+    every family against the system instead, each of these limits included.
     """
 
     def __init__(self):
@@ -797,12 +798,6 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
         com = comp.commitment
         if com is None:
             continue
-        if (com.min_up_steps > 0 or com.min_down_steps > 0) and (
-                com.max_units != 1 or com.optimize_units):
-            # unreachable via compile_system (validation rejects it first)
-            raise CompileError(model.ValidationReport((model.Violation(
-                model.BINARY_REQUIRED, f"components[{comp.id}].commitment",
-                "minimum up/down times need binary on-variables"),)))
         avail = np.asarray(comp.capacity.availability_series(T))
         out = _steps(prog, VarKind.OUTPUT, comp.id, T)
         on = _steps(prog, VarKind.ON, comp.id, T)

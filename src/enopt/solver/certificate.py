@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INTEGRALITY_TOL, Solution, Status
+from .core import FEASIBILITY_TOL, INTEGRALITY_TOL, Solution, Status
 from .standard import GE, LE
 
 __all__ = ["CertificateReport", "check_certificate"]
@@ -39,18 +39,17 @@ class CertificateReport:
         return head
 
 
-def _primal_residuals(prog, x: np.ndarray, act: np.ndarray,
-                      tol: float) -> tuple[float, list[str]]:
+def _primal_residuals(prog, x: np.ndarray, act: np.ndarray) -> tuple[float, list[str]]:
     rhs, sense = prog.rhs, prog.sense
     resid = np.where(sense == LE, act - rhs, np.where(sense == GE, rhs - act, np.abs(act - rhs)))
     resid /= np.maximum(1.0, np.abs(rhs))
     notes = [f"row {i} ({prog.tag[i]} {prog.owner[i]} "
              f"t={None if prog.step[i] < 0 else prog.step[i]}) residual {resid[i]:.3e}"
-             for i in np.flatnonzero(resid > tol)]
+             for i in np.flatnonzero(resid > FEASIBILITY_TOL)]
     bound = np.maximum(np.maximum(prog.lower - x, x - prog.upper), 0.0)
     bound /= np.maximum(1.0, np.abs(x))
     notes += [f"variable {prog.ref(j).label()} out of bounds by {bound[j]:.3e}"
-              for j in np.flatnonzero(bound > tol)]
+              for j in np.flatnonzero(bound > FEASIBILITY_TOL)]
     worst = max(resid.max(initial=0.0), bound.max(initial=0.0))
     return float(worst), notes
 
@@ -71,13 +70,13 @@ def _non_finite(sol: Solution) -> list[str]:
     return notes
 
 
-def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateReport:
+def check_certificate(prog, sol: Solution) -> CertificateReport:
     """Verify an Optimal solution against the program it came from.
 
-    ``tol`` bounds every scaled residual: row and bound violations, the
-    reported bound and objective, and for LPs the reduced costs,
-    complementarity and duality gap.  MILP integrality is judged at
-    ``INTEGRALITY_TOL`` whatever ``tol`` is."""
+    Every scaled residual is judged at ``FEASIBILITY_TOL``: row and bound
+    violations, the reported bound and objective, and for LPs the reduced
+    costs, complementarity and duality gap.  MILP integrality is judged at
+    ``INTEGRALITY_TOL``."""
     if sol.status != Status.OPTIMAL:
         raise ValueError(f"certificates only apply to optimal solutions, got {sol.status}")
     milp = sol.duals is None or prog.is_integer.any()
@@ -88,7 +87,7 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
                                  nan, nan, nan, nan, nan, tuple(bad))
     x = np.asarray(sol.values, dtype=float)
     act = prog.A @ x
-    primal, notes = _primal_residuals(prog, x, act, tol)
+    primal, notes = _primal_residuals(prog, x, act)
 
     if milp:
         # MILP incumbent: feasibility + integrality + bound validity
@@ -98,10 +97,10 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
         notes += [f"integer variable {prog.ref(j).label()} has fractional value {x[j]!r}"
                   for j in int_idx[frac > INTEGRALITY_TOL]]
         gap = sol.objective - sol.bound
-        if gap < -tol * max(1.0, abs(sol.objective)):
+        if gap < -FEASIBILITY_TOL * max(1.0, abs(sol.objective)):
             notes.append(f"reported bound {sol.bound} exceeds objective {sol.objective}")
         recomputed = float(prog.objective @ x)
-        if abs(recomputed - sol.objective) > tol * max(1.0, abs(recomputed)):
+        if abs(recomputed - sol.objective) > FEASIBILITY_TOL * max(1.0, abs(recomputed)):
             notes.append(f"objective mismatch: reported {sol.objective}, "
                          f"recomputed {recomputed}")
         ok = not notes
@@ -116,7 +115,7 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     # reduced costs consistent with duals: d = c - A^T y
     dhat = c - prog.A.T @ y
     dual_resid = float(np.max(np.abs(dhat - d))) / cscale if c.size else 0.0
-    if dual_resid > tol:
+    if dual_resid > FEASIBILITY_TOL:
         notes.append(f"reduced costs inconsistent with duals by {dual_resid:.3e}")
 
     # weak-duality identity for bounded variables:
@@ -125,20 +124,22 @@ def check_certificate(prog, sol: Solution, tol: float = 1e-6) -> CertificateRepo
     dual_value = float(y @ rhs + d @ x)
     slack_comp = np.abs(y * (act - rhs)) / np.maximum(1.0, np.abs(rhs)) / cscale
     notes += [f"row {i} ({prog.tag[i]}) dual {y[i]:.3e} on slack row "
-              f"(complementarity {slack_comp[i]:.3e})" for i in np.flatnonzero(slack_comp > tol)]
+              f"(complementarity {slack_comp[i]:.3e})"
+              for i in np.flatnonzero(slack_comp > FEASIBILITY_TOL)]
     # only columns with a priced reduced cost, so an infinite bound never meets d = 0
     var_comp = np.zeros(prog.num_vars)
-    lo = d > tol * cscale
-    hi = d < -tol * cscale
+    lo = d > FEASIBILITY_TOL * cscale
+    hi = d < -FEASIBILITY_TOL * cscale
     var_comp[lo] = np.abs(x[lo] - prog.lower[lo]) * d[lo] / cscale
     var_comp[hi] = np.abs(prog.upper[hi] - x[hi]) * -d[hi] / cscale
     var_comp /= np.maximum(1.0, np.abs(x))
     notes += [f"variable {prog.ref(j).label()} violates complementary "
-              f"slackness by {var_comp[j]:.3e}" for j in np.flatnonzero(var_comp > tol)]
+              f"slackness by {var_comp[j]:.3e}"
+              for j in np.flatnonzero(var_comp > FEASIBILITY_TOL)]
     comp = float(max(slack_comp.max(initial=0.0), var_comp.max(initial=0.0)))
     obj = float(c @ x)
     gap = abs(obj - dual_value) / max(1.0, abs(obj))
-    if gap > tol:
+    if gap > FEASIBILITY_TOL:
         notes.append(f"duality gap {gap:.3e}")
     ok = not notes
     return CertificateReport(ok, "lp", primal, dual_resid, comp, gap, 0.0, tuple(notes))

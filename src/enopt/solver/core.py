@@ -11,7 +11,8 @@ import numpy as np
 __all__ = ["Status", "SolverConfig", "BasisState", "Solution", "SolverError",
            "FEASIBILITY_TOL", "OPTIMALITY_TOL", "INTEGRALITY_TOL"]
 
-# absolute on basic variables' bound violations
+# absolute on basic variables' bound violations; the certificate and the
+# verifier judge their scaled residuals at it too
 FEASIBILITY_TOL = 1e-6
 # on reduced costs of the objective normalised by its largest coefficient
 OPTIMALITY_TOL = 1e-7

@@ -95,7 +95,7 @@ def test_criterion_3_equation_coverage(coverage_system):
         assert {f"EQ{i}" for i in row_families} <= tags_with_rows
         sol = solve(prog)
         assert sol.status == Status.OPTIMAL
-        report = verify_solution(coverage_system, prog, sol, feasibility_tol=1e-6)
+        report = verify_solution(coverage_system, prog, sol)
         assert report.passed, [str(f) for f in report.families
                                if f.residual > 1e-6]
         for fam in report.families:

@@ -16,6 +16,7 @@ from enopt.analyze import (
 from enopt.formulate import Family, VarKind, VarRef, compile_system
 from enopt.scenario import load_scenario
 from enopt.solver import SolverConfig, Status, solve, solve_milp
+from enopt.solver.core import FEASIBILITY_TOL
 
 from conftest import single_node_system, storage_system
 from oracles import rows_tagged
@@ -140,7 +141,7 @@ def test_verify_accepts_other_feasible_points(coverage_system):
     assert relaxed.status == Status.OPTIMAL
     report = verify_solution(coverage_system, prog, relaxed)
     assert report.passed, [str(f) for f in report.families
-                           if f.residual > report.tol]
+                           if f.residual > FEASIBILITY_TOL]
 
 
 def test_verify_flags_capacity_violation():
@@ -151,6 +152,28 @@ def test_verify_flags_capacity_violation():
     bad = dataclasses.replace(sol, values=values)
     report = verify_solution(sys_, prog, bad)
     assert report.residual(Family.CAPACITY_LIMIT) > 0.1
+    assert not report.passed
+
+
+@pytest.mark.parametrize("ref, limit, family", [
+    pytest.param(VarRef(VarKind.STORAGE_CAPACITY, "battery"), 40.0, Family.MAX_INSTALLED,
+                 id="storage_capacity_max"),
+    pytest.param(VarRef(VarKind.ON, "peaker", 2), 1.0, Family.UNIT_COUNT,
+                 id="fixed_unit_count"),
+    pytest.param(VarRef(VarKind.UNITS, "blocks"), 3.0, Family.MAX_INSTALLED,
+                 id="optimized_max_units")])
+def test_verify_flags_limits_compiled_only_as_bounds(coverage_system, ref, limit, family):
+    """A storage's capacity_max and a commitment's max_units become column
+    bounds, not rows; the verifier still checks each against the system."""
+    from enopt.solver import solve_lp
+
+    prog = compile_system(coverage_system)
+    relaxed = solve_lp(prog)
+    values = relaxed.values.copy()
+    assert values[prog.index(ref)] <= limit
+    values[prog.index(ref)] = limit + 1.0
+    report = verify_solution(coverage_system, prog, dataclasses.replace(relaxed, values=values))
+    assert report.residual(family) > 0
     assert not report.passed
 
 

@@ -262,6 +262,18 @@ def test_cli_seed_is_accepted_and_changes_no_output(tmp_path, capsys, scenario_d
     assert "program.lp" in outputs[0] and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("flag", ["--verify", "--no-verify"])
+def test_run_has_no_verify_switch(tmp_path, capsys, scenario_dir, flag):
+    """Every run is judged by verification and the certificate: neither
+    switch exists, so argparse rejects both with exit 2 before any run."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(scenario_dir / "paper_system_48.json"),
+                  "--out", str(tmp_path / "out"), flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_zero_cap_gas_only_is_infeasible(tmp_path, capsys, scenario_dir):
     doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
     doc["system"]["co2_cap"] = 0.0
@@ -493,12 +505,11 @@ def test_solver_failure_exits_with_solver_code(tmp_path, capsys, scenario_dir,
     assert "error: basis factorisation failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verify, scale, expected", [
-    pytest.param(True, 1.5, cli.EXIT_VERIFY, id="True-9"),
-    pytest.param(False, 1.5, cli.EXIT_OPTIMAL, id="False-0"),
-    pytest.param(True, float("nan"), cli.EXIT_VERIFY, id="nan-True-9")])
+@pytest.mark.parametrize("scale", [
+    pytest.param(1.5, id="True-9"),
+    pytest.param(float("nan"), id="nan-True-9")])
 def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, scenario_dir,
-                                                           monkeypatch, verify, scale, expected):
+                                                           monkeypatch, scale):
     import dataclasses
     from enopt.solver import solve
 
@@ -508,9 +519,7 @@ def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, sce
 
     monkeypatch.setattr(cli, "solve", perturbed_solve)
     argv = ["run", str(scenario_dir / "paper_system_48.json"), "--out", str(tmp_path / "out")]
-    code = cli.main(argv + ([] if verify else ["--no-verify"]))
-    assert code == expected
-    assert cli.EXIT_VERIFY == 9
+    assert cli.main(argv) == cli.EXIT_VERIFY == 9
     for name in ("schedule.csv", "fill.csv", "summary.txt", "report.json"):
         assert (tmp_path / "out" / name).is_file()
 
@@ -522,9 +531,9 @@ def test_point_failing_verification_exits_with_verify_code(tmp_path, capsys, sce
     assert report["verification"]["passed"] is False
 
 
-@pytest.mark.parametrize("verify, expected", [(True, cli.EXIT_VERIFY), (False, cli.EXIT_OPTIMAL)])
+@pytest.mark.parametrize("expected", [pytest.param(cli.EXIT_VERIFY, id="True-9")])
 def test_point_failing_certificate_exits_with_verify_code(tmp_path, scenario_dir, monkeypatch,
-                                                         verify, expected):
+                                                         expected):
     import dataclasses
     from enopt.solver import solve
 
@@ -544,9 +553,8 @@ def test_point_failing_certificate_exits_with_verify_code(tmp_path, scenario_dir
     monkeypatch.setattr(cli, "solve", perturbed_solve)
     monkeypatch.setattr(cli.certificate, "check_certificate", recording_check)
     argv = ["run", str(scenario_dir / "paper_system_48.json"), "--out", str(tmp_path / "out")]
-    code = cli.main(argv + ([] if verify else ["--no-verify"]))
-    assert code == expected
-    assert [r.ok for r in checked] == ([False] if verify else [])
+    assert cli.main(argv) == expected
+    assert [r.ok for r in checked] == [False]
     for name in ("schedule.csv", "fill.csv", "summary.txt", "report.json"):
         assert (tmp_path / "out" / name).is_file()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
