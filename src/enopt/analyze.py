@@ -170,8 +170,6 @@ class RunReport:
     gap: float
     schedules: dict
     secondary_outputs: dict
-    on_schedules: dict
-    startups: dict
     curtailment: dict
     storage_charge: dict
     storage_discharge: dict
@@ -213,7 +211,7 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
     view = SolutionView(sys, prog, sol)
     T = sys.time.num_steps
 
-    schedules, secondary, on_s, starts, curtail, eff = {}, {}, {}, {}, {}, {}
+    schedules, secondary, curtail, eff = {}, {}, {}, {}
     capacities, unit_counts, cap_factor, variance = {}, {}, {}, {}
     for comp in sys.sorted_components():
         out = view.output(comp.id)
@@ -228,8 +226,6 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         if comp.committed:
             com = comp.commitment
             on = view.on(comp.id)
-            on_s[comp.id] = on
-            starts[comp.id] = view.startups(comp.id)
             unit_counts[comp.id] = view.units(comp)
             capacities[comp.id] = view.units(comp) * com.unit_capacity
             curtail[comp.id] = avail * com.unit_capacity * on - out
@@ -269,8 +265,6 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         gap=sol.gap,
         schedules=schedules,
         secondary_outputs=secondary,
-        on_schedules=on_s,
-        startups=starts,
         curtailment=curtail,
         storage_charge=charge,
         storage_discharge=discharge,

@@ -1,12 +1,12 @@
 """Command line interface: validate scenarios, report dimensions, run them.
 
 Exit codes: 0 optimal, 2 parse error, 3 infeasible, 4 unbounded, 5 gap or
-iteration/node limit, 6 schema mismatch, 7 validation failure, 8 solver
-failure (numerical breakdown), 9 the returned point failed the independent
-verification or its optimality certificate (artifacts are still written).
-Output files are byte-identical across runs of the same scenario.
-``run --seed`` is accepted and inert: the solver draws no random numbers,
-so the seed changes no output.
+iteration/node limit, 6 schema mismatch, 7 validation failure (or, with an
+LP export, two ids that become one LP name), 8 solver failure (numerical
+breakdown), 9 the returned point failed the independent verification or its
+optimality certificate (artifacts are still written).
+Output files are byte-identical across runs of the same scenario: the
+solver draws no random numbers.
 """
 
 from __future__ import annotations
@@ -181,7 +181,10 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
     prog = formulate.compile_system(scn.system)
     log.info("compiled %d variables, %d rows", prog.num_vars, prog.num_rows)
     if export_lp or scn.outputs.lp_export:
-        formulate.write_lp(prog, out / "program.lp")
+        try:
+            formulate.write_lp(prog, out / "program.lp")
+        except ValueError as exc:  # two ids meet as LP names; nothing is written
+            raise ScenarioError(f"LP export: {exc}", scenario_mod.EXIT_VALIDATION) from exc
     sol = solve(prog, cfg)
     log.info("solver finished: %s (objective %s)", sol.status.value, sol.objective)
     exit_code = _STATUS_EXIT[sol.status]
@@ -265,9 +268,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="output directory (default: <scenario>_out)")
     p_run.add_argument("--mip-gap", type=float, dest="mip_gap",
                        help="relative bound gap at which branch and bound stops")
-    p_run.add_argument("--seed", type=int,
-                       help="accepted and ignored: the solver is deterministic and "
-                            "draws no random numbers")
     p_run.add_argument("--max-nodes", type=int, dest="max_nodes",
                        help="branch-and-bound node limit")
     p_run.add_argument("--max-iterations", type=int, dest="max_iterations",

@@ -38,16 +38,16 @@ def annualize(inp: AnnuityInput) -> float:
     return inp.total_investment * capital_recovery_factor(inp.interest_rate, inp.lifetime)
 
 
-def output_side_cost(input_side_cost: float, efficiency: float,
-                     output_side_extra: float = 0.0) -> float:
-    """Convert a specific cost quoted per MW of input to per MW of output.
+def output_side_cost(input_side_cost: float, efficiency: float) -> float:
+    """Convert a specific cost quoted per MW of input to per MW of output:
+    the input-side cost divided by the efficiency.
 
     Typical for electrolysis, where costs are quoted per kW of electricity
     but the model accounts capacity on the product side.
     """
     if not efficiency > 0:
         raise ValueError(f"efficiency must be > 0, got {efficiency}")
-    return input_side_cost / efficiency + output_side_extra
+    return input_side_cost / efficiency
 
 
 def annual_share(hours: float) -> float:

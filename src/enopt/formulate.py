@@ -205,9 +205,9 @@ class LinearProgram:
     none).  It also turns the columns into arrays: ``lower`` and ``upper``
     (float64), ``is_integer`` (bool) and ``objective`` (float64), one entry
     per variable.  The solver, the certificate, the LP writer and the
-    verifier read these arrays as they are.  :attr:`rows` is the only
-    derived view; it is kept for ``perfbench/workloads.py``, its only reader
-    outside the tests.
+    verifier read these arrays as they are.  :attr:`rows` is the only derived
+    view; it yields one :class:`Row` at a time and keeps none, for
+    ``perfbench/workloads.py``, its only reader outside the tests.
 
     The row tags are the program's only record of the equations it
     realises.  The families realised as bounds (a fixed storage rate, the
@@ -359,15 +359,14 @@ class LinearProgram:
         return len(self.rhs)
 
     @property
-    def rows(self) -> list[Row]:
-        """Every row, in order, built from the arrays on each access; kept
-        for ``perfbench/workloads.py``."""
-        ptr, cols, coefs, sense, rhs, tag, owner, step = (
-            a.tolist() for a in (self.A.indptr, self.A.indices, self.A.data, self.sense,
-                                 self.rhs, self.tag, self.owner, self.step))
-        return [Row(tuple(zip(cols[ptr[i]:ptr[i + 1]], coefs[ptr[i]:ptr[i + 1]])),
-                    sense[i], rhs[i], tag[i], owner[i], None if step[i] < 0 else step[i])
-                for i in range(len(rhs))]
+    def rows(self) -> Iterator[Row]:
+        """Every row, in order, each built from its slice of the arrays as
+        it is read; none is kept."""
+        ptr, cols, coefs = self.A.indptr, self.A.indices, self.A.data
+        for i in range(self.num_rows):
+            lo, hi, step = ptr[i], ptr[i + 1], int(self.step[i])
+            yield Row(tuple(zip(cols[lo:hi].tolist(), coefs[lo:hi].tolist())), self.sense[i],
+                      float(self.rhs[i]), self.tag[i], self.owner[i], None if step < 0 else step)
 
     def labels(self) -> list[str]:
         """:meth:`VarRef.label` of every variable, in column order, formatted
@@ -404,15 +403,29 @@ class LinearProgram:
 def _block_names(prog: LinearProgram, stem_name) -> list[str]:
     """A name for every variable, in column order, built a block at a time:
     ``stem_name`` of the block's label stem, then the step or period suffix
-    (``_t<step>``, ``_p<period>``, counting from 0, so word characters only)."""
-    names = []
+    (``_t<step>``, ``_p<period>``, counting from 0, so word characters only).
+    Two blocks whose names would meet (ids that differ only in non-word
+    characters, under :func:`_lp_name`) raise ValueError naming both owners."""
+    names, blocks = [], {}  # (stem, axis) -> (owner, its steps or periods)
     for first, _, count in prog._vars.values():
         if first.step is None and first.period is None:
-            names += [stem_name(first.label())] * count
+            stem, axis, numbers = stem_name(first.label()), "", ()
+            names += [stem] * count
         else:
             stem, _, last = first.label().rpartition("_")  # last: t<step> or p<period>
-            stem, start = stem_name(stem), int(last[1:])
-            names += [f"{stem}_{last[0]}{i}" for i in range(start, start + count)]
+            stem, axis, start = stem_name(stem), last[0], int(last[1:])
+            numbers = range(start, start + count)
+            names += [f"{stem}_{axis}{i}" for i in numbers]
+        if (stem, axis) in blocks:
+            raise ValueError(f"'{blocks[stem, axis][0]}' and '{first.owner}' give variables "
+                             "the same name")
+        blocks[stem, axis] = first.owner, numbers
+    for (stem, axis), (owner, _) in blocks.items():
+        # a name without a suffix may still read as another block's stem and suffix
+        head, _, last = stem.rpartition("_")
+        other, numbers = blocks.get((head, last[:1]), ("", ()))
+        if not axis and last[1:] in map(str, numbers):
+            raise ValueError(f"'{owner}' and '{other}' give variables the same name")
     return names
 
 

@@ -53,12 +53,6 @@ SENSE_GE = "ge"
 HOURS_PER_YEAR = 8760.0
 
 
-def _as_tuple(values) -> tuple:
-    if isinstance(values, tuple):
-        return values
-    return tuple(values)
-
-
 def _series(value, num_steps: int) -> tuple[float, ...]:
     """Broadcast a scalar to a per-step series; a stored series (already a
     tuple of floats, see ``__post_init__``) is returned as it is."""
@@ -183,7 +177,7 @@ class FieldConversion:
     half_planes: tuple[HalfPlane, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "half_planes", _as_tuple(self.half_planes))
+        object.__setattr__(self, "half_planes", tuple(self.half_planes))
 
 
 Conversion = Union[SingleConversion, SourceConversion, CoupledConversion, FieldConversion]
@@ -409,9 +403,9 @@ class EnergySystem:
     final_fill_at_least_initial: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _as_tuple(self.nodes))
-        object.__setattr__(self, "components", _as_tuple(self.components))
-        object.__setattr__(self, "storages", _as_tuple(self.storages))
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "storages", tuple(self.storages))
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -462,9 +456,6 @@ class ValidationReport:
 
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
-
-    def __bool__(self) -> bool:
-        return bool(self.violations)
 
     def __iter__(self):
         return iter(self.violations)

@@ -87,7 +87,6 @@ class Scenario:
     solver: dict = field(default_factory=dict)
     outputs: OutputSpec = OutputSpec()
     schema_version: int = SCHEMA_VERSION
-    name: str = "scenario"
 
 
 class _Ctx:
@@ -400,7 +399,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("scenario failed validation:\n  " + "\n  ".join(lines),
                             EXIT_VALIDATION)
     return Scenario(system=system, solver=dict(solver), outputs=outputs,
-                    schema_version=version, name=path.stem)
+                    schema_version=version)
 
 
 def solver_config(options: dict) -> SolverConfig:

@@ -55,8 +55,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BasisState:
-    """An optimal basis that a solve of the same standard form with
-    tightened bounds can start from: the basic column of each row and the
+    """An optimal basis, a start for any standard form with the same ``A``
+    (see ``lp.solve_standard_lp``): the basic column of each row and the
     status of every column."""
 
     basis: np.ndarray  # (m,) int64
@@ -78,8 +78,8 @@ class Solution:
     program it came from.  For an LP, ``message`` names the simplex phase
     the solve ended in: 1 is the dual pass that restores feasibility (so an
     infeasible LP ends there), 2 the primal pass, and ``basis`` is the
-    optimal basis of an optimal solve, which a warm start reads (None for
-    every other result, MILP results included).
+    optimal basis of an optimal solve, a warm start for any standard form
+    with the same ``A`` (None for every other result, MILP results too).
     """
 
     status: Status

@@ -21,10 +21,11 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     """Solve the LP relaxation of a standard form, optionally with replaced
     bound vectors (used by branch and bound).
 
-    Without ``start`` the dual simplex starts from the slack basis; with
-    the optimal basis of a solve of the same standard form whose bounds were
-    no tighter (its ``Solution.basis``), it starts from that basis.  Either
-    way a primal pass with the true costs finishes the solve (see
+    Without ``start`` the dual simplex starts from the slack basis.  A
+    ``start`` (a ``Solution.basis``) fits any standard form with the same
+    ``A``: ``b`` and the costs may differ, the bounds too while each nonbasic
+    status still names a finite bound (as branch and bound keeps it).  A
+    primal pass with the true costs finishes either solve (see
     :mod:`enopt.solver.simplex`).  Crossed bounds are infeasible without a
     pivot.
     """

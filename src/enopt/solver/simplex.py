@@ -29,13 +29,14 @@ Design notes:
 A cold solve starts from the slack basis: every structural column at a
 finite bound (lower if it has one, else upper; free columns at 0) and every
 slack basic.  With non-negative costs on columns at their lower bound, which
-every compiled program has, that basis is dual feasible.  A warm solve (a
-branch-and-bound child) starts from the optimal :class:`BasisState` of a
-solve of the same standard form with bounds no tighter, which stays dual
-feasible.  Where a start is not dual feasible (negative costs or free
-columns with a cost, built only through the library API), the costs of the
-offending columns are shifted so their reduced costs are zero for the dual
-pass (cost modification, Koberstein 2005, ch. 4) and restored afterwards.
+every compiled program has, that basis is dual feasible.  A warm solve
+starts from the optimal :class:`BasisState` of a solve with the same ``A``;
+a changed ``b``, or bounds for which each nonbasic status still names a
+finite bound, leave it dual feasible.  Where a start is not (changed costs,
+or negative costs or costed free columns, built only through the library
+API), the costs of the offending columns are shifted so their reduced costs
+are zero for the dual pass (cost modification, Koberstein 2005, ch. 4) and
+restored afterwards.
 
 Both starts run the same two passes:
 

@@ -16,7 +16,9 @@ from enopt.analyze import extract_report, verify_solution
 from enopt.finance import capital_recovery_factor
 from enopt.formulate import Family, VarKind, VarRef, compile_system
 from enopt.scenario import load_scenario
-from enopt.solver import Status, solve, solve_lp, solve_milp
+from enopt.solver import SolverConfig, Status, solve, solve_lp, solve_milp
+from enopt.solver.lp import solve_standard_lp
+from enopt.solver.standard import standardize
 
 import oracles
 from conftest import make_program, storage_system
@@ -259,12 +261,18 @@ def test_criterion_9_co2_cap_monotonicity(scenario_dir):
         e_min = floor_sol.objective
 
         caps = np.linspace(e0, max(e_min * 1.02, 1e-6), 10)
-        objectives = []
+        # one standard form whose EQ21 entry of b is each cap in turn, every
+        # solve warm-started from the previous cap's optimal basis
+        capped = compile_system(dataclasses.replace(scn.system, co2_cap=float(e0)))
+        std = standardize(capped)
+        (row,) = np.flatnonzero(capped.tag == Family.CO2_CAP.value)
+        objectives, basis = [], None
         for cap in caps:
-            capped = dataclasses.replace(scn.system, co2_cap=float(cap))
-            sol = solve(compile_system(capped))
+            std.b[row] = cap
+            sol = solve_standard_lp(std, SolverConfig(), start=basis)
             assert sol.status == Status.OPTIMAL, f"cap {cap}"
             objectives.append(sol.objective)
+            basis = sol.basis
         assert objectives[-1] > objectives[0]  # the cap truly binds by the end
         for looser, tighter in zip(objectives, objectives[1:]):
             assert tighter >= looser - 1e-6 * max(1.0, abs(looser))

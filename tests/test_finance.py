@@ -56,7 +56,6 @@ def test_annualize_products():
 def test_output_side_cost():
     assert output_side_cost(123.0, 1.0) == 123.0
     assert output_side_cost(1000.0, 0.7) == pytest.approx(1428.5714285714287)
-    assert output_side_cost(0.0, 0.4, 55.0) == 55.0
     with pytest.raises(ValueError):
         output_side_cost(1.0, 0.0)
 

@@ -8,13 +8,17 @@ reach each formatting case and with the rows split over many write chunks.
 
 import hashlib
 import io
+import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from enopt import formulate
-from enopt.formulate import EQ, GE, LE, Family, LinearProgram, VarKind, VarRef, write_lp
+from enopt import cli, formulate
+from enopt.formulate import (EQ, GE, LE, Family, LinearProgram, VarKind, VarRef, compile_system,
+                             write_lp)
+from enopt.scenario import EXIT_VALIDATION, system_from_dict
 
 from oracles import reference_lp_text
 from test_fingerprints import PROGRAMS
@@ -116,3 +120,60 @@ def test_lp_text_is_the_same_across_write_chunks(tmp_path, monkeypatch, chunk):
         assert _written(prog, tmp_path) == (text, text), name
     prog = _edge_program()
     assert _written(prog, tmp_path) == (reference_lp_text(prog),) * 2
+
+
+def _twin_heat_pumps(scenario_dir, tmp_path):
+    """paper_system_48 with a copy of ``heat_pump``: the two ids, heat_pump_b
+    and heat_pump-b, differ only in a non-word character.  Returns the
+    scenario document, written with its series file to ``tmp_path``."""
+    doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
+    comps = doc["system"]["components"]
+    pump = next(c for c in comps if c["id"] == "heat_pump")
+    comps.append({**pump, "id": "heat_pump-b"})
+    pump["id"] = "heat_pump_b"
+    (tmp_path / "twins.json").write_text(json.dumps(doc))
+    shutil.copy(scenario_dir / "series_48.csv", tmp_path / "series_48.csv")
+    return doc
+
+
+def test_write_lp_refuses_ids_that_meet_as_lp_names(scenario_dir, tmp_path):
+    doc = _twin_heat_pumps(scenario_dir, tmp_path)
+    prog = compile_system(system_from_dict(doc["system"], tmp_path))
+    assert len(set(prog.labels())) == prog.num_vars  # the labels themselves differ
+    with pytest.raises(ValueError, match="'heat_pump-b' and 'heat_pump_b'"):
+        write_lp(prog, tmp_path / "program.lp")
+    assert not (tmp_path / "program.lp").exists()
+
+
+def test_cli_export_of_ids_that_meet_as_lp_names_exits_7(scenario_dir, tmp_path, capsys):
+    _twin_heat_pumps(scenario_dir, tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path / "twins.json"), "--out", str(out),
+                     "--export-lp"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "program.lp").exists() and not (out / "summary.txt").exists()
+    assert cli.main(["run", str(tmp_path / "twins.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+def _period_blocks(owner, suffixed_first):
+    """Two periods of installed_period of 'x', and installed of ``owner``,
+    declared in either order."""
+    prog = LinearProgram()
+    blocks = [lambda: prog.add_variables(VarRef(VarKind.INSTALLED_PERIOD, "x", period=0), 2),
+              lambda: prog.add_variable(VarRef(VarKind.INSTALLED, owner))]
+    for declare in blocks if suffixed_first else blocks[::-1]:
+        declare()
+    return prog
+
+
+@pytest.mark.parametrize("suffixed_first", [True, False])
+def test_a_name_without_a_suffix_may_not_read_as_a_suffixed_one(suffixed_first):
+    # installed of 'period_x_p1' is named installed_period_x_p1, the name of
+    # the second period of installed_period of 'x'
+    with pytest.raises(ValueError, match="'period_x_p1' and 'x'"):
+        _period_blocks("period_x_p1", suffixed_first).labels()
+    # outside the block's periods, or not numbered as the names number them,
+    # the names differ
+    for owner in ("period_x_p2", "period_x_p01", "period_x_t1", "period_x_p"):
+        assert len(set(_period_blocks(owner, suffixed_first).labels())) == 3, owner

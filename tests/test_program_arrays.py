@@ -8,6 +8,7 @@ a CSR matrix; the vectorised code must reproduce them.
 import copy
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from oracles import rows_tagged, var_refs
 
 def reference_standardize(prog):
     n = prog.num_vars
-    rows = prog.rows
+    rows = list(prog.rows)
     m = len(rows)
     data, ri, ci = [], [], []
     b = np.zeros(m)
@@ -184,7 +185,7 @@ def test_standardize_is_bit_identical_to_the_row_loop(scenario_dir):
 
 def test_rows_view_round_trips_the_matrix(scenario_dir):
     for name, prog in _programs(scenario_dir).items():
-        rows = prog.rows
+        rows = list(prog.rows)
         assert len(rows) == prog.num_rows
         ri = [i for i, r in enumerate(rows) for _ in r.terms]
         ci = [j for r in rows for j, _ in r.terms]
@@ -198,6 +199,24 @@ def test_rows_view_round_trips_the_matrix(scenario_dir):
             assert row.step == (None if prog.step[i] < 0 else prog.step[i])
         tagged = [r for tag in sorted(set(prog.tag.tolist())) for r in rows_tagged(prog, tag)]
         assert sorted(tagged, key=repr) == sorted(rows, key=repr)
+
+
+def test_a_pass_over_the_rows_view_holds_one_row_at_a_time(scenario_dir):
+    """``rows`` builds each row as it is read: one pass peaks at no more
+    than a third of what the list of every row peaks at."""
+    prog = compile_system(load_scenario(scenario_dir / "paper_system.json").system)
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_pass = peak(lambda: sum(len(row.terms) for row in prog.rows))
+    every_row = peak(lambda: list(prog.rows))
+    assert one_pass <= every_row / 3
 
 
 def test_benchmark_counts_read_the_rows_view(scenario_dir, monkeypatch):
@@ -291,7 +310,7 @@ def test_pipeline_builds_no_row_values(scenario_dir, tmp_path, monkeypatch):
     write_lp(prog, tmp_path / "program.lp")
     assert prog.fingerprint() and prog.validate() == [] and prog.num_rows > 0
     with pytest.raises(AssertionError, match="a Row was built"):
-        prog.rows
+        next(iter(prog.rows))
 
 
 @pytest.mark.parametrize("name", ["commitment_demo", "paper_system_48"])

@@ -251,21 +251,22 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path, capsys, scenario_d
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_cli_seed_is_accepted_and_changes_no_output(tmp_path, capsys, scenario_dir):
+def test_cli_runs_with_lp_export_are_byte_identical(tmp_path, capsys, scenario_dir):
     outputs = []
-    for seed in ("1", "987"):
-        out = tmp_path / seed
+    for name in ("a", "b"):
+        out = tmp_path / name
         assert cli.main(["run", str(scenario_dir / "commitment_demo.json"), "--out", str(out),
-                         "--seed", seed, "--export-lp"]) == 0
+                         "--export-lp"]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     capsys.readouterr()
     assert "program.lp" in outputs[0] and outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("flag", ["--verify", "--no-verify"])
+@pytest.mark.parametrize("flag", ["--verify", "--no-verify", "--seed"])
 def test_run_has_no_verify_switch(tmp_path, capsys, scenario_dir, flag):
-    """Every run is judged by verification and the certificate: neither
-    switch exists, so argparse rejects both with exit 2 before any run."""
+    """Every run is judged by verification and the certificate, and the
+    solver draws no random numbers: none of these switches exists, so
+    argparse rejects each with exit 2 before any run."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", str(scenario_dir / "paper_system_48.json"),
                   "--out", str(tmp_path / "out"), flag])
@@ -307,6 +308,18 @@ def test_cli_node_limit_exit_code(tmp_path, capsys):
     else:
         # the toy may solve at the root; then the limit never bites
         assert code == 0
+
+
+def test_cli_iteration_limit_exit_code(tmp_path, capsys, scenario_dir):
+    """An LP stopped by the iteration limit has no point to report: exit 5,
+    and summary.txt is the only artifact."""
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario_dir / "paper_system_48.json"), "--out", str(out),
+                     "--max-iterations", "30"]) == 5
+    assert "status: iteration_limit" in capsys.readouterr().out
+    assert [p.name for p in out.iterdir()] == ["summary.txt"]
+    assert (out / "summary.txt").read_text() == (
+        "status: iteration_limit\nmessage: simplex finished in phase 1\n")
 
 
 def test_cli_commitment_demo_runs_through_branch_and_bound(tmp_path, capsys,

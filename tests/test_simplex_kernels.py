@@ -96,6 +96,47 @@ def ref_ratio_test(s, q, sigma, w, bland):
     return float(lims[r]), int(r)
 
 
+def ref_leaving_row(s, bland):
+    """The largest bound violation beyond the tolerance, the first row among
+    equals (in Bland mode the lowest basic column), and its direction."""
+    best, best_key, toward = None, None, 0.0
+    for r in range(s.m):
+        col = s.basis[r]
+        below, above = s.lower[col] - s.xB[r], s.xB[r] - s.upper[col]
+        viol = max(below, above)
+        if viol <= FEASIBILITY_TOL:
+            continue
+        key = col if bland else -viol
+        if best is None or key < best_key:
+            best, best_key, toward = r, key, 1.0 if below > 0.0 else -1.0
+    return best, toward
+
+
+def ref_dual_ratio_test(s, d, alpha, bland):
+    """The nonbasic columns whose reduced cost moves toward zero (any
+    nonzero entry for a free column), the smallest ratio |d_j| / |alpha_j|
+    with a tie window of 1e-9 * (1 + t), then the largest |alpha_j| and the
+    lowest index (in Bland mode the lowest index alone)."""
+    free = set(s.free.tolist())
+    cands = []
+    for j in range(s.A.shape[1]):
+        sign = s.price_sign[j]
+        if sign * alpha[j] > PIVOT_TOL:
+            room = -d[j] * sign
+        elif j in free and abs(alpha[j]) > PIVOT_TOL:
+            room = abs(d[j])
+        else:
+            continue
+        cands.append((max(room, 0.0) / abs(alpha[j]), j))
+    if not cands:
+        return None
+    t = min(ratio for ratio, _ in cands)
+    tied = [j for ratio, j in cands if ratio <= t + 1e-9 * (1.0 + t)]
+    if bland:
+        return tied[0]
+    return min(tied, key=lambda j: (-abs(alpha[j]), j))
+
+
 def ref_structural_and_bump(s):
     """The structural basic columns ``A[:, cols]`` and the bump (their
     uncovered rows), built by scipy indexing."""
@@ -203,8 +244,9 @@ def check_kernels(s, rng):
 
 
 def check_pricing_and_ratio(s, rng, kinds):
-    """New ``_entering``/``_ratio_test`` return exactly what the references
-    return; records which ratio-test outcomes occurred in ``kinds``."""
+    """``_entering``, ``_ratio_test``, ``_leaving_row`` and
+    ``_dual_ratio_test`` return exactly what the references return; records
+    which ratio-test outcomes occurred in ``kinds``."""
     # the incrementally kept pricing signs match the statuses and bounds
     movable = s.upper > s.lower
     assert np.array_equal(s.price_sign, np.where(
@@ -225,6 +267,32 @@ def check_pricing_and_ratio(s, rng, kinds):
     for d in ds:
         for bland in (False, True):
             assert s._entering(d, bland) == ref_entering(s, d, bland)
+
+    # the dual pass: the leaving row, at this point and at one pushed out of
+    # its bounds with many equal violations, and the entering column for
+    # tableau rows, their entries also spread over many magnitudes
+    xB = s.xB
+    pushed = xB.copy()
+    out = rng.random(s.m) < 0.3
+    pushed[out] = np.where(rng.random(out.sum()) < 0.5, -1.0, 5.0)
+    for point in (xB, pushed):
+        s.xB = point
+        for bland in (False, True):
+            assert s._leaving_row(bland) == ref_leaving_row(s, bland)
+    s.xB = xB
+    for r in range(0, s.m, max(1, s.m // 6)):
+        alpha = s.AT @ s._btran(np.eye(1, s.m, r)[0])
+        spread = alpha.copy()
+        scaled = rng.random(alpha.size) < 0.3
+        spread[scaled] *= 10.0 ** rng.uniform(3.0, 12.0, scaled.sum())
+        # ratios near 1e3, some apart by more than 1e-9 but within the tie
+        # window 1e-9 * (1 + t)
+        near = (1e3 + rng.choice([0.0, 4e-7, 3e-6], alpha.size)) * np.abs(alpha)
+        d_near = np.where(s.price_sign != 0.0, -s.price_sign, 1.0) * near
+        for d, a, toward, bland in itertools.product(ds + [d_near], (alpha, spread),
+                                                     (1.0, -1.0), (False, True)):
+            assert s._dual_ratio_test(d, toward * a, bland) == ref_dual_ratio_test(
+                s, d, toward * a, bland)
 
     nonbasic = np.flatnonzero(s.status != BASIC)
     for q in nonbasic[:: max(1, nonbasic.size // 40)]:
@@ -282,6 +350,18 @@ def test_kernels_match_reference_mid_dual_with_ge_and_equality_slacks_left():
     left = np.setdiff1d(np.arange(m), s.ref_basis[s.ref_basis >= s.n_struct] - s.n_struct)
     assert np.any(senses[left] == ">=") and np.any(senses[left] == "=")
     assert s.rows_bump.size > 0
+    check_kernels(s, rng)
+    check_pricing_and_ratio(s, rng, set())
+
+
+def test_kernels_match_reference_with_free_columns_nonbasic():
+    """Free columns enter the dual ratio test on any usable entry: a state
+    a few pivots in, before every free column has entered the basis."""
+    rng = np.random.default_rng(7)
+    m, n = 60, 90
+    senses = rng.choice(np.array(["=", ">=", "<="]), size=m, p=[0.5, 0.3, 0.2])
+    s = run_until(_random_std(rng, m, n, senses, n_free=6), lambda s: s.iterations >= 3)
+    assert s.free.size > 0 and s.n_etas > 0
     check_kernels(s, rng)
     check_pricing_and_ratio(s, rng, set())
 

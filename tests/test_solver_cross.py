@@ -96,7 +96,7 @@ def _prog_to_scipy(prog):
             data.append(coef)
         senses.append(row.sense)
         b.append(row.rhs)
-    A = sp.coo_matrix((data, (ri, ci)), shape=(len(prog.rows), n)).tocsr()
+    A = sp.coo_matrix((data, (ri, ci)), shape=(prog.num_rows, n)).tocsr()
     b = np.array(b)
     senses = np.array(senses)
     lo = np.where(senses == "<=", -np.inf, b)

@@ -1,18 +1,21 @@
-"""Branch-and-bound nodes re-optimised by the warm-started dual simplex.
+"""Warm re-solves: branch-and-bound nodes, and changed data.
 
-Every node LP starts from its parent's optimal basis; a cold solve of the
-same bounds, a dual simplex from the slack basis, is the reference it must
-agree with.
+Every node LP starts from its parent's optimal basis, and a re-solve with a
+changed right-hand side or changed costs from the optimal basis before the
+change; a cold solve of the same standard form, a dual simplex from the
+slack basis, is the reference each must agree with.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from enopt.formulate import compile_system
+from enopt.analyze import emissions_total
+from enopt.formulate import Family, compile_system
 from enopt.scenario import load_scenario
-from enopt.solver import SolverConfig, Status, solve_milp
+from enopt.solver import SolverConfig, Status, solve_lp, solve_milp
 from enopt.solver import branch_bound
 from enopt.solver.lp import solve_standard_lp
 from enopt.solver.standard import standardize
@@ -87,3 +90,47 @@ def test_commitment_demo_needs_few_iterations_per_node(commitment_prog):
     assert sol.objective == 1944.0
     assert sol.iterations <= 10 * sol.nodes
     assert math.isfinite(sol.bound) and sol.gap <= SolverConfig().mip_gap
+
+
+@pytest.fixture(scope="module")
+def desk_48(scenario_dir):
+    """paper_system_48 and its emissions at the uncapped optimum."""
+    sys_ = load_scenario(scenario_dir / "paper_system_48.json").system
+    prog = compile_system(sys_)
+    return sys_, prog, emissions_total(sys_, prog, solve_lp(prog))
+
+
+def _warm_matches_cold(std, start):
+    cfg = SolverConfig()
+    warm = solve_standard_lp(std, cfg, start=start)
+    cold = solve_standard_lp(std, cfg)
+    assert warm.status == cold.status == Status.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.iterations < cold.iterations
+
+
+def test_warm_re_solve_after_a_changed_co2_cap_matches_a_cold_solve(desk_48):
+    """A changed right-hand side leaves the start dual feasible: the dual
+    pass restores primal feasibility from there."""
+    sys_, _, e0 = desk_48
+    prog = compile_system(dataclasses.replace(sys_, co2_cap=e0))
+    std = standardize(prog)
+    (row,) = np.flatnonzero(prog.tag == Family.CO2_CAP.value)
+    start = solve_standard_lp(std, SolverConfig())
+    for share in (0.9, 0.8, 0.7):
+        b = std.b.copy()
+        b[row] = share * e0
+        _warm_matches_cold(dataclasses.replace(std, b=b), start.basis)
+
+
+def test_warm_re_solve_after_changed_costs_matches_a_cold_solve(desk_48):
+    """Changed costs leave the start primal feasible: cost modification
+    makes it dual feasible for the dual pass, and the primal pass with the
+    true costs finishes."""
+    _, prog, _ = desk_48
+    std = standardize(prog)
+    start = solve_standard_lp(std, SolverConfig())
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        cost = std.cost * rng.uniform(1.0, 1.5, std.cost.size)
+        _warm_matches_cold(dataclasses.replace(std, cost=cost), start.basis)
