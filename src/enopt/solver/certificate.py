@@ -1,7 +1,8 @@
 """Independent optimality checks on returned solutions.
 
 For LPs the check verifies primal feasibility, consistency of the reported
-reduced costs with the duals, the bounded-variable duality identity and
+reduced costs with the duals, dual feasibility (the sign of each reduced
+cost and inequality-row dual), the bounded-variable duality identity and
 complementary slackness.  For MILP incumbents it verifies feasibility,
 integrality and validity of the reported bound.  Either check fails when
 any reported number (value, objective, bound, dual or reduced cost) is not
@@ -75,8 +76,17 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
 
     Every scaled residual is judged at ``FEASIBILITY_TOL``: row and bound
     violations, the reported bound and objective, and for LPs the reduced
-    costs, complementarity and duality gap.  MILP integrality is judged at
-    ``INTEGRALITY_TOL``."""
+    costs, their signs and the signs of the row duals, complementarity and
+    duality gap.  MILP integrality is judged at ``INTEGRALITY_TOL``.
+
+    A column more than the tolerance (scaled as its bound check is) below
+    its upper bound can still increase, so its reduced cost must not be
+    below ``-tol * max(1, |c_j| + |A_j|'|y|)``; one above its lower bound
+    can still decrease, so it must not exceed ``tol`` times that scale.  A
+    ``<=`` row's dual must not exceed ``tol * max(1, |y_i|)``, and a ``>=``
+    row's must not be below its negative.  ``max_dual_residual`` is the
+    largest of these scaled sign violations and the scaled mismatch between
+    the reduced costs and ``c - A'y``."""
     if sol.status != Status.OPTIMAL:
         raise ValueError(f"certificates only apply to optimal solutions, got {sol.status}")
     milp = sol.duals is None or prog.is_integer.any()
@@ -117,6 +127,23 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
     dual_resid = float(np.max(np.abs(dhat - d))) / cscale if c.size else 0.0
     if dual_resid > FEASIBILITY_TOL:
         notes.append(f"reduced costs inconsistent with duals by {dual_resid:.3e}")
+
+    # dual feasibility: each reduced cost and row dual has the sign its bounds
+    # and sense allow; d_j is scaled by the terms it is the difference of
+    room = np.maximum(1.0, np.abs(x))
+    up = (prog.upper - x) / room > FEASIBILITY_TOL
+    down = (x - prog.lower) / room > FEASIBILITY_TOL
+    col_sign = np.maximum(np.where(up, -d, 0.0), np.where(down, d, 0.0))
+    col_sign /= np.maximum(1.0, np.abs(c) + abs(prog.A).T @ np.abs(y))
+    notes += [f"variable {prog.ref(j).label()} has reduced cost {d[j]:.3e} of the wrong "
+              f"sign for its bounds (scaled {col_sign[j]:.3e})"
+              for j in np.flatnonzero(col_sign > FEASIBILITY_TOL)]
+    row_sign = np.where(prog.sense == LE, y, np.where(prog.sense == GE, -y, 0.0))
+    row_sign /= np.maximum(1.0, np.abs(y))
+    notes += [f"row {i} ({prog.tag[i]}) dual {y[i]:.3e} has the wrong sign for its sense "
+              f"{prog.sense[i]} (scaled {row_sign[i]:.3e})"
+              for i in np.flatnonzero(row_sign > FEASIBILITY_TOL)]
+    dual_resid = float(max(dual_resid, col_sign.max(initial=0.0), row_sign.max(initial=0.0)))
 
     # weak-duality identity for bounded variables:
     # c'x = y'b + sum_j d_j x_j + sum_i y_i (a_i'x - b_i) collapses to the

@@ -11,14 +11,23 @@ Design notes:
   LU nucleus of Suhl & Suhl 1990) go to a sparse LU (SuperLU, called on
   raw arrays as scipy's ``splu`` calls it, see :func:`splu`); the entries
   of the covered rows follow from the structural basic columns, kept as raw
-  column arrays.  An all-slack basis needs no factorisation.
+  column arrays.  An all-slack basis needs no factorisation.  SuperLU keeps
+  its COLAMD ordering and partial pivoting but builds no relaxed
+  supernodes: the bumps are nearly triangular, and the dense blocks of
+  relaxed supernodes made each triangular solve and the factorisation
+  take up to about twice as long.
 * Pivots since the last factorisation form a product-form eta file
   (Dantzig & Orchard-Hays 1954) held in closed form: a fixed store of the
   vectors ``w_k - e_{r_k}`` and the inverse of the small lower-triangular
   matrix that couples them, so ftran and btran apply every eta in two dense
   matrix-vector products.  The basis is refactored when the store holds
-  ``REFACTOR_EVERY`` etas and before optimality is declared, so the final
-  point is computed from a fresh factorisation.
+  ``REFACTOR_EVERY`` (32) etas, which keeps those products short for the
+  price of a factorisation (about three pivots' time at 336 steps), and
+  before optimality is declared, so the final point is computed from a
+  fresh factorisation.
+* The dual pass keeps the bounds of the basic columns row by row, so its
+  leaving-row scan reads no gathered bound arrays, and takes the product
+  of the eta file with a unit vector as that file's column.
 * The objective is normalised by its largest coefficient internally, so
   scaling the objective by any positive factor leaves the pivot sequence,
   and therefore the returned vertex, unchanged.
@@ -99,18 +108,20 @@ BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 PIVOT_TOL = 1e-9
 DEGENERATE_STEP = 1e-10
-REFACTOR_EVERY = 64
+REFACTOR_EVERY = 32
 STALL_WINDOW = 40
 
 
-# the options ``scipy.sparse.linalg.splu`` passes with its default arguments
-_SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
+# the options ``scipy.sparse.linalg.splu(A, relax=1, panel_size=1)`` passes:
+# its defaults but no relaxed supernodes (see the module docstring)
+_SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": 1, "Relax": 1}
 
 
 def splu(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     """``scipy.sparse.linalg.splu`` of the n x n CSC matrix (data, indices,
-    indptr), called on the raw arrays: for a typical bump, the checked
-    ``csc_matrix`` splu builds costs more than the factorisation itself.
+    indptr) with ``_SPLU_OPTIONS``, called on the raw arrays: for a typical
+    bump, the checked ``csc_matrix`` splu builds costs more than the
+    factorisation itself.
     The arrays must be canonical (sorted row indices, no repeated entries,
     of which SuperLU keeps only the last); bumps of ``standardize``'s A are."""
     return gstrf(n, data.size, data, indices.astype(np.intc), indptr.astype(np.intc),
@@ -211,6 +222,8 @@ class BoundedSimplex:
             except RuntimeError as exc:  # singular basis: numerical breakdown
                 raise SolverError(f"basis factorisation failed: {exc}") from exc
         self.n_etas = 0
+        # the bounds of the basic columns, row by row; _pivot keeps them
+        self.lbB, self.ubB = self.lower[basis], self.upper[basis]
         x_nb = self._nonbasic_values()
         self.xB = self._ftran(self.b - self.A @ x_nb)
 
@@ -250,10 +263,20 @@ class BoundedSimplex:
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
         z = np.array(cb, dtype=float)
+        return self._btran_etas(z, self.eta_vecs[:self.n_etas] @ z)
+
+    def _btran_unit(self, r: int) -> np.ndarray:
+        """``_btran(e_r)``, bit for bit: the eta file's product with e_r is
+        its column r."""
+        z = np.zeros(self.m)
+        z[r] = 1.0
+        return self._btran_etas(z, self.eta_vecs[:self.n_etas, r])
+
+    def _btran_etas(self, z: np.ndarray, vz: np.ndarray) -> np.ndarray:
+        """btran of z, where vz is the eta file's product with z."""
         k = self.n_etas
         if k:
-            h = (self.eta_vecs[:k] @ z) @ self.eta_inv[:k, :k]
-            np.subtract.at(z, self.eta_rows[:k], h)
+            np.subtract.at(z, self.eta_rows[:k], vz @ self.eta_inv[:k, :k])
         y = np.zeros(self.m)
         y[self.rows_unit] = z[self.pos_unit]
         if self.lu is not None:
@@ -261,6 +284,12 @@ class BoundedSimplex:
             csr_matvec(st_y.size, self.m, *self.S, y, st_y)
             y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - st_y, trans="T")
         return y
+
+    def _times_A(self, y: np.ndarray) -> np.ndarray:
+        """``AT @ y``, the kernel scipy's product calls, on AT's arrays."""
+        out = np.zeros(self.n)
+        csr_matvec(self.n, self.m, self.AT.indptr, self.AT.indices, self.AT.data, y, out)
+        return out
 
     def _column(self, j: int) -> np.ndarray:
         start, end = self.A.indptr[j], self.A.indptr[j + 1]
@@ -272,7 +301,7 @@ class BoundedSimplex:
 
     def _price(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self._btran(cost[self.basis])
-        d = cost - self.AT @ y
+        d = cost - self._times_A(y)
         return y, d
 
     def _violations(self, d: np.ndarray) -> np.ndarray:
@@ -307,7 +336,7 @@ class BoundedSimplex:
         rows = np.flatnonzero(np.abs(w) > PIVOT_TOL)
         delta = sigma * w[rows]
         cols = self.basis[rows]
-        bound = np.where(delta > 0.0, self.lower[cols], self.upper[cols])
+        bound = np.where(delta > 0.0, self.lbB[rows], self.ubB[rows])
         with np.errstate(invalid="ignore"):
             lims = (self.xB[rows] - bound) / delta
         np.maximum(lims, 0.0, out=lims)
@@ -351,6 +380,7 @@ class BoundedSimplex:
         self.xB -= step * w
         self._set_status(self.basis[r], leaving_status)
         self.basis[r] = q
+        self.lbB[r], self.ubB[r] = self.lower[q], self.upper[q]
         self.xB[r] = self._value_of(q) + step
         self._set_status(q, BASIC)
         self._push_eta(r, w)
@@ -404,15 +434,16 @@ class BoundedSimplex:
     def _leaving_row(self, bland: bool) -> tuple[int | None, float]:
         """The basic row with the largest bound violation (lowest column in
         Bland mode) and +1 if it leaves to its lower bound, -1 to its upper."""
-        cols = self.basis
-        below = self.lower[cols] - self.xB
-        above = self.xB - self.upper[cols]
-        viol = np.maximum(below, above)
-        rows = np.flatnonzero(viol > FEASIBILITY_TOL)
-        if not rows.size:
+        if not self.m:
             return None, 0.0
-        r = int(rows[np.argmin(cols[rows])] if bland else rows[np.argmax(viol[rows])])
-        return r, 1.0 if below[r] > 0.0 else -1.0
+        viol = np.maximum(self.lbB - self.xB, self.xB - self.ubB)
+        r = int(np.argmax(viol))
+        if not viol[r] > FEASIBILITY_TOL:
+            return None, 0.0
+        if bland:
+            rows = np.flatnonzero(viol > FEASIBILITY_TOL)
+            r = int(rows[np.argmin(self.basis[rows])])
+        return r, 1.0 if self.lbB[r] > self.xB[r] else -1.0
 
     def _dual_ratio_test(self, d: np.ndarray, alpha: np.ndarray, bland: bool) -> int | None:
         """Entering column: the first reduced cost to reach zero as the
@@ -453,10 +484,8 @@ class BoundedSimplex:
             r, toward = self._leaving_row(bland)
             if r is None:
                 return None, None
-            er = np.zeros(self.m)
-            er[r] = 1.0
-            rho = self._btran(er)
-            alpha = self.AT @ rho  # row r of B^-1 A
+            rho = self._btran_unit(r)
+            alpha = self._times_A(rho)  # row r of B^-1 A
             q = self._dual_ratio_test(d, toward * alpha, bland)
             if q is None and self.n_etas:
                 self._refactor()
@@ -484,11 +513,10 @@ class BoundedSimplex:
             theta = d[q] / alpha[q]
             d -= theta * alpha
             # the entering column moves until the leaving one sits at its bound
-            leaving = self.basis[r]
             if toward > 0:
-                self._pivot(r, q, w, (self.xB[r] - self.lower[leaving]) / w[r], AT_LOWER)
+                self._pivot(r, q, w, (self.xB[r] - self.lbB[r]) / w[r], AT_LOWER)
             else:
-                self._pivot(r, q, w, (self.xB[r] - self.upper[leaving]) / w[r], AT_UPPER)
+                self._pivot(r, q, w, (self.xB[r] - self.ubB[r]) / w[r], AT_UPPER)
             stall = stall + 1 if abs(theta) <= DEGENERATE_STEP else 0
 
     def solve(self) -> Solution:

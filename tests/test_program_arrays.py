@@ -123,6 +123,28 @@ def reference_certificate(prog, sol, tol=1e-6):
     dual_resid = float(np.max(np.abs(dhat - d))) / cscale if c.size else 0.0
     if dual_resid > tol:
         notes.append(f"reduced costs inconsistent with duals by {dual_resid:.3e}")
+    scale = np.abs(c)
+    for i, row in enumerate(prog.rows):
+        for idx, coef in row.terms:
+            scale[idx] += abs(coef) * abs(y[i])
+    for j in range(prog.num_vars):
+        room = max(1.0, abs(x[j]))
+        sign = 0.0
+        if (prog.upper[j] - x[j]) / room > tol:  # can still increase
+            sign = max(sign, -d[j])
+        if (x[j] - prog.lower[j]) / room > tol:  # can still decrease
+            sign = max(sign, d[j])
+        sign /= max(1.0, scale[j])
+        dual_resid = max(dual_resid, sign)
+        if sign > tol:
+            notes.append(f"variable {prog.ref(j).label()} has reduced cost {d[j]:.3e} of "
+                         f"the wrong sign for its bounds (scaled {sign:.3e})")
+    for i, row in enumerate(prog.rows):
+        sign = {"<=": y[i], ">=": -y[i]}.get(row.sense, 0.0) / max(1.0, abs(y[i]))
+        dual_resid = max(dual_resid, sign)
+        if sign > tol:
+            notes.append(f"row {i} ({row.tag}) dual {y[i]:.3e} has the wrong sign for its "
+                         f"sense {row.sense} (scaled {sign:.3e})")
     dual_value = 0.0
     comp = 0.0
     for i, row in enumerate(prog.rows):

@@ -262,6 +262,22 @@ def test_cli_runs_with_lp_export_are_byte_identical(tmp_path, capsys, scenario_d
     assert "program.lp" in outputs[0] and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("name, objective", [
+    ("commitment_demo", 1944.0),
+    ("paper_system_48", 79866.43973755669),
+    ("paper_system", 261375.44914669532),
+])
+def test_shipped_scenarios_keep_their_optima(tmp_path, capsys, scenario_dir, name, objective):
+    """The optimum of each shipped scenario, pinned: a change to the solver
+    may return another optimal vertex, never another objective.  Exit 0
+    means the verifier and the certificate both passed."""
+    out = tmp_path / name
+    assert cli.main(["run", str(scenario_dir / f"{name}.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["objective"] == pytest.approx(objective, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("flag", ["--verify", "--no-verify", "--seed"])
 def test_run_has_no_verify_switch(tmp_path, capsys, scenario_dir, flag):
     """Every run is judged by verification and the certificate, and the

@@ -227,8 +227,10 @@ def _random_std(rng, m, n, senses, n_free=0):
 
 
 def check_kernels(s, rng):
-    """ftran/btran against the full-basis reference; returns the pairs
-    compared."""
+    """ftran/btran against the full-basis reference, and the unit-vector
+    btran against ``_btran`` bit for bit; returns the pairs compared."""
+    # the basic bounds that _refactor sets and _pivot keeps
+    assert np.array_equal(s.lbB, s.lower[s.basis]) and np.array_equal(s.ubB, s.upper[s.basis])
     lu = splu(s.A[:, s.ref_basis].tocsc())
     cols = [s._column(j) for j in range(0, s.A.shape[1], max(1, s.A.shape[1] // 25))]
     cols.append(rng.standard_normal(s.m))
@@ -236,10 +238,13 @@ def check_kernels(s, rng):
         ref = ref_ftran(lu, s.ref_etas, col)
         assert np.max(np.abs(s._ftran(col) - ref)) <= TOL * max(np.max(np.abs(ref)), 1e-300)
     rhs = [s.cost[s.basis], rng.standard_normal(s.m)]
-    rhs += [np.eye(1, s.m, r)[0] for r in (0, s.m // 2, s.m - 1)]
+    units = (0, s.m // 2, s.m - 1)
+    rhs += [np.eye(1, s.m, r)[0] for r in units]
     for cb in rhs:
         ref = ref_btran(lu, s.ref_etas, cb)
         assert np.max(np.abs(s._btran(cb) - ref)) <= TOL * max(np.max(np.abs(ref)), 1e-300)
+    for r in units:
+        assert s._btran_unit(r).tobytes() == s._btran(np.eye(1, s.m, r)[0]).tobytes()
     return len(cols) + len(rhs)
 
 
@@ -397,11 +402,7 @@ def test_bump_covering_the_whole_basis():
     assert s.rows_bump.size == m and s.pos_unit.size == 0
     check_kernels(s, rng)
     for r, q in ((3, m + 3), (10, m + 10)):  # two slacks pivot back in
-        w = s._ftran(s._column(q))
-        s._set_status(s.basis[r], AT_LOWER)
-        s.basis[r] = q
-        s._set_status(q, BASIC)
-        s._push_eta(r, w)
+        s._pivot(r, q, s._ftran(s._column(q)), 0.0, AT_LOWER)
     check_kernels(s, rng)
     check_pricing_and_ratio(s, rng, set())
 
@@ -483,9 +484,9 @@ def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
 
 def _assert_same_lu(n, data, indices, indptr, rng):
     """``simplex.splu`` on the raw arrays equals scipy's ``splu`` on the
-    matrix, factors and solves bit for bit."""
+    matrix with no relaxed supernodes, factors and solves bit for bit."""
     ours = simplex.splu(n, data, indices, indptr)
-    ref = splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
+    ref = splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)), relax=1, panel_size=1)
     assert np.array_equal(ours.perm_r, ref.perm_r) and np.array_equal(ours.perm_c, ref.perm_c)
     assert same_arrays(ours.L, ref.L) and same_arrays(ours.U, ref.U)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):

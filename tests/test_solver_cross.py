@@ -120,11 +120,17 @@ def test_desk_replica_lp_matches_highs(scenario_dir):
     assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
 
 
-def _heat_pump_variant(scenario_dir, section, key, value):
-    """paper_system_48 with one field of the heat pump's ``section`` set."""
+def _heat_pump_doc(scenario_dir, section, key, value):
+    """The paper_system_48 scenario with one field of the heat pump's
+    ``section`` set."""
     doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
     pump = next(c for c in doc["system"]["components"] if c["id"] == "heat_pump")
     pump[section][key] = value
+    return doc
+
+
+def _heat_pump_variant(scenario_dir, section, key, value):
+    doc = _heat_pump_doc(scenario_dir, section, key, value)
     return compile_system(system_from_dict(doc["system"], scenario_dir))
 
 
@@ -172,8 +178,8 @@ def test_tiny_heat_pump_efficiency_passes_the_certificate(scenario_dir):
 @pytest.mark.parametrize("invest", [
     1e8, 1e10,
     pytest.param(1e12, marks=pytest.mark.xfail(
-        strict=True, reason="an OPTIMAL objective 5.2e-5 above HiGHS that the certificate, "
-        "scaled by the largest cost, accepts")),
+        strict=True, reason="an OPTIMAL point 6.2e-5 above HiGHS, whose reduced costs have "
+        "the wrong sign: the certificate rejects it, and scaling is still to come")),
 ])
 def test_huge_heat_pump_invest_matches_highs(scenario_dir, invest):
     prog = _heat_pump_variant(scenario_dir, "costs", "invest", invest)
@@ -181,6 +187,24 @@ def test_huge_heat_pump_invest_matches_highs(scenario_dir, invest):
     assert sol.status == Status.OPTIMAL
     assert check_certificate(prog, sol).ok
     assert sol.objective == pytest.approx(_highs_objective(prog), rel=1e-9)
+
+
+def test_huge_heat_pump_invest_fails_the_certificate_and_the_run(scenario_dir, tmp_path):
+    """Invest 1e12 returns a suboptimal point whose duals have the wrong
+    signs; scaled by the largest cost, complementarity hides them, so only
+    the sign checks reject it, and ``enopt run`` exits 9."""
+    from enopt import cli
+    doc = _heat_pump_doc(scenario_dir, "costs", "invest", 1e12)
+    prog = compile_system(system_from_dict(doc["system"], scenario_dir))
+    sol = solve_lp(prog)
+    assert sol.status == Status.OPTIMAL
+    report = check_certificate(prog, sol)
+    assert not report.ok
+    assert all("wrong sign" in note for note in report.violations)
+    path = tmp_path / "invest_1e12.json"
+    path.write_text(json.dumps(doc))
+    (tmp_path / "series_48.csv").write_bytes((scenario_dir / "series_48.csv").read_bytes())
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VERIFY == 9
 
 
 def _ramp_rows_from_system(sys_, prog):

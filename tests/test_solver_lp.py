@@ -201,6 +201,36 @@ def test_certificate_flags_perturbed_solution():
     assert report.violations
 
 
+@pytest.mark.parametrize("c, row, y, note", [
+    # min x, x <= 1 with the dual +1: the point x = 1 prices out at d = 0
+    ([1.0], ([(0, 1.0)], "<=", 1.0), [1.0], "row 0"),
+    # min x, -x >= -1 with the dual -1: the same point, as a >= row
+    ([1.0], ([(0, -1.0)], ">=", -1.0), [-1.0], "row 0"),
+    # min x0 + 1e4 x1, x0 + x1 >= 1 with the dual 1.005: x0 = 1 can still
+    # decrease and increase, yet d0 = -5e-3, hidden when scaled by max|c|
+    ([1.0, 1e4], ([(0, 1.0), (1, 1.0)], ">=", 1.0), [1.005], "variable output_x0"),
+])
+def test_certificate_rejects_wrong_signed_duals(c, row, y, note):
+    """Each point has a zero duality gap and zero complementarity; only the
+    sign of a row dual or of a reduced cost shows it is not optimal."""
+    import dataclasses
+    prog = make_program(c, [row])
+    sol = solve_lp(prog)
+    assert sol.status == Status.OPTIMAL
+    x = np.zeros(len(c))
+    x[0] = 1.0
+    y = np.array(y)
+    point = dataclasses.replace(sol, values=x, objective=float(prog.objective @ x),
+                                bound=float(prog.objective @ x), duals=y,
+                                reduced_costs=prog.objective - prog.A.T @ y)
+    report = check_certificate(prog, point)
+    assert not report.ok
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith(note) and "wrong sign" in report.violations[0]
+    assert report.max_primal_residual == report.max_complementarity == report.duality_gap == 0.0
+    assert report.max_dual_residual > 1e-3
+
+
 def test_certificate_rejects_non_optimal_status():
     prog = make_program([1.0], [([(0, 1.0)], "<=", 1.0), ([(0, 1.0)], ">=", 2.0)])
     sol = solve_lp(prog)
