@@ -88,19 +88,17 @@ class SolutionView:
         return self.series(VarKind.DISCHARGE, stor_id)
 
     def units(self, comp: Component) -> float:
+        """Unit count of a committed component."""
         com = comp.commitment
-        if com is None:
-            return 0.0
         if com.optimize_units:
             return self.value(VarRef(VarKind.UNITS, comp.id))
         return float(com.max_units)
 
     def installed_per_period(self, comp: Component) -> np.ndarray:
+        """Installed MW per period of an uncommitted component."""
         P = max(self.sys.time.num_periods, 1)
         cap = comp.capacity
         out = np.full(P, float(cap.initial))
-        if comp.committed:
-            return np.full(P, self.units(comp) * comp.commitment.unit_capacity)
         if cap.optimizable:
             if cap.per_period:
                 first = self.prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0))
@@ -110,6 +108,7 @@ class SolutionView:
         return out
 
     def installed_at_step(self, comp: Component) -> np.ndarray:
+        """Installed MW per step of an uncommitted component."""
         per_period = self.installed_per_period(comp)
         return per_period[np.array(self.sys.time.period_of_step)]
 
@@ -164,13 +163,24 @@ def emissions_total(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> fl
 
 @dataclass(frozen=True)
 class RunReport:
+    """Domain quantities of one solution; every field feeds an artifact.
+
+    - ``summary.txt`` and ``report.json``: ``status``, ``objective``,
+      ``bound``, ``gap``, ``capacities``, ``storage_capacities``,
+      ``cost_breakdown``, ``emissions_kg``, ``capacity_factors``, ``residuals``
+    - ``report.json`` only: ``unit_counts``, ``output_variance``
+    - ``schedule.csv``: ``schedules``, ``secondary_outputs`` (both also in
+      ``report.json``; ``schedules`` in ``plot_data.json`` too)
+    - ``fill.csv``: ``storage_charge``, ``storage_discharge``,
+      ``storage_fill`` (the last also in ``report.json`` and ``plot_data.json``)
+    """
+
     status: str
     objective: float
     bound: float
     gap: float
     schedules: dict
     secondary_outputs: dict
-    curtailment: dict
     storage_charge: dict
     storage_discharge: dict
     storage_fill: dict
@@ -179,7 +189,6 @@ class RunReport:
     unit_counts: dict
     cost_breakdown: dict
     emissions_kg: float
-    partial_load_efficiency: dict
     # dispatch statistics: qualitative behaviour (base load vs peaking) is
     # reported as numbers, not asserted
     capacity_factors: dict
@@ -209,9 +218,8 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
     if sol.status not in (Status.OPTIMAL, Status.GAP_LIMIT) or not sol.integral:
         raise NoSolutionError(f"no usable solution: {sol.status.value} ({sol.message})")
     view = SolutionView(sys, prog, sol)
-    T = sys.time.num_steps
 
-    schedules, secondary, curtail, eff = {}, {}, {}, {}
+    schedules, secondary = {}, {}
     capacities, unit_counts, cap_factor, variance = {}, {}, {}, {}
     for comp in sys.sorted_components():
         out = view.output(comp.id)
@@ -222,24 +230,15 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
             secondary[comp.id] = conv.ratio * out
         elif isinstance(conv, FieldConversion):
             secondary[comp.id] = view.secondary(comp.id)
-        avail = np.array(comp.capacity.availability_series(T))
         if comp.committed:
-            com = comp.commitment
-            on = view.on(comp.id)
-            unit_counts[comp.id] = view.units(comp)
-            capacities[comp.id] = view.units(comp) * com.unit_capacity
-            curtail[comp.id] = avail * com.unit_capacity * on - out
-            reference = view.units(comp) * com.unit_capacity
-            if com.partial_load is not None:
-                eff[comp.id] = _partial_efficiency(out, on, com.partial_load.slope,
-                                                   com.partial_load.offset)
+            units = unit_counts[comp.id] = view.units(comp)
+            reference = capacities[comp.id] = units * comp.commitment.unit_capacity
         else:
             per_period = view.installed_per_period(comp)
             if comp.capacity.per_period:
                 capacities[comp.id] = tuple(float(v) for v in per_period)
             else:
                 capacities[comp.id] = float(per_period[0])
-            curtail[comp.id] = avail * view.installed_at_step(comp) - out
             reference = float(view.installed_at_step(comp).max(initial=0.0))
         cap_factor[comp.id] = (float(out.mean()) / reference if reference > 1e-12
                                else 0.0)
@@ -265,7 +264,6 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         gap=sol.gap,
         schedules=schedules,
         secondary_outputs=secondary,
-        curtailment=curtail,
         storage_charge=charge,
         storage_discharge=discharge,
         storage_fill=fill,
@@ -274,7 +272,6 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         unit_counts=unit_counts,
         cost_breakdown=breakdown,
         emissions_kg=emissions_total(sys, prog, sol),
-        partial_load_efficiency=eff,
         capacity_factors=cap_factor,
         output_variance=variance,
         residuals=residuals,
@@ -291,9 +288,6 @@ class FamilyResidual:
     residual: float  # scaled: each check divides by max(1, |reference|)
     checks: int
 
-    def __str__(self) -> str:
-        return f"{self.family}: residual {self.residual:.3e} over {self.checks} checks"
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -301,19 +295,18 @@ class ResidualReport:
 
     families: tuple
 
-    def residual(self, family) -> float:
+    def _find(self, family) -> FamilyResidual:
         tag = family.value if isinstance(family, Family) else str(family)
         for fam in self.families:
             if fam.family == tag:
-                return fam.residual
+                return fam
         raise KeyError(tag)
 
+    def residual(self, family) -> float:
+        return self._find(family).residual
+
     def checks(self, family) -> int:
-        tag = family.value if isinstance(family, Family) else str(family)
-        for fam in self.families:
-            if fam.family == tag:
-                return fam.checks
-        raise KeyError(tag)
+        return self._find(family).checks
 
     @property
     def worst(self) -> float:

@@ -58,8 +58,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _schedule_csv(report, sys, path: Path) -> None:
-    times = np.cumsum(np.array(sys.time.step_hours)) - np.array(sys.time.step_hours)
+def _schedule_csv(report, times: np.ndarray, path: Path) -> None:
     header, columns = [], []
     for cid in sorted(report.schedules):
         header.append(cid)
@@ -70,8 +69,7 @@ def _schedule_csv(report, sys, path: Path) -> None:
     _write_csv(path, header, columns, times)
 
 
-def _fill_csv(report, sys, path: Path) -> None:
-    times = np.cumsum(np.array(sys.time.step_hours)) - np.array(sys.time.step_hours)
+def _fill_csv(report, times: np.ndarray, path: Path) -> None:
     header, columns = [], []
     for sid in sorted(report.storage_fill):
         for suffix, series in (("charge", report.storage_charge[sid]),
@@ -82,7 +80,7 @@ def _fill_csv(report, sys, path: Path) -> None:
     _write_csv(path, header, columns, times)
 
 
-def format_summary(report, sys) -> str:
+def format_summary(report) -> str:
     lines = [f"status: {report.status}",
              f"objective: {_fmt(report.objective)} EUR",
              f"bound: {_fmt(report.bound)} EUR (gap {report.gap:.3e})",
@@ -125,14 +123,13 @@ def _json_text(doc: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def _report_json(report, sys) -> str:
+def _report_json(report) -> str:
     doc = {
         "status": report.status,
         "objective": report.objective,
         "bound": report.bound,
         "gap": report.gap,
-        "capacities_mw": {k: (list(v) if isinstance(v, tuple) else v)
-                          for k, v in report.capacities.items()},
+        "capacities_mw": report.capacities,  # a per-period tuple is written as a list
         "storage_capacities_mwh": report.storage_capacities,
         "unit_counts": report.unit_counts,
         "cost_breakdown_eur": report.cost_breakdown,
@@ -153,8 +150,7 @@ def _report_json(report, sys) -> str:
     return _json_text(doc)
 
 
-def _plot_data_json(report, sys) -> str:
-    times = np.cumsum(np.array(sys.time.step_hours)) - np.array(sys.time.step_hours)
+def _plot_data_json(report, sys, times: np.ndarray) -> str:
     doc = {
         "time_hours": list(times),
         "loads": {n.id: list(n.load) for n in sys.balanced_nodes()},
@@ -162,6 +158,10 @@ def _plot_data_json(report, sys) -> str:
         "storage_fill": {k: list(v) for k, v in report.storage_fill.items()},
     }
     return _json_text(doc)
+
+
+def _no_solution_text(sol) -> str:
+    return f"status: {sol.status.value}\nmessage: {sol.message}\n"
 
 
 def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
@@ -192,19 +192,20 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
     try:
         report = analyze.extract_report(scn.system, prog, sol)
     except analyze.NoSolutionError:
-        (out / "summary.txt").write_text(
-            f"status: {sol.status.value}\nmessage: {sol.message}\n")
+        (out / "summary.txt").write_text(_no_solution_text(sol))
         return None, sol, exit_code
+    step_hours = np.array(scn.system.time.step_hours)
+    times = np.cumsum(step_hours) - step_hours  # the start of each step
     if scn.outputs.schedule_csv:
-        _schedule_csv(report, scn.system, out / "schedule.csv")
+        _schedule_csv(report, times, out / "schedule.csv")
     if scn.outputs.fill_csv:
-        _fill_csv(report, scn.system, out / "fill.csv")
+        _fill_csv(report, times, out / "fill.csv")
     if scn.outputs.summary:
-        (out / "summary.txt").write_text(format_summary(report, scn.system))
+        (out / "summary.txt").write_text(format_summary(report))
     if scn.outputs.report_json:
-        (out / "report.json").write_text(_report_json(report, scn.system))
+        (out / "report.json").write_text(_report_json(report))
     if scn.outputs.plot_data:
-        (out / "plot_data.json").write_text(_plot_data_json(report, scn.system))
+        (out / "plot_data.json").write_text(_plot_data_json(report, scn.system, times))
     if not report.residuals.passed:
         log.warning("verification failed: %s", report.residuals.summary_lines()[0])
         exit_code = EXIT_VERIFY
@@ -248,11 +249,7 @@ def _cmd_run(args) -> int:
     out_dir = args.out or f"{Path(args.scenario).stem}_out"
     report, sol, code = run(scn, out_dir, solver_overrides=overrides,
                             export_lp=args.export_lp)
-    if report is not None:
-        print(format_summary(report, scn.system), end="")
-    else:
-        print(f"status: {sol.status.value}")
-        print(f"message: {sol.message}")
+    print(format_summary(report) if report is not None else _no_solution_text(sol), end="")
     print(f"artifacts written to {out_dir}")
     return code
 

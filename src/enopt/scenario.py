@@ -86,7 +86,6 @@ class Scenario:
     system: EnergySystem
     solver: dict = field(default_factory=dict)
     outputs: OutputSpec = OutputSpec()
-    schema_version: int = SCHEMA_VERSION
 
 
 class _Ctx:
@@ -398,8 +397,7 @@ def load_scenario(path) -> Scenario:
         lines = [f"{v.code} at {v.where}: {v.message}" for v in report.errors]
         raise ScenarioError("scenario failed validation:\n  " + "\n  ".join(lines),
                             EXIT_VALIDATION)
-    return Scenario(system=system, solver=dict(solver), outputs=outputs,
-                    schema_version=version)
+    return Scenario(system=system, solver=dict(solver), outputs=outputs)
 
 
 def solver_config(options: dict) -> SolverConfig:
@@ -438,7 +436,7 @@ def system_to_dict(sys: EnergySystem) -> dict:
 
 def scenario_to_dict(scn: Scenario) -> dict:
     return {
-        "schema_version": scn.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "system": system_to_dict(scn.system),
         "solver": dict(scn.solver),
         "outputs": _write_record(scn.outputs),

@@ -50,7 +50,7 @@ def test_report_requires_usable_status():
 
 
 def test_partial_load_realized_efficiency():
-    """Output 3 at slope 2 and offset 1 realises 3 / (2*3 + 1) = 3/7."""
+    """Output 3 at slope 2 and offset 1 draws 2*3 + 1 = 7 MW of electricity."""
     grid = M.TimeGrid((1.0,))
     sys_ = M.EnergySystem(
         grid,
@@ -67,7 +67,6 @@ def test_partial_load_realized_efficiency():
     prog, sol = _solved(sys_)
     report = extract_report(sys_, prog, sol)
     assert report.schedules["chp_unit"][0] == pytest.approx(3.0)
-    assert report.partial_load_efficiency["chp_unit"][0] == pytest.approx(3.0 / 7.0)
     # the electricity drawn is slope*out + offset*on = 7, covered by imports
     assert report.schedules["import"][0] == pytest.approx(7.0)
 
@@ -106,11 +105,27 @@ def test_cost_breakdown_matches_objective(coverage_system):
         "emission", "built"}
 
 
-def test_curtailment_is_non_negative(coverage_system):
+def test_output_within_available_capacity(coverage_system):
     prog, sol = _solved(coverage_system)
-    report = extract_report(coverage_system, prog, sol)
-    for cid, series in report.curtailment.items():
-        assert np.all(series >= -1e-6), cid
+    residuals = extract_report(coverage_system, prog, sol).residuals
+    for fam in (Family.CAPACITY_LIMIT, Family.PERIOD_CAPACITY, Family.COMMIT_MAX):
+        assert residuals.residual(fam) <= FEASIBILITY_TOL, fam
+        assert residuals.checks(fam) > 0, fam
+
+
+def test_zero_interest_annuity_verifies():
+    """At zero interest the capital recovery factor is 1/lifetime, and the
+    verifier's direct form takes its own zero-rate branch."""
+    sys_ = single_node_system(loads=(5.0, 8.0))
+    comp = dataclasses.replace(
+        sys_.components[0],
+        costs=M.CostSpec(fuel=20.0, annuity=M.AnnuityInput(1000.0, 0.0, 10)))
+    sys_ = dataclasses.replace(sys_, components=(comp,))
+    prog, sol = _solved(sys_)
+    report = verify_solution(sys_, prog, sol)
+    assert report.passed
+    assert report.checks(Family.ANNUITY_FACTOR) == 1
+    assert report.residual(Family.ANNUITY_FACTOR) == 0.0
 
 
 def test_fill_levels_within_bounds(coverage_system):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from enopt import model as M
@@ -644,6 +645,41 @@ def test_balance_sign_convention(coverage_system):
                         assert coef < 0
                         seen += 1
     assert seen > 0
+
+
+def test_coupled_and_field_inputs_draw_from_a_balanced_node():
+    """A coupled and a field component fed from a balanced gas node enter its
+    balance with -1/primary_efficiency on their primary output."""
+    grid = M.TimeGrid((1.0,))
+    nodes = (M.Node("elec", "e", (10.0,)), M.Node("heat", "h", (4.0,)),
+             M.Node("steam", "h", (3.0,)), M.Node("gas", "g", (0.0,)),
+             M.Node("well", "g", (0.0,), boundary=True))
+    comps = (
+        M.Component("gasfeed", M.SingleConversion("well", "gas", 1.0),
+                    M.CapacitySpec(optimizable=True), costs=M.CostSpec(fuel=1.0)),
+        # only the coupled unit serves heat and only the field unit steam
+        M.Component("cogen", M.CoupledConversion("gas", "elec", "heat", 0.4, 0.4),
+                    M.CapacitySpec(initial=20.0)),
+        M.Component("flexgen", M.FieldConversion(
+                        "gas", "elec", "steam", 0.5,
+                        (M.HalfPlane(1.0, 0.0, M.SENSE_LE),
+                         M.HalfPlane(-1.0, 20.0, M.SENSE_LE),
+                         M.HalfPlane(0.25, 0.0, M.SENSE_GE))),
+                    M.CapacitySpec(initial=20.0)),
+    )
+    sys_ = M.EnergySystem(grid, nodes, comps, ())
+    prog = compile_system(sys_)
+    (i,) = np.flatnonzero(prog.owner == "gas")
+    assert prog.tag[i] == Family.NODE_BALANCE
+    coef = {cid: prog.A[i, prog.index(VarRef(VarKind.OUTPUT, cid, 0))]
+            for cid in ("gasfeed", "cogen", "flexgen")}
+    assert coef == {"gasfeed": 1.0, "cogen": -1.0 / 0.4, "flexgen": -1.0 / 0.5}
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL
+    out = {cid: sol.values[prog.index(VarRef(VarKind.OUTPUT, cid, 0))] for cid in coef}
+    assert out["cogen"] == pytest.approx(4.0) and out["flexgen"] == pytest.approx(6.0)
+    assert out["gasfeed"] == pytest.approx(4.0 / 0.4 + 6.0 / 0.5)
+    assert verify_solution(sys_, prog, sol).passed
 
 
 def test_variable_count_formula(coverage_system):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from enopt import cli
+from enopt import model as M
 from enopt.model import system_dimensions, validate_system
 from enopt.scenario import (
     EXIT_PARSE,
@@ -212,6 +213,39 @@ def test_cli_validate_and_dimensions(capsys, scenario_dir):
     assert cli.main(["dimensions", str(scenario_dir / "paper_system_48.json")]) == 0
     out = capsys.readouterr().out
     assert "steps: 48" in out and "components: 4" in out
+
+
+def _scenario_file(tmp_path, system) -> str:
+    p = tmp_path / "scenario.json"
+    save_scenario(Scenario(system=system), p)
+    return str(p)
+
+
+def test_cli_validate_warns_on_an_all_zero_load(tmp_path, capsys):
+    system = M.EnergySystem(M.TimeGrid((1.0, 1.0)), (M.Node("n", "e", (0.0, 0.0)),))
+    path = _scenario_file(tmp_path, system)
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr().out == (
+        "warning DEGENERATE at nodes: no node carries a nonzero load; "
+        "the problem is degenerate\n"
+        f"{path}: valid (1 warnings)\n")
+
+
+def test_cli_run_reports_capacity_per_period(tmp_path, capsys):
+    system = M.EnergySystem(
+        M.TimeGrid((1.0,) * 4, (0, 0, 1, 1)),
+        (M.Node("elec", "e", (2.0, 2.0, 5.0, 5.0)),),
+        (M.Component("grid", M.SourceConversion("elec"),
+                     M.CapacitySpec(optimizable=True, per_period=True),
+                     # capacity dear enough that period 0 installs only its peak
+                     costs=M.CostSpec(invest=50000.0, fuel=1.0, built=1.0)),))
+    out = tmp_path / "out"
+    assert cli.main(["run", _scenario_file(tmp_path, system), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "  grid                     [2, 5] MW per period" in (
+        out / "summary.txt").read_text()
+    report = json.loads((out / "report.json").read_text())
+    assert report["capacities_mw"]["grid"] == [2.0, 5.0]
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

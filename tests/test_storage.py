@@ -106,6 +106,12 @@ def test_final_fill_hold_prevents_free_draining():
     assert view_free.fill(free.storages[0])[-1] < 1e-6
     assert view_held.fill(held.storages[0])[-1] >= 8.0 - 1e-9
     assert sol_held.objective > sol_free.objective
+    assert verify_solution(held, prog_held, sol_held).passed
+    # the drained point, judged against the held system (same variable blocks),
+    # ends 8 MWh below its initial fill: a scaled EQ12 residual of 8 / 8
+    drained = verify_solution(held, prog_free, sol_free)
+    assert not drained.passed
+    assert drained.residual(Family.FILL_FLOOR) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -123,11 +129,18 @@ def test_recurrence_and_cumulative_formulations_agree(seed):
         initial_fill=0.0,
         source_fuel=tuple(rng.uniform(5, 60, T).round(3)),
         dt=tuple(rng.uniform(0.5, 2.0, T).round(3)))
-    sol_a = solve(compile_system(sys_, storage_formulation="recurrence"))
-    sol_b = solve(compile_system(sys_, storage_formulation="cumulative"))
+    prog_a = compile_system(sys_, storage_formulation="recurrence")
+    prog_b = compile_system(sys_, storage_formulation="cumulative")
+    sol_a, sol_b = solve(prog_a), solve(prog_b)
     assert sol_a.status == sol_b.status == Status.OPTIMAL
     scale = max(1.0, abs(sol_a.objective))
     assert abs(sol_a.objective - sol_b.objective) <= 1e-8 * scale
+    # the cumulative program has no fill variables: its report recomputes fill
+    report_a = extract_report(sys_, prog_a, sol_a)
+    report_b = extract_report(sys_, prog_b, sol_b)
+    assert report_a.residuals.passed and report_b.residuals.passed
+    np.testing.assert_allclose(report_b.storage_fill["store"],
+                               report_a.storage_fill["store"], rtol=0.0, atol=1e-9)
 
 
 def test_verifier_checks_fill_variables_against_raw_flows():
