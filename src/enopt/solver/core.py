@@ -55,9 +55,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BasisState:
-    """An optimal basis, a start for any standard form with the same ``A``
-    (see ``lp.solve_standard_lp``): the basic column of each row and the
-    status of every column."""
+    """An optimal basis, a start for any standard form with the same ``A``,
+    or with rows appended once the start is extended by their slacks as
+    basic (see ``lp.solve_standard_lp``): the basic column of each row and
+    the status of every column."""
 
     basis: np.ndarray  # (m,) int64
     status: np.ndarray  # (n,) int8
@@ -79,7 +80,8 @@ class Solution:
     the solve ended in: 1 is the dual pass that restores feasibility (so an
     infeasible LP ends there), 2 the primal pass, and ``basis`` is the
     optimal basis of an optimal solve, a warm start for any standard form
-    with the same ``A`` (None for every other result, MILP results too).
+    with the same ``A`` or with rows appended (see :class:`BasisState`;
+    None for every other result, MILP results too).
     """
 
     status: Status

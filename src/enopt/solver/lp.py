@@ -24,10 +24,11 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     Without ``start`` the dual simplex starts from the slack basis.  A
     ``start`` (a ``Solution.basis``) fits any standard form with the same
     ``A``: ``b`` and the costs may differ, the bounds too while each nonbasic
-    status still names a finite bound (as branch and bound keeps it).  A
-    primal pass with the true costs finishes either solve (see
-    :mod:`enopt.solver.simplex`).  Crossed bounds are infeasible without a
-    pivot.
+    status still names a finite bound (as branch and bound keeps it).  It
+    also fits ``A`` with rows appended, once extended by their slacks as
+    basic (as branch and bound's cut rounds extend it).  A primal pass with
+    the true costs finishes either solve (see :mod:`enopt.solver.simplex`).
+    Crossed bounds are infeasible without a pivot.
     """
     lo = std.lower if lower is None else lower
     hi = std.upper if upper is None else upper

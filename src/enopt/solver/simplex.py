@@ -41,9 +41,14 @@ slack basic.  With non-negative costs on columns at their lower bound, which
 every compiled program has, that basis is dual feasible.  A warm solve
 starts from the optimal :class:`BasisState` of a solve with the same ``A``;
 a changed ``b``, or bounds for which each nonbasic status still names a
-finite bound, leave it dual feasible.  Where a start is not (changed costs,
-or negative costs or costed free columns, built only through the library
-API), the costs of the offending columns are shifted so their reduced costs
+finite bound, leave it dual feasible.  It also fits ``A`` with rows
+appended, each with its own slack column after the existing ones, once the
+start is extended by those slacks as basic (branch and bound's cut rounds
+do this): the new rows' duals are zero, so every reduced cost is
+unchanged, and the dual pass drives out the slacks that the start's point
+puts past their bounds.  Where a start is not dual feasible (changed
+costs, or negative costs or costed free columns, built only through the
+library API), the costs of the offending columns are shifted so their reduced costs
 are zero for the dual pass (cost modification, Koberstein 2005, ch. 4) and
 restored afterwards.
 
@@ -123,7 +128,8 @@ def splu(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     bump, the checked ``csc_matrix`` splu builds costs more than the
     factorisation itself.
     The arrays must be canonical (sorted row indices, no repeated entries,
-    of which SuperLU keeps only the last); bumps of ``standardize``'s A are."""
+    of which SuperLU keeps only the last); bumps of ``standardize``'s A are,
+    with or without branch and bound's cut rows."""
     return gstrf(n, data.size, data, indices.astype(np.intc), indptr.astype(np.intc),
                  csc_construct_func=csc_array, ilu=False, options=_SPLU_OPTIONS)
 
@@ -290,6 +296,10 @@ class BoundedSimplex:
         out = np.zeros(self.n)
         csr_matvec(self.n, self.m, self.AT.indptr, self.AT.indices, self.AT.data, y, out)
         return out
+
+    def tableau_row(self, r: int) -> np.ndarray:
+        """Row r of ``B^-1 A``, over every column."""
+        return self._times_A(self._btran_unit(r))
 
     def _column(self, j: int) -> np.ndarray:
         start, end = self.A.indptr[j], self.A.indptr[j + 1]

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -33,6 +34,28 @@ def make_program(c, rows, lower=None, upper=None, integer=None) -> LinearProgram
         if cj:
             prog.add_cost(prog.ref(j), cj)
     return prog.finalize()
+
+
+def tiled_commitment_doc(steps: int, noise: float, seed: int) -> dict:
+    """The ``commitment_demo`` scenario document on ``steps`` hours: its load
+    and wind availability profiles tiled to the horizon, the load scaled by
+    ``1 + N(0, noise)`` and clipped to [6, 18] MW (both units together serve
+    any load in that range, and the wind is curtailable, so every draw is
+    feasible), the availability shifted by ``N(0, noise)`` and clipped to
+    [0, 1], both drawn from ``np.random.default_rng(seed)`` and rounded to
+    six decimals."""
+    doc = json.loads((SCENARIO_DIR / "commitment_demo.json").read_text())
+    system = doc["system"]
+    rng = np.random.default_rng(seed)
+    system["time"] = {"count": steps, "hours": 1.0}
+    node = next(n for n in system["nodes"] if n["id"] == "electricity")
+    wind = next(c for c in system["components"] if c["id"] == "wind")
+    reps = -(-steps // len(node["load"]))
+    load = np.tile(node["load"], reps)[:steps] * (1.0 + rng.normal(0.0, noise, steps))
+    avail = np.tile(wind["capacity"]["availability"], reps)[:steps] + rng.normal(0.0, noise, steps)
+    node["load"] = [round(float(v), 6) for v in np.clip(load, 6.0, 18.0)]
+    wind["capacity"]["availability"] = [round(float(v), 6) for v in np.clip(avail, 0.0, 1.0)]
+    return doc
 
 
 def single_node_system(loads=(10.0, 6.0, 12.0), fuel=20.0, invest=50.0,

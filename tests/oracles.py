@@ -2,7 +2,7 @@
 
 Both are independent of the package's solver: LPs are solved by enumerating
 basic points (intersections of n constraint hyperplanes) over a compact
-polytope, MILPs by enumerating all binary fixings and handing the remaining
+polytope, MILPs by enumerating all integer fixings and handing the remaining
 continuous problem to the vertex oracle.  A third check tests an
 infeasibility certificate directly against the standard form, and
 :func:`reference_lp_text` is the LP writer the package's ``write_lp`` must
@@ -81,24 +81,23 @@ def vertex_enumeration(c, A, senses, b, lower, upper, feas_tol=1e-7):
     return "optimal", best_obj, best_x
 
 
-def milp_enumeration(c, A, senses, b, lower, upper, binary_idx, feas_tol=1e-7):
-    """min c'x with x[binary_idx] in {0,1}: exhaust all fixings, solve the
-    continuous remainder with vertex enumeration."""
+def milp_enumeration(c, A, senses, b, lower, upper, int_idx, feas_tol=1e-7):
+    """min c'x with x[int_idx] integral within their (finite) bounds: exhaust
+    all fixings, solve the continuous remainder with vertex enumeration."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).reshape(-1, c.size)
     b = np.asarray(b, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    binary_idx = list(binary_idx)
-    cont_idx = [j for j in range(c.size) if j not in binary_idx]
+    int_idx = list(int_idx)
+    cont_idx = [j for j in range(c.size) if j not in int_idx]
     best_obj, best_x = math.inf, None
-    for bits in itertools.product((0.0, 1.0), repeat=len(binary_idx)):
-        bits = np.array(bits)
-        if np.any(bits < lower[binary_idx] - 1e-12) or np.any(
-                bits > upper[binary_idx] + 1e-12):
-            continue
-        rhs = b - A[:, binary_idx] @ bits
-        fixed_cost = float(c[binary_idx] @ bits)
+    ranges = [np.arange(math.ceil(lower[j]), math.floor(upper[j]) + 1, dtype=float)
+              for j in int_idx]
+    for fixed in itertools.product(*ranges):
+        fixed = np.array(fixed)
+        rhs = b - A[:, int_idx] @ fixed
+        fixed_cost = float(c[int_idx] @ fixed)
         if not cont_idx:
             ok = True
             for i in range(len(rhs)):
@@ -111,7 +110,7 @@ def milp_enumeration(c, A, senses, b, lower, upper, binary_idx, feas_tol=1e-7):
                     ok = False
             if ok and fixed_cost < best_obj:
                 best_obj = fixed_cost
-                best_x = bits.copy()
+                best_x = fixed.copy()
             continue
         status, obj, xc = vertex_enumeration(
             c[cont_idx], A[:, cont_idx], senses, rhs,
@@ -119,7 +118,7 @@ def milp_enumeration(c, A, senses, b, lower, upper, binary_idx, feas_tol=1e-7):
         if status == "optimal" and fixed_cost + obj < best_obj:
             best_obj = fixed_cost + obj
             full = np.zeros(c.size)
-            full[binary_idx] = bits
+            full[int_idx] = fixed
             full[cont_idx] = xc
             best_x = full
     if best_x is None:

@@ -250,7 +250,8 @@ def test_verify_fails_on_non_finite_points(paper_48, spoil):
 
 
 def test_report_refuses_a_limit_run_without_incumbent(scenario_dir, tmp_path):
-    scn = load_scenario(scenario_dir / "commitment_demo.json")
+    # commitment_48 branches after the root's cut rounds
+    scn = load_scenario(scenario_dir / "commitment_48.json")
     prog = compile_system(scn.system)
     sol = solve(prog, SolverConfig(max_nodes=1))
     assert sol.status == Status.GAP_LIMIT and not sol.integral and math.isinf(sol.objective)

@@ -290,8 +290,9 @@ def test_certificate_matches_the_row_loops_at_a_perturbed_point(paper_48):
         _assert_same_report(got, reference_certificate(prog, bad))
 
 
-def test_certificate_matches_the_row_loops_at_a_milp_incumbent():
-    prog = compile_system(coverage_fixture())
+def test_certificate_matches_the_row_loops_at_a_milp_incumbent(scenario_dir):
+    # commitment_48 branches after the root's cut rounds
+    prog = compile_system(load_scenario(scenario_dir / "commitment_48.json").system)
     sol = solve(prog)
     assert sol.status == Status.OPTIMAL and sol.nodes > 1
     _assert_same_report(check_certificate(prog, sol), reference_certificate(prog, sol))

@@ -10,11 +10,12 @@ import scipy.optimize as sopt
 import scipy.sparse as sp
 
 from enopt import model as M
+from enopt.analyze import verify_solution
 from enopt.formulate import Family, VarKind, VarRef, compile_system
 from enopt.scenario import load_scenario, system_from_dict
-from enopt.solver import Status, check_certificate, solve_lp, solve_milp
+from enopt.solver import SolverConfig, Status, check_certificate, solve_lp, solve_milp
 
-from conftest import make_program
+from conftest import make_program, tiled_commitment_doc
 from oracles import rows_tagged
 
 
@@ -314,6 +315,36 @@ def test_coverage_fixture_milp_matches_highs(coverage_system):
     sol = solve_milp(prog)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
+
+
+@pytest.mark.parametrize("steps", [48, 168])
+def test_tiled_commitment_days_solve_to_the_gap(steps):
+    """commitment_demo tiled to two days and to a week (5% noise, seed 3):
+    the cut rounds close the root, so both solve to ``mip_gap``, match
+    HiGHS and pass both gates."""
+    system = system_from_dict(tiled_commitment_doc(steps, 0.05, 3)["system"])
+    prog = compile_system(system)
+    sol = solve_milp(prog)
+    assert sol.status == Status.OPTIMAL and sol.gap <= SolverConfig().mip_gap
+    ref = sopt.milp(c=prog.objective, constraints=_prog_to_scipy(prog),
+                    bounds=sopt.Bounds(prog.lower, prog.upper),
+                    integrality=prog.is_integer.astype(float), options={"mip_rel_gap": 1e-9})
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
+    assert verify_solution(system, prog, sol).passed
+    assert check_certificate(prog, sol).ok
+
+
+def test_a_node_limit_never_reports_a_bound_above_the_incumbent():
+    """Stopped by the node limit with only prunable nodes left open, the
+    bound is the incumbent's objective, not the open nodes' larger key."""
+    system = system_from_dict(tiled_commitment_doc(48, 0.15, 5)["system"])
+    prog = compile_system(system)
+    full = solve_milp(prog)
+    assert full.status == Status.OPTIMAL and full.nodes > 1
+    sol = solve_milp(prog, SolverConfig(max_nodes=full.nodes))
+    assert sol.status == Status.GAP_LIMIT and sol.objective == full.objective
+    assert sol.bound == sol.objective and sol.gap == 0.0
 
 
 def test_coverage_fixture_milp_is_deterministic(coverage_system):

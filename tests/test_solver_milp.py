@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
+import scipy.optimize as sopt
 
 from enopt import model as M
 from enopt.formulate import VarKind, VarRef, compile_system
@@ -15,6 +17,7 @@ from enopt.solver import (
     solve_lp,
     solve_milp,
 )
+from enopt.solver import branch_bound
 from enopt.solver.lp import solve_standard_lp
 from enopt.solver.standard import standardize
 
@@ -109,15 +112,11 @@ def test_milp_determinism():
 
 def test_node_limit_yields_gap_status_with_incumbent():
     rng = np.random.default_rng(42)
-    # pick an instance whose root relaxation is fractional
+    # pick an instance that still branches after the root's cut rounds
     while True:
         c, A, senses, b, upper, integer, rows, bin_idx = _random_milp(rng)
         prog = make_program(c, rows, upper=upper, integer=integer)
-        root = solve_lp(prog)
-        if root.status != Status.OPTIMAL:
-            continue
-        frac = np.abs(root.values[bin_idx] - np.round(root.values[bin_idx]))
-        if frac.max() > 1e-5:
+        if solve_milp(prog).nodes > 1:
             break
     sol = solve_milp(prog, SolverConfig(max_nodes=1))
     assert sol.status == Status.GAP_LIMIT
@@ -127,6 +126,87 @@ def test_node_limit_yields_gap_status_with_incumbent():
             act = sum(coef * sol.values[j] for j, coef in terms)
             assert act <= rhs + 1e-6
         assert sol.objective >= sol.bound - 1e-6 * max(1, abs(sol.objective))
+
+
+def _random_general_milp(rng):
+    """General integers (upper bounds 2-5), continuous columns and rows of
+    every sense, around an integral point so that most draws are feasible."""
+    k = int(rng.integers(2, 4))    # general integers
+    r = int(rng.integers(1, 3))    # continuous
+    n, m = k + r, int(rng.integers(2, 6))
+    A = np.round(rng.uniform(-3, 3, size=(m, n)), 2)
+    A[rng.uniform(size=(m, n)) < 0.2] = 0.0
+    upper = np.concatenate([rng.integers(2, 6, size=k).astype(float),
+                            np.round(rng.uniform(1, 5, size=r), 2)])
+    x0 = np.concatenate([rng.integers(0, upper[:k].astype(int) + 1),
+                         rng.uniform(0.0, upper[k:])])
+    senses = rng.choice(["<=", ">=", "="], size=m, p=[0.45, 0.35, 0.2])
+    room = rng.uniform(0.0, 2.0, size=m)
+    b = A @ x0 + np.where(senses == "<=", room, np.where(senses == ">=", -room, 0.0))
+    c = np.round(rng.uniform(-5, 5, size=n), 2)
+    rows = [([(j, A[i, j]) for j in range(n) if A[i, j] != 0.0], str(senses[i]), b[i])
+            for i in range(m)]
+    return c, A, senses, b, upper, [1] * k + [0] * r, rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_general_milps_match_highs(seed):
+    """The cut rounds keep every optimum: the result matches HiGHS run to a
+    relative gap of 1e-9 (its default 1e-4 can stop above the optimum)."""
+    rng = np.random.default_rng(2000 + seed)
+    for _ in range(25):
+        c, A, senses, b, upper, integer, rows = _random_general_milp(rng)
+        lo = np.where(senses == "<=", -np.inf, b)
+        hi = np.where(senses == ">=", np.inf, b)
+        ref = sopt.milp(c=c, constraints=sopt.LinearConstraint(A, lo, hi),
+                        bounds=sopt.Bounds(np.zeros(len(c)), upper), integrality=integer,
+                        options={"mip_rel_gap": 1e-9})
+        sol = solve_milp(make_program(c, rows, upper=upper, integer=integer))
+        if ref.status == 2:
+            assert sol.status == Status.INFEASIBLE
+        else:
+            assert ref.status == 0
+            assert sol.status == Status.OPTIMAL
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-6)
+
+
+def test_every_cut_keeps_the_enumerated_optimum(monkeypatch):
+    """Each cut ``g x >= h`` that a cut round adds holds at the optimum found
+    by enumerating every integer fixing."""
+    cuts = []
+
+    def recording(std, state):
+        G, h = generate(std, state)
+        cuts.append((G, h))
+        return G, h
+
+    generate = branch_bound._gmi_cuts
+    monkeypatch.setattr(branch_bound, "_gmi_cuts", recording)
+    rng = np.random.default_rng(3000)
+    checked = 0
+    for _ in range(60):
+        c, A, senses, b, upper, integer, rows = _random_general_milp(rng)
+        int_idx = np.flatnonzero(integer)
+        status, obj, x = oracles.milp_enumeration(c, A, senses, b, [0.0] * len(c),
+                                                  upper, int_idx)
+        cuts.clear()
+        sol = solve_milp(make_program(c, rows, upper=upper, integer=integer))
+        if status == "infeasible":
+            continue
+        assert sol.objective == pytest.approx(obj, abs=1e-6)
+        for G, h in cuts:
+            assert np.all(G @ x >= h - 1e-9)
+            checked += h.size
+    assert checked >= 50
+
+
+def test_root_cut_rounds_are_logged(scenario_dir, caplog):
+    prog = compile_system(load_scenario(scenario_dir / "commitment_demo.json").system)
+    with caplog.at_level(logging.INFO, logger="enopt"):
+        sol = solve_milp(prog)
+    assert sol.nodes == 1
+    (line,) = [r.getMessage() for r in caplog.records if r.name == branch_bound.__name__]
+    assert line == "root bound 1765.944444 before cuts, 1944 after 44 cuts in 3 rounds"
 
 
 def test_certificate_flags_fractional_incumbent():

@@ -1,9 +1,10 @@
-"""Warm re-solves: branch-and-bound nodes, and changed data.
+"""Warm re-solves: cut rounds, branch-and-bound nodes, and changed data.
 
-Every node LP starts from its parent's optimal basis, and a re-solve with a
-changed right-hand side or changed costs from the optimal basis before the
-change; a cold solve of the same standard form, a dual simplex from the
-slack basis, is the reference each must agree with.
+Every cut re-solve starts from the previous basis extended by the new
+rows' slacks, every node LP from its parent's optimal basis, and a
+re-solve with a changed right-hand side or changed costs from the optimal
+basis before the change; a cold solve of the same standard form, a dual
+simplex from the slack basis, is the reference each must agree with.
 """
 
 import dataclasses
@@ -28,7 +29,14 @@ def commitment_prog(scenario_dir):
     return compile_system(load_scenario(scenario_dir / "commitment_demo.json").system)
 
 
-def test_every_node_lp_matches_a_cold_solve(commitment_prog, monkeypatch):
+@pytest.fixture(scope="module")
+def branching_prog(scenario_dir):
+    """commitment_48, whose root stays fractional after the cut rounds."""
+    return compile_system(load_scenario(scenario_dir / "commitment_48.json").system)
+
+
+def _recorded_solve(prog, monkeypatch):
+    """solve_milp, and every LP solve it made: (std, cfg, lower, upper, start, out)."""
     calls = []
 
     def recording(std, cfg, lower=None, upper=None, start=None, **kwargs):
@@ -37,10 +45,25 @@ def test_every_node_lp_matches_a_cold_solve(commitment_prog, monkeypatch):
         return out
 
     monkeypatch.setattr(branch_bound, "solve_standard_lp", recording)
-    sol = solve_milp(commitment_prog)
-    assert sol.status == Status.OPTIMAL
+    return solve_milp(prog), calls
+
+
+def test_every_node_lp_matches_a_cold_solve(branching_prog, monkeypatch):
+    """The cut re-solves start from a basis of fewer rows, extended by the
+    new slacks; the node LPs from their parent's basis; the polish from the
+    root's basis before the cuts.  Each matches a cold solve of its own
+    standard form."""
+    sol, calls = _recorded_solve(branching_prog, monkeypatch)
+    assert sol.status == Status.OPTIMAL and sol.nodes > 1
+    root_rows = calls[0][0].num_rows
     warm = [c for c in calls if c[4] is not None]
-    assert len(warm) == len(calls) - 1 == sol.nodes - 1  # all but the root
+    assert len(warm) == len(calls) - 1  # all but the root
+    cut_resolves = [c for c in warm if c[2] is None]
+    node_lps = [c for c in warm if c[2] is not None and c[0].num_rows > root_rows]
+    rows = [root_rows] + [c[0].num_rows for c in cut_resolves]
+    assert len(rows) > 1 and all(a < b for a, b in zip(rows, rows[1:]))
+    assert len(node_lps) == sol.nodes - 1
+    assert len(warm) == len(cut_resolves) + len(node_lps) + 1  # and the polish
     statuses = set()
     for std, cfg, lower, upper, _, out in warm:
         cold = solve_standard_lp(std, cfg, lower, upper)
@@ -84,11 +107,14 @@ def test_warm_start_with_unchanged_bounds_takes_no_iterations(commitment_prog):
     np.testing.assert_array_equal(again.basis.basis, root.basis.basis)
 
 
-def test_commitment_demo_needs_few_iterations_per_node(commitment_prog):
-    sol = solve_milp(commitment_prog)
+def test_branching_commitment_needs_few_iterations_per_node(branching_prog, monkeypatch):
+    sol, calls = _recorded_solve(branching_prog, monkeypatch)
     assert sol.status == Status.OPTIMAL
-    assert sol.objective == 1944.0
-    assert sol.iterations <= 10 * sol.nodes
+    assert sol.objective == pytest.approx(7812.873876, abs=1e-6)
+    node_lps = [out for std, _, lower, _, _, out in calls
+                if lower is not None and std.num_rows > calls[0][0].num_rows]
+    assert len(node_lps) == sol.nodes - 1
+    assert sum(out.iterations for out in node_lps) <= 10 * len(node_lps)
     assert math.isfinite(sol.bound) and sol.gap <= SolverConfig().mip_gap
 
 
