@@ -1,6 +1,7 @@
 """Branch and bound over the integer variables of a compiled program.
 
-The root relaxation is a cold solve, a dual simplex from the slack basis.
+The root relaxation is a cold solve, a dual simplex from the crashed slack
+basis (see :mod:`enopt.solver.simplex`).
 While it is fractional, up to ``CUT_ROUNDS`` rounds of Gomory mixed-integer
 (GMI) cuts (Gomory 1960; Balas, Ceria, Cornuéjols & Natraj 1996) tighten it
 before any branching.  Each round reads, from the root's optimal basis, the
@@ -56,7 +57,10 @@ form is solved from the root's basis before the cuts (the polish), so the
 reported point is a vertex of the program itself; when no node is left
 open, the polished objective is also the reported bound.  The completion
 dive after a node limit is the same fixed-integer solve, at the rounded
-root relaxation.
+root relaxation.  A search stopped by the node limit is ``optimal`` when the
+final gap, against the open nodes' smallest key, is within ``mip_gap``, and
+``gap_limit`` otherwise; a node LP stopped by the iteration limit always
+ends ``gap_limit``, since no open node bounds it.
 """
 
 from __future__ import annotations
@@ -279,7 +283,9 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     else:
         branch(relaxed, {})
 
-    status = Status.OPTIMAL
+    # stopped early, and whether by a node LP's iteration limit, whose
+    # popped node no open node's key bounds
+    status, node_lp_stopped = Status.OPTIMAL, False
     while heap:
         if nodes_explored >= cfg.max_nodes:
             status = Status.GAP_LIMIT
@@ -299,7 +305,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
             # a subproblem ray is feasible for the root as well
             return replace(out, nodes=nodes_explored, duals=None, reduced_costs=None)
         if out.status == Status.ITERATION_LIMIT:
-            status = Status.GAP_LIMIT
+            status, node_lp_stopped = Status.GAP_LIMIT, True
             break
         if out.objective >= cutoff:
             continue
@@ -337,8 +343,9 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     incumbent_obj = float(prog.objective @ incumbent)
     bound = min(frontier_bound(), incumbent_obj)
     gap = relative_gap(incumbent_obj, bound)
-    if status == Status.OPTIMAL and gap > cfg.mip_gap:
-        status = Status.GAP_LIMIT
+    # the open nodes bound every leaf not explored, so a stop at the node
+    # limit within the gap is an optimum
+    status = Status.GAP_LIMIT if node_lp_stopped or gap > cfg.mip_gap else Status.OPTIMAL
     return Solution(status=status, values=incumbent, objective=incumbent_obj,
                     bound=bound, gap=gap, iterations=iterations, nodes=nodes_explored,
                     integral=True, message=f"branch and bound explored {nodes_explored} nodes")

@@ -21,7 +21,9 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     """Solve the LP relaxation of a standard form, optionally with replaced
     bound vectors (used by branch and bound).
 
-    Without ``start`` the dual simplex starts from the slack basis.  A
+    Without ``start`` the dual simplex starts from the slack basis,
+    crashed unless the program is badly scaled (see
+    :func:`~enopt.solver.simplex.crash`).  A
     ``start`` (a ``Solution.basis``) fits any standard form with the same
     ``A``: ``b`` and the costs may differ, the bounds too while each nonbasic
     status still names a finite bound (as branch and bound keeps it).  It

@@ -28,29 +28,39 @@ Design notes:
 * The dual pass keeps the bounds of the basic columns row by row, so its
   leaving-row scan reads no gathered bound arrays, and takes the product
   of the eta file with a unit vector as that file's column.
-* The objective is normalised by its largest coefficient internally, so
-  scaling the objective by any positive factor leaves the pivot sequence,
-  and therefore the returned vertex, unchanged.
+* The objective is normalised by its largest coefficient internally, and
+  the crash reads costs only as zero or nonzero and as a ratio, so scaling
+  the objective by any positive factor leaves the start, the pivot
+  sequence, and therefore the returned vertex, unchanged.
 * The tolerances are the constants of :mod:`enopt.solver.core`:
   ``FEASIBILITY_TOL`` on basic variables' bound violations,
   ``OPTIMALITY_TOL`` on reduced costs of the normalised objective.
 
-A cold solve starts from the slack basis: every structural column at a
-finite bound (lower if it has one, else upper; free columns at 0) and every
-slack basic.  With non-negative costs on columns at their lower bound, which
-every compiled program has, that basis is dual feasible.  A warm solve
-starts from the optimal :class:`BasisState` of a solve with the same ``A``;
-a changed ``b``, or bounds for which each nonbasic status still names a
-finite bound, leave it dual feasible.  It also fits ``A`` with rows
-appended, each with its own slack column after the existing ones, once the
-start is extended by those slacks as basic (branch and bound's cut rounds
-do this): the new rows' duals are zero, so every reduced cost is
-unchanged, and the dual pass drives out the slacks that the start's point
-puts past their bounds.  Where a start is not dual feasible (changed
-costs, or negative costs or costed free columns, built only through the
-library API), the costs of the offending columns are shifted so their reduced costs
-are zero for the dual pass (cost modification, Koberstein 2005, ch. 4) and
-restored afterwards.
+A cold solve starts from the slack basis (every structural column at a
+finite bound, lower if it has one, else upper, free columns at 0, and every
+slack basic), crashed (Bixby 1992; Maros 2003, ch. 9; see :func:`crash`):
+structural columns at a finite lower bound replace row slacks, first on
+the equality rows, then on the other rows, each only where none of its
+rows is taken yet, so the crashed columns are triangular and the basis
+nonsingular.  Most of the dual pass's pivots on a compiled program would
+only swap a zero-cost flow column in for an equality row's fixed slack;
+the crash does that work before the first factorisation.  Without scaling
+a crash start can lead a badly scaled program to a wrong vertex, so it is
+skipped when the structural entries of ``A``, or the nonzero costs, span
+more than ``CRASH_RANGE`` (:func:`crash_gate`).  Each cold solve logs its
+start at INFO.  A warm solve starts from the optimal :class:`BasisState` of
+a solve with the same ``A``; a changed ``b``, or bounds for which each
+nonbasic status still names a finite bound, leave it dual feasible.  It
+also fits ``A`` with rows appended, each with its own slack column after
+the existing ones, once the start is extended by those slacks as basic
+(branch and bound's cut rounds do this): the new rows' duals are zero, so
+every reduced cost is unchanged, and the dual pass drives out the slacks
+that the start's point puts past their bounds.  Where a start is not dual
+feasible (changed costs; negative costs or costed free columns, built only
+through the library API; or costed columns made basic by the crash, which
+shift 3 or 4 costs of a compiled program), the costs of the offending
+columns are shifted so their reduced costs are zero for the dual pass (cost
+modification, Koberstein 2005, ch. 4) and restored afterwards.
 
 Both starts run the same two passes:
 
@@ -93,6 +103,7 @@ start from.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -115,6 +126,13 @@ PIVOT_TOL = 1e-9
 DEGENERATE_STEP = 1e-10
 REFACTOR_EVERY = 32
 STALL_WINDOW = 40
+# the crash is skipped when the structural entries of A, or the nonzero
+# costs, span more than this ratio
+CRASH_RANGE = 1e3
+# a crashed column's pivot is at least this share of its largest entry
+CRASH_PIVOT = 0.1
+
+log = logging.getLogger(__name__)
 
 
 # the options ``scipy.sparse.linalg.splu(A, relax=1, panel_size=1)`` passes:
@@ -145,9 +163,89 @@ def gather_columns(A: csc_matrix, cols: np.ndarray):
     return indptr, A.indices[pos], A.data[pos]
 
 
+def slack_basis(lower: np.ndarray, upper: np.ndarray, n_struct: int) -> BasisState:
+    """Every structural column at a finite bound (lower if it has one, else
+    upper; free columns at 0) and every slack basic."""
+    status = np.where(np.isfinite(lower), AT_LOWER,
+                      np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
+    basis = np.arange(n_struct, lower.size, dtype=np.int64)
+    status[basis] = BASIC
+    return BasisState(basis, status)
+
+
+def crash_gate(std: StandardForm) -> tuple[str, float] | None:
+    """Why the crash is skipped for ``std``, with the range that tripped
+    it, or None: the structural entries of A, or the nonzero costs, span
+    more than ``CRASH_RANGE``."""
+    for name, values in (("structural entries of A", std.A.data[:std.A.indptr[std.n_struct]]),
+                         ("nonzero costs", std.cost)):
+        size = np.abs(values[values != 0.0])
+        if size.size and size.max() > CRASH_RANGE * size.min():
+            return name, float(size.max() / size.min())
+    return None
+
+
+def crash(std: StandardForm, lower: np.ndarray, upper: np.ndarray,
+          start: BasisState) -> list[list[tuple[int, int]]]:
+    """Make structural columns basic in place of row slacks in ``start``,
+    a slack basis, and return the (column, row) pairs of each pass in the
+    order they were taken (Bixby 1992; Maros 2003, ch. 9).
+
+    The candidates are the structural columns at a finite lower bound that
+    can move, those without cost first, then the costed ones, each group in
+    column order.  Pass 1 offers the equality rows, pass 2 every other row
+    whose slack has a finite bound.  A candidate takes the row of its
+    largest entry among the pass's rows if that entry is at least
+    ``CRASH_PIVOT`` of its largest entry and none of its rows is taken yet,
+    so the crashed columns are triangular in the order taken and the basis
+    stays nonsingular; the row's slack leaves to its finite bound.  Costs
+    are read only as zero or nonzero, so a positive scaling of the
+    objective leaves the start unchanged."""
+    A, ns = std.A, std.n_struct
+    basis, status = start.basis, start.status
+    ptr = A.indptr[:ns + 1]
+    rows = A.indices[:ptr[-1]]
+    size = np.abs(A.data[:ptr[-1]])
+    col_of = np.repeat(np.arange(ns), np.diff(ptr))
+    nonempty = ptr[:-1] < ptr[1:]
+    starts = ptr[:-1][nonempty]  # the first entry of each non-empty column
+
+    def per_column(reduce, values, empty):
+        out = np.full(ns, empty, dtype=values.dtype)
+        if values.size:
+            out[nonempty] = reduce.reduceat(values, starts)
+        return out
+
+    biggest = per_column(np.maximum, size, 0.0)
+    cand = np.flatnonzero((status[:ns] == AT_LOWER) & (upper[:ns] > lower[:ns]))
+    cand = np.concatenate([cand[std.cost[cand] == 0.0], cand[std.cost[cand] != 0.0]])
+    slack_lo, slack_hi = lower[ns:], upper[ns:]
+    rows_list, ptr_list = rows.tolist(), ptr.tolist()
+    taken: set[int] = set()
+    passes = []
+    for offered in (slack_lo == slack_hi, np.isfinite(slack_lo) | np.isfinite(slack_hi)):
+        # each column's pivot: its first largest entry in an offered row
+        on_offer = np.where(offered[rows], size, 0.0)
+        best = per_column(np.maximum, on_offer, 0.0)
+        hit = (on_offer == best[col_of]) & (on_offer > 0.0)
+        first = per_column(np.minimum, np.where(hit, np.arange(rows.size), rows.size), rows.size)
+        ok = (first[cand] < rows.size) & (best[cand] >= CRASH_PIVOT * biggest[cand])
+        pairs = []
+        for j, r in zip(cand[ok].tolist(), rows[first[cand[ok]]].tolist()):
+            if taken.isdisjoint(rows_list[ptr_list[j]:ptr_list[j + 1]]):
+                taken.add(r)
+                pairs.append((j, r))
+                basis[r] = j
+                status[j] = BASIC
+                status[ns + r] = AT_LOWER if math.isfinite(lower[ns + r]) else AT_UPPER
+        passes.append(pairs)
+        cand = cand[status[cand] != BASIC]
+    return passes
+
+
 class BoundedSimplex:
     """One LP solve over a standard form with the given bound vectors, from
-    the slack basis or ``start``; :meth:`solve` runs it once.  The only
+    the crashed slack basis or ``start``; :meth:`solve` runs it once.  The only
     setting is ``max_iterations``, the pivot limit of the whole solve."""
 
     def __init__(self, std: StandardForm, lower: np.ndarray, upper: np.ndarray, *,
@@ -168,17 +266,20 @@ class BoundedSimplex:
         self.cost = self.cost_orig / self.scale
 
         if start is None:
-            # the slack basis: structurals at a finite bound, slacks basic
-            self.status = np.where(np.isfinite(lower), AT_LOWER,
-                                   np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
-            self.basis = np.arange(self.n_struct, self.n, dtype=np.int64)
-            self.status[self.basis] = BASIC
-        else:
-            # statuses still fit: branching tightens only columns basic in
-            # the start, and the completion dive fixes a nonbasic free column
-            # at its start value 0
-            self.basis = start.basis.copy()
-            self.status = start.status.copy()
+            # the slack basis, crashed unless the gate says otherwise
+            start = slack_basis(lower, upper, self.n_struct)
+            skip = crash_gate(std)
+            if skip is None:
+                passes = crash(std, lower, upper, start)
+                log.info("crash start: %d columns basic on equality rows, %d on other rows",
+                         *map(len, passes))
+            else:
+                log.info("slack start, no crash: the %s span %.3g, above %g", *skip, CRASH_RANGE)
+        # a warm start's statuses still fit: branching tightens only columns
+        # basic in the start, and the completion dive fixes a nonbasic free
+        # column at its start value 0
+        self.basis = start.basis.copy()
+        self.status = start.status.copy()
 
         # violation = d * price_sign for columns at a bound; nonbasic free
         # columns are priced by |d| (once basic, a column only ever leaves

@@ -360,6 +360,23 @@ def test_cli_node_limit_exit_code(tmp_path, capsys):
         assert code == 0
 
 
+def test_cli_node_limit_at_a_proven_optimum_exits_0(tmp_path, capsys):
+    """The 48-step tile (15% noise, seed 5) run at its own node count: the
+    open nodes left at the limit bound nothing below the incumbent, so the
+    run is optimal and exits 0."""
+    from conftest import tiled_commitment_doc
+    from enopt.formulate import compile_system
+    from enopt.solver import solve_milp
+
+    doc = tiled_commitment_doc(48, 0.15, 5)
+    nodes = solve_milp(compile_system(system_from_dict(doc["system"]))).nodes
+    p = tmp_path / "tile.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out"),
+                     "--max-nodes", str(nodes)]) == 0
+    assert "status: optimal" in capsys.readouterr().out
+
+
 def test_cli_iteration_limit_exit_code(tmp_path, capsys, scenario_dir):
     """An LP stopped by the iteration limit has no point to report: exit 5,
     and summary.txt is the only artifact."""

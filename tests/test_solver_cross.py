@@ -337,14 +337,26 @@ def test_tiled_commitment_days_solve_to_the_gap(steps):
 
 def test_a_node_limit_never_reports_a_bound_above_the_incumbent():
     """Stopped by the node limit with only prunable nodes left open, the
-    bound is the incumbent's objective, not the open nodes' larger key."""
+    bound is the incumbent's objective, not the open nodes' larger key, and
+    the gap it closes makes the stop an optimum."""
     system = system_from_dict(tiled_commitment_doc(48, 0.15, 5)["system"])
     prog = compile_system(system)
     full = solve_milp(prog)
     assert full.status == Status.OPTIMAL and full.nodes > 1
     sol = solve_milp(prog, SolverConfig(max_nodes=full.nodes))
-    assert sol.status == Status.GAP_LIMIT and sol.objective == full.objective
+    assert sol.status == Status.OPTIMAL and sol.objective == full.objective
     assert sol.bound == sol.objective and sol.gap == 0.0
+
+
+@pytest.mark.parametrize("short", [1, 2])
+def test_a_node_limit_short_of_the_optimum_reports_an_open_gap(short):
+    """One or two nodes short of the tree above, open nodes still bound
+    below the incumbent: the stop is ``gap_limit`` with a valid bound."""
+    prog = compile_system(system_from_dict(tiled_commitment_doc(48, 0.15, 5)["system"]))
+    full = solve_milp(prog)
+    sol = solve_milp(prog, SolverConfig(max_nodes=full.nodes - short))
+    assert sol.status == Status.GAP_LIMIT and sol.nodes == full.nodes - short
+    assert sol.bound <= sol.objective and sol.gap > SolverConfig().mip_gap
 
 
 def test_coverage_fixture_milp_is_deterministic(coverage_system):
@@ -423,14 +435,24 @@ def _random_general_lp(rng):
     return c, A, senses, b, lower, upper, rows
 
 
-def test_cold_solves_match_highs_on_general_lps():
+def test_cold_solves_match_highs_on_general_lps(monkeypatch):
     """Negative costs and free columns leave the slack basis dual infeasible,
-    so these solves take the cost-modification path."""
-    from enopt.solver import check_certificate
+    and the crash start more so, so these solves take the cost-modification
+    path; the crash makes columns basic on most of them."""
+    from enopt.solver import check_certificate, simplex
     from enopt.solver.standard import standardize
 
     import oracles
 
+    crashed = []
+    crash = simplex.crash
+
+    def counting_crash(*args):
+        passes = crash(*args)
+        crashed.append(any(passes))
+        return passes
+
+    monkeypatch.setattr(simplex, "crash", counting_crash)
     rng = np.random.default_rng(9300)
     seen = set()
     for _ in range(60):
@@ -463,6 +485,7 @@ def test_cold_solves_match_highs_on_general_lps():
             assert np.all(ray[np.isfinite(lower)] >= -1e-12)
             assert np.all(ray[np.isfinite(upper)] <= 1e-12)
     assert seen == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
+    assert sum(crashed) >= 30
 
 
 def _random_commitment_system(rng, initial_on, n_steps):
