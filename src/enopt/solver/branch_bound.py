@@ -4,9 +4,10 @@ The root relaxation is a cold solve, a dual simplex from the crashed slack
 basis (see :mod:`enopt.solver.simplex`).
 While it is fractional, up to ``CUT_ROUNDS`` rounds of Gomory mixed-integer
 (GMI) cuts (Gomory 1960; Balas, Ceria, Cornuéjols & Natraj 1996) tighten it
-before any branching.  Each round reads, from the root's optimal basis, the
-tableau row of every basic integer column whose value is at least
-``MIN_FRACTION`` from an integer.  Written in ``x'_j >= 0``, the distance
+before any branching.  Each round reads, from the root's optimal basis and
+the factorisation it carries, the tableau row of every basic integer column
+whose value is at least ``MIN_FRACTION`` from an integer, ``CUT_BLOCK``
+rows per transposed solve.  Written in ``x'_j >= 0``, the distance
 of nonbasic column j from the bound it sits at (``u_j - x_j`` at an upper
 bound), the row is ``x_k + sum_j a_j x'_j = b`` with fractional part
 ``f0`` of ``b``, and gives the cut ``sum_j pi_j x'_j >= 1``:
@@ -47,7 +48,13 @@ creation order; branching picks the most fractional integer variable, ties
 broken by lowest variable index.  Both rules are deterministic, so
 identical inputs explore identical trees.  Each heap entry carries its
 parent's optimal basis next to its bound overrides, and the node LP is
-re-optimised from that basis by the same dual simplex.  A warm-started
+re-optimised from that basis by the same dual simplex.  The basis carries
+the factorisation its solve declared optimality from
+(:class:`~enopt.solver.core.BasisState`), so the two children of a node,
+each cut re-solve, each cut round and the polish start without
+factorising: the simplex reuses a factorisation only for bump arrays
+equal bit for bit to those it factorised, so every result is the one a
+fresh factorisation gives.  A warm-started
 node LP can end at a different alternative optimum than a cold solve
 would, so trees and node counts may differ from versions that solved every
 node cold, while staying bit-reproducible within a version.
@@ -59,8 +66,9 @@ open, the polished objective is also the reported bound.  The completion
 dive after a node limit is the same fixed-integer solve, at the rounded
 root relaxation.  A search stopped by the node limit is ``optimal`` when the
 final gap, against the open nodes' smallest key, is within ``mip_gap``, and
-``gap_limit`` otherwise; a node LP stopped by the iteration limit always
-ends ``gap_limit``, since no open node bounds it.
+``gap_limit`` otherwise.  A node LP stopped by the iteration limit stops
+the search; its node stays open and its key, outside the gap when it was
+popped, bounds the result, which therefore ends ``gap_limit``.
 """
 
 from __future__ import annotations
@@ -93,9 +101,10 @@ DROP_SHARE = 1e-9
 MAX_DYNAMISM = 1e6
 # every cut's right-hand side is lowered by this share of its size
 RELAX_SHARE = 1e-9
-# source rows whose cuts are built together: the dense work arrays hold
-# this many rows of the tableau
-CUT_BLOCK = 128
+# source rows whose cuts are built together: one transposed solve takes a
+# column per row, and the dense work arrays hold this many rows of the
+# tableau (at 128 they set the 720-step tile's peak memory)
+CUT_BLOCK = 32
 
 
 def _apply_overrides(std, overrides: dict):
@@ -129,11 +138,14 @@ def _gmi_cuts(std: StandardForm, state: BasisState) -> tuple[sp.csr_matrix, np.n
     at = np.where(flip, upper[cols], lower[cols])  # the bound each sits at
     ints = is_int[cols] & (at == np.round(at))  # x' integral with x
     struct = cols < ns
-    blocks, rhs = [sp.csr_matrix((0, ns))], [np.zeros(0)]
+    # the kept cuts as the arrays of their CSR matrix (entries per row, then
+    # columns and values in row-major order), and their right-hand sides
+    row_nnz, cut_cols = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    cut_vals, rhs = [np.zeros(0)], [np.zeros(0)]
     for start in range(0, rows.size, CUT_BLOCK):
         block = rows[start:start + CUT_BLOCK]
         f0 = frac[block, None]
-        tableau = np.array([sim.tableau_row(int(r)) for r in block])  # rows of B^-1 A
+        tableau = sim.tableau_rows(block)  # rows of B^-1 A
         keep = ~(tableau[:, status == FREE] != 0.0).any(axis=1)
         a = tableau[:, cols]
         a[:, flip] *= -1.0
@@ -161,9 +173,15 @@ def _gmi_cuts(std: StandardForm, state: BasisState) -> tuple[sp.csr_matrix, np.n
         G[drop] = 0.0
         smallest = np.where(G != 0.0, size, np.inf).min(axis=1)
         keep &= np.isfinite(h) & (largest > 0.0) & (largest <= MAX_DYNAMISM * smallest)
-        blocks.append(sp.csr_matrix(G[keep]))
+        G = G[keep]
+        nonzero = G != 0.0
+        row_nnz.append(nonzero.sum(axis=1))
+        cut_cols.append(np.nonzero(nonzero)[1])
+        cut_vals.append(G[nonzero])
         rhs.append(h[keep] - RELAX_SHARE * np.maximum(1.0, np.abs(h[keep])))
-    return sp.vstack(blocks, format="csr"), np.concatenate(rhs)
+    h = np.concatenate(rhs)
+    return sp.csr_matrix((np.concatenate(cut_vals), np.concatenate(cut_cols),
+                          np.cumsum(np.concatenate(row_nnz))), shape=(h.size, ns)), h
 
 
 def _with_cuts(std: StandardForm, G: sp.csr_matrix, h: np.ndarray) -> StandardForm:
@@ -172,13 +190,13 @@ def _with_cuts(std: StandardForm, G: sp.csr_matrix, h: np.ndarray) -> StandardFo
     ``>=`` row."""
     A, m, c = std.A, std.num_rows, h.size
     n = A.shape[1]
-    cut = G.tocoo()  # by row, then by column
+    cut_row = np.repeat(np.arange(c), np.diff(G.indptr))  # G's entries by row, then column
     # every column keeps its entries and gains its cut entries below them
     # (a stable sort by column keeps both in row order)
-    col = np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr)), cut.col, n + np.arange(c)])
+    col = np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr)), G.indices, n + np.arange(c)])
     order = np.argsort(col, kind="stable")
-    rows = np.concatenate([A.indices, m + cut.row, m + np.arange(c)])[order]
-    data = np.concatenate([A.data, cut.data, np.ones(c)])[order]
+    rows = np.concatenate([A.indices, m + cut_row, m + np.arange(c)])[order]
+    data = np.concatenate([A.data, G.data, np.ones(c)])[order]
     indptr = np.zeros(n + c + 1, dtype=A.indptr.dtype)
     np.cumsum(np.bincount(col, minlength=n + c), out=indptr[1:])
     return StandardForm(sp.csc_matrix((data, rows.astype(A.indices.dtype), indptr),
@@ -191,10 +209,12 @@ def _with_cuts(std: StandardForm, G: sp.csr_matrix, h: np.ndarray) -> StandardFo
 
 def _extended(state: BasisState, rows: int) -> BasisState:
     """The start ``state`` for its standard form with ``rows`` rows
-    appended: their slacks join the basis."""
+    appended: their slacks join the basis.  Those slacks cover the new
+    rows, so the bump, and the factorisation ``state`` carries, stay."""
     slacks = state.status.size + np.arange(rows)
     return BasisState(np.concatenate([state.basis, slacks]),
-                      np.concatenate([state.status, np.full(rows, BASIC, dtype=np.int8)]))
+                      np.concatenate([state.status, np.full(rows, BASIC, dtype=np.int8)]),
+                      state.factor)
 
 
 def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
@@ -283,9 +303,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     else:
         branch(relaxed, {})
 
-    # stopped early, and whether by a node LP's iteration limit, whose
-    # popped node no open node's key bounds
-    status, node_lp_stopped = Status.OPTIMAL, False
+    status = Status.OPTIMAL  # or GAP_LIMIT once stopped early
     while heap:
         if nodes_explored >= cfg.max_nodes:
             status = Status.GAP_LIMIT
@@ -305,7 +323,9 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
             # a subproblem ray is feasible for the root as well
             return replace(out, nodes=nodes_explored, duals=None, reduced_costs=None)
         if out.status == Status.ITERATION_LIMIT:
-            status, node_lp_stopped = Status.GAP_LIMIT, True
+            # the node stays open: its key bounds the leaves it was to cover
+            push(bound_est, overrides, state)
+            status = Status.GAP_LIMIT
             break
         if out.objective >= cutoff:
             continue
@@ -344,8 +364,10 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     bound = min(frontier_bound(), incumbent_obj)
     gap = relative_gap(incumbent_obj, bound)
     # the open nodes bound every leaf not explored, so a stop at the node
-    # limit within the gap is an optimum
-    status = Status.GAP_LIMIT if node_lp_stopped or gap > cfg.mip_gap else Status.OPTIMAL
+    # limit within the gap is an optimum; a stop at a node LP's iteration
+    # limit never is, as that node's key was outside the gap when it was
+    # popped
+    status = Status.GAP_LIMIT if gap > cfg.mip_gap else Status.OPTIMAL
     return Solution(status=status, values=incumbent, objective=incumbent_obj,
                     bound=bound, gap=gap, iterations=iterations, nodes=nodes_explored,
                     integral=True, message=f"branch and bound explored {nodes_explored} nodes")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -58,10 +58,18 @@ class BasisState:
     """An optimal basis, a start for any standard form with the same ``A``,
     or with rows appended once the start is extended by their slacks as
     basic (see ``lp.solve_standard_lp``): the basic column of each row and
-    the status of every column."""
+    the status of every column.
+
+    ``factor`` is the factorisation the solve declared optimality from: the
+    bump's SuperLU object and the CSC arrays (data, indices, indptr) it
+    factorised, or None.  A solve from this state reuses it wherever the
+    bump it gathers has the same arrays, bit for bit, and factorises
+    anew otherwise (see :mod:`enopt.solver.simplex`), so a start gives the
+    same results with or without it."""
 
     basis: np.ndarray  # (m,) int64
     status: np.ndarray  # (n,) int8
+    factor: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -79,9 +87,10 @@ class Solution:
     program it came from.  For an LP, ``message`` names the simplex phase
     the solve ended in: 1 is the dual pass that restores feasibility (so an
     infeasible LP ends there), 2 the primal pass, and ``basis`` is the
-    optimal basis of an optimal solve, a warm start for any standard form
-    with the same ``A`` or with rows appended (see :class:`BasisState`;
-    None for every other result, MILP results too).
+    optimal basis of an optimal solve, with the factorisation it was
+    declared optimal from, a warm start for any standard form with the same
+    ``A`` or with rows appended (see :class:`BasisState`; None for every
+    other result, MILP results too).
     """
 
     status: Status

@@ -28,7 +28,9 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     ``A``: ``b`` and the costs may differ, the bounds too while each nonbasic
     status still names a finite bound (as branch and bound keeps it).  It
     also fits ``A`` with rows appended, once extended by their slacks as
-    basic (as branch and bound's cut rounds extend it).  A primal pass with
+    basic (as branch and bound's cut rounds extend it), and brings the
+    factorisation it was declared optimal from, which the solve reuses
+    while the bump stays the same.  A primal pass with
     the true costs finishes either solve (see :mod:`enopt.solver.simplex`).
     Crossed bounds are infeasible without a pivot.
     """

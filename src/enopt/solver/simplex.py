@@ -55,7 +55,15 @@ also fits ``A`` with rows appended, each with its own slack column after
 the existing ones, once the start is extended by those slacks as basic
 (branch and bound's cut rounds do this): the new rows' duals are zero, so
 every reduced cost is unchanged, and the dual pass drives out the slacks
-that the start's point puts past their bounds.  Where a start is not dual
+that the start's point puts past their bounds.  The state carries the
+factorisation its solve declared optimality from, and every factorisation
+(:meth:`BoundedSimplex._refactor`) reuses the last one, a start's
+included, when the bump arrays it gathers equal those that one factorised,
+bit for bit; otherwise it calls SuperLU.  SuperLU is deterministic, so the
+reuse changes no value, pivot or count but the factorisations: a start
+with changed ``b`` or bounds, or with appended rows whose slacks cover
+them, begins without factorising, and a start applied to another ``A``
+whose bump differs factorises anew.  Where a start is not dual
 feasible (changed costs; negative costs or costed free columns, built only
 through the library API; or costed columns made basic by the crash, which
 shift 3 or 4 costs of a compiled program), the costs of the offending
@@ -110,7 +118,7 @@ import numpy as np
 from scipy.sparse import csc_array, csc_matrix
 # the kernels behind scipy's own ``S @ w`` for CSC and CSR matrices, called on
 # raw arrays so no checked matrix is built per factorisation
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 # the SuperLU factorisation call behind ``scipy.sparse.linalg.splu``
 from scipy.sparse.linalg._dsolve._superlu import gstrf
 
@@ -150,6 +158,11 @@ def splu(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     with or without branch and bound's cut rows."""
     return gstrf(n, data.size, data, indices.astype(np.intc), indptr.astype(np.intc),
                  csc_construct_func=csc_array, ilu=False, options=_SPLU_OPTIONS)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two contiguous 1-D arrays hold the same values, bit for bit."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def gather_columns(A: csc_matrix, cols: np.ndarray):
@@ -280,6 +293,8 @@ class BoundedSimplex:
         # column at its start value 0
         self.basis = start.basis.copy()
         self.status = start.status.copy()
+        # the bump's last factorisation and its arrays (see _refactor)
+        self.factor = start.factor
 
         # violation = d * price_sign for columns at a bound; nonbasic free
         # columns are priced by |d| (once basic, a column only ever leaves
@@ -324,15 +339,22 @@ class BoundedSimplex:
             keep = bump_row[indices] >= 0
             kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
             np.cumsum(keep, out=kept[1:])
-            try:
-                self.lu = splu(nb, data[keep], bump_row[indices[keep]], kept[indptr])
-            except RuntimeError as exc:  # singular basis: numerical breakdown
-                raise SolverError(f"basis factorisation failed: {exc}") from exc
+            bump = (data[keep], bump_row[indices[keep]], kept[indptr])
+            # gstrf is deterministic, so the last factorisation (a start's
+            # too) stands in for it on the same arrays, bit for bit
+            if self.factor is None or not all(map(_same_bits, bump, self.factor[1:])):
+                try:
+                    self.factor = (splu(nb, *bump), *bump)
+                except RuntimeError as exc:  # singular basis: numerical breakdown
+                    raise SolverError(f"basis factorisation failed: {exc}") from exc
+            self.lu = self.factor[0]
         self.n_etas = 0
         # the bounds of the basic columns, row by row; _pivot keeps them
         self.lbB, self.ubB = self.lower[basis], self.upper[basis]
-        x_nb = self._nonbasic_values()
-        self.xB = self._ftran(self.b - self.A @ x_nb)
+        ax = np.zeros(self.m)  # A @ x_nb
+        csc_matvec(self.m, self.n, self.A.indptr, self.A.indices, self.A.data,
+                   self._nonbasic_values(), ax)
+        self.xB = self._ftran(self.b - ax)
 
     def _push_eta(self, r: int, w: np.ndarray) -> None:
         """Record the pivot that put w = B^-1 a_q into basis position r."""
@@ -398,9 +420,24 @@ class BoundedSimplex:
         csr_matvec(self.n, self.m, self.AT.indptr, self.AT.indices, self.AT.data, y, out)
         return out
 
-    def tableau_row(self, r: int) -> np.ndarray:
-        """Row r of ``B^-1 A``, over every column."""
-        return self._times_A(self._btran_unit(r))
+    def tableau_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of ``B^-1 A``, over every column, from a fresh
+        factorisation (no etas): one transposed solve with a column per row
+        and one product with ``AT``.  Both treat each column as
+        :meth:`_btran_unit` and :meth:`_times_A` treat their vector, so row
+        k equals ``_times_A(_btran_unit(rows[k]))`` bit for bit."""
+        k = rows.size
+        z = np.zeros((self.m, k))  # the unit vectors e_r, one per column
+        z[rows, np.arange(k)] = 1.0
+        y = np.zeros((self.m, k))
+        y[self.rows_unit] = z[self.pos_unit]
+        if self.lu is not None:
+            st_y = np.zeros((self.pos_struct.size, k))
+            csr_matvecs(self.pos_struct.size, self.m, k, *self.S, y, st_y)
+            y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - st_y, trans="T")
+        out = np.zeros((self.n, k))
+        csr_matvecs(self.n, self.m, k, self.AT.indptr, self.AT.indices, self.AT.data, y, out)
+        return out.T
 
     def _column(self, j: int) -> np.ndarray:
         start, end = self.A.indptr[j], self.A.indptr[j + 1]
@@ -651,9 +688,12 @@ class BoundedSimplex:
         if status == Status.ITERATION_LIMIT:
             return self._solution(status)
         d[self.status == BASIC] = 0.0
+        # optimality was declared from a fresh factorisation, which a start
+        # from this basis reuses
+        factor = self.factor if self.lu is not None else None
         return self._solution(status, duals=y * self.scale,
                               reduced_costs=d[:self.n_struct] * self.scale,
-                              basis=BasisState(self.basis.copy(), self.status.copy()))
+                              basis=BasisState(self.basis.copy(), self.status.copy(), factor))
 
     def _solution(self, status: Status, phase: int = 2, **fields) -> Solution:
         """The solve's result over the structural columns; an infeasible or

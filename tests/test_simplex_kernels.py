@@ -426,6 +426,7 @@ def _recorded_bump(monkeypatch, s):
     """Refactor s and return the bump ``splu`` received as a CSC matrix
     (None if none)."""
     seen = _recording_splu(monkeypatch)
+    s.factor = None  # forget the last factorisation, which the same bump reuses
     s._refactor()
     if not seen:
         return None
@@ -678,3 +679,51 @@ def test_each_cold_solve_logs_its_start(desk_std, caplog):
                        start=slack_basis(desk_std.lower, desk_std.upper, desk_std.n_struct))
     assert [r.getMessage() for r in caplog.records if r.name == simplex.__name__] == [
         "crash start: 144 columns basic on equality rows, 5 on other rows"]
+
+
+def _cut_round_system(scenario_dir, name):
+    """A shipped scenario's system, or ``tile_<steps>``: commitment_demo
+    tiled to that many steps (5% noise, seed 3)."""
+    from conftest import tiled_commitment_doc
+    from enopt.scenario import system_from_dict
+
+    if name.startswith("tile_"):
+        steps = int(name.removeprefix("tile_"))
+        return system_from_dict(tiled_commitment_doc(steps, 0.05, 3)["system"])
+    return load_scenario(scenario_dir / f"{name}.json").system
+
+
+@pytest.mark.parametrize("name", ["commitment_demo", "commitment_48", "tile_48", "tile_168"])
+def test_block_tableau_rows_equal_the_unit_btran_rows(scenario_dir, monkeypatch, name):
+    """Every source row of every cut round, read ``CUT_BLOCK`` rows per
+    transposed solve from the factorisation the round's basis carries,
+    equals ``_times_A(_btran_unit(r))`` bit for bit."""
+    from enopt.solver import branch_bound, solve_milp
+
+    rounds = []
+    real = branch_bound._gmi_cuts
+
+    def recording(std, state):
+        rounds.append((std, state))
+        return real(std, state)
+
+    monkeypatch.setattr(branch_bound, "_gmi_cuts", recording)
+    solve_milp(formulate.compile_system(_cut_round_system(scenario_dir, name)))
+    assert len(rounds) >= 2
+    compared = 0
+    for std, state in rounds:
+        assert state.factor is not None
+        s = BoundedSimplex(std, std.lower, std.upper, start=state)
+        assert s.lu is state.factor[0] and s.n_etas == 0
+        is_int = np.zeros(state.status.size, dtype=bool)
+        is_int[std.integer_idx] = True
+        frac = s.xB - np.floor(s.xB)
+        rows = np.flatnonzero(is_int[state.basis] & (frac >= branch_bound.MIN_FRACTION)
+                              & (frac <= 1.0 - branch_bound.MIN_FRACTION))
+        for start in range(0, rows.size, branch_bound.CUT_BLOCK):
+            block = rows[start:start + branch_bound.CUT_BLOCK]
+            tableau = s.tableau_rows(block)
+            for r, row in zip(block.tolist(), tableau):
+                assert row.tobytes() == s._times_A(s._btran_unit(r)).tobytes()
+        compared += rows.size
+    assert compared > branch_bound.CUT_BLOCK  # more than one block

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -392,3 +393,46 @@ def test_resolve_from_the_returned_basis_takes_no_iterations(scenario_dir):
     assert again.iterations == 0
     np.testing.assert_array_equal(again.values, sol.values)
     assert again.objective == sol.objective
+
+
+def _stopping_node_lp(monkeypatch, stop):
+    """Branch and bound's LP solves, but its ``stop``-th node LP reports
+    its own result with the iteration limit as its status (node LPs never
+    outlast the root, so no real limit stops one first)."""
+    rows, node_lps = [], []
+
+    def stopping(std, cfg, lower=None, upper=None, start=None):
+        out = solve_standard_lp(std, cfg, lower, upper, start=start)
+        rows.append(std.num_rows)
+        if lower is not None and std.num_rows > rows[0]:  # not the polish or the dive
+            node_lps.append(out)
+            if len(node_lps) == stop:
+                return dataclasses.replace(out, status=Status.ITERATION_LIMIT)
+        return out
+
+    monkeypatch.setattr(branch_bound, "solve_standard_lp", stopping)
+    return node_lps
+
+
+@pytest.mark.parametrize("stop", [2, 10])
+def test_a_node_lp_at_its_iteration_limit_ends_with_an_open_gap(scenario_dir, tmp_path,
+                                                                monkeypatch, stop):
+    """commitment_48 (11 nodes) with its second node LP stopped, before any
+    incumbent, or its last: the search stops there and that node stays
+    open, so the bound stays at or below the optimum and, with an
+    incumbent, the gap stays outside ``mip_gap``; the run exits 5."""
+    from enopt import cli
+
+    scn = load_scenario(scenario_dir / "commitment_48.json")
+    prog = compile_system(scn.system)
+    full = solve_milp(prog)
+    assert full.status == Status.OPTIMAL and full.nodes == 11
+    node_lps = _stopping_node_lp(monkeypatch, stop)
+    sol = solve_milp(prog)
+    assert len(node_lps) == stop and sol.nodes == stop + 1
+    assert sol.status == Status.GAP_LIMIT
+    assert sol.bound <= full.objective
+    if math.isfinite(sol.objective):  # an incumbent
+        assert sol.bound <= sol.objective and sol.gap > SolverConfig().mip_gap
+    node_lps = _stopping_node_lp(monkeypatch, stop)
+    assert cli.run(scn, tmp_path / "out")[2] == 5 and len(node_lps) == stop

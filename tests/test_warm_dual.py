@@ -12,13 +12,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from enopt.analyze import emissions_total
 from enopt.formulate import Family, compile_system
 from enopt.scenario import load_scenario
 from enopt.solver import SolverConfig, Status, solve_lp, solve_milp
-from enopt.solver import branch_bound
+from enopt.solver import branch_bound, simplex
 from enopt.solver.lp import solve_standard_lp
+from enopt.solver.simplex import BoundedSimplex
 from enopt.solver.standard import standardize
 
 from conftest import make_program
@@ -160,3 +162,114 @@ def test_warm_re_solve_after_changed_costs_matches_a_cold_solve(desk_48):
     for _ in range(3):
         cost = std.cost * rng.uniform(1.0, 1.5, std.cost.size)
         _warm_matches_cold(dataclasses.replace(std, cost=cost), start.basis)
+
+
+def _counting_splu(monkeypatch):
+    """The bump sizes of every LU factorization (each goes through
+    ``simplex.splu``), in order."""
+    sizes = []
+    real = simplex.splu
+
+    def counting(n, *arrays):
+        sizes.append(n)
+        return real(n, *arrays)
+
+    monkeypatch.setattr(simplex, "splu", counting)
+    return sizes
+
+
+def _assert_same_solve(a, b):
+    """Two solves agree bit for bit: status, values, objective, iterations
+    and the optimal basis."""
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.values.tobytes() == b.values.tobytes()
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    np.testing.assert_array_equal(a.basis.basis, b.basis.basis)
+    np.testing.assert_array_equal(a.basis.status, b.basis.status)
+
+
+def _without_factor(std, cfg, lower, upper, start):
+    return solve_standard_lp(std, cfg, lower, upper, start=dataclasses.replace(start, factor=None))
+
+
+def test_a_carried_factorisation_changes_no_warm_result(commitment_prog, branching_prog,
+                                                        monkeypatch):
+    """commitment_demo's cut re-solves and polish, and every node LP of
+    commitment_48, each started from a state that carries its solve's
+    factorisation: a copy of the state without it gives the same solve,
+    bit for bit."""
+    _, demo = _recorded_solve(commitment_prog, monkeypatch)
+    _, tree = _recorded_solve(branching_prog, monkeypatch)
+    chain = demo[1:]
+    assert [c[2] is None for c in chain] == [True] * (len(chain) - 1) + [False]  # then the polish
+    nodes = [c for c in tree if c[2] is not None and c[0].num_rows > tree[0][0].num_rows]
+    assert len(chain) >= 3 and len(nodes) >= 10
+    for std, cfg, lower, upper, start, out in chain + nodes:
+        assert start.factor is not None
+        assert out.status == Status.OPTIMAL or out.status == Status.INFEASIBLE
+        again = _without_factor(std, cfg, lower, upper, start)
+        if out.status == Status.OPTIMAL:
+            _assert_same_solve(out, again)
+        else:
+            assert again.status == out.status and again.iterations == out.iterations
+            assert again.farkas.tobytes() == out.farkas.tobytes()
+
+
+def test_a_start_with_appended_rows_reuses_its_factorisation(desk_48, monkeypatch):
+    """A row appended to paper_system_48 (its objective raised by 0.1%),
+    started from the optimum extended by the new slack as basic: the start
+    factorises nothing, and gives the solve a start without its
+    factorisation gives."""
+    _, prog, _ = desk_48
+    std = standardize(prog)
+    root = solve_standard_lp(std, SolverConfig())
+    G = sp.csr_matrix(prog.objective[None, :])
+    grown = branch_bound._with_cuts(std, G, np.array([1.001 * root.objective]))
+    start = branch_bound._extended(root.basis, 1)
+    assert start.factor is root.basis.factor
+    sizes = _counting_splu(monkeypatch)
+    with_factor = solve_standard_lp(grown, SolverConfig(), start=start)
+    reused = len(sizes)
+    without = _without_factor(grown, SolverConfig(), None, None, start)
+    assert with_factor.status == Status.OPTIMAL and with_factor.iterations > 0
+    assert len(sizes) == 2 * reused + 1  # the first factorisation is the one reused
+    _assert_same_solve(with_factor, without)
+
+
+@pytest.mark.parametrize("name, factorizations", [("commitment_demo", 6), ("commitment_48", 26)])
+def test_milp_factorizations_per_solve(scenario_dir, monkeypatch, name, factorizations):
+    """Every warm start after the root reuses the factorisation its basis
+    was declared optimal from (11 and 46 factorizations before it did)."""
+    prog = compile_system(load_scenario(scenario_dir / f"{name}.json").system)
+    sizes = _counting_splu(monkeypatch)
+    sol = solve_milp(prog)
+    assert sol.status == Status.OPTIMAL
+    assert len(sizes) == factorizations
+
+
+def test_a_start_on_another_A_factorises_anew(commitment_prog, monkeypatch):
+    """A state applied to a standard form whose ``A`` differs in one entry
+    of the bump (same pattern) factorises its start, as a state without a
+    factorisation does, and gives the same solve; on its own ``A`` it
+    factorises nothing."""
+    std = standardize(commitment_prog)
+    cfg = SolverConfig()
+    root = solve_standard_lp(std, cfg)
+    sim = BoundedSimplex(std, std.lower, std.upper, start=root.basis)
+    j = int(sim.basis[sim.pos_struct[0]])
+    lo, hi = std.A.indptr[j], std.A.indptr[j + 1]
+    k = lo + int(np.flatnonzero(np.isin(std.A.indices[lo:hi], sim.rows_bump))[0])
+    A = std.A.copy()
+    A.data[k] *= 1.01
+    other = dataclasses.replace(std, A=A)
+
+    sizes = _counting_splu(monkeypatch)
+    again = solve_standard_lp(std, cfg, start=root.basis)
+    assert again.iterations == 0 and sizes == []
+    moved = solve_standard_lp(other, cfg, start=root.basis)
+    n_moved = len(sizes)
+    assert n_moved >= 1
+    fresh = _without_factor(other, cfg, None, None, root.basis)
+    assert len(sizes) == 2 * n_moved
+    assert moved.status == Status.OPTIMAL
+    _assert_same_solve(moved, fresh)
