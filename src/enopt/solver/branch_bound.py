@@ -129,8 +129,11 @@ def _gmi_cuts(std: StandardForm, state: BasisState) -> tuple[sp.csr_matrix, np.n
     ns, lower, upper, status = std.n_struct, std.lower, std.upper, state.status
     is_int = np.zeros(status.size, dtype=bool)
     is_int[std.integer_idx] = True
+    # source rows by slot: the structural basic columns hold their slots in
+    # the order of their positions in the basis, so the cuts come out in
+    # that order
     frac = sim.xB - np.floor(sim.xB)
-    rows = np.flatnonzero(is_int[state.basis] & (frac >= MIN_FRACTION)
+    rows = np.flatnonzero(is_int[sim.slot_col] & (frac >= MIN_FRACTION)
                           & (frac <= 1.0 - MIN_FRACTION))
     # the columns a cut reads: nonbasic at a bound, not fixed
     cols = np.flatnonzero((status != BASIC) & (status != FREE) & (upper > lower))
@@ -303,10 +306,11 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     else:
         branch(relaxed, {})
 
-    status = Status.OPTIMAL  # or GAP_LIMIT once stopped early
+    status = Status.OPTIMAL  # or GAP_LIMIT once stopped early, by the limit named
+    limit = ""
     while heap:
         if nodes_explored >= cfg.max_nodes:
-            status = Status.GAP_LIMIT
+            status, limit = Status.GAP_LIMIT, "node limit"
             break
         if incumbent is not None and relative_gap(incumbent_obj, frontier_bound()) <= cfg.mip_gap:
             break
@@ -325,7 +329,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         if out.status == Status.ITERATION_LIMIT:
             # the node stays open: its key bounds the leaves it was to cover
             push(bound_est, overrides, state)
-            status = Status.GAP_LIMIT
+            status, limit = Status.GAP_LIMIT, "node LP iteration limit"
             break
         if out.objective >= cutoff:
             continue
@@ -350,7 +354,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
             return Solution(status=Status.GAP_LIMIT, values=np.zeros(prog.num_vars),
                             objective=math.inf, bound=frontier_bound(), gap=math.inf,
                             iterations=iterations, nodes=nodes_explored, integral=False,
-                            message="node limit reached before any incumbent")
+                            message=f"{limit} reached before any incumbent")
         return Solution(status=Status.INFEASIBLE, values=np.zeros(prog.num_vars),
                         objective=math.inf, bound=math.inf, gap=0.0,
                         iterations=iterations, nodes=nodes_explored, integral=False,

@@ -4,6 +4,7 @@ bounded simplex into a :class:`~enopt.solver.core.Solution`."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,5 +45,10 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
 
 
 def solve_lp(prog, config: SolverConfig | None = None) -> Solution:
-    """Solve the program as a pure LP; integrality flags are ignored."""
-    return solve_standard_lp(standardize(prog), config or SolverConfig())
+    """Solve the program as a pure LP; integrality flags are ignored.  The
+    basis of an optimum comes without its factorisation, so the result does
+    not keep the LU alive; a start from it factorises once."""
+    sol = solve_standard_lp(standardize(prog), config or SolverConfig())
+    if sol.basis is None:
+        return sol
+    return replace(sol, basis=replace(sol.basis, factor=None))

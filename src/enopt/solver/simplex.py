@@ -10,24 +10,44 @@ Design notes:
   the structural columns restricted to the uncovered rows (the "bump", the
   LU nucleus of Suhl & Suhl 1990) go to a sparse LU (SuperLU, called on
   raw arrays as scipy's ``splu`` calls it, see :func:`splu`); the entries
-  of the covered rows follow from the structural basic columns, kept as raw
-  column arrays.  An all-slack basis needs no factorisation.  SuperLU keeps
-  its COLAMD ordering and partial pivoting but builds no relaxed
-  supernodes: the bumps are nearly triangular, and the dense blocks of
-  relaxed supernodes made each triangular solve and the factorisation
-  take up to about twice as long.
+  of the covered rows follow from the structural basic columns' entries
+  in those rows, kept as raw column arrays.  An all-slack basis needs no
+  factorisation.  SuperLU keeps its COLAMD ordering and partial pivoting
+  but builds no relaxed supernodes: the bumps are nearly triangular, and
+  the dense blocks of relaxed supernodes made each triangular solve and
+  the factorisation take up to about twice as long.
+* The basis vectors are indexed by slot, not by position in ``basis``:
+  ftran'd columns, the basic values and bounds, the etas and the rows of
+  ``B^-1 A``.  A basic slack's slot is its own row; the structural basic
+  columns take the uncovered rows in their order in ``basis`` (see
+  :meth:`BoundedSimplex._refactor`), so the slack part of ftran and btran
+  is the identity and needs no gather.  ``basis`` keeps its positions,
+  which set the bump's column order, and ``slot_col`` maps each slot to its
+  basic column.  Slots equal positions until a slack enters the basis at
+  another row's position.  Leaving-row ties still go to the lowest
+  position, and each entry is computed as the position-indexed layout
+  computed it, but for the order of two kinds of sums: the remainder lanes
+  of BLAS's dense eta products, and the eta file's product with a priced
+  cost vector.  These can move an entry's last bit; the pivots and results
+  of the shipped scenarios and the benchmark's workloads are unchanged.
 * Pivots since the last factorisation form a product-form eta file
   (Dantzig & Orchard-Hays 1954) held in closed form: a fixed store of the
   vectors ``w_k - e_{r_k}`` and the inverse of the small lower-triangular
   matrix that couples them, so ftran and btran apply every eta in two dense
-  matrix-vector products.  The basis is refactored when the store holds
-  ``REFACTOR_EVERY`` (32) etas, which keeps those products short for the
-  price of a factorisation (about three pivots' time at 336 steps), and
-  before optimality is declared, so the final point is computed from a
-  fresh factorisation.
-* The dual pass keeps the bounds of the basic columns row by row, so its
+  matrix-vector products.  ftran skips the product when no eta
+  multiplier is nonzero (28% of the columns with etas at 336 steps) and
+  applies the one eta alone when one is (8%), with the dense product's
+  bits (Hall & McKinnon 2005 apply only the etas that act).  The basis is
+  refactored when the store holds ``REFACTOR_EVERY`` (32) etas, which
+  keeps those products short for the price of a factorisation (about
+  three pivots' time at 336 steps), and before optimality is declared, so
+  the final point is computed from a fresh factorisation.
+* The dual pass keeps the bounds of the basic columns by slot, so its
   leaving-row scan reads no gathered bound arrays, and takes the product
-  of the eta file with a unit vector as that file's column.
+  of the eta file with a unit vector as that file's column.  A
+  dual-degenerate pivot (entering reduced cost exactly 0) leaves the
+  reduced costs as they are: the update would only flip the sign of zeros,
+  which no choice reads.
 * The objective is normalised by its largest coefficient internally, and
   the crash reads costs only as zero or nonzero and as a ratio, so scaling
   the objective by any positive factor leaves the start, the pivot
@@ -73,7 +93,8 @@ modification, Koberstein 2005, ch. 4) and restored afterwards.
 Both starts run the same two passes:
 
 1. A bounded dual simplex (Koberstein 2005) restores primal feasibility.
-   The leaving row has the largest bound violation; the entering column
+   The leaving row has the largest bound violation (the lowest position
+   in ``basis`` among equals); the entering column
    comes from the textbook dual ratio test over the nonbasic columns whose
    tableau entry has the sign that lets their reduced cost reach zero, plus
    free columns with any usable entry, ties broken by the largest pivot
@@ -317,28 +338,41 @@ class BoundedSimplex:
     # -- linear algebra ------------------------------------------------------
 
     def _refactor(self) -> None:
-        """Factorise the basis: slack columns by their row, LU of the bump."""
+        """Factorise the basis: slack columns by their row, LU of the bump.
+
+        Every basic column gets a slot, a row index that its entries of
+        ftran'd columns, its basic value and bounds and its etas use until
+        the next factorisation: a basic slack's slot is its own row, and the
+        structural basic columns take the uncovered rows in their order in
+        ``basis``, which is also the bump's column order."""
         m, basis = self.m, self.basis
         unit = basis >= self.n_struct
-        self.pos_unit = np.flatnonzero(unit)
-        self.pos_struct = np.flatnonzero(~unit)
-        self.rows_unit = basis[self.pos_unit] - self.n_struct
+        pos_unit = np.flatnonzero(unit)
+        pos_struct = np.flatnonzero(~unit)
+        rows_unit = basis[pos_unit] - self.n_struct
         covered = np.zeros(m, dtype=bool)
-        covered[self.rows_unit] = True
+        covered[rows_unit] = True
         self.rows_bump = np.flatnonzero(~covered)
+        # slot -> position in basis; a pivot gives the entering column both
+        # of the leaving column's
+        self.slot_pos = np.empty(m, dtype=np.int64)
+        self.slot_pos[rows_unit] = pos_unit
+        self.slot_pos[self.rows_bump] = pos_struct
+        self.slot_col = basis[self.slot_pos]
         bump_row = np.full(m, -1, dtype=self.A.indices.dtype)
         bump_row[self.rows_bump] = np.arange(self.rows_bump.size)
 
-        # structural basic columns, gathered from A's arrays; the bump keeps
-        # their uncovered rows
-        indptr, indices, data = gather_columns(self.A, basis[self.pos_struct])
-        self.S = (indptr, indices, data)
+        # structural basic columns, gathered from A's arrays: the bump keeps
+        # their uncovered rows, S their covered ones, all that ftran and
+        # btran read of them besides the LU
+        indptr, indices, data = gather_columns(self.A, basis[pos_struct])
+        keep = bump_row[indices] >= 0
+        kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        self.S = (indptr - kept[indptr], indices[~keep], data[~keep])
         self.lu = None
         nb = self.rows_bump.size
         if nb:
-            keep = bump_row[indices] >= 0
-            kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
-            np.cumsum(keep, out=kept[1:])
             bump = (data[keep], bump_row[indices[keep]], kept[indptr])
             # gstrf is deterministic, so the last factorisation (a start's
             # too) stands in for it on the same arrays, bit for bit
@@ -349,15 +383,15 @@ class BoundedSimplex:
                     raise SolverError(f"basis factorisation failed: {exc}") from exc
             self.lu = self.factor[0]
         self.n_etas = 0
-        # the bounds of the basic columns, row by row; _pivot keeps them
-        self.lbB, self.ubB = self.lower[basis], self.upper[basis]
+        # the bounds of the basic columns by slot; _pivot keeps them
+        self.lbB, self.ubB = self.lower[self.slot_col], self.upper[self.slot_col]
         ax = np.zeros(self.m)  # A @ x_nb
         csc_matvec(self.m, self.n, self.A.indptr, self.A.indices, self.A.data,
                    self._nonbasic_values(), ax)
         self.xB = self._ftran(self.b - ax)
 
     def _push_eta(self, r: int, w: np.ndarray) -> None:
-        """Record the pivot that put w = B^-1 a_q into basis position r."""
+        """Record the pivot that put w = B^-1 a_q into slot r."""
         k = self.n_etas
         self.eta_vecs[k] = w
         self.eta_vecs[k, r] -= 1.0
@@ -376,21 +410,33 @@ class BoundedSimplex:
         return x
 
     def _ftran(self, col: np.ndarray) -> np.ndarray:
-        w = np.empty(self.m)
+        """``B^-1 col`` by slot."""
         if self.lu is not None:
             w_struct = self.lu.solve(col[self.rows_bump])
-            w[self.pos_struct] = w_struct
-            s_w = np.zeros(self.m)  # S @ w_struct
-            csc_matvec(self.m, w_struct.size, *self.S, w_struct, s_w)
-            col = col - s_w
-        w[self.pos_unit] = col[self.rows_unit]
+            w = np.zeros(self.m)  # S @ w_struct on the covered rows, then col minus it
+            csc_matvec(self.m, w_struct.size, *self.S, w_struct, w)
+            np.subtract(col, w, out=w)
+            w[self.rows_bump] = w_struct
+        else:
+            w = col.copy()
         k = self.n_etas
         if k:
             t = self.eta_inv[:k, :k] @ w[self.eta_rows[:k]]
-            w -= t @ self.eta_vecs[:k]
+            acting = t.nonzero()[0]
+            if acting.size == 1:
+                # the dense product with one nonzero multiplier, bit for
+                # bit: its sums start from +0.0, which turns a -0.0 term
+                # into +0.0
+                j = int(acting[0])
+                term = t[j] * self.eta_vecs[j]
+                term += 0.0
+                w -= term
+            elif acting.size:
+                w -= t @ self.eta_vecs[:k]
         return w
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
+        """``B^-T cb`` for cb by slot."""
         z = np.array(cb, dtype=float)
         return self._btran_etas(z, self.eta_vecs[:self.n_etas] @ z)
 
@@ -402,17 +448,19 @@ class BoundedSimplex:
         return self._btran_etas(z, self.eta_vecs[:self.n_etas, r])
 
     def _btran_etas(self, z: np.ndarray, vz: np.ndarray) -> np.ndarray:
-        """btran of z, where vz is the eta file's product with z."""
+        """btran of z, where vz is the eta file's product with z; works in
+        z's storage."""
         k = self.n_etas
         if k:
             np.subtract.at(z, self.eta_rows[:k], vz @ self.eta_inv[:k, :k])
-        y = np.zeros(self.m)
-        y[self.rows_unit] = z[self.pos_unit]
         if self.lu is not None:
-            st_y = np.zeros(self.pos_struct.size)  # S.T @ y: S's CSC arrays are S.T's CSR
-            csr_matvec(st_y.size, self.m, *self.S, y, st_y)
-            y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - st_y, trans="T")
-        return y
+            # a slack's dual is its slot's entry; the bump rows' follow.  S
+            # reads only the covered rows, so its sums are those of the
+            # whole columns with the bump rows' duals at zero, bit for bit
+            st_y = np.zeros(self.rows_bump.size)  # S.T @ y: S's CSC arrays are S.T's CSR
+            csr_matvec(st_y.size, self.m, *self.S, z, st_y)
+            z[self.rows_bump] = self.lu.solve(z[self.rows_bump] - st_y, trans="T")
+        return z
 
     def _times_A(self, y: np.ndarray) -> np.ndarray:
         """``AT @ y``, the kernel scipy's product calls, on AT's arrays."""
@@ -420,21 +468,20 @@ class BoundedSimplex:
         csr_matvec(self.n, self.m, self.AT.indptr, self.AT.indices, self.AT.data, y, out)
         return out
 
-    def tableau_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of ``B^-1 A``, over every column, from a fresh
-        factorisation (no etas): one transposed solve with a column per row
-        and one product with ``AT``.  Both treat each column as
-        :meth:`_btran_unit` and :meth:`_times_A` treat their vector, so row
-        k equals ``_times_A(_btran_unit(rows[k]))`` bit for bit."""
-        k = rows.size
-        z = np.zeros((self.m, k))  # the unit vectors e_r, one per column
-        z[rows, np.arange(k)] = 1.0
-        y = np.zeros((self.m, k))
-        y[self.rows_unit] = z[self.pos_unit]
+    def tableau_rows(self, slots: np.ndarray) -> np.ndarray:
+        """The rows of ``B^-1 A`` of the basic columns in ``slots``, over
+        every column, from a fresh factorisation (no etas): one transposed
+        solve with a column per row and one product with ``AT``.  Both treat
+        each column as :meth:`_btran_unit` and :meth:`_times_A` treat their
+        vector, so row k equals ``_times_A(_btran_unit(slots[k]))`` bit for
+        bit."""
+        k = slots.size
+        y = np.zeros((self.m, k))  # the unit vectors e_r, one per column
+        y[slots, np.arange(k)] = 1.0
         if self.lu is not None:
-            st_y = np.zeros((self.pos_struct.size, k))
-            csr_matvecs(self.pos_struct.size, self.m, k, *self.S, y, st_y)
-            y[self.rows_bump] = self.lu.solve(z[self.pos_struct] - st_y, trans="T")
+            st_y = np.zeros((self.rows_bump.size, k))
+            csr_matvecs(st_y.shape[0], self.m, k, *self.S, y, st_y)
+            y[self.rows_bump] = self.lu.solve(y[self.rows_bump] - st_y, trans="T")
         out = np.zeros((self.n, k))
         csr_matvecs(self.n, self.m, k, self.AT.indptr, self.AT.indices, self.AT.data, y, out)
         return out.T
@@ -448,7 +495,7 @@ class BoundedSimplex:
     # -- pricing and ratio test ----------------------------------------------
 
     def _price(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self._btran(cost[self.basis])
+        y = self._btran(cost[self.slot_col])
         d = cost - self._times_A(y)
         return y, d
 
@@ -477,13 +524,12 @@ class BoundedSimplex:
         the tolerance (``FEASIBILITY_TOL / |delta|`` for a row that moves by
         delta per unit step) is a candidate; the largest pivot entry, then
         the lowest column, leaves (in Bland mode the lowest column).  Returns
-        (t, leaving_row or None); None means the entering variable hits its
+        (t, leaving slot or None); None means the entering variable hits its
         opposite bound first (a bound flip), or that the step is unbounded
         when t is inf.
         """
         rows = np.flatnonzero(np.abs(w) > PIVOT_TOL)
         delta = sigma * w[rows]
-        cols = self.basis[rows]
         bound = np.where(delta > 0.0, self.lbB[rows], self.ubB[rows])
         with np.errstate(invalid="ignore"):
             lims = (self.xB[rows] - bound) / delta
@@ -497,11 +543,12 @@ class BoundedSimplex:
         # Harris: no candidate's step moves another basic more than the
         # tolerance past its bound, nor the entering column past its own
         cand = np.flatnonzero(lims <= min((lims + FEASIBILITY_TOL / np.abs(delta)).min(), own))
+        cols = self.slot_col[rows[cand]]
         if bland:
-            k = cand[int(np.argmin(cols[cand]))]
+            k = cand[int(np.argmin(cols))]
         else:
             # prefer the numerically largest pivot, then the smallest index
-            k = cand[np.lexsort((cols[cand], -np.abs(w[rows[cand]])))[0]]
+            k = cand[np.lexsort((cols, -np.abs(w[rows[cand]])))[0]]
         return float(lims[k]), int(rows[k])
 
     def _set_status(self, j: int, st: int) -> None:
@@ -524,10 +571,11 @@ class BoundedSimplex:
 
     def _pivot(self, r: int, q: int, w: np.ndarray, step: float, leaving_status: int) -> None:
         """Move column q by step, the basics by -step * w, and swap q into
-        basis row r, whose column leaves with the given status."""
+        slot r (and its position in ``basis``), whose column leaves with the
+        given status."""
         self.xB -= step * w
-        self._set_status(self.basis[r], leaving_status)
-        self.basis[r] = q
+        self._set_status(self.slot_col[r], leaving_status)
+        self.basis[self.slot_pos[r]] = self.slot_col[r] = q
         self.lbB[r], self.ubB[r] = self.lower[q], self.upper[q]
         self.xB[r] = self._value_of(q) + step
         self._set_status(q, BASIC)
@@ -567,7 +615,7 @@ class BoundedSimplex:
             if math.isinf(t):
                 ray = np.zeros(self.n)
                 ray[q] = sigma
-                ray[self.basis] = -sigma * w
+                ray[self.slot_col] = -sigma * w
                 return Status.UNBOUNDED, y, ray
             if r is None:
                 # bound flip: entering runs to its other bound, basis unchanged
@@ -580,17 +628,23 @@ class BoundedSimplex:
             stall = stall + 1 if t <= DEGENERATE_STEP else 0
 
     def _leaving_row(self, bland: bool) -> tuple[int | None, float]:
-        """The basic row with the largest bound violation (lowest column in
-        Bland mode) and +1 if it leaves to its lower bound, -1 to its upper."""
+        """The slot with the largest bound violation, the lowest position in
+        ``basis`` among equals (the lowest column in Bland mode), and +1 if
+        it leaves to its lower bound, -1 to its upper."""
         if not self.m:
             return None, 0.0
         viol = np.maximum(self.lbB - self.xB, self.xB - self.ubB)
-        r = int(np.argmax(viol))
+        r = int(viol.argmax())
         if not viol[r] > FEASIBILITY_TOL:
             return None, 0.0
         if bland:
             rows = np.flatnonzero(viol > FEASIBILITY_TOL)
-            r = int(rows[np.argmin(self.basis[rows])])
+            r = int(rows[np.argmin(self.slot_col[rows])])
+        else:
+            tied = viol == viol[r]
+            if np.count_nonzero(tied) > 1:
+                tied = np.flatnonzero(tied)
+                r = int(tied[np.argmin(self.slot_pos[tied])])
         return r, 1.0 if self.lbB[r] > self.xB[r] else -1.0
 
     def _dual_ratio_test(self, d: np.ndarray, alpha: np.ndarray, bland: bool) -> int | None:
@@ -601,21 +655,26 @@ class BoundedSimplex:
         None means no column limits the move: the program is infeasible.
         """
         ps = self.price_sign
-        cand = np.flatnonzero(ps * alpha > PIVOT_TOL)
+        signed = ps * alpha  # |alpha_j| where it lets d_j reach zero
+        cand = (signed > PIVOT_TOL).nonzero()[0]
+        size = signed[cand]
+        room = -d[cand] * ps[cand]  # |d_j| while column j is dual feasible
         if self.free.size:
-            cand = np.union1d(cand, self.free[np.abs(alpha[self.free]) > PIVOT_TOL])
+            free = self.free[np.abs(alpha[self.free]) > PIVOT_TOL]
+            cand = np.concatenate([cand, free])
+            size = np.concatenate([size, np.abs(alpha[free])])
+            room = np.concatenate([room, np.abs(d[free])])
         if not cand.size:
             return None
-        room = -d[cand] * ps[cand]  # |d_j| while column j is dual feasible
-        is_free = ps[cand] == 0.0
-        room[is_free] = np.abs(d[cand[is_free]])
-        ratios = np.maximum(room, 0.0) / np.abs(alpha[cand])
+        ratios = np.maximum(room, 0.0) / size
         t = ratios.min()
-        tied = cand[ratios <= t + 1e-9 * (1.0 + t)]
+        tied = (ratios <= t + 1e-9 * (1.0 + t)).nonzero()[0]
+        if tied.size == 1:
+            return int(cand[tied[0]])
         if bland:
-            return int(tied[0])
+            return int(cand[tied].min())
         # prefer the numerically largest pivot, then the smallest index
-        return int(tied[np.lexsort((tied, -np.abs(alpha[tied])))[0]])
+        return int(cand[tied[np.lexsort((cand[tied], -size[tied]))[0]]])
 
     def _run_dual(self, cost: np.ndarray, d: np.ndarray):
         """Bounded dual simplex (Koberstein 2005) from a basis that is dual
@@ -659,7 +718,8 @@ class BoundedSimplex:
             self.iterations += 1
 
             theta = d[q] / alpha[q]
-            d -= theta * alpha
+            if d[q] != 0.0:  # a dual-degenerate pivot moves no reduced cost
+                d -= theta * alpha
             # the entering column moves until the leaving one sits at its bound
             if toward > 0:
                 self._pivot(r, q, w, (self.xB[r] - self.lbB[r]) / w[r], AT_LOWER)
@@ -700,7 +760,7 @@ class BoundedSimplex:
         unbounded LP reports the objective +inf or -inf, and only an
         iteration limit leaves the bound open."""
         x = self._nonbasic_values()
-        x[self.basis] = self.xB
+        x[self.slot_col] = self.xB
         x += 0.0  # a basic value of -0.0 is reported as 0.0
         if status == Status.INFEASIBLE:
             objective = math.inf

@@ -12,6 +12,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+# the kernel behind scipy's CSR to CSC conversion, called on raw arrays
+from scipy.sparse._sparsetools import csr_tocsc
 
 __all__ = ["LE", "EQ", "GE", "StandardForm", "standardize"]
 
@@ -47,7 +49,21 @@ def standardize(prog) -> StandardForm:
     m, sense = prog.num_rows, prog.sense
     if not np.isin(sense, (LE, EQ, GE)).all():
         raise ValueError(f"unknown row senses {set(sense.tolist()) - {LE, EQ, GE}}")
-    A = sp.hstack([prog.A, sp.identity(m, format="csr")], format="csc")
+    # [A | I] written into its CSC arrays: A's columns by csr_tocsc, which
+    # lists each column's rows in order, then the slack columns; summed
+    # duplicates included, the arrays sp.hstack([A, I], format="csc")
+    # builds through COO, bit for bit
+    n, nnz, idx = prog.num_vars, prog.A.nnz, prog.A.indices.dtype
+    indptr = np.empty(n + m + 1, dtype=idx)
+    indices = np.empty(nnz + m, dtype=idx)
+    data = np.empty(nnz + m)
+    csr_tocsc(m, n, prog.A.indptr.astype(idx, copy=False), prog.A.indices, prog.A.data,
+              indptr[:n + 1], indices[:nnz], data[:nnz])
+    indptr[n + 1:] = nnz + np.arange(1, m + 1)
+    indices[nnz:] = np.arange(m)
+    data[nnz:] = 1.0
+    A = sp.csc_matrix((data, indices, indptr), shape=(m, n + m))
+    A.sum_duplicates()
     slack_lo = np.where(sense == GE, -np.inf, 0.0)
     slack_hi = np.where(sense == LE, np.inf, 0.0)
     lower = np.concatenate([prog.lower, slack_lo])

@@ -205,6 +205,26 @@ def test_standardize_is_bit_identical_to_the_row_loop(scenario_dir):
         assert std.A.shape == A.shape and std.n_struct == prog.num_vars
 
 
+@pytest.mark.parametrize("name", ["commitment_demo", "commitment_48", "paper_system_48",
+                                  "paper_system", "edge"])
+def test_standardize_builds_the_arrays_hstack_builds(scenario_dir, name):
+    """``standardize``'s ``[A | I]`` has the arrays, dtypes and sorted row
+    indices of ``sp.hstack`` through COO, bit for bit: on the shipped
+    scenarios and on the LP writer's edge program, which has an empty row, a
+    repeated column in a row (summed) and NaN, -0.0 and 0.0 entries."""
+    from test_lp_export import _edge_program
+
+    prog = (_edge_program() if name == "edge"
+            else compile_system(load_scenario(scenario_dir / f"{name}.json").system))
+    want = sp.hstack([prog.A, sp.identity(prog.num_rows, format="csr")], format="csc")
+    got = standardize(prog).A
+    assert type(got) is type(want) and got.shape == want.shape
+    for field in ("data", "indices", "indptr"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype, field
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.has_sorted_indices and got.has_canonical_format
+
+
 def test_rows_view_round_trips_the_matrix(scenario_dir):
     for name, prog in _programs(scenario_dir).items():
         rows = list(prog.rows)

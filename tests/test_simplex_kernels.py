@@ -71,8 +71,8 @@ def ref_entering(s, d, bland):
 def ref_ratio_test(s, q, sigma, w, bland):
     delta = sigma * w
     lims = np.full(s.m, math.inf)
-    lbB = s.lower[s.basis]
-    ubB = s.upper[s.basis]
+    lbB = s.lower[s.slot_col]
+    ubB = s.upper[s.slot_col]
     pos = delta > PIVOT_TOL
     neg = delta < -PIVOT_TOL
     with np.errstate(invalid="ignore"):
@@ -90,24 +90,25 @@ def ref_ratio_test(s, q, sigma, w, bland):
         relaxed = lims + FEASIBILITY_TOL / np.abs(delta)
     cand = np.flatnonzero(lims <= min(relaxed.min(), own))
     if bland:
-        r = cand[int(np.argmin(s.basis[cand]))]
+        r = cand[int(np.argmin(s.slot_col[cand]))]
     else:
-        order = np.lexsort((s.basis[cand], -np.abs(w[cand])))
+        order = np.lexsort((s.slot_col[cand], -np.abs(w[cand])))
         r = cand[order[0]]
     return float(lims[r]), int(r)
 
 
 def ref_leaving_row(s, bland):
-    """The largest bound violation beyond the tolerance, the first row among
-    equals (in Bland mode the lowest basic column), and its direction."""
+    """The largest bound violation beyond the tolerance, the slot of the
+    lowest position in ``basis`` among equals (in Bland mode the lowest
+    basic column), and its direction."""
     best, best_key, toward = None, None, 0.0
     for r in range(s.m):
-        col = s.basis[r]
+        col = s.slot_col[r]
         below, above = s.lower[col] - s.xB[r], s.xB[r] - s.upper[col]
         viol = max(below, above)
         if viol <= FEASIBILITY_TOL:
             continue
-        key = col if bland else -viol
+        key = col if bland else (-viol, s.slot_pos[r])
         if best is None or key < best_key:
             best, best_key, toward = r, key, 1.0 if below > 0.0 else -1.0
     return best, toward
@@ -139,9 +140,9 @@ def ref_dual_ratio_test(s, d, alpha, bland):
 
 
 def ref_structural_and_bump(s):
-    """The structural basic columns ``A[:, cols]`` and the bump (their
-    uncovered rows), built by scipy indexing."""
-    S = s.A[:, s.basis[s.pos_struct]]
+    """The structural basic columns ``A[:, cols]`` in their covered rows,
+    and the bump (their uncovered rows), built by scipy indexing."""
+    S = s.A[:, s.slot_col[s.rows_bump]]
     bump_row = np.full(s.m, -1, dtype=np.int64)
     bump_row[s.rows_bump] = np.arange(s.rows_bump.size)
     keep = bump_row[S.indices] >= 0
@@ -149,7 +150,10 @@ def ref_structural_and_bump(s):
     nb = s.rows_bump.size
     bump = sp.csc_matrix((S.data[keep], bump_row[S.indices[keep]], kept[S.indptr]),
                          shape=(nb, nb))
-    return S, bump
+    cover = ~keep
+    covered = sp.csc_matrix((S.data[cover], S.indices[cover],
+                             np.concatenate(([0], np.cumsum(cover)))[S.indptr]), shape=S.shape)
+    return covered, bump
 
 
 def same_arrays(a, b):
@@ -162,9 +166,10 @@ def same_csc(a, b):
 
 
 def structural_csc(s):
-    """The structural basic columns ``_refactor`` keeps as raw arrays."""
+    """The structural basic columns' covered rows, which ``_refactor``
+    keeps as raw arrays."""
     indptr, indices, data = s.S
-    return sp.csc_matrix((data, indices, indptr), shape=(s.m, s.pos_struct.size))
+    return sp.csc_matrix((data, indices, indptr), shape=(s.m, s.rows_bump.size))
 
 
 # -- states ----------------------------------------------------------------------
@@ -174,14 +179,18 @@ class _Stop(Exception):
 
 
 class RecordingSimplex(BoundedSimplex):
-    """Keeps the basis of the last factorisation and the (row, w) of every
-    pivot since, and stops the solve once ``stop(self)`` is true."""
+    """Keeps the basic column of each slot at the last factorisation and the
+    (slot, w) of every pivot since, and stops the solve once ``stop(self)``
+    is true."""
 
     stop = staticmethod(lambda s: False)
 
+    refactors = 0
+
     def _refactor(self):
         super()._refactor()
-        self.ref_basis = self.basis.copy()
+        self.refactors += 1
+        self.ref_basis = self.slot_col.copy()
         self.ref_etas = []
 
     def _push_eta(self, r, w):
@@ -228,17 +237,24 @@ def _random_std(rng, m, n, senses, n_free=0):
 
 
 def check_kernels(s, rng):
-    """ftran/btran against the full-basis reference, and the unit-vector
-    btran against ``_btran`` bit for bit; returns the pairs compared."""
+    """ftran/btran against the full-basis reference, by slot, and the
+    unit-vector btran against ``_btran`` bit for bit; returns the pairs
+    compared."""
+    # the slots: a basic slack's is its row, the structural basic columns
+    # take the other rows in their order in basis
+    assert np.array_equal(s.slot_col, s.basis[s.slot_pos])
+    slack = s.slot_col >= s.n_struct
+    assert np.array_equal(s.slot_col[slack] - s.n_struct, np.flatnonzero(slack))
+    assert np.all(np.diff(s.slot_pos[~slack]) > 0)
     # the basic bounds that _refactor sets and _pivot keeps
-    assert np.array_equal(s.lbB, s.lower[s.basis]) and np.array_equal(s.ubB, s.upper[s.basis])
+    assert np.array_equal(s.lbB, s.lower[s.slot_col]) and np.array_equal(s.ubB, s.upper[s.slot_col])
     lu = splu(s.A[:, s.ref_basis].tocsc())
     cols = [s._column(j) for j in range(0, s.A.shape[1], max(1, s.A.shape[1] // 25))]
     cols.append(rng.standard_normal(s.m))
     for col in cols:
         ref = ref_ftran(lu, s.ref_etas, col)
         assert np.max(np.abs(s._ftran(col) - ref)) <= TOL * max(np.max(np.abs(ref)), 1e-300)
-    rhs = [s.cost[s.basis], rng.standard_normal(s.m)]
+    rhs = [s.cost[s.slot_col], rng.standard_normal(s.m)]
     units = (0, s.m // 2, s.m - 1)
     rhs += [np.eye(1, s.m, r)[0] for r in units]
     for cb in rhs:
@@ -281,7 +297,11 @@ def check_pricing_and_ratio(s, rng, kinds):
     pushed = xB.copy()
     out = rng.random(s.m) < 0.3
     pushed[out] = np.where(rng.random(out.sum()) < 0.5, -1.0, 5.0)
-    for point in (xB, pushed):
+    # and at one where every slot off its position is equally violated
+    tie = np.clip(xB, s.lbB, s.ubB)
+    off = s.slot_pos != np.arange(s.m)
+    tie[off] = np.where(np.isfinite(s.lbB[off]), s.lbB[off] - 1.0, s.ubB[off] + 1.0)
+    for point in (xB, pushed, tie):
         s.xB = point
         for bland in (False, True):
             assert s._leaving_row(bland) == ref_leaving_row(s, bland)
@@ -400,12 +420,72 @@ def test_bump_covering_the_whole_basis():
         s.basis[j] = j
         s._set_status(j, BASIC)
     s._refactor()
-    assert s.rows_bump.size == m and s.pos_unit.size == 0
+    assert s.rows_bump.size == m and np.all(s.slot_col < s.n_struct)
     check_kernels(s, rng)
-    for r, q in ((3, m + 3), (10, m + 10)):  # two slacks pivot back in
+    for r, q in ((3, m + 3), (10, m + 10)):  # two slacks pivot back in, slot = position
         s._pivot(r, q, s._ftran(s._column(q)), 0.0, AT_LOWER)
     check_kernels(s, rng)
     check_pricing_and_ratio(s, rng, set())
+
+
+def _dense_eta_ftran(s, col):
+    """``_ftran(col)`` with the whole eta file applied as one dense product,
+    and the eta multipliers."""
+    k = s.n_etas
+    s.n_etas = 0
+    try:
+        w = s._ftran(col)
+    finally:
+        s.n_etas = k
+    t = s.eta_inv[:k, :k] @ w[s.eta_rows[:k]]
+    return w - t @ s.eta_vecs[:k], t
+
+
+@pytest.mark.parametrize("since_refactor", [0, 3])
+def test_kernels_by_slot_where_slots_are_off_their_positions(desk_std, since_refactor):
+    """After its 4th factorisation the desk solve has slots away from their
+    basis positions: ftran, btran and the tableau rows by slot still equal
+    the full-basis solve, and the pricing, ratio test and leaving-row
+    references (ties by position) still hold."""
+    s = run_until(desk_std, lambda s: s.refactors == 4 and s.n_etas == since_refactor)
+    assert np.sum(s.slot_pos != np.arange(s.m)) == 198
+    rng = np.random.default_rng(23)
+    assert check_kernels(s, rng) > 0
+    check_pricing_and_ratio(s, rng, set())
+    if since_refactor:
+        return
+    # tableau rows from the fresh factorisation: rows of B^-1 A, B by slot
+    lu = splu(s.A[:, s.slot_col].tocsc())
+    slots = np.flatnonzero(s.slot_pos != np.arange(s.m))[::7]
+    ref = (s.AT @ lu.solve(np.eye(s.m)[:, slots], trans="T")).T
+    got = s.tableau_rows(slots)
+    assert np.max(np.abs(got - ref)) <= TOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("stop", ["desk_31", "desk_off_position_9"])
+def test_one_active_eta_equals_the_dense_eta_product(desk_std, stop):
+    """ftran applies an eta file with one nonzero multiplier as one axpy and
+    skips a file with none: both equal the dense product bit for bit, signed
+    zeros included."""
+    if stop == "desk_31":
+        s = run_until(desk_std, lambda s: s.iterations > REFACTOR_EVERY
+                      and s.n_etas == REFACTOR_EVERY - 1)
+    else:
+        s = run_until(desk_std, lambda s: s.refactors == 4 and s.n_etas == 9)
+    active = []
+    for j in range(s.A.shape[1]):
+        col = s._column(j)
+        dense, t = _dense_eta_ftran(s, col)
+        assert s._ftran(col).tobytes() == dense.tobytes()
+        active.append(np.count_nonzero(t))
+    # the one-multiplier columns again, their zeros negative
+    for j in np.flatnonzero(np.array(active) == 1):
+        col = s._column(j)
+        col[col == 0.0] = -0.0
+        dense, t = _dense_eta_ftran(s, col)
+        assert np.count_nonzero(t) == 1
+        assert s._ftran(col).tobytes() == dense.tobytes()
+    assert active.count(0) > 0 and active.count(1) > 0 and max(active) > 1
 
 
 def _recording_splu(monkeypatch):
@@ -465,7 +545,7 @@ def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
     std.b = np.abs(std.b)
     s = fresh(std, slack_basis(std.lower, std.upper, std.n_struct))
     assert _recorded_bump(monkeypatch, s) is None
-    assert s.pos_struct.size == 0 and same_csc(structural_csc(s), ref_structural_and_bump(s)[0])
+    assert s.rows_bump.size == 0 and same_csc(structural_csc(s), ref_structural_and_bump(s)[0])
 
     m = 25
     std = _random_std(rng, m, m, np.array(["<="] * m))
@@ -718,7 +798,7 @@ def test_block_tableau_rows_equal_the_unit_btran_rows(scenario_dir, monkeypatch,
         is_int = np.zeros(state.status.size, dtype=bool)
         is_int[std.integer_idx] = True
         frac = s.xB - np.floor(s.xB)
-        rows = np.flatnonzero(is_int[state.basis] & (frac >= branch_bound.MIN_FRACTION)
+        rows = np.flatnonzero(is_int[s.slot_col] & (frac >= branch_bound.MIN_FRACTION)
                               & (frac <= 1.0 - branch_bound.MIN_FRACTION))
         for start in range(0, rows.size, branch_bound.CUT_BLOCK):
             block = rows[start:start + branch_bound.CUT_BLOCK]

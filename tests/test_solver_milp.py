@@ -420,7 +420,9 @@ def test_a_node_lp_at_its_iteration_limit_ends_with_an_open_gap(scenario_dir, tm
     """commitment_48 (11 nodes) with its second node LP stopped, before any
     incumbent, or its last: the search stops there and that node stays
     open, so the bound stays at or below the optimum and, with an
-    incumbent, the gap stays outside ``mip_gap``; the run exits 5."""
+    incumbent, the gap stays outside ``mip_gap``; the run exits 5.  Without
+    an incumbent, the message and ``summary.txt`` name the node LP's
+    iteration limit."""
     from enopt import cli
 
     scn = load_scenario(scenario_dir / "commitment_48.json")
@@ -436,3 +438,7 @@ def test_a_node_lp_at_its_iteration_limit_ends_with_an_open_gap(scenario_dir, tm
         assert sol.bound <= sol.objective and sol.gap > SolverConfig().mip_gap
     node_lps = _stopping_node_lp(monkeypatch, stop)
     assert cli.run(scn, tmp_path / "out")[2] == 5 and len(node_lps) == stop
+    if stop == 2:  # no incumbent
+        assert sol.message == "node LP iteration limit reached before any incumbent"
+        assert (tmp_path / "out" / "summary.txt").read_text() == (
+            f"status: gap_limit\nmessage: {sol.message}\n")

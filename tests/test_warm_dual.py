@@ -256,7 +256,7 @@ def test_a_start_on_another_A_factorises_anew(commitment_prog, monkeypatch):
     cfg = SolverConfig()
     root = solve_standard_lp(std, cfg)
     sim = BoundedSimplex(std, std.lower, std.upper, start=root.basis)
-    j = int(sim.basis[sim.pos_struct[0]])
+    j = int(sim.slot_col[sim.rows_bump[0]])  # the bump's first column
     lo, hi = std.A.indptr[j], std.A.indptr[j + 1]
     k = lo + int(np.flatnonzero(np.isin(std.A.indices[lo:hi], sim.rows_bump))[0])
     A = std.A.copy()
@@ -273,3 +273,27 @@ def test_a_start_on_another_A_factorises_anew(commitment_prog, monkeypatch):
     assert len(sizes) == 2 * n_moved
     assert moved.status == Status.OPTIMAL
     _assert_same_solve(moved, fresh)
+
+
+def test_solve_lp_returns_its_basis_without_the_factorisation(desk_48, monkeypatch):
+    """``solve_lp`` hands out the optimal basis without its factorisation,
+    so its result does not keep the LU alive: the same basis and statuses
+    as ``solve_standard_lp``'s, and a start from it, on the program and
+    with its costs changed, gives the solve the full basis gives, after one
+    factorisation of its own."""
+    _, prog, _ = desk_48
+    std = standardize(prog)
+    cfg = SolverConfig()
+    lean, full = solve_lp(prog).basis, solve_standard_lp(std, cfg).basis
+    assert lean.factor is None and full.factor is not None
+    np.testing.assert_array_equal(lean.basis, full.basis)
+    np.testing.assert_array_equal(lean.status, full.status)
+    cost = std.cost * np.random.default_rng(1).uniform(1.0, 1.5, std.cost.size)
+    for target in (std, dataclasses.replace(std, cost=cost)):
+        sizes = _counting_splu(monkeypatch)
+        from_full = solve_standard_lp(target, cfg, start=full)
+        reused = len(sizes)
+        from_lean = solve_standard_lp(target, cfg, start=lean)
+        assert len(sizes) == 2 * reused + 1
+        _assert_same_solve(from_lean, from_full)
+    assert from_full.iterations > 0
