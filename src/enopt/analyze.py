@@ -564,21 +564,22 @@ def _verify_commitment(sys, view, col, optimal: bool) -> None:
             cap = 1.0 / com.partial_load.slope
             col.note(Family.PARTIAL_EFFICIENCY, max(_pos(eta - cap), _pos(-eta)), T)
 
-        def history(idx: int) -> float:
-            return float(on[idx]) if idx >= 0 else float(min(com.initial_on, 1))
-
         for n_steps, fam, up in ((com.min_down_steps, Family.MIN_DOWNTIME, False),
                                  (com.min_up_steps, Family.MIN_UPTIME, True)):
             if n_steps <= 0:
                 continue
-            for t in range(T):
-                window = sum(history(t - m) for m in range(1, n_steps + 1))
-                jump = history(t) - history(t - 1)
-                if up:
-                    viol = (-jump) * n_steps - window
-                else:
-                    viol = jump * n_steps - (n_steps - window)
-                col.note(fam, _pos(viol / n_steps))
+            # on at steps -n_steps .. T-1, the steps before 0 at initial_on;
+            # each step's window sums its n_steps predecessors nearest first
+            history = np.concatenate([np.full(n_steps, float(min(com.initial_on, 1))), on])
+            window = np.zeros(T)
+            for m in range(1, n_steps + 1):
+                window += history[n_steps - m:n_steps - m + T]
+            jump = history[n_steps:] - history[n_steps - 1:-1]
+            if up:
+                viol = (-jump) * n_steps - window
+            else:
+                viol = jump * n_steps - (n_steps - window)
+            col.note(fam, _pos(viol / n_steps), T)
 
 
 def _verify_costs(sys, view, col, sol) -> None:

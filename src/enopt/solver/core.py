@@ -60,12 +60,15 @@ class BasisState:
     basic (see ``lp.solve_standard_lp``): the basic column of each row and
     the status of every column.
 
-    ``factor`` is the factorisation the solve declared optimality from: the
-    bump's SuperLU object and the CSC arrays (data, indices, indptr) it
-    factorised, or None.  A solve from this state reuses it wherever the
-    bump it gathers has the same arrays, bit for bit, and factorises
-    anew otherwise (see :mod:`enopt.solver.simplex`), so a start gives the
-    same results with or without it."""
+    ``factor`` is the factorisation the solve declared optimality from, or
+    None: a :class:`~enopt.solver.simplex.Factor` holding the bump's
+    SuperLU object and the CSC arrays it factorised, with the ``A`` and
+    the basis it was built for and the slot maps, covered-row arrays and
+    uncovered rows derived with it.  A solve from this state on that same
+    ``A`` installs all of it without deriving anything; on another ``A`` it
+    reuses the LU wherever the bump it gathers has the same arrays, bit for
+    bit, and factorises anew otherwise (see :mod:`enopt.solver.simplex`),
+    so a start gives the same results with or without it."""
 
     basis: np.ndarray  # (m,) int64
     status: np.ndarray  # (n,) int8

@@ -30,9 +30,10 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     status still names a finite bound (as branch and bound keeps it).  It
     also fits ``A`` with rows appended, once extended by their slacks as
     basic (as branch and bound's cut rounds extend it), and brings the
-    factorisation it was declared optimal from, which the solve reuses
-    while the bump stays the same.  A primal pass with
-    the true costs finishes either solve (see :mod:`enopt.solver.simplex`).
+    factorisation it was declared optimal from, which the solve installs on
+    the same ``A`` and reuses elsewhere while the bump stays the same.  A
+    primal pass with the true costs finishes either solve (see
+    :mod:`enopt.solver.simplex`).
     Crossed bounds are infeasible without a pivot.
     """
     lo = std.lower if lower is None else lower

@@ -30,6 +30,10 @@ Design notes:
   of BLAS's dense eta products, and the eta file's product with a priced
   cost vector.  These can move an entry's last bit; the pivots and results
   of the shipped scenarios and the benchmark's workloads are unchanged.
+  The dense eta products run through BLAS, whose kernel (picked for the
+  CPU at run time by OpenBLAS) rounds its remainder lanes differently from
+  its main loop, so a solve is bit-reproducible for one BLAS kernel, not
+  across CPUs that get different kernels.
 * Pivots since the last factorisation form a product-form eta file
   (Dantzig & Orchard-Hays 1954) held in closed form: a fixed store of the
   vectors ``w_k - e_{r_k}`` and the inverse of the small lower-triangular
@@ -44,10 +48,14 @@ Design notes:
   the final point is computed from a fresh factorisation.
 * The dual pass keeps the bounds of the basic columns by slot, so its
   leaving-row scan reads no gathered bound arrays, and takes the product
-  of the eta file with a unit vector as that file's column.  A
-  dual-degenerate pivot (entering reduced cost exactly 0) leaves the
-  reduced costs as they are: the update would only flip the sign of zeros,
-  which no choice reads.
+  of the eta file with a unit vector as that file's column.  That column
+  times the eta file's coupling inverse is also the row the pivot's own
+  eta adds to the inverse, so one product serves the btran and the eta.
+  The leaving direction flips the ratio test's comparison instead of the
+  tableau row, and each pivot scalar is read once as a Python float (the
+  same IEEE double arithmetic).  A dual-degenerate pivot (entering
+  reduced cost exactly 0) leaves the reduced costs as they are: the
+  update would only flip the sign of zeros, which no choice reads.
 * The objective is normalised by its largest coefficient internally, and
   the crash reads costs only as zero or nonzero and as a ratio, so scaling
   the objective by any positive factor leaves the start, the pivot
@@ -76,14 +84,20 @@ the existing ones, once the start is extended by those slacks as basic
 (branch and bound's cut rounds do this): the new rows' duals are zero, so
 every reduced cost is unchanged, and the dual pass drives out the slacks
 that the start's point puts past their bounds.  The state carries the
-factorisation its solve declared optimality from, and every factorisation
-(:meth:`BoundedSimplex._refactor`) reuses the last one, a start's
-included, when the bump arrays it gathers equal those that one factorised,
-bit for bit; otherwise it calls SuperLU.  SuperLU is deterministic, so the
-reuse changes no value, pivot or count but the factorisations: a start
-with changed ``b`` or bounds, or with appended rows whose slacks cover
-them, begins without factorising, and a start applied to another ``A``
-whose bump differs factorises anew.  Where a start is not dual
+factorisation its solve declared optimality from (a :class:`Factor`):
+the bump's LU with the slot maps, the covered-row arrays ``S`` and the
+uncovered rows derived with it.  A start on the same ``A`` (the matrix
+object, unchanged) and the same basis installs all of it and derives
+nothing: it pays only for its basic values, ``B^-1 (b - A x_N)``.  Any
+other factorisation (:meth:`BoundedSimplex._refactor`) derives the slot
+maps, ``S`` and the bump in one pass over the structural basic columns'
+entries, and reuses the last LU, a start's included, when the bump
+arrays equal those that LU factorised, bit for bit; otherwise it calls
+SuperLU.  SuperLU is deterministic, so the reuse changes no value, pivot
+or count but the factorisations: a start with changed ``b`` or bounds, or
+with appended rows whose slacks cover them, begins without factorising,
+and a start applied to another ``A`` whose bump differs factorises
+anew.  Where a start is not dual
 feasible (changed costs; negative costs or costed free columns, built only
 through the library API; or costed columns made basic by the crash, which
 shift 3 or 4 costs of a compiled program), the costs of the offending
@@ -134,6 +148,7 @@ from __future__ import annotations
 
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array, csc_matrix
@@ -183,7 +198,26 @@ def splu(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two contiguous 1-D arrays hold the same values, bit for bit."""
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    return a.dtype == b.dtype and a.size == b.size and a.tobytes() == b.tobytes()
+
+
+class Factor(NamedTuple):
+    """A factorisation of ``basis`` over ``A`` (the matrix object) and what
+    :meth:`BoundedSimplex._refactor` derived with it: the bump's SuperLU
+    object and the CSC arrays (data, indices, indptr) it factorised (both
+    None without a bump), the basic column and the position in ``basis`` of
+    each slot, the uncovered rows, and ``S``, the CSC arrays of the
+    structural basic columns' entries in the covered rows.  None of its
+    arrays is changed after it is made."""
+
+    lu: object
+    bump: tuple | None
+    A: csc_matrix
+    basis: np.ndarray
+    slot_col: np.ndarray
+    slot_pos: np.ndarray
+    rows_bump: np.ndarray
+    S: tuple
 
 
 def gather_columns(A: csc_matrix, cols: np.ndarray):
@@ -320,7 +354,7 @@ class BoundedSimplex:
         # violation = d * price_sign for columns at a bound; nonbasic free
         # columns are priced by |d| (once basic, a column only ever leaves
         # to a bound, so this list only shrinks)
-        movable = self.upper > self.lower
+        self.movable = movable = self.upper > self.lower
         self.price_sign = np.where(movable & (self.status == AT_LOWER), -1.0,
                                    np.where(movable & (self.status == AT_UPPER), 1.0, 0.0))
         self.free = np.flatnonzero(movable & (self.status == FREE))
@@ -344,61 +378,93 @@ class BoundedSimplex:
         ftran'd columns, its basic value and bounds and its etas use until
         the next factorisation: a basic slack's slot is its own row, and the
         structural basic columns take the uncovered rows in their order in
-        ``basis``, which is also the bump's column order."""
-        m, basis = self.m, self.basis
-        unit = basis >= self.n_struct
-        pos_unit = np.flatnonzero(unit)
-        pos_struct = np.flatnonzero(~unit)
-        rows_unit = basis[pos_unit] - self.n_struct
-        covered = np.zeros(m, dtype=bool)
-        covered[rows_unit] = True
-        self.rows_bump = np.flatnonzero(~covered)
+        ``basis``, which is also the bump's column order.  A start whose
+        factorisation was built for this ``A`` and this basis installs what
+        that factorisation carries and derives nothing."""
+        f = self.factor
+        if f is None or f.A is not self.A or not _same_bits(f.basis, self.basis):
+            f = self.factor = self._factorise(f)
+        self.lu, self.rows_bump, self.slot_pos, self.S = f.lu, f.rows_bump, f.slot_pos, f.S
+        self.slot_col = f.slot_col.copy()  # _pivot keeps it, the factorisation keeps its own
+        self.n_etas = 0
+        # the bounds of the basic columns by slot; _pivot keeps them
+        self.lbB, self.ubB = self.lower[self.slot_col], self.upper[self.slot_col]
+        # A @ x_nb over the columns from the first to the last at a nonzero
+        # bound: the terms of the others are +-0.0, which leave every sum of
+        # the product as it is, bit for bit
+        x = self._nonbasic_values()
+        at = x.nonzero()[0]
+        if at.size:
+            lo, hi = int(at[0]), int(at[-1]) + 1
+            ax = np.zeros(self.m)
+            csc_matvec(self.m, hi - lo, self.A.indptr[lo:], self.A.indices, self.A.data,
+                       x[lo:hi], ax)
+            self.xB = self._ftran(self.b - ax)
+        else:
+            self.xB = self._ftran(self.b)
+
+    def _factorise(self, last: Factor | None) -> Factor:
+        """The slot maps, ``S`` and the bump of the basis, derived in one
+        pass over the structural basic columns' entries, and the bump's LU:
+        ``last``'s where its bump has the same arrays, bit for bit (SuperLU
+        is deterministic, so it stands in for the call), else SuperLU's."""
+        m, ns, basis = self.m, self.n_struct, self.basis
+        unit = basis >= ns
+        pos_unit, pos_struct = unit.nonzero()[0], (~unit).nonzero()[0]
+        rows_unit = basis[pos_unit] - ns
+        # bump index by row, -1 on the rows the basic slacks cover
+        bump_row = np.zeros(m, dtype=self.A.indices.dtype)
+        bump_row[rows_unit] = -1
+        rows_bump = (bump_row == 0).nonzero()[0]
+        nb = rows_bump.size
+        bump_row[rows_bump] = np.arange(nb, dtype=bump_row.dtype)
         # slot -> position in basis; a pivot gives the entering column both
         # of the leaving column's
-        self.slot_pos = np.empty(m, dtype=np.int64)
-        self.slot_pos[rows_unit] = pos_unit
-        self.slot_pos[self.rows_bump] = pos_struct
-        self.slot_col = basis[self.slot_pos]
-        bump_row = np.full(m, -1, dtype=self.A.indices.dtype)
-        bump_row[self.rows_bump] = np.arange(self.rows_bump.size)
-
+        slot_pos = np.empty(m, dtype=np.int64)
+        slot_pos[rows_unit] = pos_unit
+        slot_pos[rows_bump] = pos_struct
         # structural basic columns, gathered from A's arrays: the bump keeps
         # their uncovered rows, S their covered ones, all that ftran and
         # btran read of them besides the LU
         indptr, indices, data = gather_columns(self.A, basis[pos_struct])
-        keep = bump_row[indices] >= 0
+        at_bump = bump_row[indices]
+        keep = at_bump >= 0
         kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
         np.cumsum(keep, out=kept[1:])
-        self.S = (indptr - kept[indptr], indices[~keep], data[~keep])
-        self.lu = None
-        nb = self.rows_bump.size
+        cover = ~keep
+        S = (indptr - kept[indptr], indices[cover], data[cover])
+        lu = bump = None
         if nb:
-            bump = (data[keep], bump_row[indices[keep]], kept[indptr])
-            # gstrf is deterministic, so the last factorisation (a start's
-            # too) stands in for it on the same arrays, bit for bit
-            if self.factor is None or not all(map(_same_bits, bump, self.factor[1:])):
+            bump = (data[keep], at_bump[keep], kept[indptr])
+            if last is not None and last.bump is not None and all(map(_same_bits, bump, last.bump)):
+                lu, bump = last.lu, last.bump
+            else:
                 try:
-                    self.factor = (splu(nb, *bump), *bump)
+                    lu = splu(nb, *bump)
                 except RuntimeError as exc:  # singular basis: numerical breakdown
                     raise SolverError(f"basis factorisation failed: {exc}") from exc
-            self.lu = self.factor[0]
-        self.n_etas = 0
-        # the bounds of the basic columns by slot; _pivot keeps them
-        self.lbB, self.ubB = self.lower[self.slot_col], self.upper[self.slot_col]
-        ax = np.zeros(self.m)  # A @ x_nb
-        csc_matvec(self.m, self.n, self.A.indptr, self.A.indices, self.A.data,
-                   self._nonbasic_values(), ax)
-        self.xB = self._ftran(self.b - ax)
+        return Factor(lu, bump, self.A, basis.copy(), basis[slot_pos], slot_pos, rows_bump, S)
 
-    def _push_eta(self, r: int, w: np.ndarray) -> None:
-        """Record the pivot that put w = B^-1 a_q into slot r."""
+    def _eta_row(self, r: int) -> np.ndarray | None:
+        """The eta file's column r times the inverse of its coupling
+        matrix: what btran of e_r subtracts at the eta rows, and, divided by
+        -w_r, the coupling row a pivot on slot r adds (None without etas)."""
         k = self.n_etas
+        return self.eta_vecs[:k, r] @ self.eta_inv[:k, :k] if k else None
+
+    def _push_eta(self, r: int, w: np.ndarray, u: np.ndarray | None = None) -> None:
+        """Record the pivot that put w = B^-1 a_q into slot r; u is
+        ``_eta_row(r)`` where the caller has it."""
+        k = self.n_etas
+        wr = float(w[r])
         self.eta_vecs[k] = w
-        self.eta_vecs[k, r] -= 1.0
+        self.eta_vecs[k, r] = wr - 1.0
         self.eta_rows[k] = r
-        inv = self.eta_inv
-        inv[k, :k] = -(self.eta_vecs[:k, r] @ inv[:k, :k]) / w[r]
-        inv[k, k] = 1.0 / w[r]
+        if k:
+            # -(u / w_r), bit for bit: IEEE division rounds the magnitude
+            # alone
+            np.divide(self._eta_row(r) if u is None else u, -wr, out=self.eta_inv[k, :k])
+        self.eta_inv[k, k] = 1.0 / wr
         self.n_etas = k + 1
         if self.n_etas == REFACTOR_EVERY:
             self._refactor()
@@ -422,37 +488,39 @@ class BoundedSimplex:
         k = self.n_etas
         if k:
             t = self.eta_inv[:k, :k] @ w[self.eta_rows[:k]]
-            acting = t.nonzero()[0]
-            if acting.size == 1:
+            acting = np.count_nonzero(t)
+            if acting == 1:
                 # the dense product with one nonzero multiplier, bit for
                 # bit: its sums start from +0.0, which turns a -0.0 term
                 # into +0.0
-                j = int(acting[0])
-                term = t[j] * self.eta_vecs[j]
+                j = int(t.nonzero()[0][0])
+                term = float(t[j]) * self.eta_vecs[j]
                 term += 0.0
                 w -= term
-            elif acting.size:
+            elif acting:
                 w -= t @ self.eta_vecs[:k]
         return w
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
         """``B^-T cb`` for cb by slot."""
         z = np.array(cb, dtype=float)
-        return self._btran_etas(z, self.eta_vecs[:self.n_etas] @ z)
+        k = self.n_etas
+        return self._btran_etas(z, (self.eta_vecs[:k] @ z) @ self.eta_inv[:k, :k] if k else None)
 
-    def _btran_unit(self, r: int) -> np.ndarray:
+    def _btran_unit(self, r: int, u: np.ndarray | None = None) -> np.ndarray:
         """``_btran(e_r)``, bit for bit: the eta file's product with e_r is
-        its column r."""
+        its column r, so what it subtracts is ``_eta_row(r)``, which the
+        caller may pass as u."""
         z = np.zeros(self.m)
         z[r] = 1.0
-        return self._btran_etas(z, self.eta_vecs[:self.n_etas, r])
+        return self._btran_etas(z, self._eta_row(r) if u is None else u)
 
-    def _btran_etas(self, z: np.ndarray, vz: np.ndarray) -> np.ndarray:
-        """btran of z, where vz is the eta file's product with z; works in
-        z's storage."""
-        k = self.n_etas
-        if k:
-            np.subtract.at(z, self.eta_rows[:k], vz @ self.eta_inv[:k, :k])
+    def _btran_etas(self, z: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+        """btran of z, where u is the eta file's product with z times the
+        inverse of its coupling matrix (None without etas); works in z's
+        storage."""
+        if u is not None:
+            np.subtract.at(z, self.eta_rows[:self.n_etas], u)
         if self.lu is not None:
             # a slack's dual is its slot's entry; the bump rows' follow.  S
             # reads only the covered rows, so its sums are those of the
@@ -553,10 +621,10 @@ class BoundedSimplex:
 
     def _set_status(self, j: int, st: int) -> None:
         """Change a column's status and keep its pricing sign in step."""
-        if self.status[j] == FREE:
+        if self.free.size and self.status[j] == FREE:
             self.free = self.free[self.free != j]
         self.status[j] = st
-        if self.upper[j] > self.lower[j] and st in (AT_LOWER, AT_UPPER):
+        if self.movable[j] and st in (AT_LOWER, AT_UPPER):
             self.price_sign[j] = -1.0 if st == AT_LOWER else 1.0
         else:
             self.price_sign[j] = 0.0
@@ -569,17 +637,18 @@ class BoundedSimplex:
             return float(self.upper[j])
         return 0.0
 
-    def _pivot(self, r: int, q: int, w: np.ndarray, step: float, leaving_status: int) -> None:
+    def _pivot(self, r: int, q: int, w: np.ndarray, step: float, leaving_status: int,
+               u: np.ndarray | None = None) -> None:
         """Move column q by step, the basics by -step * w, and swap q into
         slot r (and its position in ``basis``), whose column leaves with the
-        given status."""
+        given status; u is ``_eta_row(r)`` where the caller has it."""
         self.xB -= step * w
-        self._set_status(self.slot_col[r], leaving_status)
+        self._set_status(int(self.slot_col[r]), leaving_status)
         self.basis[self.slot_pos[r]] = self.slot_col[r] = q
         self.lbB[r], self.ubB[r] = self.lower[q], self.upper[q]
         self.xB[r] = self._value_of(q) + step
         self._set_status(q, BASIC)
-        self._push_eta(r, w)
+        self._push_eta(r, w, u)
 
     # -- main loop -------------------------------------------------------------
 
@@ -640,24 +709,30 @@ class BoundedSimplex:
         if bland:
             rows = np.flatnonzero(viol > FEASIBILITY_TOL)
             r = int(rows[np.argmin(self.slot_col[rows])])
-        else:
-            tied = viol == viol[r]
-            if np.count_nonzero(tied) > 1:
-                tied = np.flatnonzero(tied)
-                r = int(tied[np.argmin(self.slot_pos[tied])])
+        elif self.m - 1 - int(viol[::-1].argmax()) != r:  # the last largest is another
+            tied = (viol == viol[r]).nonzero()[0]
+            r = int(tied[np.argmin(self.slot_pos[tied])])
         return r, 1.0 if self.lbB[r] > self.xB[r] else -1.0
 
-    def _dual_ratio_test(self, d: np.ndarray, alpha: np.ndarray, bland: bool) -> int | None:
+    def _dual_ratio_test(self, d: np.ndarray, alpha: np.ndarray, toward: float,
+                         bland: bool) -> int | None:
         """Entering column: the first reduced cost to reach zero as the
-        leaving row's dual moves, where alpha is the tableau row signed so
-        that d_j + t * alpha_j with t >= 0 is the move.
+        leaving row's dual moves, where ``toward * alpha`` is the tableau
+        row signed so that d_j + t * toward * alpha_j with t >= 0 is the
+        move (toward is +1 or -1).
 
         None means no column limits the move: the program is infeasible.
         """
         ps = self.price_sign
-        signed = ps * alpha  # |alpha_j| where it lets d_j reach zero
-        cand = (signed > PIVOT_TOL).nonzero()[0]
-        size = signed[cand]
+        # toward * |alpha_j| where it lets d_j reach zero; multiplying by
+        # toward = -1 flips signs exactly, so the comparison flips instead
+        signed = ps * alpha
+        if toward > 0:
+            cand = (signed > PIVOT_TOL).nonzero()[0]
+            size = signed[cand]
+        else:
+            cand = (signed < -PIVOT_TOL).nonzero()[0]
+            size = -signed[cand]
         room = -d[cand] * ps[cand]  # |d_j| while column j is dual feasible
         if self.free.size:
             free = self.free[np.abs(alpha[self.free]) > PIVOT_TOL]
@@ -666,8 +741,9 @@ class BoundedSimplex:
             room = np.concatenate([room, np.abs(d[free])])
         if not cand.size:
             return None
-        ratios = np.maximum(room, 0.0) / size
-        t = ratios.min()
+        ratios = np.maximum(room, 0.0, out=room)
+        ratios /= size
+        t = float(ratios[ratios.argmin()])
         tied = (ratios <= t + 1e-9 * (1.0 + t)).nonzero()[0]
         if tied.size == 1:
             return int(cand[tied[0]])
@@ -691,9 +767,10 @@ class BoundedSimplex:
             r, toward = self._leaving_row(bland)
             if r is None:
                 return None, None
-            rho = self._btran_unit(r)
+            u = self._eta_row(r)  # shared by the btran and the pivot's eta
+            rho = self._btran_unit(r, u)
             alpha = self._times_A(rho)  # row r of B^-1 A
-            q = self._dual_ratio_test(d, toward * alpha, bland)
+            q = self._dual_ratio_test(d, alpha, toward, bland)
             if q is None and self.n_etas:
                 self._refactor()
                 _, d = self._price(cost)
@@ -707,24 +784,26 @@ class BoundedSimplex:
             # the pivot element twice: from the tableau row and from the
             # column; where they disagree the factorisation has lost accuracy
             w = self._ftran(self._column(q))
-            if abs(w[r]) <= PIVOT_TOL or abs(w[r] - alpha[q]) > 1e-9 * abs(alpha[q]):
+            wr, aq = float(w[r]), float(alpha[q])
+            if abs(wr) <= PIVOT_TOL or abs(wr - aq) > 1e-9 * abs(aq):
                 if not self.n_etas:
                     raise SolverError(f"pivot element of row {r} and column {q} is "
-                                      f"{alpha[q]!r} in the tableau row but {w[r]!r} in "
+                                      f"{aq!r} in the tableau row but {wr!r} in "
                                       "the column on a fresh factorisation")
                 self._refactor()
                 _, d = self._price(cost)
                 continue
             self.iterations += 1
 
-            theta = d[q] / alpha[q]
-            if d[q] != 0.0:  # a dual-degenerate pivot moves no reduced cost
+            dq = float(d[q])
+            theta = dq / aq
+            if dq != 0.0:  # a dual-degenerate pivot moves no reduced cost
                 d -= theta * alpha
             # the entering column moves until the leaving one sits at its bound
             if toward > 0:
-                self._pivot(r, q, w, (self.xB[r] - self.lbB[r]) / w[r], AT_LOWER)
+                self._pivot(r, q, w, (float(self.xB[r]) - float(self.lbB[r])) / wr, AT_LOWER, u)
             else:
-                self._pivot(r, q, w, (self.xB[r] - self.ubB[r]) / w[r], AT_UPPER)
+                self._pivot(r, q, w, (float(self.xB[r]) - float(self.ubB[r])) / wr, AT_UPPER, u)
             stall = stall + 1 if abs(theta) <= DEGENERATE_STEP else 0
 
     def solve(self) -> Solution:
@@ -748,12 +827,11 @@ class BoundedSimplex:
         if status == Status.ITERATION_LIMIT:
             return self._solution(status)
         d[self.status == BASIC] = 0.0
-        # optimality was declared from a fresh factorisation, which a start
-        # from this basis reuses
-        factor = self.factor if self.lu is not None else None
+        # optimality was declared from a fresh factorisation of this basis,
+        # which a start from it installs
         return self._solution(status, duals=y * self.scale,
                               reduced_costs=d[:self.n_struct] * self.scale,
-                              basis=BasisState(self.basis.copy(), self.status.copy(), factor))
+                              basis=BasisState(self.basis.copy(), self.status.copy(), self.factor))
 
     def _solution(self, status: Status, phase: int = 2, **fields) -> Solution:
         """The solve's result over the structural columns; an infeasible or

@@ -47,7 +47,9 @@ def standardize(prog) -> StandardForm:
     :class:`~enopt.formulate.LinearProgram`, whose arrays it reads as they
     are."""
     m, sense = prog.num_rows, prog.sense
-    if not np.isin(sense, (LE, EQ, GE)).all():
+    # three comparisons of the object array: np.isin sorts it
+    le, ge = sense == LE, sense == GE
+    if not (le | ge | (sense == EQ)).all():
         raise ValueError(f"unknown row senses {set(sense.tolist()) - {LE, EQ, GE}}")
     # [A | I] written into its CSC arrays: A's columns by csr_tocsc, which
     # lists each column's rows in order, then the slack columns; summed
@@ -64,8 +66,8 @@ def standardize(prog) -> StandardForm:
     data[nnz:] = 1.0
     A = sp.csc_matrix((data, indices, indptr), shape=(m, n + m))
     A.sum_duplicates()
-    slack_lo = np.where(sense == GE, -np.inf, 0.0)
-    slack_hi = np.where(sense == LE, np.inf, 0.0)
+    slack_lo = np.where(ge, -np.inf, 0.0)
+    slack_hi = np.where(le, np.inf, 0.0)
     lower = np.concatenate([prog.lower, slack_lo])
     upper = np.concatenate([prog.upper, slack_hi])
     cost = np.concatenate([prog.objective, np.zeros(m)])

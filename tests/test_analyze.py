@@ -212,6 +212,52 @@ def test_verify_downtime_windows_clean_after_milp():
     assert report.checks(Family.MIN_DOWNTIME) > 0
 
 
+def _window_residuals(on, n_steps, initial_on, up):
+    """The worst up- or downtime residual and its check count, step by step
+    over ``history``, as the verifier computed it before it was vectorised."""
+    def history(idx):
+        return float(on[idx]) if idx >= 0 else float(min(initial_on, 1))
+
+    worst = 0.0
+    for t in range(len(on)):
+        window = sum(history(t - m) for m in range(1, n_steps + 1))
+        jump = history(t) - history(t - 1)
+        if up:
+            viol = (-jump) * n_steps - window
+        else:
+            viol = jump * n_steps - (n_steps - window)
+        worst = max(worst, float(np.max(np.maximum(viol / n_steps, 0.0), initial=0.0)))
+    return worst, len(on)
+
+
+@pytest.mark.parametrize("initial_on", [0, 1])
+def test_verify_flags_broken_up_and_down_windows_as_the_step_loop(initial_on):
+    """A schedule that switches on after one step off (min down 2) and off
+    after one or two steps on (min up 3), some steps fractional: the
+    verifier flags both windows with the residuals and counts of the
+    step-by-step reference."""
+    from test_solver_milp import downtime_toy
+
+    base = downtime_toy(loads=(5.0, 0.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0))
+    unit = base.components[0]
+    com = dataclasses.replace(unit.commitment, min_up_steps=3, initial_on=initial_on)
+    sys_ = dataclasses.replace(base, components=(dataclasses.replace(unit, commitment=com),)
+                               + base.components[1:])
+    prog = compile_system(sys_)
+    sol = solve_milp(prog)
+    assert sol.status == Status.OPTIMAL
+    pattern = [1.0, 0.0, 0.7, 1.0, 0.0, 1.0, 0.25, 1.0]
+    values = sol.values.copy()
+    for t, v in enumerate(pattern):
+        values[prog.index(VarRef(VarKind.ON, "unit", t))] = v
+    report = verify_solution(sys_, prog, dataclasses.replace(sol, values=values))
+    for fam, n_steps, up in ((Family.MIN_DOWNTIME, 2, False), (Family.MIN_UPTIME, 3, True)):
+        worst, checks = _window_residuals(pattern, n_steps, initial_on, up)
+        assert worst > FEASIBILITY_TOL
+        assert report.residual(fam) == worst and report.checks(fam) == checks
+    assert not report.passed
+
+
 def test_verify_objective_recheck_needs_program():
     sys_ = single_node_system(loads=(2.0,))
     prog, sol = _solved(sys_)

@@ -205,6 +205,22 @@ def test_standardize_is_bit_identical_to_the_row_loop(scenario_dir):
         assert std.A.shape == A.shape and std.n_struct == prog.num_vars
 
 
+def test_standardize_names_the_unknown_row_senses():
+    from conftest import make_program
+
+    prog = make_program([1.0, 1.0], [([(0, 1.0)], LE, 1.0), ([(1, 1.0)], EQ, 2.0),
+                                     ([(0, 1.0), (1, 1.0)], GE, 0.5)])
+    assert standardize(prog).num_rows == 3
+    for bad in (["<"], ["<", "=="]):
+        prog.sense = prog.sense.copy()
+        prog.sense[:len(bad)] = bad
+        with pytest.raises(ValueError, match="unknown row senses") as err:
+            standardize(prog)
+        shown = str(err.value).removeprefix("unknown row senses ")
+        assert shown.startswith("{") and shown.endswith("}")
+        assert sorted(shown[1:-1].split(", ")) == sorted(repr(s) for s in set(bad))
+
+
 @pytest.mark.parametrize("name", ["commitment_demo", "commitment_48", "paper_system_48",
                                   "paper_system", "edge"])
 def test_standardize_builds_the_arrays_hstack_builds(scenario_dir, name):

@@ -156,6 +156,19 @@ def ref_structural_and_bump(s):
     return covered, bump
 
 
+def ref_slot_maps(s):
+    """The slot of each basis position, step by step: a basic slack's is
+    its row, the structural basic columns take the uncovered rows in their
+    order in ``basis``; returns (slot_pos, slot_col, rows_bump)."""
+    covered = {int(j) - s.n_struct for j in s.basis if j >= s.n_struct}
+    free_rows = iter(r for r in range(s.m) if r not in covered)
+    slot_pos = np.empty(s.m, dtype=np.int64)
+    for pos, j in enumerate(s.basis.tolist()):
+        slot_pos[j - s.n_struct if j >= s.n_struct else next(free_rows)] = pos
+    rows_bump = np.array(sorted(set(range(s.m)) - covered), dtype=np.int64)
+    return slot_pos, s.basis[slot_pos], rows_bump
+
+
 def same_arrays(a, b):
     return all(np.array_equal(getattr(a, f), getattr(b, f))
                for f in ("data", "indices", "indptr"))
@@ -193,9 +206,9 @@ class RecordingSimplex(BoundedSimplex):
         self.ref_basis = self.slot_col.copy()
         self.ref_etas = []
 
-    def _push_eta(self, r, w):
+    def _push_eta(self, r, w, u=None):
         self.ref_etas.append((r, w.copy()))
-        super()._push_eta(r, w)
+        super()._push_eta(r, w, u)
         if self.stop(self):
             raise _Stop
 
@@ -317,7 +330,7 @@ def check_pricing_and_ratio(s, rng, kinds):
         d_near = np.where(s.price_sign != 0.0, -s.price_sign, 1.0) * near
         for d, a, toward, bland in itertools.product(ds + [d_near], (alpha, spread),
                                                      (1.0, -1.0), (False, True)):
-            assert s._dual_ratio_test(d, toward * a, bland) == ref_dual_ratio_test(
+            assert s._dual_ratio_test(d, a, toward, bland) == ref_dual_ratio_test(
                 s, d, toward * a, bland)
 
     nonbasic = np.flatnonzero(s.status != BASIC)
@@ -531,12 +544,23 @@ def test_gathered_columns_equal_column_indexing(desk_std):
 @pytest.mark.parametrize("since_refactor", [0, 1])
 def test_refactor_basis_matrices_equal_reference_on_desk_solve(monkeypatch, desk_std,
                                                                since_refactor):
+    """The one-pass derivation behind a SuperLU factorisation: the slot
+    maps, ``S`` and the bump equal the step-by-step and scipy-indexing
+    references, and the factorisation carries exactly what the solve uses."""
     s = run_until(desk_std, lambda s: s.iterations > REFACTOR_EVERY
                   and s.n_etas == since_refactor)
     bump = _recorded_bump(monkeypatch, s)
     S_ref, bump_ref = ref_structural_and_bump(s)
     assert bump is not None and same_csc(structural_csc(s), S_ref)
     assert same_arrays(bump, bump_ref)
+    for got, want in zip((s.slot_pos, s.slot_col, s.rows_bump), ref_slot_maps(s)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    f = s.factor
+    assert f.A is s.A and np.array_equal(f.basis, s.basis) and f.basis is not s.basis
+    assert f.lu is s.lu and f.S is s.S and f.rows_bump is s.rows_bump
+    assert np.array_equal(f.slot_col, s.slot_col) and f.slot_col is not s.slot_col
+    assert np.array_equal(f.slot_pos, s.slot_pos)
+    assert same_arrays(sp.csc_matrix(f.bump, shape=bump.shape), bump)
 
 
 def test_refactor_basis_matrices_on_all_slack_and_whole_bump_bases(monkeypatch):
@@ -597,9 +621,9 @@ class DualWatchingSimplex(BoundedSimplex):
 
     worst = 0.0
 
-    def _dual_ratio_test(self, d, alpha, bland):
+    def _dual_ratio_test(self, d, alpha, toward, bland):
         self.worst = max(self.worst, float(self._violations(d).max(initial=0.0)))
-        return super()._dual_ratio_test(d, alpha, bland)
+        return super()._dual_ratio_test(d, alpha, toward, bland)
 
 
 @pytest.mark.parametrize("seed", range(4))

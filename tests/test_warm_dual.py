@@ -297,3 +297,103 @@ def test_solve_lp_returns_its_basis_without_the_factorisation(desk_48, monkeypat
         assert len(sizes) == 2 * reused + 1
         _assert_same_solve(from_lean, from_full)
     assert from_full.iterations > 0
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through a wrapper; returns the
+    list each call appends to."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _derived(std, lower, upper, state):
+    """A simplex on ``state`` without its factorisation: the slot maps,
+    ``S`` and bump derived afresh (and factorised by SuperLU)."""
+    return BoundedSimplex(std, lower, upper, start=dataclasses.replace(state, factor=None))
+
+
+@pytest.mark.parametrize("bounds", ["same", "branched"])
+def test_a_start_on_its_own_rows_installs_the_carried_factorisation(commitment_prog,
+                                                                   monkeypatch, bounds):
+    """A start from an optimal basis of the same ``A`` derives nothing: no
+    column gather, no SuperLU call; its slot maps, ``S``, uncovered rows and
+    basic values equal those of a fresh derivation bit for bit, also with a
+    basic integer column's bounds tightened as a node LP tightens them, and
+    ``A @ x_N`` over the columns at a nonzero bound equals the whole product
+    bit for bit.  Pivots from the installed start leave the carried
+    factorisation unchanged."""
+    std = standardize(commitment_prog)
+    state = solve_standard_lp(std, SolverConfig()).basis
+    lower, upper = std.lower.copy(), std.upper.copy()
+    if bounds == "branched":
+        frac = [j for j in std.integer_idx if state.status[j] == simplex.BASIC]
+        upper[frac[0]] = lower[frac[0]]
+    carried = {f: np.copy(getattr(state.factor, f)) for f in ("basis", "slot_col", "slot_pos",
+                                                                "rows_bump")}
+    gathers = _counting(monkeypatch, simplex, "gather_columns")
+    lus = _counting(monkeypatch, simplex, "splu")
+    s = BoundedSimplex(std, lower, upper, start=state)
+    assert gathers == [] and lus == []
+    assert s.lu is state.factor.lu and s.factor is state.factor
+    ref = _derived(std, lower, upper, state)
+    assert gathers and lus
+    for field in ("slot_col", "slot_pos", "rows_bump", "xB", "lbB", "ubB"):
+        assert getattr(s, field).tobytes() == getattr(ref, field).tobytes(), field
+    for got, want in zip(s.S + s.factor.bump, ref.S + ref.factor.bump):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x = s._nonbasic_values()
+    assert np.count_nonzero(x) > 0
+    assert s.xB.tobytes() == s._ftran(std.b - std.A @ x).tobytes()
+
+    out = s.solve()
+    assert out.status == Status.OPTIMAL and (out.iterations > 0) == (bounds == "branched")
+    assert _derived(std, lower, upper, state).solve().values.tobytes() == out.values.tobytes()
+    for field, value in carried.items():
+        assert np.array_equal(getattr(state.factor, field), value), field
+
+
+def test_a_start_on_another_basis_derives_its_own_maps(commitment_prog, monkeypatch):
+    """A carried factorisation installs only on the basis it was built for:
+    the same state with two basis positions swapped gathers its columns
+    again and gets the slot maps of that basis."""
+    std = standardize(commitment_prog)
+    state = solve_standard_lp(std, SolverConfig()).basis
+    basis = state.basis.copy()
+    struct = np.flatnonzero(basis < std.n_struct)
+    basis[struct[[0, 1]]] = basis[struct[[1, 0]]]
+    swapped = dataclasses.replace(state, basis=basis)
+    gathers = _counting(monkeypatch, simplex, "gather_columns")
+    s = BoundedSimplex(std, std.lower, std.upper, start=swapped)
+    assert gathers
+    assert np.array_equal(s.slot_col, basis[s.slot_pos])
+    ref = _derived(std, std.lower, std.upper, swapped)
+    for field in ("slot_col", "slot_pos", "rows_bump", "xB"):
+        assert getattr(s, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+def test_a_benchmark_commitment_draw_factorises_six_times(scenario_dir, monkeypatch, tmp_path):
+    """The benchmark's first seed-1 ``milp_commitment`` draw refactors 11
+    times: 6 SuperLU factorisations, 2 reuses of a bump equal bit for bit,
+    and 3 installs of a carried factorisation (the two cut rounds and the
+    polish)."""
+    import importlib
+
+    from enopt.scenario import system_from_dict
+
+    monkeypatch.syspath_prepend(str(scenario_dir.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    doc = workloads.commitment_doc(np.random.default_rng(1))
+    prog = compile_system(system_from_dict(doc["system"]))
+    lus = _counting(monkeypatch, simplex, "splu")
+    refactors = _counting(monkeypatch, BoundedSimplex, "_refactor")
+    gathers = _counting(monkeypatch, simplex, "gather_columns")
+    sol = solve_milp(prog)
+    assert sol.status == Status.OPTIMAL and sol.nodes == 1
+    assert len(lus) == 6 and len(refactors) == 11 and len(gathers) == 11 - 3
