@@ -328,19 +328,20 @@ class ResidualReport:
 
 
 class _Collector:
+    # keyed by the Family members (hashed as their str values); the tag
+    # text is read once, in report()
     def __init__(self):
-        self.worst = {f.value: 0.0 for f in Family}
-        self.count = {f.value: 0 for f in Family}
+        self.worst = dict.fromkeys(Family, 0.0)
+        self.count = dict.fromkeys(Family, 0)
 
     def note(self, family: Family, residual: float, checks: int = 1) -> None:
-        tag = family.value
-        if residual > self.worst[tag] or math.isnan(residual):  # a noted NaN stays
-            self.worst[tag] = float(residual)
-        self.count[tag] += checks
+        if residual > self.worst[family] or math.isnan(residual):  # a noted NaN stays
+            self.worst[family] = float(residual)
+        self.count[family] += checks
 
     def report(self) -> ResidualReport:
-        return ResidualReport(tuple(FamilyResidual(f.value, self.worst[f.value],
-                                                   self.count[f.value]) for f in Family))
+        return ResidualReport(tuple(FamilyResidual(f.value, self.worst[f], self.count[f])
+                                    for f in Family))
 
 
 def _pos(x) -> float:

@@ -390,8 +390,12 @@ class LinearProgram:
 
     def fingerprint(self) -> bytes:
         """Byte-stable encoding of the whole finalized program, for
-        determinism checks."""
-        parts = [label.encode() for label in self.labels()]
+        determinism checks: the variable labels, then the arrays, then the
+        row senses, tags and owners, joined by NUL bytes.  The labels are
+        joined as text and encoded once; UTF-8 encoding commutes with
+        joining, so the bytes equal those of labels encoded one by one."""
+        labels = self.labels()
+        parts = ["\x00".join(labels).encode()] if labels else []
         # a bool is one byte, 0 or 1
         parts += [a.tobytes() for a in (self.lower, self.upper, self.is_integer, self.objective,
                                         self.A.indptr, self.A.indices, self.A.data, self.rhs,
@@ -404,9 +408,12 @@ def _block_names(prog: LinearProgram, stem_name) -> list[str]:
     """A name for every variable, in column order, built a block at a time:
     ``stem_name`` of the block's label stem, then the step or period suffix
     (``_t<step>``, ``_p<period>``, counting from 0, so word characters only).
-    Two blocks whose names would meet (ids that differ only in non-word
-    characters, under :func:`_lp_name`) raise ValueError naming both owners."""
+    The suffixes of one (axis, start, count) range are formatted once and
+    shared by every block on it, which joins its stem to each.  Two blocks
+    whose names would meet (ids that differ only in non-word characters,
+    under :func:`_lp_name`) raise ValueError naming both owners."""
     names, blocks = [], {}  # (stem, axis) -> (owner, its steps or periods)
+    suffixes = {}  # (axis, start, count) -> ["_<axis><i>" for each i]
     for first, _, count in prog._vars.values():
         if first.step is None and first.period is None:
             stem, axis, numbers = stem_name(first.label()), "", ()
@@ -415,7 +422,10 @@ def _block_names(prog: LinearProgram, stem_name) -> list[str]:
             stem, _, last = first.label().rpartition("_")  # last: t<step> or p<period>
             stem, axis, start = stem_name(stem), last[0], int(last[1:])
             numbers = range(start, start + count)
-            names += [f"{stem}_{axis}{i}" for i in numbers]
+            shared = suffixes.get((axis, start, count))
+            if shared is None:
+                shared = suffixes[axis, start, count] = [f"_{axis}{i}" for i in numbers]
+            names += map(stem.__add__, shared)
         if (stem, axis) in blocks:
             raise ValueError(f"'{blocks[stem, axis][0]}' and '{first.owner}' give variables "
                              "the same name")
@@ -1052,26 +1062,30 @@ def _g17(values: np.ndarray) -> np.ndarray:
 
 
 def _term_texts(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each coefficient's text as a row's first term ("2", "- 2") and as a
-    later term (" + 2", " - 2"), formatted once per distinct value."""
+    """Each coefficient's text as a row's first term ("2 ", "- 2 ") and as a
+    later term (" + 2 ", " - 2 "), formatted once per distinct value; each
+    ends in the space before its variable's name."""
     distinct, inverse = _distinct(coefs)
-    first = [f"- {-v:.17g}" if v < 0 else f"{v:.17g}" for v in distinct]
-    later = [f" - {-v:.17g}" if v < 0 else f" + {v:.17g}" for v in distinct]
+    first = [f"- {-v:.17g} " if v < 0 else f"{v:.17g} " for v in distinct]
+    later = [f" - {-v:.17g} " if v < 0 else f" + {v:.17g} " for v in distinct]
     return np.array(first, dtype=object)[inverse], np.array(later, dtype=object)[inverse]
 
 
-def _lp_lines(heads, tails, indptr: np.ndarray, first: np.ndarray, later: np.ndarray,
-              names: np.ndarray) -> str:
+def _lp_lines(heads, tails: tuple, indptr: np.ndarray, first: np.ndarray,
+              later: np.ndarray, names: np.ndarray) -> str:
     """Rows as text: row i is heads[i], then its terms indptr[i]:indptr[i+1],
     each the coefficient's text (``first`` for the row's first term, else
-    ``later``) and its variable's ``names`` entry, then tails[i]."""
-    counts = np.diff(indptr)
-    # row i takes pieces 2 * (i + indptr[i]) to 2 * (i + indptr[i + 1]) + 1
-    head_at = 2 * (np.arange(counts.size) + indptr[:-1])
-    term_at = 2 * (np.repeat(np.arange(counts.size), counts) + np.arange(indptr[-1])) + 1
-    pieces = np.empty(2 * (counts.size + indptr[-1]), dtype=object)
+    ``later``) and its variable's ``names`` entry, then entry i of each of
+    ``tails`` in turn (a string stands for the same text on every row)."""
+    counts, rows = np.diff(indptr), np.arange(indptr.size - 1)
+    width = 1 + len(tails)  # a row's pieces besides its terms
+    # row i takes pieces width * i + 2 * indptr[i] to width * (i + 1) + 2 * indptr[i + 1] - 1
+    head_at = width * rows + 2 * indptr[:-1]
+    term_at = width * np.repeat(rows, counts) + 2 * np.arange(indptr[-1]) + 1
+    pieces = np.empty(width * rows.size + 2 * indptr[-1], dtype=object)
     pieces[head_at] = heads
-    pieces[head_at + 2 * counts + 1] = tails
+    for k, tail in enumerate(tails, start=1):
+        pieces[head_at + 2 * counts + k] = tail
     pieces[term_at] = later
     pieces[term_at + 1] = names
     starts = indptr[:-1][counts > 0]
@@ -1085,25 +1099,29 @@ def write_lp(prog: LinearProgram, path) -> None:
     The constraint rows are built from the program's arrays and written
     ``_LP_CHUNK_ROWS`` rows at a time.  Each distinct number is formatted
     once (``.17g``, keyed by its float64 bit pattern, so -0.0 stays ``-0``),
-    and each row name's (tag, owner) part and each variable block's name
-    stem are made LP-safe once (non-word characters become ``_``).  The text
-    is byte-identical to that of earlier versions, which formatted every
-    term on its own."""
-    names = _block_names(prog, _lp_name)
-    spaced = np.array([" " + name for name in names], dtype=object)
+    with the spaces around it, and each row name's (tag, owner) part and
+    each variable block's name stem are made LP-safe once (non-word
+    characters become ``_``).  A row's name is one format of its (tag,
+    owner) part, its step and its index; its sense and right-hand side texts
+    are joined into the text as they are, making no string per row.  The
+    text is byte-identical to that of earlier versions, which formatted
+    every term on its own."""
+    names = np.array(_block_names(prog, _lp_name), dtype=object)
     with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
         costed = np.flatnonzero(prog.objective)
         fh.write("Minimize\n")
-        fh.write(_lp_lines([" obj: " if costed.size else " obj: 0"], ["\n"],
+        fh.write(_lp_lines([" obj: " if costed.size else " obj: 0"], ("\n",),
                            np.array([0, costed.size]), *_term_texts(prog.objective[costed]),
-                           spaced[costed]))
+                           names[costed]))
         fh.write("Subject To\n")
         A, m = prog.A, prog.num_rows
         first, later = _term_texts(A.data)
         rhs = _g17(prog.rhs)
-        steps, at = np.unique(prog.step, return_inverse=True)
-        step_text = np.array(["None" if s < 0 else str(s) for s in steps.tolist()],
-                             dtype=object)[at.reshape(-1)]
+        # the text of every step from the least to the greatest, -1 (no step) "None"
+        low = int(prog.step.min(initial=0))
+        step_text = np.array(["None" if s < 0 else str(s)
+                              for s in range(low, int(prog.step.max(initial=0)) + 1)],
+                             dtype=object)[prog.step - low].tolist()
         # rows are ordered by family and owner, so a (tag, owner) pair is one run
         tag, owner = prog.tag, prog.owner
         new_run = np.ones(m, dtype=bool)
@@ -1111,32 +1129,32 @@ def write_lp(prog: LinearProgram, path) -> None:
         starts = np.flatnonzero(new_run)
         prefix = np.repeat(np.array([f" {_lp_name(f'{tag[k]}_{owner[k]}')}_"
                                      for k in starts.tolist()], dtype=object),
-                           np.diff(starts, append=m))
+                           np.diff(starts, append=m)).tolist()
         for r0 in range(0, m, _LP_CHUNK_ROWS):
             r1 = min(r0 + _LP_CHUNK_ROWS, m)
-            heads = prefix[r0:r1] + step_text[r0:r1] + np.array(
-                [f"_{i}: " for i in range(r0, r1)], dtype=object)
+            heads = [f"{p}{s}_{i}: " for p, s, i in
+                     zip(prefix[r0:r1], step_text[r0:r1], range(r0, r1))]
             indptr = A.indptr[r0:r1 + 1]
             for i in np.flatnonzero(indptr[1:] == indptr[:-1]).tolist():
                 heads[i] = f"\\ empty row {tag[r0 + i]}_{r0 + i}: 0"
-            tails = " " + prog.sense[r0:r1] + " " + rhs[r0:r1] + "\n"
             p0, p1 = indptr[0], indptr[-1]
+            tails = (" ", prog.sense[r0:r1], " ", rhs[r0:r1], "\n")
             fh.write(_lp_lines(heads, tails, indptr - p0, first[p0:p1], later[p0:p1],
-                               spaced[A.indices[p0:p1]]))
+                               names[A.indices[p0:p1]]))
         fh.write("Bounds\n")
-        lower, upper = prog.lower, prog.upper
-        lo_text, hi_text = _g17(lower).tolist(), _g17(upper).tolist()
+        bounded = np.flatnonzero((prog.lower != 0.0) | ~np.isinf(prog.upper))
+        lower, upper = prog.lower[bounded], prog.upper[bounded]
         lines = []
-        for i in np.flatnonzero((lower != 0.0) | ~np.isinf(upper)).tolist():
-            lo, hi = lower[i], upper[i]
+        for i, lo, hi, lo_text, hi_text in zip(bounded.tolist(), lower.tolist(), upper.tolist(),
+                                               _g17(lower).tolist(), _g17(upper).tolist()):
             if math.isinf(-lo) and math.isinf(hi):
                 lines.append(f" {names[i]} free\n")
             elif lo == hi:
-                lines.append(f" {names[i]} = {lo_text[i]}\n")
+                lines.append(f" {names[i]} = {lo_text}\n")
             elif math.isinf(hi):
-                lines.append(f" {lo_text[i]} <= {names[i]}\n")
+                lines.append(f" {lo_text} <= {names[i]}\n")
             else:
-                lines.append(f" {lo_text[i]} <= {names[i]} <= {hi_text[i]}\n")
+                lines.append(f" {lo_text} <= {names[i]} <= {hi_text}\n")
         integers = np.flatnonzero(prog.is_integer).tolist()
         if integers:
             lines.append("General\n")

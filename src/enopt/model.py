@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 __all__ = [
     "TimeGrid",
     "Node",
@@ -75,9 +77,9 @@ class TimeGrid:
     period_of_step: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "step_hours", tuple(float(h) for h in self.step_hours))
-        periods = self.period_of_step or tuple(0 for _ in self.step_hours)
-        object.__setattr__(self, "period_of_step", tuple(int(p) for p in periods))
+        object.__setattr__(self, "step_hours", tuple(map(float, self.step_hours)))
+        periods = self.period_of_step or (0,) * len(self.step_hours)
+        object.__setattr__(self, "period_of_step", tuple(map(int, periods)))
 
     @property
     def num_steps(self) -> int:
@@ -114,7 +116,7 @@ class Node:
     boundary: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "load", tuple(float(v) for v in self.load))
+        object.__setattr__(self, "load", tuple(map(float, self.load)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ class CapacitySpec:
 
     def __post_init__(self):
         if not isinstance(self.availability, (int, float)):
-            object.__setattr__(self, "availability", tuple(float(v) for v in self.availability))
+            object.__setattr__(self, "availability", tuple(map(float, self.availability)))
 
     def availability_series(self, num_steps: int) -> tuple[float, ...]:
         return _series(self.availability, num_steps)
@@ -307,7 +309,7 @@ class CostSpec:
 
     def __post_init__(self):
         if not isinstance(self.fuel, (int, float)):
-            object.__setattr__(self, "fuel", tuple(float(v) for v in self.fuel))
+            object.__setattr__(self, "fuel", tuple(map(float, self.fuel)))
 
     def fuel_series(self, num_steps: int) -> tuple[float, ...]:
         return _series(self.fuel, num_steps)
@@ -510,23 +512,39 @@ NOT_FINITE = "NOT_FINITE"
 DEGENERATE = "DEGENERATE"
 
 
+def _all_finite(values: tuple) -> bool:
+    """Whether a series of numbers holds no NaN or infinity, judged by one
+    sum: every term is finite when the sum is.  A finite series whose sum
+    overflows reads False too, so a False only sends the caller to walk the
+    series entry by entry; a tuple of non-numbers reads False."""
+    try:
+        return math.isfinite(sum(values))
+    except TypeError:  # not all numbers, e.g. a tuple of records
+        return False
+
+
 def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
+    """Steps finite and positive, periods non-decreasing and contiguous from
+    0.  Each series is checked in one pass; only a series that fails it is
+    walked, so each violation still names its step."""
     if grid.num_steps == 0:
         out.append(Violation(TIME_EMPTY, "time.step_hours", "at least one time step required"))
         return
-    for t, h in enumerate(grid.step_hours):
-        if not math.isfinite(h):
-            out.append(Violation(NOT_FINITE, f"time.step_hours[{t}]",
-                                 f"value must be finite, got {h}"))
-        elif not h > 0:
-            out.append(Violation(STEP_NONPOSITIVE, f"time.step_hours[{t}]",
-                                 f"step duration must be > 0, got {h}"))
+    hours = grid.step_hours
+    if not (_all_finite(hours) and min(hours) > 0):
+        for t, h in enumerate(hours):
+            if not math.isfinite(h):
+                out.append(Violation(NOT_FINITE, f"time.step_hours[{t}]",
+                                     f"value must be finite, got {h}"))
+            elif not h > 0:
+                out.append(Violation(STEP_NONPOSITIVE, f"time.step_hours[{t}]",
+                                     f"step duration must be > 0, got {h}"))
     periods = grid.period_of_step
     if len(periods) != grid.num_steps:
         out.append(Violation(PERIOD_LENGTH, "time.period_of_step",
                              f"expected {grid.num_steps} entries, got {len(periods)}"))
         return
-    if any(b < a for a, b in zip(periods, periods[1:])):
+    if sorted(periods) != list(periods):
         out.append(Violation(PERIOD_ORDER, "time.period_of_step",
                              "period indices must be non-decreasing"))
         return
@@ -537,17 +555,33 @@ def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
 
 def _check_finite(where: str, value, out: list[Violation]) -> None:
     """Flag NaN and +-inf in every number of a model value (a number, a
-    series or a nested dataclass), naming the field path."""
+    series or a nested dataclass), naming the field path.  A tuple is
+    checked in one pass (:func:`_all_finite`) and walked entry by entry only
+    when that pass fails, so each violation names its ``[t]`` in order."""
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             out.append(Violation(NOT_FINITE, where, f"value must be finite, got {value}"))
     elif isinstance(value, tuple):
+        if _all_finite(value):
+            return
         for t, v in enumerate(value):
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 _check_finite(f"{where}[{t}]", v, out)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             _check_finite(f"{where}.{f.name}", getattr(value, f.name), out)
+
+
+def _check_availability(avail: tuple, where: str, out: list[Violation]) -> None:
+    """Flag each share outside [0, 1], NaN included, naming its step.  The
+    series is compared in one pass and walked only when that pass fails."""
+    shares = np.fromiter(avail, float, len(avail))
+    # NaN fails both comparisons, here as in the walk
+    if not ((0.0 <= shares) & (shares <= 1.0)).all():
+        for t, a in enumerate(avail):
+            if not 0.0 <= a <= 1.0:
+                out.append(Violation(AVAILABILITY_RANGE, f"{where}[{t}]",
+                                     f"availability must lie in [0, 1], got {a}"))
 
 
 def _check_series_len(series, num_steps: int, code: str, where: str, out: list[Violation]) -> None:
@@ -604,10 +638,7 @@ def _check_component(comp: Component, grid: TimeGrid, node_ids: set[str],
     _check_series_len(cap.availability, grid.num_steps, AVAILABILITY_LENGTH,
                       where + ".availability", out)
     avail = cap.availability if isinstance(cap.availability, tuple) else (cap.availability,)
-    for t, a in enumerate(avail):
-        if not 0.0 <= a <= 1.0:
-            out.append(Violation(AVAILABILITY_RANGE, where + f".availability[{t}]",
-                                 f"availability must lie in [0, 1], got {a}"))
+    _check_availability(avail, where + ".availability", out)
     if cap.per_period and comp.committed:
         out.append(Violation(COMMIT_PER_PERIOD, where + ".per_period",
                              "per-period capacity is not supported on committed components"))
@@ -661,7 +692,7 @@ def _check_component(comp: Component, grid: TimeGrid, node_ids: set[str],
     if costs.emission_price is not None and costs.emission_price < 0:
         out.append(Violation(COST_NEGATIVE, where + ".emission_price", "price must be >= 0"))
     fuel = costs.fuel if isinstance(costs.fuel, tuple) else (costs.fuel,)
-    if any(f < 0 for f in fuel):
+    if (np.fromiter(fuel, float, len(fuel)) < 0).any():
         out.append(Violation(COST_NEGATIVE, where + ".fuel", "fuel cost must be >= 0"))
     _check_series_len(costs.fuel, grid.num_steps, FUEL_LENGTH, where + ".fuel", out)
     if costs.invest_side not in ("output", "input"):

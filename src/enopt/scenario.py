@@ -154,15 +154,21 @@ def _read_csv_column(ctx: _Ctx, path: Path, column: str) -> list[float]:
 
 
 def _series(ctx: _Ctx, value, key: str, allow_scalar: bool):
+    """A number (where ``allow_scalar``), an array of numbers or a sidecar
+    CSV column, as a float or a tuple of floats.  An array whose entries are
+    all exactly ``int`` or ``float`` (what JSON gives) is checked by one pass
+    over their types; any other array is checked entry by entry, so a bool
+    is still refused and an ``int`` or ``float`` subclass still accepted."""
     with ctx.enter(key):
         if _is_a(value, (int, float)):
             if allow_scalar:
                 return float(value)
             ctx.fail("expected a series, got a scalar")
         if isinstance(value, list):
-            if not all(_is_a(v, (int, float)) for v in value):
+            if not (set(map(type, value)) <= {int, float}
+                    or all(_is_a(v, (int, float)) for v in value)):
                 ctx.fail("series entries must be numbers")
-            return tuple(float(v) for v in value)
+            return tuple(map(float, value))
         if isinstance(value, dict):
             _known_keys(ctx, value, ("csv", "column"))
             path = ctx.base_dir / _get(ctx, value, "csv", str)
@@ -336,9 +342,10 @@ def system_from_dict(doc: dict, base_dir: Path | str = ".") -> EnergySystem:
             if periods is not None:
                 with ctx.enter("period_of_step"):
                     if not (isinstance(periods, list)
-                            and all(_is_a(p, int) for p in periods)):
+                            and (set(map(type, periods)) <= {int}
+                                 or all(_is_a(p, int) for p in periods))):
                         ctx.fail("expected an array of period indices")
-                    periods = tuple(int(p) for p in periods)
+                    periods = tuple(map(int, periods))
             grid = TimeGrid(steps, periods or ())
 
         nodes = []
