@@ -54,20 +54,24 @@ class NoSolutionError(Exception):
 
 
 class SolutionView:
-    """Typed access to a solution's values, sliced by the program's blocks."""
+    """Typed access to a solution's values, sliced by the program's blocks.
+
+    The view holds its own copy of the values; a block is read as a slice
+    of that copy, found by its kind and owner (:meth:`LinearProgram.columns`),
+    so no array it hands out shares memory with the solution."""
 
     def __init__(self, sys: EnergySystem, prog: LinearProgram, sol: Solution):
         self.sys = sys
         self.prog = prog
-        self.values = np.asarray(sol.values, dtype=float)
-        self.T = sys.time.num_steps
+        self.values = np.array(sol.values, dtype=float)
 
-    def value(self, ref: VarRef) -> float:
-        return float(self.values[self.prog.index(ref)])
+    def value(self, kind: VarKind, owner: str) -> float:
+        """The value of a one-variable block."""
+        return float(self.values[self.prog.columns(kind, owner).start])
 
     def series(self, kind: VarKind, owner: str) -> np.ndarray:
-        first = self.prog.index(VarRef(kind, owner, 0))
-        return self.values[first:first + self.T].copy()
+        """The values of a block, one per step (or period) it spans."""
+        return self.values[self.prog.columns(kind, owner)]
 
     def output(self, comp_id: str) -> np.ndarray:
         return self.series(VarKind.OUTPUT, comp_id)
@@ -91,7 +95,7 @@ class SolutionView:
         """Unit count of a committed component."""
         com = comp.commitment
         if com.optimize_units:
-            return self.value(VarRef(VarKind.UNITS, comp.id))
+            return self.value(VarKind.UNITS, comp.id)
         return float(com.max_units)
 
     def installed_per_period(self, comp: Component) -> np.ndarray:
@@ -101,10 +105,9 @@ class SolutionView:
         out = np.full(P, float(cap.initial))
         if cap.optimizable:
             if cap.per_period:
-                first = self.prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0))
-                out += self.values[first:first + P]
+                out += self.series(VarKind.INSTALLED_PERIOD, comp.id)
             else:
-                out += self.value(VarRef(VarKind.INSTALLED, comp.id))
+                out += self.value(VarKind.INSTALLED, comp.id)
         return out
 
     def installed_at_step(self, comp: Component) -> np.ndarray:
@@ -115,7 +118,7 @@ class SolutionView:
     def storage_capacity(self, stor: Storage) -> float:
         cap = stor.capacity_fixed
         if stor.capacity_optimizable:
-            cap += self.value(VarRef(VarKind.STORAGE_CAPACITY, stor.id))
+            cap += self.value(VarKind.STORAGE_CAPACITY, stor.id)
         return cap
 
     def fill_recomputed(self, stor: Storage) -> np.ndarray:
@@ -457,8 +460,8 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
         elif isinstance(rate, CRateLink):
             climit = dlimit = np.full(T, cap_total / rate.ratio)
         else:
-            climit = np.full(T, view.value(VarRef(VarKind.MAX_CHARGE, stor.id)))
-            dlimit = np.full(T, view.value(VarRef(VarKind.MAX_DISCHARGE, stor.id)))
+            climit = np.full(T, view.value(VarKind.MAX_CHARGE, stor.id))
+            dlimit = np.full(T, view.value(VarKind.MAX_DISCHARGE, stor.id))
         col.note(Family.CHARGE_RATE, _pos((charge - climit) / np.maximum(1.0, climit)), T)
         col.note(Family.DISCHARGE_RATE,
                  _pos((discharge - dlimit) / np.maximum(1.0, dlimit)), T)
@@ -467,12 +470,12 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
             if rate.cost_charge > 0:
                 need = float(charge.max(initial=0.0))
                 col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarRef(VarKind.MAX_CHARGE, stor.id)) - need)
+                         abs(view.value(VarKind.MAX_CHARGE, stor.id) - need)
                          / max(1.0, need))
             if rate.cost_discharge > 0:
                 need = float(discharge.max(initial=0.0))
                 col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarRef(VarKind.MAX_DISCHARGE, stor.id)) - need)
+                         abs(view.value(VarKind.MAX_DISCHARGE, stor.id) - need)
                          / max(1.0, need))
         if optimal and stor.capacity_optimizable and stor.capacity_cost > 0:
             needed = float(fill.max(initial=0.0))
@@ -481,7 +484,7 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
                              rate.ratio * float(discharge.max(initial=0.0)))
             needed_var = _pos(needed - stor.capacity_fixed)
             col.note(Family.COST_EXTENDED,
-                     abs(view.value(VarRef(VarKind.STORAGE_CAPACITY, stor.id)) - needed_var)
+                     abs(view.value(VarKind.STORAGE_CAPACITY, stor.id) - needed_var)
                      / max(1.0, needed_var))
 
 
@@ -497,8 +500,8 @@ def _verify_ramps(sys, view, col, optimal: bool) -> None:
             up_limit = ramp.up_per_hour * cap_t
             down_limit = ramp.down_per_hour * cap_t
         else:
-            up_limit = np.full(T - 1, view.value(VarRef(VarKind.RAMP_UP, comp.id)))
-            down_limit = np.full(T - 1, view.value(VarRef(VarKind.RAMP_DOWN, comp.id)))
+            up_limit = np.full(T - 1, view.value(VarKind.RAMP_UP, comp.id))
+            down_limit = np.full(T - 1, view.value(VarKind.RAMP_DOWN, comp.id))
         col.note(Family.RAMP_UP, _pos((diff - up_limit) / np.maximum(1.0, up_limit)), T - 1)
         col.note(Family.RAMP_DOWN,
                  _pos((-diff - down_limit) / np.maximum(1.0, down_limit)), T - 1)
@@ -506,12 +509,12 @@ def _verify_ramps(sys, view, col, optimal: bool) -> None:
             if ramp.cost_up > 0:
                 need = _pos(diff)
                 col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarRef(VarKind.RAMP_UP, comp.id)) - need)
+                         abs(view.value(VarKind.RAMP_UP, comp.id) - need)
                          / max(1.0, need))
             if ramp.cost_down > 0:
                 need = _pos(-diff)
                 col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarRef(VarKind.RAMP_DOWN, comp.id)) - need)
+                         abs(view.value(VarKind.RAMP_DOWN, comp.id) - need)
                          / max(1.0, need))
 
 
@@ -523,8 +526,9 @@ def _verify_periods(sys, view, col, optimal: bool) -> None:
         if comp.committed or not (comp.capacity.optimizable and comp.capacity.per_period):
             continue
         inst = view.installed_per_period(comp) - comp.capacity.initial
+        built_in = view.series(VarKind.BUILT, comp.id).tolist()  # periods 1 .. P-1
         for p in range(1, P):
-            built = view.value(VarRef(VarKind.BUILT, comp.id, period=p))
+            built = built_in[p - 1]
             growth = float(inst[p] - inst[p - 1])
             scale = max(1.0, abs(growth))
             col.note(Family.BUILT_DEFINITION, _pos((growth - built) / scale))
@@ -625,28 +629,27 @@ def _verify_costs(sys, view, col, sol) -> None:
             total += com.startup_cost * float(view.startups(comp.id).sum())
         elif comp.capacity.optimizable:
             if comp.capacity.per_period:
+                installed = view.series(VarKind.INSTALLED_PERIOD, comp.id).tolist()
                 for p in range(grid.num_periods):
-                    inst = view.value(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=p))
-                    total += (invest + costs.maintenance) * inst * annual_share(
+                    total += (invest + costs.maintenance) * installed[p] * annual_share(
                         grid.hours_in_period(p))
-                for p in range(1, grid.num_periods):
-                    total += costs.built * view.value(
-                        VarRef(VarKind.BUILT, comp.id, period=p))
+                for built in view.series(VarKind.BUILT, comp.id).tolist():  # periods 1 .. P-1
+                    total += costs.built * built
             else:
-                inst = view.value(VarRef(VarKind.INSTALLED, comp.id))
+                inst = view.value(VarKind.INSTALLED, comp.id)
                 total += (invest + costs.maintenance) * inst * share
         if isinstance(comp.ramp, OptimizedRamp):
-            total += comp.ramp.cost_up * view.value(VarRef(VarKind.RAMP_UP, comp.id))
-            total += comp.ramp.cost_down * view.value(VarRef(VarKind.RAMP_DOWN, comp.id))
+            total += comp.ramp.cost_up * view.value(VarKind.RAMP_UP, comp.id)
+            total += comp.ramp.cost_down * view.value(VarKind.RAMP_DOWN, comp.id)
     for stor in sys.sorted_storages():
         if stor.capacity_optimizable:
             total += (stor.capacity_cost * share
-                      * view.value(VarRef(VarKind.STORAGE_CAPACITY, stor.id)))
+                      * view.value(VarKind.STORAGE_CAPACITY, stor.id))
         if isinstance(stor.rate, OptimizedRate):
             total += (stor.rate.cost_charge * share
-                      * view.value(VarRef(VarKind.MAX_CHARGE, stor.id)))
+                      * view.value(VarKind.MAX_CHARGE, stor.id))
             total += (stor.rate.cost_discharge * share
-                      * view.value(VarRef(VarKind.MAX_DISCHARGE, stor.id)))
+                      * view.value(VarKind.MAX_DISCHARGE, stor.id))
 
     scale = max(1.0, abs(sol.objective))
     col.note(Family.COST_TOTAL, abs(total - sol.objective) / scale)

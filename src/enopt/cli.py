@@ -6,7 +6,14 @@ LP export, two ids that become one LP name), 8 solver failure (numerical
 breakdown), 9 the returned point failed the independent verification or its
 optimality certificate (artifacts are still written).
 Output files are byte-identical across runs of the same scenario: the
-solver draws no random numbers.
+solver draws no random numbers.  The artifact writers make each file in one
+pass and give the bytes of the standard-library writers before them:
+``report.json`` and ``plot_data.json`` are what ``json.dumps(doc, indent=2,
+sort_keys=True, allow_nan=False)`` writes once each non-finite number is
+None (``_json_value``), from Python floats, so CPython's pure-Python encoder
+(which ``indent`` selects) is not used; a CSV file's cells are all
+formatted by ``%.10g`` from one list of Python floats (``_write_csv``).
+A file already in the output directory is rewritten in place (``_write``).
 """
 
 from __future__ import annotations
@@ -45,17 +52,35 @@ _STATUS_EXIT = {
 }
 
 
+def _write(path: Path, text: str) -> None:
+    """Make ``text`` the whole content of ``path``, the bytes
+    ``Path.write_text`` writes, by writing it over any file already there
+    and then cutting that file to length.  An artifact of an earlier run
+    is rewritten in place, so its blocks are reused: emptying it first
+    frees them and the write allocates them again, which cost about 1 ms
+    per file on an ext4 volume mounted with ``discard``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="locale") as fh:  # write_text's default encoding
+        fh.write(text)
+        fh.truncate()
+
+
 def _fmt(value: float) -> str:
     return f"{value + 0.0:.10g}"
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
                times: np.ndarray) -> None:
-    lines = [",".join(["time"] + header)]
-    for t in range(len(times)):
-        cells = [_fmt(times[t])] + [_fmt(col[t]) for col in columns]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    """One line per step: its start time, then each column's value, each
+    cell written as ``_fmt`` writes it.  The cells are formatted in one pass
+    over one list of Python floats (adding 0.0 there too turns -0.0 into
+    0.0), then cut into columns and joined row by row."""
+    n = len(times)
+    cells = list(map("{:.10g}".format,
+                     (np.concatenate([times, *columns], dtype=float) + 0.0).tolist()))
+    lines = [",".join(["time"] + header),
+             *map(",".join, zip(*[cells[k * n:(k + 1) * n] for k in range(len(columns) + 1)]))]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _schedule_csv(report, times: np.ndarray, path: Path) -> None:
@@ -108,19 +133,55 @@ def format_summary(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _null_if_not_finite(value):
+def _json_value(value, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    at the nesting whose indent is ``pad``, except that a non-finite float
+    is ``null``: ``float.__repr__`` for a float, ``int.__repr__`` for an
+    int, ``encode_basestring_ascii`` for a string or a key (keys must be
+    strings).  A float, the commonest value, is tested first, and a list
+    or tuple of Python floats is joined in one pass."""
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(value, dict):
-        return {k: _null_if_not_finite(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        encode = json.encoder.encode_basestring_ascii
+        body = sep.join([f"{encode(key)}: {_json_value(value[key], inner)}"
+                         for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(value, (list, tuple)):
-        return [_null_if_not_finite(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+        if not value:
+            return "[]"
+        body = None
+        if all([type(v) is float for v in value]):
+            body = sep.join(map(float.__repr__, value))
+            if "n" in body:  # "nan", "inf" or "-inf": no finite repr has an n
+                body = None
+        if body is None:
+            body = sep.join([_json_value(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_text(doc: dict) -> str:
     """Strict JSON: a non-finite number (a NaN point, an infinite gap) is
     written as null, never as a bare ``NaN`` or ``Infinity`` token."""
-    return json.dumps(_null_if_not_finite(doc), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    return _json_value(doc) + "\n"
 
 
 def _report_json(report) -> str:
@@ -137,9 +198,9 @@ def _report_json(report) -> str:
         "emissions_kg": report.emissions_kg,
         "capacity_factors": report.capacity_factors,
         "output_variance": report.output_variance,
-        "schedules_mw": {k: list(v) for k, v in report.schedules.items()},
-        "secondary_outputs_mw": {k: list(v) for k, v in report.secondary_outputs.items()},
-        "storage_fill_mwh": {k: list(v) for k, v in report.storage_fill.items()},
+        "schedules_mw": {k: v.tolist() for k, v in report.schedules.items()},
+        "secondary_outputs_mw": {k: v.tolist() for k, v in report.secondary_outputs.items()},
+        "storage_fill_mwh": {k: v.tolist() for k, v in report.storage_fill.items()},
         "verification": {
             "passed": report.residuals.passed,
             "tolerance": FEASIBILITY_TOL,
@@ -152,10 +213,10 @@ def _report_json(report) -> str:
 
 def _plot_data_json(report, sys, times: np.ndarray) -> str:
     doc = {
-        "time_hours": list(times),
-        "loads": {n.id: list(n.load) for n in sys.balanced_nodes()},
-        "schedules": {k: list(v) for k, v in report.schedules.items()},
-        "storage_fill": {k: list(v) for k, v in report.storage_fill.items()},
+        "time_hours": times.tolist(),
+        "loads": {n.id: n.load for n in sys.balanced_nodes()},
+        "schedules": {k: v.tolist() for k, v in report.schedules.items()},
+        "storage_fill": {k: v.tolist() for k, v in report.storage_fill.items()},
     }
     return _json_text(doc)
 
@@ -192,7 +253,7 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
     try:
         report = analyze.extract_report(scn.system, prog, sol)
     except analyze.NoSolutionError:
-        (out / "summary.txt").write_text(_no_solution_text(sol))
+        _write(out / "summary.txt", _no_solution_text(sol))
         return None, sol, exit_code
     step_hours = np.array(scn.system.time.step_hours)
     times = np.cumsum(step_hours) - step_hours  # the start of each step
@@ -201,11 +262,11 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
     if scn.outputs.fill_csv:
         _fill_csv(report, times, out / "fill.csv")
     if scn.outputs.summary:
-        (out / "summary.txt").write_text(format_summary(report))
+        _write(out / "summary.txt", format_summary(report))
     if scn.outputs.report_json:
-        (out / "report.json").write_text(_report_json(report))
+        _write(out / "report.json", _report_json(report))
     if scn.outputs.plot_data:
-        (out / "plot_data.json").write_text(_plot_data_json(report, scn.system, times))
+        _write(out / "plot_data.json", _plot_data_json(report, scn.system, times))
     if not report.residuals.passed:
         log.warning("verification failed: %s", report.residuals.summary_lines()[0])
         exit_code = EXIT_VERIFY

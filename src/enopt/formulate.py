@@ -60,7 +60,7 @@ from .model import (
     SingleConversion,
     SourceConversion,
 )
-from .solver.standard import EQ, GE, LE
+from .solver.standard import EQ, GE, LE, compressed
 
 __all__ = [
     "VarKind",
@@ -193,19 +193,20 @@ class LinearProgram:
     column plus t; :meth:`index` and :meth:`ref` map a name to its column
     and back.
 
-    Rows are added a block at a time: :meth:`add_rows` takes R rows as R x k
-    arrays of column indices and coefficients, with one tag, sense and owner
-    and a right-hand side and step per row.  Zero coefficients (-0.0 too)
-    are dropped in row-major order, so each kept term keeps its place and a
-    shorter row is padded with zero coefficients.  :meth:`add_row` is the
+    Rows are added a block at a time: :meth:`add_rows` takes R rows as an
+    R x k array of column indices and their coefficients, with one tag,
+    sense and owner and a right-hand side and step per row.  Zero
+    coefficients (-0.0 too) are dropped in row-major order, so each kept
+    term keeps its place and a shorter row is padded with zero coefficients.  :meth:`add_row` is the
     one-row case.  :meth:`finalize` concatenates the blocks and orders the
     rows by (family, owner, step, insertion) into the CSR matrix ``A`` (rows
     x variables, terms in the order given) and one array entry per row in
     ``sense``, ``rhs``, ``tag``, ``owner`` and ``step`` (-1 where a row has
-    none).  It also turns the columns into arrays: ``lower`` and ``upper``
-    (float64), ``is_integer`` (bool) and ``objective`` (float64), one entry
-    per variable.  The solver, the certificate, the LP writer and the
-    verifier read these arrays as they are.  :attr:`rows` is the only derived
+    none).  It also makes the column arrays, one entry per variable:
+    ``lower`` and ``upper`` (float64) and ``is_integer`` (bool), each
+    repeated from its block's one value, and ``objective`` (float64).  The
+    solver, the certificate, the LP writer and the verifier read these
+    arrays as they are.  :attr:`rows` is the only derived
     view; it yields one :class:`Row` at a time and keeps none, for
     ``perfbench/workloads.py``, its only reader outside the tests.
 
@@ -218,14 +219,14 @@ class LinearProgram:
     """
 
     def __init__(self):
-        # lists while variables are declared, arrays after finalize
-        self.lower: list[float] | np.ndarray = []
-        self.upper: list[float] | np.ndarray = []
-        self.is_integer: list[bool] | np.ndarray = []
+        self.num_vars = 0
         self._vars: dict = {}  # (kind, owner) -> (first VarRef, its column, count), in order
+        # (count, lower, upper, integer) per block while variables are declared
+        self._bounds: list[tuple[int, float, float, bool]] = []
         self.objective: np.ndarray | None = None
         self.A: sp.csr_matrix | None = None
-        # per-row arrays, set by finalize
+        # per-variable and per-row arrays, set by finalize
+        self.lower = self.upper = self.is_integer = None
         self.sense = self.rhs = self.tag = self.owner = self.step = None
         self._blocks: list[_RowBlock] = []
         self._costs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -247,9 +248,8 @@ class LinearProgram:
             raise ValueError(f"steps and periods count from 0: {first}")
         col = self.num_vars
         self._vars[first.kind, first.owner] = (first, col, count)
-        self.lower.extend([float(lower)] * count)
-        self.upper.extend([float(upper)] * count)
-        self.is_integer.extend([bool(integer)] * count)
+        self._bounds.append((count, float(lower), float(upper), bool(integer)))
+        self.num_vars += count
         return col
 
     def add_variable(self, ref: VarRef, lower: float = 0.0, upper: float = math.inf,
@@ -260,10 +260,24 @@ class LinearProgram:
         """Column of ``ref``, by its offset in its block; KeyError outside every block."""
         # an undeclared kind and owner reads as an empty block
         first, col, count = self._vars.get((ref.kind, ref.owner), (ref, 0, 0))
-        r = (ref.step or 0) - (first.step or 0) + (ref.period or 0) - (first.period or 0)
-        if 0 <= r < count and _nth(first, r) == ref:
+        # ref is the variable r places after first (see _nth): a step block
+        # keeps first's period, a period block has no step, and a one-variable
+        # block has neither
+        if first.step is not None:
+            named = ref.step is not None and ref.period == first.period
+            r = (ref.step or 0) - first.step
+        else:
+            named = ref.step is None and (ref.period is None) == (first.period is None)
+            r = (ref.period or 0) - (first.period or 0)
+        if named and 0 <= r < count:
             return col + r
         raise KeyError(ref)
+
+    def columns(self, kind: VarKind, owner: str) -> slice:
+        """The columns of the (kind, owner) block, found without a
+        :class:`VarRef`; KeyError when no such block was declared."""
+        _, col, count = self._vars[kind, owner]
+        return slice(col, col + count)
 
     def has_var(self, ref: VarRef) -> bool:
         try:
@@ -289,18 +303,25 @@ class LinearProgram:
 
     def add_rows(self, tag: Family | str, cols, coefs, sense: str, rhs,
                  owner: str = "", steps=None) -> None:
-        """Append R rows: ``cols`` and ``coefs`` broadcast to R x k (zero
-        coefficients are dropped), ``rhs`` and ``steps`` (None: no step) to R."""
-        cols, coefs = np.broadcast_arrays(np.asarray(cols, dtype=np.int64),
-                                          np.asarray(coefs, dtype=float))
-        keep = coefs != 0.0
+        """Append R rows: ``cols`` is R x k, ``coefs`` R x k, or k or a scalar
+        shared by every row (zero coefficients are dropped); ``rhs`` and
+        ``steps`` (None: no step) are R values or one for every row."""
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=float)
         n_rows = len(cols)
+        if coefs.shape != cols.shape:
+            full = np.empty(cols.shape)
+            full[...] = coefs
+            coefs = full
+        keep = coefs != 0.0
         tag = tag.value if isinstance(tag, Family) else str(tag)
-        self._blocks.append(_RowBlock(
-            cols[keep], coefs[keep], keep.sum(axis=1), tag, sense, owner,
-            np.broadcast_to(np.asarray(rhs, dtype=float), (n_rows,)),
-            np.full(n_rows, -1, dtype=np.int64) if steps is None
-            else np.broadcast_to(np.asarray(steps, dtype=np.int64), (n_rows,))))
+        row_rhs = np.empty(n_rows)
+        row_rhs[...] = rhs
+        row_steps = np.full(n_rows, -1, dtype=np.int64)
+        if steps is not None:
+            row_steps[...] = steps
+        self._blocks.append(_RowBlock(cols[keep], coefs[keep], keep.sum(axis=1), tag, sense,
+                                      owner, row_rhs, row_steps))
 
     def add_row(self, tag: Family | str, terms: Iterable[tuple[VarRef | int, float]],
                 sense: str, rhs: float, owner: str = "", step: int | None = None) -> None:
@@ -327,10 +348,20 @@ class LinearProgram:
         # lexsort is stable, so insertion order breaks ties
         order = np.lexsort((step, per_row([rank[b.owner] for b in blocks], np.int64),
                             per_row([family_number(b.tag) for b in blocks], np.int64)))
-        indptr = np.concatenate([[0], np.cumsum(joined([b.counts for b in blocks], np.int64))])
-        self.A = sp.csr_matrix((joined([b.coefs for b in blocks], float),
-                                joined([b.cols for b in blocks], np.int64), indptr),
-                               shape=(len(order), self.num_vars))[order]
+        # the CSR arrays of the rows in that order: each row's kept terms,
+        # gathered from where its block put them; the index dtype scipy's
+        # checked constructor chooses, int32 unless an index could outgrow it
+        counts = joined([b.counts for b in blocks], np.int64)
+        starts = np.cumsum(counts) - counts
+        indptr = np.zeros(order.size + 1, dtype=np.int64)
+        np.cumsum(counts[order], out=indptr[1:])
+        nnz = int(indptr[-1])
+        taken = np.repeat(starts[order] - indptr[:-1], counts[order]) + np.arange(nnz)
+        index_dtype = (np.int32 if max(nnz, order.size, self.num_vars) <= np.iinfo(np.int32).max
+                       else np.int64)
+        self.A = compressed(sp.csr_matrix, joined([b.coefs for b in blocks], float)[taken],
+                            joined([b.cols for b in blocks], np.int64)[taken].astype(index_dtype),
+                            indptr.astype(index_dtype), (order.size, self.num_vars))
         # object arrays share the compiler's strings, so the rows view copies none
         self.sense, self.tag, self.owner = (
             per_row([getattr(b, field) for b in blocks], object)[order]
@@ -338,9 +369,13 @@ class LinearProgram:
         self.rhs = joined([b.rhs for b in blocks], float)[order]
         self.step = step[order]
         self._blocks = None
-        self.lower = np.array(self.lower, dtype=float)
-        self.upper = np.array(self.upper, dtype=float)
-        self.is_integer = np.array(self.is_integer, dtype=bool)
+        # one value per block, repeated over its count
+        per_block = self._bounds or [(0, 0.0, 0.0, False)]
+        count, lower, upper, integer = (np.array(v) for v in zip(*per_block))
+        self.lower = np.repeat(lower.astype(float), count)
+        self.upper = np.repeat(upper.astype(float), count)
+        self.is_integer = np.repeat(integer.astype(bool), count)
+        self._bounds = None
         obj = np.zeros(self.num_vars)
         for cols, coefs in self._costs:
             np.add.at(obj, cols, coefs)
@@ -349,10 +384,6 @@ class LinearProgram:
         return self
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.lower)
 
     @property
     def num_rows(self) -> int:
@@ -476,19 +507,37 @@ def _on(comp_id: str, t: int) -> VarRef:
 
 def _steps(prog: LinearProgram, kind: VarKind, owner: str, T: int) -> np.ndarray:
     """Columns of a per-step block, steps 0..T-1."""
-    return prog.index(VarRef(kind, owner, 0)) + np.arange(T)
+    return _start(prog, kind, owner) + np.arange(T)
+
+
+def _start(prog: LinearProgram, kind: VarKind, owner: str) -> int:
+    """Column of the (kind, owner) block's first variable."""
+    return prog.columns(kind, owner).start
 
 
 def _block_cols(prog: LinearProgram, refs: tuple[VarRef, ...], n: int) -> np.ndarray:
-    """n x len(refs) columns: entry (r, j) is the variable r places after refs[j]."""
-    return np.array([prog.index(ref) for ref in refs], dtype=np.int64) + np.arange(n)[:, None]
+    """n x len(refs) columns: entry (r, j) is the variable r places into the
+    block of refs[j], each the first variable of its block."""
+    return (np.array([_start(prog, ref.kind, ref.owner) for ref in refs], dtype=np.int64)
+            + np.arange(n)[:, None])
 
 
 def _stack(*columns) -> np.ndarray:
     """R x k array from column blocks: R x j arrays, length-R arrays and
-    scalars (repeated down all R rows)."""
-    n_rows = next(len(c) for c in columns if np.ndim(c))
-    return np.column_stack([c if np.ndim(c) else np.full(n_rows, c) for c in columns])
+    scalars (repeated down all R rows); float64 where any block is a float,
+    else int64, as ``np.column_stack`` makes it."""
+    dims = [np.ndim(c) for c in columns]
+    n_rows = next(len(c) for c, d in zip(columns, dims) if d)
+    widths = [c.shape[1] if d == 2 else 1 for c, d in zip(columns, dims)]
+    out = np.empty((n_rows, sum(widths)), dtype=np.result_type(*columns))
+    j = 0
+    for c, d, w in zip(columns, dims, widths):
+        if d == 2:
+            out[:, j:j + w] = c
+        else:
+            out[:, j] = c
+        j += w
+    return out
 
 
 def _installed_cols(prog: LinearProgram, comp: Component,
@@ -498,8 +547,8 @@ def _installed_cols(prog: LinearProgram, comp: Component,
     if not comp.capacity.optimizable:
         return None
     if comp.capacity.per_period:
-        return prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0)) + periods
-    return np.full(len(periods), prog.index(VarRef(VarKind.INSTALLED, comp.id)))
+        return _start(prog, VarKind.INSTALLED_PERIOD, comp.id) + periods
+    return np.full(len(periods), _start(prog, VarKind.INSTALLED, comp.id))
 
 
 def _effective_invest(comp: Component) -> float:
@@ -696,7 +745,7 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
     dt = np.asarray(sys.time.step_hours)
     for stor in sys.sorted_storages():
         has_cap_var = stor.capacity_optimizable
-        cap_col = prog.index(VarRef(VarKind.STORAGE_CAPACITY, stor.id)) if has_cap_var else None
+        cap_col = _start(prog, VarKind.STORAGE_CAPACITY, stor.id) if has_cap_var else None
         charge = _steps(prog, VarKind.CHARGE, stor.id, T)
         discharge = _steps(prog, VarKind.DISCHARGE, stor.id, T)
         # the fill change of step t: etac * dt * charge - dt / etad * discharge
@@ -743,7 +792,7 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
         elif isinstance(rate, OptimizedRate):
             for tag, flows, kind in ((Family.CHARGE_RATE, charge, VarKind.MAX_CHARGE),
                                      (Family.DISCHARGE_RATE, discharge, VarKind.MAX_DISCHARGE)):
-                prog.add_rows(tag, _stack(flows, prog.index(VarRef(kind, stor.id))),
+                prog.add_rows(tag, _stack(flows, _start(prog, kind, stor.id)),
                               [1.0, -1.0], LE, 0.0, owner=stor.id, steps=steps)
 
 
@@ -790,7 +839,7 @@ def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
         else:
             for tag, cols, kind in ((Family.RAMP_UP, _stack(now, prev), VarKind.RAMP_UP),
                                     (Family.RAMP_DOWN, _stack(prev, now), VarKind.RAMP_DOWN)):
-                prog.add_rows(tag, _stack(cols, prog.index(VarRef(kind, comp.id))),
+                prog.add_rows(tag, _stack(cols, _start(prog, kind, comp.id)),
                               [1.0, -1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
 
 
@@ -804,8 +853,8 @@ def emit_build_periods(sys: EnergySystem, prog: LinearProgram) -> None:
     for comp in sys.sorted_components():
         if comp.committed or not (comp.capacity.optimizable and comp.capacity.per_period):
             continue
-        installed = prog.index(VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0)) + periods
-        built = prog.index(VarRef(VarKind.BUILT, comp.id, period=1)) + periods - 1
+        installed = _start(prog, VarKind.INSTALLED_PERIOD, comp.id) + periods
+        built = _start(prog, VarKind.BUILT, comp.id) + periods - 1
         prog.add_rows(Family.BUILT_DEFINITION, _stack(installed, installed - 1, built),
                       [1.0, -1.0, -1.0], LE, 0.0, owner=comp.id, steps=periods)
 
@@ -837,7 +886,7 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
                       np.where(later, 0.0, float(com.initial_on)), owner=comp.id, steps=steps)
         if com.optimize_units:
             prog.add_rows(Family.UNIT_COUNT,
-                          _stack(on, prog.index(VarRef(VarKind.UNITS, comp.id))),
+                          _stack(on, _start(prog, VarKind.UNITS, comp.id)),
                           [1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
 
         # minimum up/down times as startup windows (Rajan & Takriti 2005), no

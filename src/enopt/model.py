@@ -8,8 +8,10 @@ instances are safe to share between threads.
 
 Validation never raises: ``validate_system`` collects every rule violation
 into a :class:`ValidationReport` so a broken scenario reports all of its
-problems at once.  Violations with severity ``"error"`` block compilation,
-``"warning"`` entries (e.g. a system with all-zero loads) do not.
+problems at once.  The report is kept with the (deeply immutable) system
+value, so a system is walked once however often it is validated.
+Violations with severity ``"error"`` block compilation, ``"warning"``
+entries (e.g. a system with all-zero loads) do not.
 """
 
 from __future__ import annotations
@@ -553,11 +555,27 @@ def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
                              "period indices must form a contiguous range starting at 0"))
 
 
+def _finite(value) -> bool:
+    """Whether every number of a model value (a number, a series or a
+    nested dataclass) is finite; builds no field path."""
+    if isinstance(value, (int, float)):
+        return math.isfinite(value)
+    if isinstance(value, tuple):
+        return _all_finite(value) or all(map(_finite, value))
+    if dataclasses.is_dataclass(value):
+        # the model's dataclasses declare fields only (no ClassVar or InitVar)
+        return all(_finite(getattr(value, name)) for name in value.__dataclass_fields__)
+    return True
+
+
 def _check_finite(where: str, value, out: list[Violation]) -> None:
     """Flag NaN and +-inf in every number of a model value (a number, a
-    series or a nested dataclass), naming the field path.  A tuple is
-    checked in one pass (:func:`_all_finite`) and walked entry by entry only
-    when that pass fails, so each violation names its ``[t]`` in order."""
+    series or a nested dataclass), naming the field path.  A value that
+    :func:`_finite` passes is not walked; a tuple is checked in one pass
+    (:func:`_all_finite`) and walked entry by entry only when that pass
+    fails, so each violation names its ``[t]`` in order."""
+    if _finite(value):
+        return
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             out.append(Violation(NOT_FINITE, where, f"value must be finite, got {value}"))
@@ -745,9 +763,21 @@ def validate_system(sys: EnergySystem) -> ValidationReport:
     """Check every model invariant; returns all violations found.
 
     Pure function of the system value: calling it twice yields identical
-    reports.  An empty report means the system is fully valid; reports with
-    only warnings still compile.
+    reports.  The first call walks the system and keeps its report in the
+    instance; later calls on the same instance return that report (a
+    ``dataclasses.replace`` copy is a new instance and is walked anew).  An
+    empty report means the system is fully valid; reports with only
+    warnings still compile.
     """
+    report = sys.__dict__.get("_validation")
+    if report is None:
+        report = _walk_system(sys)
+        object.__setattr__(sys, "_validation", report)  # not a field: eq, hash, repr ignore it
+    return report
+
+
+def _walk_system(sys: EnergySystem) -> ValidationReport:
+    """Every rule of :func:`validate_system`, checked on the whole system."""
     out: list[Violation] = []
     grid = sys.time
     _check_time(grid, out)

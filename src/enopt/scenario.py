@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -89,7 +88,10 @@ class Scenario:
 
 
 class _Ctx:
-    """Tracks the field path so parse errors name the exact location."""
+    """Tracks the field path so parse errors name the exact location:
+    ``with ctx.enter(key):`` reads the field ``key`` of the current object.
+    The context itself is the context manager, so entering a field makes
+    no generator."""
 
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
@@ -101,13 +103,15 @@ class _Ctx:
     def fail(self, message: str, code: int = EXIT_SCHEMA):
         raise ScenarioError(f"at {self.where()}: {message}", code)
 
-    @contextmanager
-    def enter(self, key: str):
+    def enter(self, key: str) -> "_Ctx":
         self.path.append(key)
-        try:
-            yield
-        finally:
-            self.path.pop()
+        return self
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, *exc) -> None:
+        self.path.pop()
 
 
 def _is_a(value, expected) -> bool:
@@ -266,21 +270,27 @@ def _read_fields(ctx: _Ctx, obj: dict, table: tuple, defaults: dict,
     a key neither in the table nor in ``known`` is an error."""
     _known_keys(ctx, obj, [entry[0] for entry in table] + list(known))
     kwargs = {}
+    # a value of the exact JSON type is taken as it is; any other goes
+    # through _get, which accepts a subclass or fails naming the field
     for key, name, kind in table:
+        value = obj.get(key)
         if isinstance(kind, tuple):  # a JSON group of the record's own fields
             group = _get(ctx, obj, key, dict, default={})
             with ctx.enter(key):
                 kwargs.update(_read_fields(ctx, group, kind, defaults))
-        elif obj.get(key) is None:
-            kwargs[name] = _get(ctx, obj, key, default=defaults[name])
+        elif value is None:
+            default = defaults[name]
+            kwargs[name] = default if default is not ... else _get(ctx, obj, key)
         elif kind is float:
-            kwargs[name] = float(_get(ctx, obj, key, (int, float)))
+            kwargs[name] = float(value if type(value) in (int, float)
+                                 else _get(ctx, obj, key, (int, float)))
         elif kind is int:
-            kwargs[name] = int(_get(ctx, obj, key, int))
+            kwargs[name] = int(value if type(value) is int else _get(ctx, obj, key, int))
         elif kind is bool or kind is str:
-            kwargs[name] = _get(ctx, obj, key, kind)
+            kwargs[name] = value if type(value) is kind else _get(ctx, obj, key, kind)
         elif isinstance(kind, frozenset):
-            kwargs[name] = _get(ctx, obj, key, str, choices=kind)
+            kwargs[name] = (value if type(value) is str and value in kind
+                            else _get(ctx, obj, key, str, choices=kind))
         elif kind is _SERIES:
             kwargs[name] = _series(ctx, obj[key], key, True)
         elif isinstance(kind, list):

@@ -85,7 +85,7 @@ from .core import INTEGRALITY_TOL, BasisState, Solution, SolverConfig, Status, r
 from . import lp
 from .lp import solve_standard_lp
 from .simplex import AT_UPPER, BASIC, FREE, BoundedSimplex
-from .standard import StandardForm, standardize
+from .standard import StandardForm, compressed, standardize
 
 __all__ = ["solve_milp", "solve"]
 
@@ -183,8 +183,10 @@ def _gmi_cuts(std: StandardForm, state: BasisState) -> tuple[sp.csr_matrix, np.n
         cut_vals.append(G[nonzero])
         rhs.append(h[keep] - RELAX_SHARE * np.maximum(1.0, np.abs(h[keep])))
     h = np.concatenate(rhs)
-    return sp.csr_matrix((np.concatenate(cut_vals), np.concatenate(cut_cols),
-                          np.cumsum(np.concatenate(row_nnz))), shape=(h.size, ns)), h
+    idx = std.A.indices.dtype
+    return compressed(sp.csr_matrix, np.concatenate(cut_vals),
+                      np.concatenate(cut_cols).astype(idx),
+                      np.cumsum(np.concatenate(row_nnz)).astype(idx), (h.size, ns)), h
 
 
 def _with_cuts(std: StandardForm, G: sp.csr_matrix, h: np.ndarray) -> StandardForm:
@@ -202,8 +204,8 @@ def _with_cuts(std: StandardForm, G: sp.csr_matrix, h: np.ndarray) -> StandardFo
     data = np.concatenate([A.data, G.data, np.ones(c)])[order]
     indptr = np.zeros(n + c + 1, dtype=A.indptr.dtype)
     np.cumsum(np.bincount(col, minlength=n + c), out=indptr[1:])
-    return StandardForm(sp.csc_matrix((data, rows.astype(A.indices.dtype), indptr),
-                                      shape=(m + c, n + c)),
+    return StandardForm(compressed(sp.csc_matrix, data, rows.astype(A.indices.dtype), indptr,
+                                   (m + c, n + c)),
                         np.concatenate([std.b, h]),
                         np.concatenate([std.lower, np.full(c, -np.inf)]),
                         np.concatenate([std.upper, np.zeros(c)]),

@@ -15,10 +15,23 @@ import scipy.sparse as sp
 # the kernel behind scipy's CSR to CSC conversion, called on raw arrays
 from scipy.sparse._sparsetools import csr_tocsc
 
-__all__ = ["LE", "EQ", "GE", "StandardForm", "standardize"]
+__all__ = ["LE", "EQ", "GE", "StandardForm", "standardize", "compressed"]
 
 # the row senses of every program the solver reads
 LE, EQ, GE = "<=", "=", ">="
+
+
+def compressed(kind, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+               shape: tuple[int, int]):
+    """The ``kind`` matrix (``sp.csr_matrix`` or ``sp.csc_matrix``) over the
+    arrays as they are, with the attributes scipy's constructor sets.  It
+    skips that constructor's index dtype pass, which may copy the indices,
+    and its format check; ``indices`` and ``indptr`` must share an index
+    dtype, and the caller vouches for the rest of the format."""
+    out = kind.__new__(kind)
+    out._shape, out.maxprint = (int(shape[0]), int(shape[1])), 50  # scipy's default maxprint
+    out.data, out.indices, out.indptr = data, indices, indptr
+    return out
 
 
 @dataclass
@@ -39,7 +52,8 @@ class StandardForm:
     def AT(self) -> sp.csr_matrix:
         """A's transpose, a CSR view of A's arrays, made on the first solve
         and shared by every solve of this standard form."""
-        return self.A.T
+        A = self.A
+        return compressed(sp.csr_matrix, A.data, A.indices, A.indptr, A.shape[::-1])
 
 
 def standardize(prog) -> StandardForm:

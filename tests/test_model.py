@@ -250,3 +250,47 @@ def test_non_finite_numbers_are_rejected_by_field(where, value):
     report = validate_system(_BROKEN_FIELD[where](single_node_system(), value))
     assert not report.ok
     assert [v.where for v in report if v.code == M.NOT_FINITE] == [where]
+
+
+def test_a_system_is_walked_once_however_often_it_is_validated(scenario_dir, monkeypatch):
+    """``load_scenario`` validates its system; ``compile_system`` validates
+    the same value again and gets the kept report without a second walk.  A
+    ``dataclasses.replace`` copy is a new value and is walked once more."""
+    from enopt.formulate import compile_system
+    from enopt.scenario import load_scenario
+
+    walked = []
+    walk = M._walk_system
+
+    def counting(sys_):
+        walked.append(sys_)
+        return walk(sys_)
+
+    monkeypatch.setattr(M, "_walk_system", counting)
+    scn = load_scenario(scenario_dir / "paper_system_48.json")
+    assert len(walked) == 1 and walked[0] is scn.system
+    compile_system(scn.system)
+    assert len(walked) == 1
+    copy = dataclasses.replace(scn.system, co2_cap=None)
+    assert copy == scn.system and copy is not scn.system
+    compile_system(copy)
+    assert len(walked) == 2 and walked[1] is copy
+    assert validate_system(copy) is validate_system(copy) == validate_system(scn.system)
+    assert len(walked) == 2
+
+
+def test_an_invalid_system_from_a_document_fails_to_compile(scenario_dir):
+    """A system built by ``system_from_dict`` is not validated; compiling it
+    walks it and refuses it with the report."""
+    import json
+
+    from enopt.formulate import CompileError, compile_system
+    from enopt.scenario import system_from_dict
+
+    doc = json.loads((scenario_dir / "paper_system_48.json").read_text())
+    doc["system"]["nodes"][0]["load"] = [1.0] * 47  # one step short of 48
+    sys_ = system_from_dict(doc["system"], scenario_dir)
+    with pytest.raises(CompileError) as err:
+        compile_system(sys_)
+    assert M.LOAD_LENGTH in err.value.report.codes()
+    assert err.value.report is validate_system(sys_)

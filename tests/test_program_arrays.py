@@ -456,8 +456,6 @@ def test_add_variables_declares_a_block_and_refuses_repeats():
     refs = [V(K.ON, "u", 0), V(K.ON, "u", 1), V(K.STARTUP, "u", 0)]
     assert prog.add_variables(refs[0], 2, 0.0, 2.0, integer=True) == 0
     assert prog.add_variables(refs[2], upper=5.0) == 2
-    assert (prog.lower, prog.upper, prog.is_integer) == ([0.0] * 3, [2.0, 2.0, 5.0],
-                                                          [True, True, False])
     assert [prog.index(ref) for ref in refs] == [0, 1, 2]
     with pytest.raises(ValueError, match="declared twice"):
         prog.add_variables(V(K.ON, "u", 7), 2)
@@ -471,7 +469,12 @@ def test_add_variables_declares_a_block_and_refuses_repeats():
         prog.add_variables(V(K.OUTPUT, "u", -1), 2)
     with pytest.raises(ValueError, match="count from 0"):
         prog.add_variables(V(K.BUILT, "u", period=-1))
-    assert prog.num_vars == 3 and len(prog.lower) == 3  # a refused block leaves no trace
+    assert prog.num_vars == 3  # a refused block leaves no trace
+    # each block's bounds and integrality, one entry per variable
+    prog.finalize()
+    assert (prog.lower.tolist(), prog.upper.tolist(), prog.is_integer.tolist()) == (
+        [0.0] * 3, [2.0, 2.0, 5.0], [True, True, False])
+    assert (prog.lower.dtype, prog.upper.dtype, prog.is_integer.dtype) == (float, float, bool)
 
 
 @pytest.mark.parametrize("formulation", ["recurrence", "cumulative"])
@@ -510,3 +513,29 @@ def test_objective_terms_add_up_to_the_objective(scenario_dir):
                 if coef != 0.0:
                     total[j] += coef
         assert total.tobytes() == prog.objective.tobytes()
+
+
+@pytest.mark.parametrize("kind", [sp.csr_matrix, sp.csc_matrix])
+def test_compressed_is_the_checked_constructor_without_its_checks(kind):
+    """``compressed`` makes the matrix scipy's constructor makes from the
+    same arrays (one segment's indices left unsorted, so no format flag is
+    assumed), holding the arrays themselves."""
+    from enopt.solver.standard import compressed
+
+    rng = np.random.default_rng(5)
+    ref = kind(sp.random(7, 9, density=0.5, random_state=rng))
+    data, indices, indptr = ref.data.copy(), ref.indices.copy(), ref.indptr.copy()
+    k = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+    indices[indptr[k]:indptr[k + 1]] = indices[indptr[k]:indptr[k + 1]][::-1].copy()
+    checked = kind((data, indices, indptr), shape=ref.shape)
+    fast = compressed(kind, data, indices, indptr, ref.shape)
+    assert type(fast) is kind and set(vars(fast)) == set(vars(checked))
+    assert fast.data is data and fast.indices is indices and fast.indptr is indptr
+    assert fast.shape == checked.shape and fast.dtype == checked.dtype
+    assert repr(fast) == repr(checked) and str(fast) == str(checked)
+    assert fast.has_sorted_indices is checked.has_sorted_indices is False
+    fast.check_format(full_check=True)
+    x = rng.normal(size=(9, 3))
+    assert (fast @ x).tobytes() == (checked @ x).tobytes()
+    assert (fast.T @ x[:7]).tobytes() == (checked.T @ x[:7]).tobytes()
+    assert (fast.toarray() == checked.toarray()).all()
