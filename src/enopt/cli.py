@@ -13,7 +13,8 @@ sort_keys=True, allow_nan=False)`` writes once each non-finite number is
 None (``_json_value``), from Python floats, so CPython's pure-Python encoder
 (which ``indent`` selects) is not used; a CSV file's cells are all
 formatted by ``%.10g`` from one list of Python floats (``_write_csv``).
-A file already in the output directory is rewritten in place (``_write``).
+A file already in the output directory is rewritten in place
+(``model.write_text``, which the LP export and ``save_scenario`` share).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analyze, formulate, scenario as scenario_mod
-from .model import system_dimensions, validate_system
+from .model import system_dimensions, validate_system, write_text
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solver import SolverError, Status, certificate, solve
 from .solver.core import FEASIBILITY_TOL
@@ -53,16 +54,8 @@ _STATUS_EXIT = {
 
 
 def _write(path: Path, text: str) -> None:
-    """Make ``text`` the whole content of ``path``, the bytes
-    ``Path.write_text`` writes, by writing it over any file already there
-    and then cutting that file to length.  An artifact of an earlier run
-    is rewritten in place, so its blocks are reused: emptying it first
-    frees them and the write allocates them again, which cost about 1 ms
-    per file on an ext4 volume mounted with ``discard``."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="locale") as fh:  # write_text's default encoding
-        fh.write(text)
-        fh.truncate()
+    """Make ``text`` the whole content of ``path`` (see ``model.write_text``)."""
+    write_text(path, (text,))
 
 
 def _fmt(value: float) -> str:

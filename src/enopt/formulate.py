@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -260,16 +259,8 @@ class LinearProgram:
         """Column of ``ref``, by its offset in its block; KeyError outside every block."""
         # an undeclared kind and owner reads as an empty block
         first, col, count = self._vars.get((ref.kind, ref.owner), (ref, 0, 0))
-        # ref is the variable r places after first (see _nth): a step block
-        # keeps first's period, a period block has no step, and a one-variable
-        # block has neither
-        if first.step is not None:
-            named = ref.step is not None and ref.period == first.period
-            r = (ref.step or 0) - first.step
-        else:
-            named = ref.step is None and (ref.period is None) == (first.period is None)
-            r = (ref.period or 0) - (first.period or 0)
-        if named and 0 <= r < count:
+        r = (ref.step or 0) - (first.step or 0) + (ref.period or 0) - (first.period or 0)
+        if 0 <= r < count and _nth(first, r) == ref:
             return col + r
         raise KeyError(ref)
 
@@ -1154,59 +1145,68 @@ def write_lp(prog: LinearProgram, path) -> None:
     owner) part, its step and its index; its sense and right-hand side texts
     are joined into the text as they are, making no string per row.  The
     text is byte-identical to that of earlier versions, which formatted
-    every term on its own."""
+    every term on its own.  A path is written by :func:`model.write_text`."""
     names = np.array(_block_names(prog, _lp_name), dtype=object)
-    with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
-        costed = np.flatnonzero(prog.objective)
-        fh.write("Minimize\n")
-        fh.write(_lp_lines([" obj: " if costed.size else " obj: 0"], ("\n",),
-                           np.array([0, costed.size]), *_term_texts(prog.objective[costed]),
-                           names[costed]))
-        fh.write("Subject To\n")
-        A, m = prog.A, prog.num_rows
-        first, later = _term_texts(A.data)
-        rhs = _g17(prog.rhs)
-        # the text of every step from the least to the greatest, -1 (no step) "None"
-        low = int(prog.step.min(initial=0))
-        step_text = np.array(["None" if s < 0 else str(s)
-                              for s in range(low, int(prog.step.max(initial=0)) + 1)],
-                             dtype=object)[prog.step - low].tolist()
-        # rows are ordered by family and owner, so a (tag, owner) pair is one run
-        tag, owner = prog.tag, prog.owner
-        new_run = np.ones(m, dtype=bool)
-        new_run[1:] = (tag[1:] != tag[:-1]) | (owner[1:] != owner[:-1])
-        starts = np.flatnonzero(new_run)
-        prefix = np.repeat(np.array([f" {_lp_name(f'{tag[k]}_{owner[k]}')}_"
-                                     for k in starts.tolist()], dtype=object),
-                           np.diff(starts, append=m)).tolist()
-        for r0 in range(0, m, _LP_CHUNK_ROWS):
-            r1 = min(r0 + _LP_CHUNK_ROWS, m)
-            heads = [f"{p}{s}_{i}: " for p, s, i in
-                     zip(prefix[r0:r1], step_text[r0:r1], range(r0, r1))]
-            indptr = A.indptr[r0:r1 + 1]
-            for i in np.flatnonzero(indptr[1:] == indptr[:-1]).tolist():
-                heads[i] = f"\\ empty row {tag[r0 + i]}_{r0 + i}: 0"
-            p0, p1 = indptr[0], indptr[-1]
-            tails = (" ", prog.sense[r0:r1], " ", rhs[r0:r1], "\n")
-            fh.write(_lp_lines(heads, tails, indptr - p0, first[p0:p1], later[p0:p1],
-                               names[A.indices[p0:p1]]))
-        fh.write("Bounds\n")
-        bounded = np.flatnonzero((prog.lower != 0.0) | ~np.isinf(prog.upper))
-        lower, upper = prog.lower[bounded], prog.upper[bounded]
-        lines = []
-        for i, lo, hi, lo_text, hi_text in zip(bounded.tolist(), lower.tolist(), upper.tolist(),
-                                               _g17(lower).tolist(), _g17(upper).tolist()):
-            if math.isinf(-lo) and math.isinf(hi):
-                lines.append(f" {names[i]} free\n")
-            elif lo == hi:
-                lines.append(f" {names[i]} = {lo_text}\n")
-            elif math.isinf(hi):
-                lines.append(f" {lo_text} <= {names[i]}\n")
-            else:
-                lines.append(f" {lo_text} <= {names[i]} <= {hi_text}\n")
-        integers = np.flatnonzero(prog.is_integer).tolist()
-        if integers:
-            lines.append("General\n")
-            lines += [f" {names[i]}\n" for i in integers]
-        lines.append("End\n")
-        fh.write("".join(lines))
+    parts = _lp_parts(prog, names)
+    if hasattr(path, "write"):
+        for part in parts:
+            path.write(part)
+    else:
+        model.write_text(path, parts)
+
+
+def _lp_parts(prog: LinearProgram, names: np.ndarray) -> Iterator[str]:
+    """The LP text of ``prog`` in parts, its variables named ``names``."""
+    costed = np.flatnonzero(prog.objective)
+    yield "Minimize\n"
+    yield _lp_lines([" obj: " if costed.size else " obj: 0"], ("\n",),
+                    np.array([0, costed.size]), *_term_texts(prog.objective[costed]),
+                    names[costed])
+    yield "Subject To\n"
+    A, m = prog.A, prog.num_rows
+    first, later = _term_texts(A.data)
+    rhs = _g17(prog.rhs)
+    # the text of every step from the least to the greatest, -1 (no step) "None"
+    low = int(prog.step.min(initial=0))
+    step_text = np.array(["None" if s < 0 else str(s)
+                          for s in range(low, int(prog.step.max(initial=0)) + 1)],
+                         dtype=object)[prog.step - low].tolist()
+    # rows are ordered by family and owner, so a (tag, owner) pair is one run
+    tag, owner = prog.tag, prog.owner
+    new_run = np.ones(m, dtype=bool)
+    new_run[1:] = (tag[1:] != tag[:-1]) | (owner[1:] != owner[:-1])
+    starts = np.flatnonzero(new_run)
+    prefix = np.repeat(np.array([f" {_lp_name(f'{tag[k]}_{owner[k]}')}_"
+                                 for k in starts.tolist()], dtype=object),
+                       np.diff(starts, append=m)).tolist()
+    for r0 in range(0, m, _LP_CHUNK_ROWS):
+        r1 = min(r0 + _LP_CHUNK_ROWS, m)
+        heads = [f"{p}{s}_{i}: " for p, s, i in
+                 zip(prefix[r0:r1], step_text[r0:r1], range(r0, r1))]
+        indptr = A.indptr[r0:r1 + 1]
+        for i in np.flatnonzero(indptr[1:] == indptr[:-1]).tolist():
+            heads[i] = f"\\ empty row {tag[r0 + i]}_{r0 + i}: 0"
+        p0, p1 = indptr[0], indptr[-1]
+        tails = (" ", prog.sense[r0:r1], " ", rhs[r0:r1], "\n")
+        yield _lp_lines(heads, tails, indptr - p0, first[p0:p1], later[p0:p1],
+                        names[A.indices[p0:p1]])
+    yield "Bounds\n"
+    bounded = np.flatnonzero((prog.lower != 0.0) | ~np.isinf(prog.upper))
+    lower, upper = prog.lower[bounded], prog.upper[bounded]
+    lines = []
+    for i, lo, hi, lo_text, hi_text in zip(bounded.tolist(), lower.tolist(), upper.tolist(),
+                                           _g17(lower).tolist(), _g17(upper).tolist()):
+        if math.isinf(-lo) and math.isinf(hi):
+            lines.append(f" {names[i]} free\n")
+        elif lo == hi:
+            lines.append(f" {names[i]} = {lo_text}\n")
+        elif math.isinf(hi):
+            lines.append(f" {lo_text} <= {names[i]}\n")
+        else:
+            lines.append(f" {lo_text} <= {names[i]} <= {hi_text}\n")
+    integers = np.flatnonzero(prog.is_integer).tolist()
+    if integers:
+        lines.append("General\n")
+        lines += [f" {names[i]}\n" for i in integers]
+    lines.append("End\n")
+    yield "".join(lines)

@@ -11,7 +11,11 @@ into a :class:`ValidationReport` so a broken scenario reports all of its
 problems at once.  The report is kept with the (deeply immutable) system
 value, so a system is walked once however often it is validated.
 Violations with severity ``"error"`` block compilation, ``"warning"``
-entries (e.g. a system with all-zero loads) do not.
+entries (e.g. a system with all-zero loads) do not.  Each series is read
+once: one mask finds its flagged entries, reported in step order.
+
+:func:`write_text` writes every file the package writes; it sits here
+because every module that writes one already imports this one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -514,33 +518,22 @@ NOT_FINITE = "NOT_FINITE"
 DEGENERATE = "DEGENERATE"
 
 
-def _all_finite(values: tuple) -> bool:
-    """Whether a series of numbers holds no NaN or infinity, judged by one
-    sum: every term is finite when the sum is.  A finite series whose sum
-    overflows reads False too, so a False only sends the caller to walk the
-    series entry by entry; a tuple of non-numbers reads False."""
-    try:
-        return math.isfinite(sum(values))
-    except TypeError:  # not all numbers, e.g. a tuple of records
-        return False
-
-
 def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
     """Steps finite and positive, periods non-decreasing and contiguous from
-    0.  Each series is checked in one pass; only a series that fails it is
-    walked, so each violation still names its step."""
+    0.  One mask over the steps finds every bad step, reported in order."""
     if grid.num_steps == 0:
         out.append(Violation(TIME_EMPTY, "time.step_hours", "at least one time step required"))
         return
     hours = grid.step_hours
-    if not (_all_finite(hours) and min(hours) > 0):
-        for t, h in enumerate(hours):
-            if not math.isfinite(h):
-                out.append(Violation(NOT_FINITE, f"time.step_hours[{t}]",
-                                     f"value must be finite, got {h}"))
-            elif not h > 0:
-                out.append(Violation(STEP_NONPOSITIVE, f"time.step_hours[{t}]",
-                                     f"step duration must be > 0, got {h}"))
+    steps = np.fromiter(hours, float, len(hours))
+    for t in np.flatnonzero(~(np.isfinite(steps) & (steps > 0))).tolist():
+        h = hours[t]
+        if not math.isfinite(h):
+            out.append(Violation(NOT_FINITE, f"time.step_hours[{t}]",
+                                 f"value must be finite, got {h}"))
+        else:
+            out.append(Violation(STEP_NONPOSITIVE, f"time.step_hours[{t}]",
+                                 f"step duration must be > 0, got {h}"))
     periods = grid.period_of_step
     if len(periods) != grid.num_steps:
         out.append(Violation(PERIOD_LENGTH, "time.period_of_step",
@@ -555,51 +548,33 @@ def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
                              "period indices must form a contiguous range starting at 0"))
 
 
-def _finite(value) -> bool:
-    """Whether every number of a model value (a number, a series or a
-    nested dataclass) is finite; builds no field path."""
-    if isinstance(value, (int, float)):
-        return math.isfinite(value)
-    if isinstance(value, tuple):
-        return _all_finite(value) or all(map(_finite, value))
-    if dataclasses.is_dataclass(value):
-        # the model's dataclasses declare fields only (no ClassVar or InitVar)
-        return all(_finite(getattr(value, name)) for name in value.__dataclass_fields__)
-    return True
-
-
 def _check_finite(where: str, value, out: list[Violation]) -> None:
     """Flag NaN and +-inf in every number of a model value (a number, a
-    series or a nested dataclass), naming the field path.  A value that
-    :func:`_finite` passes is not walked; a tuple is checked in one pass
-    (:func:`_all_finite`) and walked entry by entry only when that pass
-    fails, so each violation names its ``[t]`` in order."""
-    if _finite(value):
-        return
+    series or a nested dataclass), naming the field path.  One mask over a
+    series of numbers finds its non-finite entries, each named by its
+    ``[t]`` in order; a tuple of records is walked record by record."""
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             out.append(Violation(NOT_FINITE, where, f"value must be finite, got {value}"))
     elif isinstance(value, tuple):
-        if _all_finite(value):
-            return
-        for t, v in enumerate(value):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                _check_finite(f"{where}[{t}]", v, out)
+        try:
+            flagged = np.flatnonzero(~np.isfinite(np.fromiter(value, float, len(value)))).tolist()
+        except (TypeError, ValueError):  # not all numbers, e.g. half-planes
+            flagged = range(len(value))
+        for t in flagged:
+            _check_finite(f"{where}[{t}]", value[t], out)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             _check_finite(f"{where}.{f.name}", getattr(value, f.name), out)
 
 
 def _check_availability(avail: tuple, where: str, out: list[Violation]) -> None:
-    """Flag each share outside [0, 1], NaN included, naming its step.  The
-    series is compared in one pass and walked only when that pass fails."""
+    """Flag each share outside [0, 1], NaN included, naming its step."""
     shares = np.fromiter(avail, float, len(avail))
-    # NaN fails both comparisons, here as in the walk
-    if not ((0.0 <= shares) & (shares <= 1.0)).all():
-        for t, a in enumerate(avail):
-            if not 0.0 <= a <= 1.0:
-                out.append(Violation(AVAILABILITY_RANGE, f"{where}[{t}]",
-                                     f"availability must lie in [0, 1], got {a}"))
+    # NaN fails both comparisons
+    for t in np.flatnonzero(~((0.0 <= shares) & (shares <= 1.0))).tolist():
+        out.append(Violation(AVAILABILITY_RANGE, f"{where}[{t}]",
+                             f"availability must lie in [0, 1], got {avail[t]}"))
 
 
 def _check_series_len(series, num_steps: int, code: str, where: str, out: list[Violation]) -> None:
@@ -830,3 +805,24 @@ def system_dimensions(sys: EnergySystem) -> SystemDimensions:
         num_storages=len(sys.storages),
         num_periods=sys.time.num_periods,
     )
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def write_text(path, parts: Iterable[str]) -> None:
+    """Make the strings of ``parts``, in order, the whole content of the
+    file at ``path``, in the encoding ``Path.write_text`` uses.  Every file
+    the package writes goes through here: the run artifacts, the LP text
+    and a saved scenario.  A file already there is written over and then
+    cut to length, not emptied first: emptying it frees its blocks and the
+    write allocates them again, which cost about 1 ms per file on an ext4
+    volume mounted with ``discard``."""
+    try:
+        fh = open(path, "r+", encoding="locale")
+    except FileNotFoundError:
+        fh = open(path, "x", encoding="locale")
+    with fh:
+        fh.writelines(parts)
+        fh.truncate()

@@ -270,27 +270,21 @@ def _read_fields(ctx: _Ctx, obj: dict, table: tuple, defaults: dict,
     a key neither in the table nor in ``known`` is an error."""
     _known_keys(ctx, obj, [entry[0] for entry in table] + list(known))
     kwargs = {}
-    # a value of the exact JSON type is taken as it is; any other goes
-    # through _get, which accepts a subclass or fails naming the field
     for key, name, kind in table:
-        value = obj.get(key)
         if isinstance(kind, tuple):  # a JSON group of the record's own fields
             group = _get(ctx, obj, key, dict, default={})
             with ctx.enter(key):
                 kwargs.update(_read_fields(ctx, group, kind, defaults))
-        elif value is None:
-            default = defaults[name]
-            kwargs[name] = default if default is not ... else _get(ctx, obj, key)
+        elif obj.get(key) is None:
+            kwargs[name] = _get(ctx, obj, key, default=defaults[name])
         elif kind is float:
-            kwargs[name] = float(value if type(value) in (int, float)
-                                 else _get(ctx, obj, key, (int, float)))
+            kwargs[name] = float(_get(ctx, obj, key, (int, float)))
         elif kind is int:
-            kwargs[name] = int(value if type(value) is int else _get(ctx, obj, key, int))
+            kwargs[name] = int(_get(ctx, obj, key, int))
         elif kind is bool or kind is str:
-            kwargs[name] = value if type(value) is kind else _get(ctx, obj, key, kind)
+            kwargs[name] = _get(ctx, obj, key, kind)
         elif isinstance(kind, frozenset):
-            kwargs[name] = (value if type(value) is str and value in kind
-                            else _get(ctx, obj, key, str, choices=kind))
+            kwargs[name] = _get(ctx, obj, key, str, choices=kind)
         elif kind is _SERIES:
             kwargs[name] = _series(ctx, obj[key], key, True)
         elif isinstance(kind, list):
@@ -461,5 +455,5 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 def save_scenario(scn: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scn), indent=2, sort_keys=True)
-                          + "\n")
+    model.write_text(path, (json.dumps(scenario_to_dict(scn), indent=2, sort_keys=True),
+                            "\n"))

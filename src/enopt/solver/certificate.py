@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csc_matvec
 
 from .core import FEASIBILITY_TOL, INTEGRALITY_TOL, Solution, Status
 from .standard import GE, LE
@@ -53,6 +54,18 @@ def _primal_residuals(prog, x: np.ndarray, act: np.ndarray) -> tuple[float, list
               for j in np.flatnonzero(bound > FEASIBILITY_TOL)]
     worst = max(resid.max(initial=0.0), bound.max(initial=0.0))
     return float(worst), notes
+
+
+def _transpose_times(A, data: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``B'y`` for B, the CSR matrix ``A`` with the values ``data``: its
+    arrays read as the CSC arrays of ``B'``.  ``A`` keeps its term order,
+    which scipy's ``abs`` would sort in place."""
+    m, n = A.shape
+    if y.shape != (m,):
+        raise ValueError(f"{m} row duals expected, got shape {y.shape}")
+    out = np.zeros(n)
+    csc_matvec(n, m, A.indptr, A.indices, data, np.ascontiguousarray(y), out)
+    return out
 
 
 def _non_finite(sol: Solution) -> list[str]:
@@ -123,7 +136,7 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
     cscale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
 
     # reduced costs consistent with duals: d = c - A^T y
-    dhat = c - prog.A.T @ y
+    dhat = c - _transpose_times(prog.A, prog.A.data, y)
     dual_resid = float(np.max(np.abs(dhat - d))) / cscale if c.size else 0.0
     if dual_resid > FEASIBILITY_TOL:
         notes.append(f"reduced costs inconsistent with duals by {dual_resid:.3e}")
@@ -134,7 +147,8 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
     up = (prog.upper - x) / room > FEASIBILITY_TOL
     down = (x - prog.lower) / room > FEASIBILITY_TOL
     col_sign = np.maximum(np.where(up, -d, 0.0), np.where(down, d, 0.0))
-    col_sign /= np.maximum(1.0, np.abs(c) + abs(prog.A).T @ np.abs(y))
+    col_sign /= np.maximum(1.0, np.abs(c) + _transpose_times(prog.A, np.abs(prog.A.data),
+                                                              np.abs(y)))
     notes += [f"variable {prog.ref(j).label()} has reduced cost {d[j]:.3e} of the wrong "
               f"sign for its bounds (scaled {col_sign[j]:.3e})"
               for j in np.flatnonzero(col_sign > FEASIBILITY_TOL)]

@@ -6,8 +6,8 @@ polytope, MILPs by enumerating all integer fixings and handing the remaining
 continuous problem to the vertex oracle.  A third check tests an
 infeasibility certificate directly against the standard form, and
 :func:`reference_lp_text` is the LP writer the package's ``write_lp`` must
-match byte for byte.  :func:`rows_tagged` and :func:`var_refs` are views of
-a compiled program for reading it in tests.
+match byte for byte.  :func:`program_rows`, :func:`rows_tagged` and
+:func:`var_refs` read a compiled program's arrays in tests.
 """
 
 from __future__ import annotations
@@ -15,16 +15,42 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
 LE, EQ, GE = "<=", "=", ">="
 
 
+class Row(NamedTuple):
+    """One constraint row of a compiled program, sum(coef * var) sense rhs,
+    with its family tag, owner and step (None where it has none)."""
+
+    terms: tuple
+    sense: str
+    rhs: float
+    tag: str
+    owner: str
+    step: int | None
+
+
+def program_rows(prog, keep=None) -> list:
+    """The rows of a compiled program, in order, each read from its CSR
+    slice of ``prog.A`` and its entries of ``sense``, ``rhs``, ``tag``,
+    ``owner`` and ``step``; only the rows whose tag ``keep`` accepts."""
+    ptr, cols, coefs = prog.A.indptr.tolist(), prog.A.indices.tolist(), prog.A.data.tolist()
+    return [Row(tuple(zip(cols[ptr[i]:ptr[i + 1]], coefs[ptr[i]:ptr[i + 1]])), sense, rhs,
+                tag, owner, None if step < 0 else step)
+            for i, (sense, rhs, tag, owner, step) in enumerate(zip(
+                prog.sense.tolist(), prog.rhs.tolist(), prog.tag.tolist(),
+                prog.owner.tolist(), prog.step.tolist()))
+            if keep is None or keep(tag)]
+
+
 def rows_tagged(prog, family) -> list:
     """The rows of one family (a :class:`~enopt.formulate.Family` or its
-    tag), in order: a filter over ``prog.rows``."""
-    return [row for row in prog.rows if row.tag == family]
+    tag), in order."""
+    return program_rows(prog, lambda tag: tag == family)
 
 
 def var_refs(prog) -> list:

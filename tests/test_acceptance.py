@@ -93,7 +93,7 @@ def test_criterion_3_equation_coverage(coverage_system):
 
     def body():
         prog = compile_system(coverage_system)
-        tags_with_rows = {row.tag for row in prog.rows}
+        tags_with_rows = set(prog.tag.tolist())
         assert {f"EQ{i}" for i in row_families} <= tags_with_rows
         sol = solve(prog)
         assert sol.status == Status.OPTIMAL

@@ -7,6 +7,7 @@ document, then CPython's ``json.dumps`` with ``indent=2``.
 ``fill.csv``.  The writers must give the same bytes.
 """
 
+import io
 import json
 import math
 import shutil
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from enopt import cli
-from enopt.scenario import load_scenario
+from enopt.formulate import compile_system, write_lp
+from enopt.scenario import load_scenario, save_scenario, scenario_to_dict
 
 SHIPPED = ["commitment_demo", "commitment_48", "paper_system_48", "paper_system"]
 
@@ -137,16 +139,24 @@ def test_edge_columns_write_the_reference_bytes(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == reference_csv([], [], np.zeros(0))
 
 
-def test_an_artifact_is_rewritten_in_place_to_exactly_its_text(tmp_path):
-    """``_write`` over a longer file, a shorter one and no file leaves the
-    bytes ``Path.write_text`` leaves."""
+def test_an_artifact_is_rewritten_in_place_to_exactly_its_text(scenario_dir, tmp_path):
+    """``_write``, ``write_lp`` and ``save_scenario`` over a longer file, a
+    shorter one and no file leave the bytes ``Path.write_text`` leaves."""
     text = "time,a\n0,1.5\nüber ☃\n"
-    (tmp_path / "want").write_text(text)
-    for old in ("x" * 1000, "", None):
-        path = tmp_path / "artifact"
-        if old is None:
-            path.unlink()
-        else:
-            path.write_text(old)
-        cli._write(path, text)
-        assert path.read_bytes() == (tmp_path / "want").read_bytes()
+    scn = load_scenario(scenario_dir / "commitment_demo.json")
+    lp_text = io.StringIO()
+    write_lp(compile_system(scn.system), lp_text)
+    writers = [(cli._write, text),
+               (lambda path, _: write_lp(compile_system(scn.system), path), lp_text.getvalue()),
+               (lambda path, _: save_scenario(scn, path),
+                json.dumps(scenario_to_dict(scn), indent=2, sort_keys=True) + "\n")]
+    for write, want in writers:
+        (tmp_path / "want").write_text(want)
+        for old in ("x" * (len(want) + 1000), "", None):
+            path = tmp_path / "artifact"
+            if old is None:
+                path.unlink()
+            else:
+                path.write_text(old)
+            write(path, want)
+            assert path.read_bytes() == (tmp_path / "want").read_bytes()

@@ -609,8 +609,9 @@ def test_compile_is_deterministic(coverage_system):
 
 def test_rows_are_canonically_ordered(coverage_system):
     prog = compile_system(coverage_system)
-    keys = [(family_number(r.tag), r.owner, -1 if r.step is None else r.step)
-            for r in prog.rows]
+    # a row without a step has step -1
+    keys = [(family_number(tag), owner, step) for tag, owner, step in zip(
+        prog.tag.tolist(), prog.owner.tolist(), prog.step.tolist())]
     assert keys == sorted(keys)
 
 

@@ -2,7 +2,8 @@
 
 ``reference_standardize`` and ``reference_certificate`` are the loops that
 walked :class:`~enopt.formulate.Row` values before the program was stored as
-a CSR matrix; the vectorised code must reproduce them.
+a CSR matrix, now over the rows ``oracles.program_rows`` reads from its
+arrays; the vectorised code must reproduce them.
 """
 
 import copy
@@ -23,12 +24,12 @@ from enopt.solver.certificate import CertificateReport
 from enopt.solver.standard import standardize
 
 from conftest import coverage_fixture, storage_system
-from oracles import rows_tagged, var_refs
+from oracles import program_rows, rows_tagged, var_refs
 
 
 def reference_standardize(prog):
     n = prog.num_vars
-    rows = list(prog.rows)
+    rows = program_rows(prog)
     m = len(rows)
     data, ri, ci = [], [], []
     b = np.zeros(m)
@@ -66,7 +67,7 @@ def _row_activity(row, x):
 def _reference_primal(prog, x):
     worst = 0.0
     notes = []
-    for i, row in enumerate(prog.rows):
+    for i, row in enumerate(program_rows(prog)):
         act = _row_activity(row, x)
         scale = max(1.0, abs(row.rhs))
         if row.sense == LE:
@@ -117,14 +118,14 @@ def reference_certificate(prog, sol, tol=1e-6):
     c = np.asarray(prog.objective, dtype=float)
     cscale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
     dhat = c.copy()
-    for i, row in enumerate(prog.rows):
+    for i, row in enumerate(program_rows(prog)):
         for idx, coef in row.terms:
             dhat[idx] -= coef * y[i]
     dual_resid = float(np.max(np.abs(dhat - d))) / cscale if c.size else 0.0
     if dual_resid > tol:
         notes.append(f"reduced costs inconsistent with duals by {dual_resid:.3e}")
     scale = np.abs(c)
-    for i, row in enumerate(prog.rows):
+    for i, row in enumerate(program_rows(prog)):
         for idx, coef in row.terms:
             scale[idx] += abs(coef) * abs(y[i])
     for j in range(prog.num_vars):
@@ -139,7 +140,7 @@ def reference_certificate(prog, sol, tol=1e-6):
         if sign > tol:
             notes.append(f"variable {prog.ref(j).label()} has reduced cost {d[j]:.3e} of "
                          f"the wrong sign for its bounds (scaled {sign:.3e})")
-    for i, row in enumerate(prog.rows):
+    for i, row in enumerate(program_rows(prog)):
         sign = {"<=": y[i], ">=": -y[i]}.get(row.sense, 0.0) / max(1.0, abs(y[i]))
         dual_resid = max(dual_resid, sign)
         if sign > tol:
@@ -147,7 +148,7 @@ def reference_certificate(prog, sol, tol=1e-6):
                          f"sense {row.sense} (scaled {sign:.3e})")
     dual_value = 0.0
     comp = 0.0
-    for i, row in enumerate(prog.rows):
+    for i, row in enumerate(program_rows(prog)):
         act = _row_activity(row, x)
         dual_value += y[i] * row.rhs
         slack_comp = abs(y[i] * (act - row.rhs)) / max(1.0, abs(row.rhs)) / cscale
@@ -255,8 +256,9 @@ def test_rows_view_round_trips_the_matrix(scenario_dir):
             assert (row.sense, row.rhs, row.tag, row.owner) == (
                 prog.sense[i], prog.rhs[i], prog.tag[i], prog.owner[i])
             assert row.step == (None if prog.step[i] < 0 else prog.step[i])
+        # the tests' own row records (read from the arrays) print as the view's rows
         tagged = [r for tag in sorted(set(prog.tag.tolist())) for r in rows_tagged(prog, tag)]
-        assert sorted(tagged, key=repr) == sorted(rows, key=repr)
+        assert sorted(map(repr, tagged)) == sorted(map(repr, rows))
 
 
 def test_a_pass_over_the_rows_view_holds_one_row_at_a_time(scenario_dir):
@@ -324,6 +326,22 @@ def test_certificate_matches_the_row_loops_at_a_perturbed_point(paper_48):
         kinds = {note.split()[0] for note in got.violations}
         assert {"row", "variable", "reduced", "duality"} <= kinds
         _assert_same_report(got, reference_certificate(prog, bad))
+
+
+@pytest.mark.parametrize("name", ["paper_system_48", "paper_system"])
+def test_the_certificate_leaves_the_program_as_it_is(scenario_dir, name):
+    """``check_certificate`` reads ``prog.A`` without sorting its terms in
+    place: its arrays and the fingerprint stay those of the compiled program."""
+    prog = compile_system(load_scenario(scenario_dir / f"{name}.json").system)
+    fingerprint = prog.fingerprint()
+    arrays = [getattr(prog.A, field).copy() for field in ("data", "indices", "indptr")]
+    sol = solve(prog)
+    assert sol.status == Status.OPTIMAL and sol.duals is not None
+    assert check_certificate(prog, sol).ok
+    assert prog.fingerprint() == fingerprint
+    for want, field in zip(arrays, ("data", "indices", "indptr")):
+        got = getattr(prog.A, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
 
 def test_certificate_matches_the_row_loops_at_a_milp_incumbent(scenario_dir):

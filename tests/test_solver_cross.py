@@ -88,18 +88,9 @@ def test_midsize_milps_match_highs(seed):
 
 
 def _prog_to_scipy(prog):
-    n = prog.num_vars
-    data, ri, ci, senses, b = [], [], [], [], []
-    for i, row in enumerate(prog.rows):
-        for j, coef in row.terms:
-            ri.append(i)
-            ci.append(j)
-            data.append(coef)
-        senses.append(row.sense)
-        b.append(row.rhs)
-    A = sp.coo_matrix((data, (ri, ci)), shape=(prog.num_rows, n)).tocsr()
-    b = np.array(b)
-    senses = np.array(senses)
+    A = prog.A.copy()  # HiGHS gets its own matrix, so prog is left as it is
+    b = prog.rhs
+    senses = prog.sense
     lo = np.where(senses == "<=", -np.inf, b)
     hi = np.where(senses == ">=", np.inf, b)
     constraints = sopt.LinearConstraint(A, lo, hi)
