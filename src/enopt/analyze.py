@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model
 from .finance import annual_share, capital_recovery_factor, output_side_cost
-from .formulate import Family, LinearProgram, VarKind, VarRef, _block_cols, _objective_blocks
+from .formulate import Family, LinearProgram, VarKind, _objective_blocks
 from .model import (
     Component,
     CoupledConversion,
@@ -130,9 +130,12 @@ class SolutionView:
         return stor.initial_fill + np.cumsum(delta)
 
     def fill(self, stor: Storage) -> np.ndarray:
-        if self.prog.has_var(VarRef(VarKind.FILL, stor.id, 0)):
+        """The fill variables where the program has them, else the fill
+        recomputed from the flows."""
+        try:
             return self.series(VarKind.FILL, stor.id)
-        return self.fill_recomputed(stor)
+        except KeyError:
+            return self.fill_recomputed(stor)
 
     def input_energy(self, comp: Component) -> np.ndarray:
         """MWh drawn from the input node per step (equals delivered energy
@@ -254,8 +257,8 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
         stor_caps[stor.id] = view.storage_capacity(stor)
 
     breakdown = {cat: 0.0 for cat in COST_CATEGORIES}
-    for refs, category, coefs in _objective_blocks(sys):
-        terms = coefs * view.values[_block_cols(prog, refs, len(coefs))]
+    for cols, category, coefs in _objective_blocks(sys, prog):
+        terms = coefs * view.values[cols]
         for term in terms[coefs != 0.0].tolist():  # the nonzero terms, row-major
             breakdown[category] += term
 
@@ -439,11 +442,10 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
         cap_total = view.storage_capacity(stor)
         scale = max(1.0, cap_total)
         fill = view.fill_recomputed(stor)
-        resid = _pos(-fill / scale)
-        if view.prog.has_var(VarRef(VarKind.FILL, stor.id, 0)):
-            # compiler's fill variables must agree with the raw cumulative sum
-            resid = _pos([resid, float(np.max(np.abs(view.fill(stor) - fill))) / scale])
-        col.note(Family.FILL_FLOOR, resid, T)
+        # non-negative, and the fill variables, where the program has them,
+        # agree with the raw cumulative sum (otherwise the view returns it)
+        col.note(Family.FILL_FLOOR,
+                 _pos(np.concatenate([-fill, np.abs(view.fill(stor) - fill)]) / scale), T)
         col.note(Family.FILL_CAP, _pos((fill - cap_total) / scale), T)
         if stor.capacity_optimizable and stor.capacity_max is not None:
             col.note(Family.MAX_INSTALLED,

@@ -20,6 +20,7 @@ A file already in the output directory is rewritten in place
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -218,9 +219,9 @@ def _no_solution_text(sol) -> str:
     return f"status: {sol.status.value}\nmessage: {sol.message}\n"
 
 
-def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
-        export_lp: bool = False):
-    """Compile, solve and write the requested artifacts.
+def run(scn: Scenario, out_dir):
+    """Compile, solve and write the artifacts the scenario's outputs request,
+    with its solver settings.
 
     A point that fails ``analyze.verify_solution`` or, for an optimal
     solve, ``check_certificate`` turns the exit code into ``EXIT_VERIFY``;
@@ -228,13 +229,13 @@ def run(scn: Scenario, out_dir, *, solver_overrides: dict | None = None,
 
     Returns (report_or_None, solution, exit_code).
     """
-    cfg = scenario_mod.solver_config({**scn.solver, **(solver_overrides or {})})
+    cfg = scenario_mod.solver_config(scn.solver)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     prog = formulate.compile_system(scn.system)
     log.info("compiled %d variables, %d rows", prog.num_vars, prog.num_rows)
-    if export_lp or scn.outputs.lp_export:
+    if scn.outputs.lp_export:
         try:
             formulate.write_lp(prog, out / "program.lp")
         except ValueError as exc:  # two ids meet as LP names; nothing is written
@@ -292,17 +293,14 @@ def _cmd_dimensions(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """Run the scenario with the command line's options folded into it."""
     scn = load_scenario(args.scenario)
-    overrides: dict = {}
-    if args.mip_gap is not None:
-        overrides["mip_gap"] = args.mip_gap
-    if args.max_nodes is not None:
-        overrides["max_nodes"] = args.max_nodes
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
+    overrides = {key: getattr(args, key) for key in ("mip_gap", "max_nodes", "max_iterations")
+                 if getattr(args, key) is not None}
+    outputs = dataclasses.replace(scn.outputs, lp_export=scn.outputs.lp_export or args.export_lp)
+    scn = dataclasses.replace(scn, solver={**scn.solver, **overrides}, outputs=outputs)
     out_dir = args.out or f"{Path(args.scenario).stem}_out"
-    report, sol, code = run(scn, out_dir, solver_overrides=overrides,
-                            export_lp=args.export_lp)
+    report, sol, code = run(scn, out_dir)
     print(format_summary(report) if report is not None else _no_solution_text(sol), end="")
     print(f"artifacts written to {out_dir}")
     return code

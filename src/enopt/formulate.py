@@ -14,9 +14,11 @@ block, so an emitter looks up the first column of each block it needs and
 gets the column of step t by adding t; :meth:`LinearProgram.add_rows` takes
 the R x k column and coefficient arrays and drops zero coefficients, so rows
 of one block may differ in length (a window that starts before step 0, the
-previous fill level at t = 0) by padding with zeros.  Node balances repeat
-the step-0 template of :func:`_balance_terms`, and the objective is added a
-block at a time from :func:`_objective_blocks`.
+previous fill level at t = 0) by padding with zeros.  Every block is found
+by its kind and owner (:meth:`LinearProgram.columns`).  Node balances repeat
+the per-block coefficients of :func:`_balance_terms` at every step, and the
+objective is added a block at a time from :func:`_objective_blocks` and
+summed once, by :meth:`LinearProgram.finalize`.
 
 Variable counting for a compiled system with T steps:
 
@@ -270,13 +272,6 @@ class LinearProgram:
         _, col, count = self._vars[kind, owner]
         return slice(col, col + count)
 
-    def has_var(self, ref: VarRef) -> bool:
-        try:
-            self.index(ref)
-        except KeyError:
-            return False
-        return True
-
     def ref(self, col: int) -> VarRef:
         """Name of column ``col``, found through its block."""
         for first, start, count in self._vars.values():
@@ -367,9 +362,11 @@ class LinearProgram:
         self.upper = np.repeat(upper.astype(float), count)
         self.is_integer = np.repeat(integer.astype(bool), count)
         self._bounds = None
+        # one pass over the costs in the order they were added, so a column's
+        # additions keep their order
         obj = np.zeros(self.num_vars)
-        for cols, coefs in self._costs:
-            np.add.at(obj, cols, coefs)
+        np.add.at(obj, joined([c for c, _ in self._costs], np.int64),
+                  joined([c for _, c in self._costs], float))
         self.objective = obj
         self._costs = None
         return self
@@ -488,14 +485,6 @@ class _RowBlock(NamedTuple):
 # shared lookups
 
 
-def _out(comp_id: str, t: int) -> VarRef:
-    return VarRef(VarKind.OUTPUT, comp_id, t)
-
-
-def _on(comp_id: str, t: int) -> VarRef:
-    return VarRef(VarKind.ON, comp_id, t)
-
-
 def _steps(prog: LinearProgram, kind: VarKind, owner: str, T: int) -> np.ndarray:
     """Columns of a per-step block, steps 0..T-1."""
     return _start(prog, kind, owner) + np.arange(T)
@@ -506,10 +495,10 @@ def _start(prog: LinearProgram, kind: VarKind, owner: str) -> int:
     return prog.columns(kind, owner).start
 
 
-def _block_cols(prog: LinearProgram, refs: tuple[VarRef, ...], n: int) -> np.ndarray:
-    """n x len(refs) columns: entry (r, j) is the variable r places into the
-    block of refs[j], each the first variable of its block."""
-    return (np.array([_start(prog, ref.kind, ref.owner) for ref in refs], dtype=np.int64)
+def _block_cols(prog: LinearProgram, blocks, n: int) -> np.ndarray:
+    """n x len(blocks) columns: entry (r, j) is the variable r places into
+    the block whose (kind, owner) is blocks[j]."""
+    return (np.array([_start(prog, kind, owner) for kind, owner in blocks], dtype=np.int64)
             + np.arange(n)[:, None])
 
 
@@ -560,13 +549,14 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
     T = sys.time.num_steps
     P = sys.time.num_periods
     for comp in sys.sorted_components():
-        prog.add_variables(_out(comp.id, 0), T)
+        prog.add_variables(VarRef(VarKind.OUTPUT, comp.id, 0), T)
         if isinstance(comp.conversion, FieldConversion):
             prog.add_variables(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, 0), T)
         com = comp.commitment
         cap = comp.capacity
         if com is not None:
-            prog.add_variables(_on(comp.id, 0), T, 0.0, com.max_units, integer=True)
+            prog.add_variables(VarRef(VarKind.ON, comp.id, 0), T, 0.0, com.max_units,
+                               integer=True)
             prog.add_variables(VarRef(VarKind.STARTUP, comp.id, 0), T, 0.0, com.max_units,
                                integer=True)
             if com.optimize_units:
@@ -632,28 +622,29 @@ def emit_capacity_limits(sys: EnergySystem, prog: LinearProgram) -> None:
         prog.add_rows(tag, cols, coefs, LE, avail * cap.initial, owner=comp.id, steps=steps)
 
 
-def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float], Family]:
-    """Coefficients of a node's balance row at step 0 (the row at step t
-    has the same coefficients on the variables of step t) plus the row's
+def _balance_terms(sys: EnergySystem,
+                   node_id: str) -> tuple[dict[tuple[VarKind, str], float], Family]:
+    """Coefficients of a node's balance row, one per (kind, owner) block:
+    the row at step t has them on the variables of step t.  Plus the row's
     tag: the most specific balance family among partial load, field
     secondary, coupled-ratio term and plain balance."""
-    terms: dict[VarRef, float] = {}
+    terms: dict[tuple[VarKind, str], float] = {}
     fams = {Family.NODE_BALANCE}
 
-    def bump(ref: VarRef, coef: float) -> None:
-        terms[ref] = terms.get(ref, 0.0) + coef
+    def bump(block: tuple[VarKind, str], coef: float) -> None:
+        terms[block] = terms.get(block, 0.0) + coef
 
     for comp in sys.sorted_components():
         conv = comp.conversion
         partial = comp.commitment.partial_load if comp.committed else None
-        out = _out(comp.id, 0)
+        out = VarKind.OUTPUT, comp.id
         if isinstance(conv, SingleConversion):
             if conv.output_node == node_id:
                 bump(out, 1.0)
             if conv.input_node == node_id:
                 if partial is not None:
                     bump(out, -partial.slope)
-                    bump(_on(comp.id, 0), -partial.offset)
+                    bump((VarKind.ON, comp.id), -partial.offset)
                     fams.add(Family.PARTIAL_BALANCE)
                 else:
                     bump(out, -1.0 / conv.efficiency)
@@ -672,14 +663,14 @@ def _balance_terms(sys: EnergySystem, node_id: str) -> tuple[dict[VarRef, float]
             if conv.primary_output == node_id:
                 bump(out, 1.0)
             if conv.secondary_output == node_id:
-                bump(VarRef(VarKind.SECONDARY_OUTPUT, comp.id, 0), 1.0)
+                bump((VarKind.SECONDARY_OUTPUT, comp.id), 1.0)
                 fams.add(Family.FIELD_BALANCE)
             if conv.input_node == node_id:
                 bump(out, -1.0 / conv.primary_efficiency)
     for stor in sys.sorted_storages():
         if stor.node == node_id:
-            bump(VarRef(VarKind.DISCHARGE, stor.id, 0), 1.0)
-            bump(VarRef(VarKind.CHARGE, stor.id, 0), -1.0)
+            bump((VarKind.DISCHARGE, stor.id), 1.0)
+            bump((VarKind.CHARGE, stor.id), -1.0)
     order = (Family.PARTIAL_BALANCE, Family.FIELD_BALANCE, Family.COUPLED_OUTPUT,
              Family.NODE_BALANCE)
     return terms, next(f for f in order if f in fams)
@@ -902,11 +893,12 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
                               owner=comp.id, steps=steps)
 
 
-def _objective_blocks(sys: EnergySystem) -> Iterator[tuple[tuple[VarRef, ...], str, np.ndarray]]:
-    """All objective contributions as (refs, category, coefficients) blocks.
+def _objective_blocks(sys: EnergySystem,
+                      prog: LinearProgram) -> Iterator[tuple[np.ndarray, str, np.ndarray]]:
+    """All objective contributions as (columns, category, coefficients)
+    blocks: two R x k arrays, entry (r, j) of one costing the column at
+    entry (r, j) of the other, step or period r of a block of ``prog``.
 
-    ``coefficients`` is an R x len(refs) array whose entry (r, j) costs the
-    variable r places after ``refs[j]`` (step or period r of its block).
     Categories: fuel, invest, maintenance, startup, storage, ramp, emission,
     built.  Fuel and emission terms are per MWh of input and weighted by the
     step duration; annualised capacity costs are scaled by the covered share
@@ -921,6 +913,9 @@ def _objective_blocks(sys: EnergySystem) -> Iterator[tuple[tuple[VarRef, ...], s
     def one(coef: float) -> np.ndarray:
         return np.array([[coef]], dtype=float)
 
+    def cols(owner: str, n: int, *kinds: VarKind) -> np.ndarray:
+        return _block_cols(prog, [(kind, owner) for kind in kinds], n)
+
     for comp in sys.sorted_components():
         costs = comp.costs
         eta = comp.primary_efficiency()
@@ -929,62 +924,62 @@ def _objective_blocks(sys: EnergySystem) -> Iterator[tuple[tuple[VarRef, ...], s
         com = comp.commitment
         partial = com.partial_load if com is not None else None
         if partial is not None:
-            refs = (_out(comp.id, 0), _on(comp.id, 0))
+            flows = cols(comp.id, T, VarKind.OUTPUT, VarKind.ON)
             if fuel.any():
-                yield refs, "fuel", _stack(partial.slope * dt * fuel, partial.offset * dt * fuel)
+                yield flows, "fuel", _stack(partial.slope * dt * fuel, partial.offset * dt * fuel)
             if emis:
-                yield refs, "emission", _stack(partial.slope * dt * emis,
-                                               partial.offset * dt * emis)
+                yield flows, "emission", _stack(partial.slope * dt * emis,
+                                                partial.offset * dt * emis)
         else:
-            refs = (_out(comp.id, 0),)
+            flows = cols(comp.id, T, VarKind.OUTPUT)
             if fuel.any():
-                yield refs, "fuel", (dt * fuel / eta)[:, None]
+                yield flows, "fuel", (dt * fuel / eta)[:, None]
             if emis:
-                yield refs, "emission", (dt * emis / eta)[:, None]
+                yield flows, "emission", (dt * emis / eta)[:, None]
         invest = _effective_invest(comp)
         maint = costs.maintenance
         if com is not None:
             if com.optimize_units:
-                units = (VarRef(VarKind.UNITS, comp.id),)
+                units = cols(comp.id, 1, VarKind.UNITS)
                 if invest:
                     yield units, "invest", one(invest * com.unit_capacity * share_total)
                 if maint:
                     yield units, "maintenance", one(maint * com.unit_capacity * share_total)
             if com.startup_cost:
-                yield ((VarRef(VarKind.STARTUP, comp.id, 0),), "startup",
+                yield (cols(comp.id, T, VarKind.STARTUP), "startup",
                        np.full((T, 1), com.startup_cost, dtype=float))
         elif comp.capacity.optimizable:
             if comp.capacity.per_period:
                 shares = np.array([annual_share(grid.hours_in_period(p)) for p in range(P)])
-                first = (VarRef(VarKind.INSTALLED_PERIOD, comp.id, period=0),)
+                installed = cols(comp.id, P, VarKind.INSTALLED_PERIOD)
                 if invest:
-                    yield first, "invest", (invest * shares)[:, None]
+                    yield installed, "invest", (invest * shares)[:, None]
                 if maint:
-                    yield first, "maintenance", (maint * shares)[:, None]
+                    yield installed, "maintenance", (maint * shares)[:, None]
                 if costs.built and P > 1:
-                    yield ((VarRef(VarKind.BUILT, comp.id, period=1),), "built",
+                    yield (cols(comp.id, P - 1, VarKind.BUILT), "built",
                            np.full((P - 1, 1), costs.built, dtype=float))
             else:
-                ref = (VarRef(VarKind.INSTALLED, comp.id),)
+                installed = cols(comp.id, 1, VarKind.INSTALLED)
                 if invest:
-                    yield ref, "invest", one(invest * share_total)
+                    yield installed, "invest", one(invest * share_total)
                 if maint:
-                    yield ref, "maintenance", one(maint * share_total)
+                    yield installed, "maintenance", one(maint * share_total)
         if isinstance(comp.ramp, OptimizedRamp):
             if comp.ramp.cost_up:
-                yield (VarRef(VarKind.RAMP_UP, comp.id),), "ramp", one(comp.ramp.cost_up)
+                yield cols(comp.id, 1, VarKind.RAMP_UP), "ramp", one(comp.ramp.cost_up)
             if comp.ramp.cost_down:
-                yield (VarRef(VarKind.RAMP_DOWN, comp.id),), "ramp", one(comp.ramp.cost_down)
+                yield cols(comp.id, 1, VarKind.RAMP_DOWN), "ramp", one(comp.ramp.cost_down)
     for stor in sys.sorted_storages():
         if stor.capacity_optimizable and stor.capacity_cost:
-            yield ((VarRef(VarKind.STORAGE_CAPACITY, stor.id),), "storage",
+            yield (cols(stor.id, 1, VarKind.STORAGE_CAPACITY), "storage",
                    one(stor.capacity_cost * share_total))
         if isinstance(stor.rate, OptimizedRate):
             if stor.rate.cost_charge:
-                yield ((VarRef(VarKind.MAX_CHARGE, stor.id),), "storage",
+                yield (cols(stor.id, 1, VarKind.MAX_CHARGE), "storage",
                        one(stor.rate.cost_charge * share_total))
             if stor.rate.cost_discharge:
-                yield ((VarRef(VarKind.MAX_DISCHARGE, stor.id),), "storage",
+                yield (cols(stor.id, 1, VarKind.MAX_DISCHARGE), "storage",
                        one(stor.rate.cost_discharge * share_total))
 
 
@@ -993,37 +988,42 @@ def _warn(message: str) -> None:
 
 
 def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
-    """Minimisation coefficients for every costed variable; warns about
-    decision variables whose mechanism relies on a positive cost but got
-    none (their optimal values carry no meaning)."""
-    obj = np.zeros(prog.num_vars)
-    for refs, _, coefs in _objective_blocks(sys):
-        obj[_block_cols(prog, refs, len(coefs))] += coefs
-    costed = np.flatnonzero(obj)
-    prog.add_costs(costed, obj[costed])
+    """Minimisation coefficients for every costed variable, a block at a
+    time; :meth:`LinearProgram.finalize` sums them into the objective."""
+    for cols, _, coefs in _objective_blocks(sys, prog):
+        prog.add_costs(cols, coefs)
 
-    def costless(ref: VarRef, what: str) -> None:
-        if prog.has_var(ref) and obj[prog.index(ref)] <= 0.0:
-            _warn(f"COSTLESS_SLACK: {what} of '{ref.owner}' has no objective cost; "
-                  "its optimal value is arbitrary")
 
-    P = sys.time.num_periods
+def _warn_costless(sys: EnergySystem, prog: LinearProgram) -> None:
+    """Warn about decision variables of a finalized program whose mechanism
+    relies on a positive cost but got none (their optimal values carry no
+    meaning)."""
+
+    def costless(kind: VarKind, owner: str, what: str) -> None:
+        try:
+            cols = prog.columns(kind, owner)
+        except KeyError:  # a block this component or storage does not have
+            return
+        for cost in prog.objective[cols].tolist():
+            if cost <= 0.0:
+                _warn(f"COSTLESS_SLACK: {what} of '{owner}' has no objective cost; "
+                      "its optimal value is arbitrary")
+
     for comp in sys.sorted_components():
         if comp.capacity.per_period:
-            for p in range(1, P):
-                costless(VarRef(VarKind.BUILT, comp.id, period=p), "built capacity")
+            costless(VarKind.BUILT, comp.id, "built capacity")
         if isinstance(comp.ramp, OptimizedRamp):
-            costless(VarRef(VarKind.RAMP_UP, comp.id), "ramp-up limit")
-            costless(VarRef(VarKind.RAMP_DOWN, comp.id), "ramp-down limit")
+            costless(VarKind.RAMP_UP, comp.id, "ramp-up limit")
+            costless(VarKind.RAMP_DOWN, comp.id, "ramp-down limit")
         if comp.committed and sys.time.num_steps and comp.commitment.startup_cost <= 0.0:
             _warn(f"COSTLESS_SLACK: startups of '{comp.id}' have no cost; "
                   "startup counts are arbitrary")
     for stor in sys.sorted_storages():
         if stor.capacity_optimizable:
-            costless(VarRef(VarKind.STORAGE_CAPACITY, stor.id), "storage capacity")
+            costless(VarKind.STORAGE_CAPACITY, stor.id, "storage capacity")
         if isinstance(stor.rate, OptimizedRate):
-            costless(VarRef(VarKind.MAX_CHARGE, stor.id), "charge limit")
-            costless(VarRef(VarKind.MAX_DISCHARGE, stor.id), "discharge limit")
+            costless(VarKind.MAX_CHARGE, stor.id, "charge limit")
+            costless(VarKind.MAX_DISCHARGE, stor.id, "discharge limit")
 
 
 def emit_co2_cap(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -1040,12 +1040,12 @@ def emit_co2_cap(sys: EnergySystem, prog: LinearProgram) -> None:
             continue
         partial = comp.commitment.partial_load if comp.committed else None
         if partial is not None:
-            refs = (_out(comp.id, 0), _on(comp.id, 0))
+            blocks = [(VarKind.OUTPUT, comp.id), (VarKind.ON, comp.id)]
             block = _stack(partial.slope * factor * dt, partial.offset * factor * dt)
         else:
-            refs = (_out(comp.id, 0),)
+            blocks = [(VarKind.OUTPUT, comp.id)]
             block = factor * dt[:, None] / comp.primary_efficiency()
-        cols.append(_block_cols(prog, refs, T).ravel())
+        cols.append(_block_cols(prog, blocks, T).ravel())
         coefs.append(block.ravel())
     prog.add_rows(Family.CO2_CAP, np.concatenate(cols)[None], np.concatenate(coefs)[None], LE,
                   sys.co2_cap)
@@ -1073,7 +1073,9 @@ def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence"
     emit_unit_commitment(sys, prog)
     emit_objective(sys, prog)
     emit_co2_cap(sys, prog)
-    return prog.finalize()
+    prog.finalize()
+    _warn_costless(sys, prog)
+    return prog
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1136,7 @@ def _lp_lines(heads, tails: tuple, indptr: np.ndarray, first: np.ndarray,
 
 
 def write_lp(prog: LinearProgram, path) -> None:
-    """Write the program in LP text format to a path or a text file object.
+    """Write the program in LP text format to ``path``.
 
     The constraint rows are built from the program's arrays and written
     ``_LP_CHUNK_ROWS`` rows at a time.  Each distinct number is formatted
@@ -1145,14 +1147,9 @@ def write_lp(prog: LinearProgram, path) -> None:
     owner) part, its step and its index; its sense and right-hand side texts
     are joined into the text as they are, making no string per row.  The
     text is byte-identical to that of earlier versions, which formatted
-    every term on its own.  A path is written by :func:`model.write_text`."""
+    every term on its own.  The file is written by :func:`model.write_text`."""
     names = np.array(_block_names(prog, _lp_name), dtype=object)
-    parts = _lp_parts(prog, names)
-    if hasattr(path, "write"):
-        for part in parts:
-            path.write(part)
-    else:
-        model.write_text(path, parts)
+    model.write_text(path, _lp_parts(prog, names))
 
 
 def _lp_parts(prog: LinearProgram, names: np.ndarray) -> Iterator[str]:

@@ -300,10 +300,13 @@ def test_report_refuses_a_limit_run_without_incumbent(scenario_dir, tmp_path):
     scn = load_scenario(scenario_dir / "commitment_48.json")
     prog = compile_system(scn.system)
     sol = solve(prog, SolverConfig(max_nodes=1))
+    # the completion dive finds no point either
     assert sol.status == Status.GAP_LIMIT and not sol.integral and math.isinf(sol.objective)
+    assert sol.message == "node limit reached before any incumbent"
     with pytest.raises(NoSolutionError, match="before any incumbent"):
         extract_report(scn.system, prog, sol)
-    report, _, code = cli.run(scn, tmp_path, solver_overrides={"max_nodes": 1})
+    report, _, code = cli.run(dataclasses.replace(scn, solver={**scn.solver, "max_nodes": 1}),
+                              tmp_path)
     assert report is None and code == cli.EXIT_LIMIT == 5
     assert (tmp_path / "summary.txt").read_text() == (
         f"status: gap_limit\nmessage: {sol.message}\n")

@@ -7,7 +7,6 @@ document, then CPython's ``json.dumps`` with ``indent=2``.
 ``fill.csv``.  The writers must give the same bytes.
 """
 
-import io
 import json
 import math
 import shutil
@@ -144,10 +143,10 @@ def test_an_artifact_is_rewritten_in_place_to_exactly_its_text(scenario_dir, tmp
     shorter one and no file leave the bytes ``Path.write_text`` leaves."""
     text = "time,a\n0,1.5\nüber ☃\n"
     scn = load_scenario(scenario_dir / "commitment_demo.json")
-    lp_text = io.StringIO()
-    write_lp(compile_system(scn.system), lp_text)
+    write_lp(compile_system(scn.system), tmp_path / "program.lp")
     writers = [(cli._write, text),
-               (lambda path, _: write_lp(compile_system(scn.system), path), lp_text.getvalue()),
+               (lambda path, _: write_lp(compile_system(scn.system), path),
+                (tmp_path / "program.lp").read_text()),
                (lambda path, _: save_scenario(scn, path),
                 json.dumps(scenario_to_dict(scn), indent=2, sort_keys=True) + "\n")]
     for write, want in writers:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from enopt.formulate import (
 )
 from enopt.solver import Status, solve, solve_lp
 
-from conftest import single_node_system
+from conftest import coverage_fixture, single_node_system
 from oracles import rows_tagged, var_refs
 
 
@@ -501,6 +502,58 @@ def test_shrinking_capacity_builds_nothing():
 def test_costless_built_capacity_warns():
     with pytest.warns(CompileWarning, match="COSTLESS_SLACK"):
         compile_system(_period_system(5.0, 8.0, built_cost=0.0))
+
+
+def test_costless_slack_warnings_name_every_uncosted_column_in_order():
+    """The coverage system on three building periods, every uncommitted
+    optimizable capacity split per period and every component on an
+    optimized ramp, with built capacity, ramp limits, startups, storage
+    capacity and storage rate limits left uncosted; the turbine's built
+    capacity and the boiler's ramp-up limit keep a cost and raise nothing.
+    One warning per uncosted column (so two per built block), components
+    before storages, each in id order."""
+    base = coverage_fixture()
+    comps = []
+    for comp in base.components:
+        changes = {"ramp": M.OptimizedRamp(3.0 if comp.id == "boiler" else 0.0, 0.0)}
+        if comp.committed:
+            changes["commitment"] = dataclasses.replace(comp.commitment, startup_cost=0.0)
+        elif comp.capacity.optimizable:
+            changes["capacity"] = dataclasses.replace(comp.capacity, per_period=True)
+            if comp.id != "turbine":
+                changes["costs"] = dataclasses.replace(comp.costs, built=0.0)
+        comps.append(dataclasses.replace(comp, **changes))
+    storages = tuple(dataclasses.replace(s, capacity_optimizable=True, capacity_cost=0.0,
+                                         rate=M.OptimizedRate(0.0, 0.0))
+                     for s in base.storages)
+    sys_ = dataclasses.replace(base, time=M.TimeGrid((1.0,) * 6, (0, 0, 1, 1, 2, 2)),
+                               components=tuple(comps), storages=storages)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compile_system(sys_)
+
+    def slack(owner, *whats):
+        return [f"COSTLESS_SLACK: {what} of '{owner}' has no objective cost; "
+                "its optimal value is arbitrary" for what in whats]
+
+    def startups(owner):
+        return [f"COSTLESS_SLACK: startups of '{owner}' have no cost; "
+                "startup counts are arbitrary"]
+
+    built, up, down = "built capacity", "ramp-up limit", "ramp-down limit"
+    expected = (slack("blocks", up, down) + startups("blocks")
+                + slack("boiler", built, built, down)
+                + slack("cogen", built, built, up, down)
+                + slack("flexgen", built, built, up, down)
+                + slack("peaker", up, down) + startups("peaker")
+                + slack("pumphouse", built, built, up, down)
+                + slack("solar", built, built, up, down)
+                + slack("steamer", built, built, up, down)
+                + slack("turbine", up, down)
+                + slack("battery", "storage capacity", "charge limit", "discharge limit")
+                + slack("tank", "storage capacity", "charge limit", "discharge limit"))
+    assert [str(w.message) for w in caught] == expected
+    assert len(caught) == 37 and all(w.category is CompileWarning for w in caught)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ reach each formatting case and with the rows split over many write chunks.
 """
 
 import hashlib
-import io
 import json
 import math
 import shutil
@@ -83,11 +82,12 @@ def _edge_program() -> LinearProgram:
 
 
 def _written(prog: LinearProgram, tmp_path) -> tuple[str, str]:
-    """The program's LP text written to a path and to a file object."""
-    write_lp(prog, tmp_path / "program.lp")
-    buffer = io.StringIO()
-    write_lp(prog, buffer)
-    return (tmp_path / "program.lp").read_text(), buffer.getvalue()
+    """The program's LP text written to a new path, then again over it."""
+    texts = []
+    for _ in range(2):
+        write_lp(prog, tmp_path / "program.lp")
+        texts.append((tmp_path / "program.lp").read_text())
+    return tuple(texts)
 
 
 def test_lp_text_matches_reference_on_every_case(tmp_path):

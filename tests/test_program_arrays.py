@@ -307,6 +307,13 @@ def test_certificate_matches_the_row_loops_at_an_lp_optimum(paper_48):
     _assert_same_report(got, reference_certificate(prog, sol))
 
 
+def test_certificate_refuses_duals_of_the_wrong_length(paper_48):
+    prog, sol = paper_48
+    m = prog.num_rows
+    with pytest.raises(ValueError, match=rf"^{m} row duals expected, got shape \({m - 1},\)$"):
+        check_certificate(prog, dataclasses.replace(sol, duals=sol.duals[:-1]))
+
+
 def test_certificate_matches_the_row_loops_at_a_perturbed_point(paper_48):
     # the cumulative storage rows carry negative right-hand sides
     storage = compile_system(storage_system([3.0, 5.0, 2.0, 6.0], initial_fill=4.0),
@@ -516,7 +523,6 @@ def test_index_refuses_names_outside_every_block():
                 V(K.OUTPUT, "no such owner", 0)):
         with pytest.raises(KeyError):
             prog.index(ref)
-        assert not prog.has_var(ref)
 
 
 def test_objective_terms_add_up_to_the_objective(scenario_dir):
@@ -525,8 +531,7 @@ def test_objective_terms_add_up_to_the_objective(scenario_dir):
     for sys_ in systems:
         prog = compile_system(sys_)
         total = np.zeros(prog.num_vars)
-        for refs, _, coefs in formulate._objective_blocks(sys_):
-            cols = formulate._block_cols(prog, refs, len(coefs))
+        for cols, _, coefs in formulate._objective_blocks(sys_, prog):
             for j, coef in zip(cols.ravel().tolist(), coefs.ravel().tolist()):
                 if coef != 0.0:
                     total[j] += coef
