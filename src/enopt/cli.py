@@ -272,12 +272,18 @@ def run(scn: Scenario, out_dir):
     return report, sol, exit_code
 
 
-def _cmd_validate(args) -> int:
-    scn = load_scenario(args.scenario)  # raises with exit codes on failure
+def _print_warnings(scn: Scenario, file=None) -> int:
+    """Print the scenario's validation warnings; returns their number."""
     report = validate_system(scn.system)
     for v in report.warnings:
-        print(f"warning {v.code} at {v.where}: {v.message}")
-    print(f"{args.scenario}: valid ({len(report.warnings)} warnings)")
+        print(f"warning {v.code} at {v.where}: {v.message}", file=file)
+    return len(report.warnings)
+
+
+def _cmd_validate(args) -> int:
+    scn = load_scenario(args.scenario)  # raises with exit codes on failure
+    count = _print_warnings(scn)
+    print(f"{args.scenario}: valid ({count} warnings)")
     return 0
 
 
@@ -293,8 +299,10 @@ def _cmd_dimensions(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    """Run the scenario with the command line's options folded into it."""
+    """Run the scenario with the command line's options folded into it,
+    after printing its validation warnings on stderr."""
     scn = load_scenario(args.scenario)
+    _print_warnings(scn, _sys.stderr)
     overrides = {key: getattr(args, key) for key in ("mip_gap", "max_nodes", "max_iterations")
                  if getattr(args, key) is not None}
     outputs = dataclasses.replace(scn.outputs, lp_export=scn.outputs.lp_export or args.export_lp)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -70,7 +69,6 @@ __all__ = [
     "Row",
     "LinearProgram",
     "CompileError",
-    "CompileWarning",
     "compile_system",
     "write_lp",
     "LE",
@@ -178,10 +176,6 @@ class CompileError(Exception):
         self.report = report
         lines = "; ".join(f"{v.code} at {v.where}" for v in report.errors)
         super().__init__(f"system is not valid: {lines}")
-
-
-class CompileWarning(UserWarning):
-    pass
 
 
 class LinearProgram:
@@ -983,47 +977,11 @@ def _objective_blocks(sys: EnergySystem,
                        one(stor.rate.cost_discharge * share_total))
 
 
-def _warn(message: str) -> None:
-    warnings.warn(message, CompileWarning, stacklevel=3)
-
-
 def emit_objective(sys: EnergySystem, prog: LinearProgram) -> None:
     """Minimisation coefficients for every costed variable, a block at a
     time; :meth:`LinearProgram.finalize` sums them into the objective."""
     for cols, _, coefs in _objective_blocks(sys, prog):
         prog.add_costs(cols, coefs)
-
-
-def _warn_costless(sys: EnergySystem, prog: LinearProgram) -> None:
-    """Warn about decision variables of a finalized program whose mechanism
-    relies on a positive cost but got none (their optimal values carry no
-    meaning)."""
-
-    def costless(kind: VarKind, owner: str, what: str) -> None:
-        try:
-            cols = prog.columns(kind, owner)
-        except KeyError:  # a block this component or storage does not have
-            return
-        for cost in prog.objective[cols].tolist():
-            if cost <= 0.0:
-                _warn(f"COSTLESS_SLACK: {what} of '{owner}' has no objective cost; "
-                      "its optimal value is arbitrary")
-
-    for comp in sys.sorted_components():
-        if comp.capacity.per_period:
-            costless(VarKind.BUILT, comp.id, "built capacity")
-        if isinstance(comp.ramp, OptimizedRamp):
-            costless(VarKind.RAMP_UP, comp.id, "ramp-up limit")
-            costless(VarKind.RAMP_DOWN, comp.id, "ramp-down limit")
-        if comp.committed and sys.time.num_steps and comp.commitment.startup_cost <= 0.0:
-            _warn(f"COSTLESS_SLACK: startups of '{comp.id}' have no cost; "
-                  "startup counts are arbitrary")
-    for stor in sys.sorted_storages():
-        if stor.capacity_optimizable:
-            costless(VarKind.STORAGE_CAPACITY, stor.id, "storage capacity")
-        if isinstance(stor.rate, OptimizedRate):
-            costless(VarKind.MAX_CHARGE, stor.id, "charge limit")
-            costless(VarKind.MAX_DISCHARGE, stor.id, "discharge limit")
 
 
 def emit_co2_cap(sys: EnergySystem, prog: LinearProgram) -> None:
@@ -1055,9 +1013,11 @@ def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence"
                    ) -> LinearProgram:
     """Compile a validated system into a finalized program.
 
-    Raises :class:`CompileError` when validation reports errors (warnings,
-    e.g. an all-zero load, do not block).  Pure function: repeated calls
-    return programs with identical fingerprints.
+    Raises :class:`CompileError` when validation reports errors.  Warnings,
+    e.g. an all-zero load or a slack left without a cost (COSTLESS_SLACK),
+    do not block and are not repeated here: they are in
+    ``validate_system(sys).warnings``.  Pure function: it raises no Python
+    warning, and repeated calls return programs with identical fingerprints.
     """
     report = model.validate_system(sys)
     if not report.ok:
@@ -1074,7 +1034,6 @@ def compile_system(sys: EnergySystem, *, storage_formulation: str = "recurrence"
     emit_objective(sys, prog)
     emit_co2_cap(sys, prog)
     prog.finalize()
-    _warn_costless(sys, prog)
     return prog
 
 

@@ -11,8 +11,9 @@ into a :class:`ValidationReport` so a broken scenario reports all of its
 problems at once.  The report is kept with the (deeply immutable) system
 value, so a system is walked once however often it is validated.
 Violations with severity ``"error"`` block compilation, ``"warning"``
-entries (e.g. a system with all-zero loads) do not.  Each series is read
-once: one mask finds its flagged entries, reported in step order.
+entries (a system with all-zero loads, a mechanism left without the cost
+that pins it down) do not.  Each series is read once: one mask finds its
+flagged entries, reported in step order.
 
 :func:`write_text` writes every file the package writes; it sits here
 because every module that writes one already imports this one.
@@ -516,6 +517,7 @@ STORAGE_OVERFULL = "STORAGE_OVERFULL"
 CO2_CAP_NEGATIVE = "CO2_CAP_NEGATIVE"
 NOT_FINITE = "NOT_FINITE"
 DEGENERATE = "DEGENERATE"
+COSTLESS_SLACK = "COSTLESS_SLACK"
 
 
 def _check_time(grid: TimeGrid, out: list[Violation]) -> None:
@@ -580,6 +582,15 @@ def _check_availability(avail: tuple, where: str, out: list[Violation]) -> None:
 def _check_series_len(series, num_steps: int, code: str, where: str, out: list[Violation]) -> None:
     if not isinstance(series, (int, float)) and len(series) != num_steps:
         out.append(Violation(code, where, f"expected {num_steps} entries, got {len(series)}"))
+
+
+def _check_costed(cost: float, what: str, where: str, out: list[Violation]) -> None:
+    """Warn when a mechanism that only a positive cost pins down has none
+    (a negative cost is an error of its own)."""
+    if cost == 0:
+        out.append(Violation(COSTLESS_SLACK, where,
+                             f"{what} has no cost; its optimal value is arbitrary",
+                             severity="warning"))
 
 
 def _check_conversion(comp: Component, node_ids: set[str], out: list[Violation]) -> None:
@@ -648,6 +659,8 @@ def _check_component(comp: Component, grid: TimeGrid, node_ids: set[str],
     elif isinstance(ramp, OptimizedRamp):
         if ramp.cost_up < 0 or ramp.cost_down < 0:
             out.append(Violation(RAMP_NEGATIVE, where, "ramp costs must be >= 0"))
+        _check_costed(ramp.cost_up, "ramp-up limit", where + ".cost_up", out)
+        _check_costed(ramp.cost_down, "ramp-down limit", where + ".cost_down", out)
 
     com = comp.commitment
     if com is not None:
@@ -676,12 +689,15 @@ def _check_component(comp: Component, grid: TimeGrid, node_ids: set[str],
         if com.startup_cost < 0:
             out.append(Violation(COST_NEGATIVE, where + ".startup_cost",
                                  "startup cost must be >= 0"))
+        _check_costed(com.startup_cost, "startup count", where + ".startup_cost", out)
 
     costs = comp.costs
     where = f"components[{cid}].costs"
     for name in ("invest", "maintenance", "emission_factor", "built"):
         if getattr(costs, name) < 0:
             out.append(Violation(COST_NEGATIVE, where + f".{name}", "costs must be >= 0"))
+    if cap.optimizable and cap.per_period and not comp.committed and grid.num_periods > 1:
+        _check_costed(costs.built, "built capacity", where + ".built", out)
     if costs.emission_price is not None and costs.emission_price < 0:
         out.append(Violation(COST_NEGATIVE, where + ".emission_price", "price must be >= 0"))
     fuel = costs.fuel if isinstance(costs.fuel, tuple) else (costs.fuel,)
@@ -713,6 +729,8 @@ def _check_storage(stor: Storage, grid: TimeGrid, node_ids: set[str],
                                  f"efficiency must lie in (0, 1], got {eff}"))
     if stor.initial_fill < 0 or stor.capacity_fixed < 0 or stor.capacity_cost < 0:
         out.append(Violation(STORAGE_CAPACITY, where, "fill, capacity and cost must be >= 0"))
+    if stor.capacity_optimizable:
+        _check_costed(stor.capacity_cost, "storage capacity", where + ".capacity_cost", out)
     if stor.capacity_max is not None and stor.capacity_max < stor.capacity_fixed:
         out.append(Violation(STORAGE_CAPACITY, where + ".capacity_max",
                              "capacity_max below fixed capacity"))
@@ -730,6 +748,8 @@ def _check_storage(stor: Storage, grid: TimeGrid, node_ids: set[str],
     elif isinstance(rate, OptimizedRate):
         if rate.cost_charge < 0 or rate.cost_discharge < 0:
             out.append(Violation(STORAGE_RATE, where + ".rate", "rate costs must be >= 0"))
+        _check_costed(rate.cost_charge, "charge limit", where + ".rate.cost_charge", out)
+        _check_costed(rate.cost_discharge, "discharge limit", where + ".rate.cost_discharge", out)
     else:
         out.append(Violation(STORAGE_RATE, where + ".rate", "exactly one rate mode required"))
 

@@ -12,7 +12,6 @@ from enopt.formulate import (
     GE,
     LE,
     CompileError,
-    CompileWarning,
     Family,
     LinearProgram,
     VarKind,
@@ -500,8 +499,11 @@ def test_shrinking_capacity_builds_nothing():
 
 
 def test_costless_built_capacity_warns():
-    with pytest.warns(CompileWarning, match="COSTLESS_SLACK"):
-        compile_system(_period_system(5.0, 8.0, built_cost=0.0))
+    sys_ = _period_system(5.0, 8.0, built_cost=0.0)
+    assert [(v.code, v.where) for v in M.validate_system(sys_).warnings] == [
+        (M.COSTLESS_SLACK, "components[plant].costs.built")]
+    negative = M.validate_system(_period_system(5.0, 8.0, built_cost=-1.0))
+    assert negative.codes() == {M.COST_NEGATIVE}  # an error, not a missing cost
 
 
 def test_costless_slack_warnings_name_every_uncosted_column_in_order():
@@ -510,8 +512,10 @@ def test_costless_slack_warnings_name_every_uncosted_column_in_order():
     optimized ramp, with built capacity, ramp limits, startups, storage
     capacity and storage rate limits left uncosted; the turbine's built
     capacity and the boiler's ramp-up limit keep a cost and raise nothing.
-    One warning per uncosted column (so two per built block), components
-    before storages, each in id order."""
+    One validation warning per uncosted mechanism (one per built block,
+    whatever its number of periods), in the order the system lists its
+    components and then its storages; compiling the system raises no
+    Python warning."""
     base = coverage_fixture()
     comps = []
     for comp in base.components:
@@ -528,32 +532,38 @@ def test_costless_slack_warnings_name_every_uncosted_column_in_order():
                      for s in base.storages)
     sys_ = dataclasses.replace(base, time=M.TimeGrid((1.0,) * 6, (0, 0, 1, 1, 2, 2)),
                                components=tuple(comps), storages=storages)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+
+    def slack(owner, *fields):
+        return [(M.COSTLESS_SLACK, f"{owner}.{field}",
+                 f"{what} has no cost; its optimal value is arbitrary")
+                for field, what in fields]
+
+    up, down = ("ramp.cost_up", "ramp-up limit"), ("ramp.cost_down", "ramp-down limit")
+    built = ("costs.built", "built capacity")
+    startups = ("commitment.startup_cost", "startup count")
+    stored = (("capacity_cost", "storage capacity"), ("rate.cost_charge", "charge limit"),
+              ("rate.cost_discharge", "discharge limit"))
+    expected = (slack("components[steamer]", up, down, built)
+                + slack("components[pumphouse]", up, down, built)
+                + slack("components[turbine]", up, down)
+                + slack("components[boiler]", down, built)
+                + slack("components[cogen]", up, down, built)
+                + slack("components[flexgen]", up, down, built)
+                + slack("components[peaker]", up, down, startups)
+                + slack("components[blocks]", up, down, startups)
+                + slack("components[solar]", up, down, built)
+                + slack("storages[battery]", *stored)
+                + slack("storages[tank]", *stored))
+    report = M.validate_system(sys_)
+    assert [(v.code, v.where, v.message) for v in report.warnings] == expected
+    assert len(expected) == 31 and report.ok
+    # one building period has no built capacity to leave uncosted
+    one_period = M.validate_system(dataclasses.replace(sys_, time=M.TimeGrid((1.0,) * 6)))
+    assert [(v.code, v.where, v.message) for v in one_period.warnings] == [
+        w for w in expected if not w[1].endswith(".costs.built")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         compile_system(sys_)
-
-    def slack(owner, *whats):
-        return [f"COSTLESS_SLACK: {what} of '{owner}' has no objective cost; "
-                "its optimal value is arbitrary" for what in whats]
-
-    def startups(owner):
-        return [f"COSTLESS_SLACK: startups of '{owner}' have no cost; "
-                "startup counts are arbitrary"]
-
-    built, up, down = "built capacity", "ramp-up limit", "ramp-down limit"
-    expected = (slack("blocks", up, down) + startups("blocks")
-                + slack("boiler", built, built, down)
-                + slack("cogen", built, built, up, down)
-                + slack("flexgen", built, built, up, down)
-                + slack("peaker", up, down) + startups("peaker")
-                + slack("pumphouse", built, built, up, down)
-                + slack("solar", built, built, up, down)
-                + slack("steamer", built, built, up, down)
-                + slack("turbine", up, down)
-                + slack("battery", "storage capacity", "charge limit", "discharge limit")
-                + slack("tank", "storage capacity", "charge limit", "discharge limit"))
-    assert [str(w.message) for w in caught] == expected
-    assert len(caught) == 37 and all(w.category is CompileWarning for w in caught)
 
 
 # ---------------------------------------------------------------------------

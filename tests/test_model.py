@@ -123,6 +123,18 @@ def _with_component(sys_, **overrides):
     ({"costs": M.CostSpec(annuity=M.AnnuityInput(100.0, 0.05, 0))}, M.ANNUITY_RANGE),
     ({"costs": M.CostSpec(invest=5.0, annuity=M.AnnuityInput(100.0, 0.05, 10))},
      M.COST_CONFLICT),
+    ({"conversion": M.CoupledConversion("elec2", "elec", "elec2", 0.4, 0.3)}, M.SELF_LOOP),
+    ({"conversion": M.CoupledConversion("fuel", "elec", "elec2", 0.4, 0.0)},
+     M.EFFICIENCY_RANGE),
+    ({"conversion": M.FieldConversion("elec", "elec", "elec2", 0.4,
+                                      (M.HalfPlane(1, 0, "le"),
+                                       M.HalfPlane(0.5, 0, "ge"),
+                                       M.HalfPlane(-1, 4, "le")))}, M.SELF_LOOP),
+    ({"conversion": M.FieldConversion("fuel", "elec", "elec2", 0.0,
+                                      (M.HalfPlane(1, 0, "le"),
+                                       M.HalfPlane(0.5, 0, "ge"),
+                                       M.HalfPlane(-1, 4, "le")))}, M.EFFICIENCY_RANGE),
+    ({"ramp": M.OptimizedRamp(1.0, 0.0)}, M.COSTLESS_SLACK),
 ])
 def test_component_violations(overrides, code):
     sys_ = single_node_system(loads=(1.0, 2.0, 3.0))
@@ -150,6 +162,7 @@ def _with_storage(**overrides):
     ({"rate": M.CRateLink(0.0)}, M.STORAGE_RATE),
     ({"rate": M.OptimizedRate(-1.0, 1.0)}, M.STORAGE_RATE),
     ({"id": "plant"}, M.ID_DUPLICATE),
+    ({"rate": M.OptimizedRate(1.0, 0.0)}, M.COSTLESS_SLACK),
 ])
 def test_storage_violations(overrides, code):
     assert code in validate_system(_with_storage(**overrides)).codes()
@@ -216,7 +229,7 @@ def test_every_declared_code_is_reachable():
         M.PARTIAL_LOAD_INPUT, M.COMMIT_PER_PERIOD, M.COST_NEGATIVE,
         M.COST_CONFLICT, M.COST_SIDE, M.FUEL_LENGTH, M.ANNUITY_RANGE,
         M.STORAGE_EFFICIENCY, M.STORAGE_RATE, M.STORAGE_CAPACITY,
-        M.STORAGE_OVERFULL, M.CO2_CAP_NEGATIVE, M.DEGENERATE,
+        M.STORAGE_OVERFULL, M.CO2_CAP_NEGATIVE, M.DEGENERATE, M.COSTLESS_SLACK,
     }
     assert declared <= produced
 

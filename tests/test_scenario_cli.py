@@ -78,6 +78,25 @@ def test_short_availability_series_names_the_field(tmp_path, scenario_dir):
     assert "pv" in str(err.value)
 
 
+@pytest.mark.parametrize("csv, column, message", [
+    (None, "a", "sidecar file not found: {path}"),
+    ("a,b\n1,2\n3,4\n", "zz", "column 'zz' not in series.csv (has ['a', 'b'])"),
+    ("a,b\n1,2\nx,4\n", "a",
+     "non-numeric value in series.csv:a: could not convert string to float: 'x'"),
+], ids=["missing_file", "missing_column", "non_numeric"])
+def test_sidecar_csv_errors_name_the_series(tmp_path, capsys, csv, column, message):
+    system = M.EnergySystem(M.TimeGrid((1.0, 1.0)), (M.Node("n", "e", (1.0, 2.0)),))
+    doc = scenario_to_dict(Scenario(system=system))
+    doc["system"]["nodes"][0]["load"] = {"csv": "series.csv", "column": column}
+    p = tmp_path / "sidecar.json"
+    p.write_text(json.dumps(doc))
+    if csv is not None:
+        (tmp_path / "series.csv").write_text(csv)
+    assert cli.main(["validate", str(p)]) == EXIT_SCHEMA
+    message = message.format(path=tmp_path / "series.csv")
+    assert capsys.readouterr().err == f"error: at system.nodes[0].load: {message}\n"
+
+
 def test_roundtrip_preserves_the_system(tmp_path, scenario_dir):
     cases = [("coverage", Scenario(system=coverage_fixture(), solver={"mip_gap": 1e-7}))]
     cases += [(name, load_scenario(scenario_dir / f"{name}.json"))
@@ -229,6 +248,22 @@ def test_cli_validate_warns_on_an_all_zero_load(tmp_path, capsys):
         "warning DEGENERATE at nodes: no node carries a nonzero load; "
         "the problem is degenerate\n"
         f"{path}: valid (1 warnings)\n")
+
+
+def test_cli_validate_and_run_print_a_costless_slack_warning(tmp_path, capsys):
+    system = M.EnergySystem(
+        M.TimeGrid((1.0,) * 4, (0, 0, 1, 1)),
+        (M.Node("elec", "e", (2.0, 2.0, 5.0, 5.0)),),
+        (M.Component("grid", M.SourceConversion("elec"),
+                     M.CapacitySpec(optimizable=True, per_period=True),
+                     costs=M.CostSpec(invest=50000.0, fuel=1.0)),))
+    path = _scenario_file(tmp_path, system)
+    warning = ("warning COSTLESS_SLACK at components[grid].costs.built: "
+               "built capacity has no cost; its optimal value is arbitrary\n")
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr().out == warning + f"{path}: valid (1 warnings)\n"
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == warning
 
 
 def test_cli_run_reports_capacity_per_period(tmp_path, capsys):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from enopt.solver import SolverConfig, Status, check_certificate, solve_lp
+from enopt.solver import SolverConfig, Status, check_certificate, solve_lp, solve_milp
+from enopt.solver.core import FEASIBILITY_TOL
 from enopt.solver.lp import solve_standard_lp
 from enopt.solver.standard import standardize
 
@@ -165,6 +166,24 @@ def test_iteration_limit_reports_partial_progress():
     c, A, senses, b, upper, rows = _random_instance(rng)
     sol = solve_lp(make_program(c, rows, upper=upper), SolverConfig(max_iterations=1))
     assert sol.status in (Status.ITERATION_LIMIT, Status.OPTIMAL, Status.INFEASIBLE)
+
+
+def test_iteration_limit_in_the_primal_pass_keeps_the_dual_pass_point():
+    """The dual pass reaches a feasible basis and the primal clean-up stops
+    at the limit (this instance takes 5 pivots without one): no bound, no
+    basis to warm-start from, and a point that satisfies every row."""
+    c, A, senses, b, upper, rows = _random_instance(np.random.default_rng(2))
+    sol = solve_lp(make_program(c, rows, upper=upper), SolverConfig(max_iterations=2))
+    assert (sol.status, sol.message) == (Status.ITERATION_LIMIT, "simplex finished in phase 2")
+    assert sol.bound == -math.inf and sol.basis is None
+    assert senses == ["<="] * len(b)
+    assert (A @ sol.values <= b + FEASIBILITY_TOL).all()
+    assert ((-FEASIBILITY_TOL <= sol.values) & (sol.values <= upper + FEASIBILITY_TOL)).all()
+
+
+def test_milp_solver_refuses_a_program_without_integers():
+    with pytest.raises(ValueError, match="no integer variables"):
+        solve_milp(make_program([1.0], [([(0, 1.0)], ">=", 1.0)]))
 
 
 def test_negative_lower_bounds():

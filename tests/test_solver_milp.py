@@ -45,7 +45,6 @@ def test_forced_binary_commitment():
     assert vals[VarRef(VarKind.STARTUP, "unit", 0)] == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::enopt.formulate.CompileWarning")
 def test_on_unit_output_boxed_between_min_and_capacity():
     grid = M.TimeGrid((1.0,))
     sys_ = M.EnergySystem(
