@@ -73,24 +73,6 @@ class SolutionView:
         """The values of a block, one per step (or period) it spans."""
         return self.values[self.prog.columns(kind, owner)]
 
-    def output(self, comp_id: str) -> np.ndarray:
-        return self.series(VarKind.OUTPUT, comp_id)
-
-    def secondary(self, comp_id: str) -> np.ndarray:
-        return self.series(VarKind.SECONDARY_OUTPUT, comp_id)
-
-    def on(self, comp_id: str) -> np.ndarray:
-        return self.series(VarKind.ON, comp_id)
-
-    def startups(self, comp_id: str) -> np.ndarray:
-        return self.series(VarKind.STARTUP, comp_id)
-
-    def charge(self, stor_id: str) -> np.ndarray:
-        return self.series(VarKind.CHARGE, stor_id)
-
-    def discharge(self, stor_id: str) -> np.ndarray:
-        return self.series(VarKind.DISCHARGE, stor_id)
-
     def units(self, comp: Component) -> float:
         """Unit count of a committed component."""
         com = comp.commitment
@@ -125,8 +107,8 @@ class SolutionView:
         """Fill level from the raw charge/discharge series; independent of
         any fill variables the compiler may have introduced."""
         dt = np.array(self.sys.time.step_hours)
-        delta = (self.charge(stor.id) * stor.charge_efficiency * dt
-                 - self.discharge(stor.id) / stor.discharge_efficiency * dt)
+        delta = (self.series(VarKind.CHARGE, stor.id) * stor.charge_efficiency * dt
+                 - self.series(VarKind.DISCHARGE, stor.id) / stor.discharge_efficiency * dt)
         return stor.initial_fill + np.cumsum(delta)
 
     def fill(self, stor: Storage) -> np.ndarray:
@@ -141,10 +123,10 @@ class SolutionView:
         """MWh drawn from the input node per step (equals delivered energy
         for boundary sources)."""
         dt = np.array(self.sys.time.step_hours)
-        out = self.output(comp.id)
+        out = self.series(VarKind.OUTPUT, comp.id)
         partial = comp.commitment.partial_load if comp.committed else None
         if partial is not None:
-            return (partial.slope * out + partial.offset * self.on(comp.id)) * dt
+            return (partial.slope * out + partial.offset * self.series(VarKind.ON, comp.id)) * dt
         return out / comp.primary_efficiency() * dt
 
 
@@ -228,14 +210,14 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
     schedules, secondary = {}, {}
     capacities, unit_counts, cap_factor, variance = {}, {}, {}, {}
     for comp in sys.sorted_components():
-        out = view.output(comp.id)
+        out = view.series(VarKind.OUTPUT, comp.id)
         schedules[comp.id] = out
         variance[comp.id] = float(np.var(out))
         conv = comp.conversion
         if isinstance(conv, CoupledConversion):
             secondary[comp.id] = conv.ratio * out
         elif isinstance(conv, FieldConversion):
-            secondary[comp.id] = view.secondary(comp.id)
+            secondary[comp.id] = view.series(VarKind.SECONDARY_OUTPUT, comp.id)
         if comp.committed:
             units = unit_counts[comp.id] = view.units(comp)
             reference = capacities[comp.id] = units * comp.commitment.unit_capacity
@@ -251,8 +233,8 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
 
     charge, discharge, fill, stor_caps = {}, {}, {}, {}
     for stor in sys.sorted_storages():
-        charge[stor.id] = view.charge(stor.id)
-        discharge[stor.id] = view.discharge(stor.id)
+        charge[stor.id] = view.series(VarKind.CHARGE, stor.id)
+        discharge[stor.id] = view.series(VarKind.DISCHARGE, stor.id)
         fill[stor.id] = view.fill(stor)
         stor_caps[stor.id] = view.storage_capacity(stor)
 
@@ -354,6 +336,11 @@ def _pos(x) -> float:
     return float(np.max(np.maximum(x, 0.0), initial=0.0))
 
 
+def _at_need(col, value: float, need: float) -> None:
+    """EQ20: at an optimum, a costed headroom equals what the schedule needs."""
+    col.note(Family.COST_EXTENDED, abs(value - need) / max(1.0, need))
+
+
 def _verify_capacity(sys, view, col) -> None:
     T = sys.time.num_steps
     for comp in sys.sorted_components():
@@ -361,7 +348,7 @@ def _verify_capacity(sys, view, col) -> None:
             continue
         avail = np.array(comp.capacity.availability_series(T))
         limit = avail * view.installed_at_step(comp)
-        viol = (view.output(comp.id) - limit) / np.maximum(1.0, limit)
+        viol = (view.series(VarKind.OUTPUT, comp.id) - limit) / np.maximum(1.0, limit)
         fam = Family.PERIOD_CAPACITY if comp.capacity.per_period else Family.CAPACITY_LIMIT
         col.note(fam, _pos(viol), T)
         cap = comp.capacity
@@ -384,14 +371,14 @@ def _verify_balances(sys, view, col) -> None:
                 fams_at[node_id].add(fam)
 
     for comp in sys.sorted_components():
-        out = view.output(comp.id)
+        out = view.series(VarKind.OUTPUT, comp.id)
         conv = comp.conversion
         partial = comp.commitment.partial_load if comp.committed else None
         if isinstance(conv, SingleConversion):
             add(conv.output_node, out)
             if partial is not None:
                 add(conv.input_node,
-                    -(partial.slope * out + partial.offset * view.on(comp.id)),
+                    -(partial.slope * out + partial.offset * view.series(VarKind.ON, comp.id)),
                     Family.PARTIAL_BALANCE)
             else:
                 add(conv.input_node, -out / conv.efficiency)
@@ -403,10 +390,12 @@ def _verify_balances(sys, view, col) -> None:
             add(conv.input_node, -out / conv.primary_efficiency)
         elif isinstance(conv, FieldConversion):
             add(conv.primary_output, out)
-            add(conv.secondary_output, view.secondary(comp.id), Family.FIELD_BALANCE)
+            add(conv.secondary_output, view.series(VarKind.SECONDARY_OUTPUT, comp.id),
+                Family.FIELD_BALANCE)
             add(conv.input_node, -out / conv.primary_efficiency)
     for stor in sys.sorted_storages():
-        add(stor.node, view.discharge(stor.id) - view.charge(stor.id))
+        add(stor.node,
+            view.series(VarKind.DISCHARGE, stor.id) - view.series(VarKind.CHARGE, stor.id))
 
     for node in sys.balanced_nodes():
         load = np.array(node.load)
@@ -422,8 +411,8 @@ def _verify_field(sys, view, col) -> None:
         conv = comp.conversion
         if not isinstance(conv, FieldConversion):
             continue
-        prim = view.output(comp.id)
-        sec = view.secondary(comp.id)
+        prim = view.series(VarKind.OUTPUT, comp.id)
+        sec = view.series(VarKind.SECONDARY_OUTPUT, comp.id)
         seen_le = False
         for hp in conv.half_planes:
             bound = hp.slope * prim + hp.intercept
@@ -453,8 +442,8 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
         if sys.final_fill_at_least_initial and T:
             col.note(Family.FILL_FLOOR, _pos((stor.initial_fill - fill[-1]) / scale))
 
-        charge = view.charge(stor.id)
-        discharge = view.discharge(stor.id)
+        charge = view.series(VarKind.CHARGE, stor.id)
+        discharge = view.series(VarKind.DISCHARGE, stor.id)
         rate = stor.rate
         if isinstance(rate, FixedRate):
             climit = np.full(T, rate.max_charge)
@@ -469,25 +458,17 @@ def _verify_storage(sys, view, col, optimal: bool) -> None:
                  _pos((discharge - dlimit) / np.maximum(1.0, dlimit)), T)
 
         if optimal and isinstance(rate, OptimizedRate):
-            if rate.cost_charge > 0:
-                need = float(charge.max(initial=0.0))
-                col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarKind.MAX_CHARGE, stor.id) - need)
-                         / max(1.0, need))
-            if rate.cost_discharge > 0:
-                need = float(discharge.max(initial=0.0))
-                col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarKind.MAX_DISCHARGE, stor.id) - need)
-                         / max(1.0, need))
+            for cost, kind, flows in ((rate.cost_charge, VarKind.MAX_CHARGE, charge),
+                                      (rate.cost_discharge, VarKind.MAX_DISCHARGE, discharge)):
+                if cost > 0:
+                    _at_need(col, view.value(kind, stor.id), float(flows.max(initial=0.0)))
         if optimal and stor.capacity_optimizable and stor.capacity_cost > 0:
             needed = float(fill.max(initial=0.0))
             if isinstance(rate, CRateLink):
                 needed = max(needed, rate.ratio * float(charge.max(initial=0.0)),
                              rate.ratio * float(discharge.max(initial=0.0)))
-            needed_var = _pos(needed - stor.capacity_fixed)
-            col.note(Family.COST_EXTENDED,
-                     abs(view.value(VarKind.STORAGE_CAPACITY, stor.id) - needed_var)
-                     / max(1.0, needed_var))
+            _at_need(col, view.value(VarKind.STORAGE_CAPACITY, stor.id),
+                     _pos(needed - stor.capacity_fixed))
 
 
 def _verify_ramps(sys, view, col, optimal: bool) -> None:
@@ -496,7 +477,7 @@ def _verify_ramps(sys, view, col, optimal: bool) -> None:
         ramp = comp.ramp
         if ramp is None or T < 2:
             continue
-        diff = np.diff(view.output(comp.id))
+        diff = np.diff(view.series(VarKind.OUTPUT, comp.id))
         if isinstance(ramp, FixedRamp):
             cap_t = view.installed_at_step(comp)[1:]
             up_limit = ramp.up_per_hour * cap_t
@@ -509,15 +490,9 @@ def _verify_ramps(sys, view, col, optimal: bool) -> None:
                  _pos((-diff - down_limit) / np.maximum(1.0, down_limit)), T - 1)
         if optimal and isinstance(ramp, OptimizedRamp):
             if ramp.cost_up > 0:
-                need = _pos(diff)
-                col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarKind.RAMP_UP, comp.id) - need)
-                         / max(1.0, need))
+                _at_need(col, view.value(VarKind.RAMP_UP, comp.id), _pos(diff))
             if ramp.cost_down > 0:
-                need = _pos(-diff)
-                col.note(Family.COST_EXTENDED,
-                         abs(view.value(VarKind.RAMP_DOWN, comp.id) - need)
-                         / max(1.0, need))
+                _at_need(col, view.value(VarKind.RAMP_DOWN, comp.id), _pos(-diff))
 
 
 def _verify_periods(sys, view, col, optimal: bool) -> None:
@@ -544,9 +519,9 @@ def _verify_commitment(sys, view, col, optimal: bool) -> None:
         com = comp.commitment
         if com is None:
             continue
-        out = view.output(comp.id)
-        on = view.on(comp.id)
-        startup = view.startups(comp.id)
+        out = view.series(VarKind.OUTPUT, comp.id)
+        on = view.series(VarKind.ON, comp.id)
+        startup = view.series(VarKind.STARTUP, comp.id)
         avail = np.array(comp.capacity.availability_series(T))
         upper = on * com.unit_capacity * avail
         col.note(Family.COMMIT_MAX, _pos((out - upper) / np.maximum(1.0, upper)), T)
@@ -628,7 +603,7 @@ def _verify_costs(sys, view, col, sol) -> None:
             if com.optimize_units:
                 total += ((invest + costs.maintenance) * com.unit_capacity
                           * view.units(comp) * share)
-            total += com.startup_cost * float(view.startups(comp.id).sum())
+            total += com.startup_cost * float(view.series(VarKind.STARTUP, comp.id).sum())
         elif comp.capacity.optimizable:
             if comp.capacity.per_period:
                 installed = view.series(VarKind.INSTALLED_PERIOD, comp.id).tolist()

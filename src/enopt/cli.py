@@ -54,11 +54,6 @@ _STATUS_EXIT = {
 }
 
 
-def _write(path: Path, text: str) -> None:
-    """Make ``text`` the whole content of ``path`` (see ``model.write_text``)."""
-    write_text(path, (text,))
-
-
 def _fmt(value: float) -> str:
     return f"{value + 0.0:.10g}"
 
@@ -74,7 +69,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
                      (np.concatenate([times, *columns], dtype=float) + 0.0).tolist()))
     lines = [",".join(["time"] + header),
              *map(",".join, zip(*[cells[k * n:(k + 1) * n] for k in range(len(columns) + 1)]))]
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, ("\n".join(lines) + "\n",))
 
 
 def _schedule_csv(report, times: np.ndarray, path: Path) -> None:
@@ -247,7 +242,7 @@ def run(scn: Scenario, out_dir):
     try:
         report = analyze.extract_report(scn.system, prog, sol)
     except analyze.NoSolutionError:
-        _write(out / "summary.txt", _no_solution_text(sol))
+        write_text(out / "summary.txt", (_no_solution_text(sol),))
         return None, sol, exit_code
     step_hours = np.array(scn.system.time.step_hours)
     times = np.cumsum(step_hours) - step_hours  # the start of each step
@@ -256,11 +251,11 @@ def run(scn: Scenario, out_dir):
     if scn.outputs.fill_csv:
         _fill_csv(report, times, out / "fill.csv")
     if scn.outputs.summary:
-        _write(out / "summary.txt", format_summary(report))
+        write_text(out / "summary.txt", (format_summary(report),))
     if scn.outputs.report_json:
-        _write(out / "report.json", _report_json(report))
+        write_text(out / "report.json", (_report_json(report),))
     if scn.outputs.plot_data:
-        _write(out / "plot_data.json", _plot_data_json(report, scn.system, times))
+        write_text(out / "plot_data.json", (_plot_data_json(report, scn.system, times),))
     if not report.residuals.passed:
         log.warning("verification failed: %s", report.residuals.summary_lines()[0])
         exit_code = EXIT_VERIFY

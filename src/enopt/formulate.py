@@ -312,7 +312,7 @@ class LinearProgram:
 
     def finalize(self) -> "LinearProgram":
         """Store the rows, in canonical order, and the columns as arrays;
-        called once."""
+        called once.  A column outside the program raises ValueError."""
         blocks = self._blocks
         n_rows = [len(b.rhs) for b in blocks]
 
@@ -323,6 +323,19 @@ class LinearProgram:
             return np.repeat(np.asarray(values, dtype=dtype), n_rows)
 
         step = joined([b.steps for b in blocks], np.int64)
+        counts = joined([b.counts for b in blocks], np.int64)
+        term_cols = joined([b.cols for b in blocks], np.int64)
+        cost_cols = joined([c for c, _ in self._costs], np.int64)
+        # the CSR arrays and the objective take their columns unchecked
+        outside = np.flatnonzero((term_cols < 0) | (term_cols >= self.num_vars))
+        if outside.size:
+            row = int(np.searchsorted(np.cumsum(counts), outside[0], side="right"))
+            b = blocks[int(np.searchsorted(np.cumsum(n_rows), row, side="right"))]
+            raise ValueError(f"row {b.tag} of '{b.owner}' at step {step[row]} references column "
+                             f"{term_cols[outside[0]]}, outside the {self.num_vars} variables")
+        outside = np.flatnonzero((cost_cols < 0) | (cost_cols >= self.num_vars))
+        if outside.size:
+            raise ValueError(f"a cost on column {cost_cols[outside[0]]}, outside the program")
         owners = sorted({b.owner for b in blocks})
         rank = {owner: i for i, owner in enumerate(owners)}
         # lexsort is stable, so insertion order breaks ties
@@ -331,7 +344,6 @@ class LinearProgram:
         # the CSR arrays of the rows in that order: each row's kept terms,
         # gathered from where its block put them; the index dtype scipy's
         # checked constructor chooses, int32 unless an index could outgrow it
-        counts = joined([b.counts for b in blocks], np.int64)
         starts = np.cumsum(counts) - counts
         indptr = np.zeros(order.size + 1, dtype=np.int64)
         np.cumsum(counts[order], out=indptr[1:])
@@ -340,7 +352,7 @@ class LinearProgram:
         index_dtype = (np.int32 if max(nnz, order.size, self.num_vars) <= np.iinfo(np.int32).max
                        else np.int64)
         self.A = compressed(sp.csr_matrix, joined([b.coefs for b in blocks], float)[taken],
-                            joined([b.cols for b in blocks], np.int64)[taken].astype(index_dtype),
+                            term_cols[taken].astype(index_dtype),
                             indptr.astype(index_dtype), (order.size, self.num_vars))
         # object arrays share the compiler's strings, so the rows view copies none
         self.sense, self.tag, self.owner = (
@@ -359,8 +371,7 @@ class LinearProgram:
         # one pass over the costs in the order they were added, so a column's
         # additions keep their order
         obj = np.zeros(self.num_vars)
-        np.add.at(obj, joined([c for c, _ in self._costs], np.int64),
-                  joined([c for _, c in self._costs], float))
+        np.add.at(obj, cost_cols, joined([c for _, c in self._costs], float))
         self.objective = obj
         self._costs = None
         return self
@@ -481,19 +492,14 @@ class _RowBlock(NamedTuple):
 
 def _steps(prog: LinearProgram, kind: VarKind, owner: str, T: int) -> np.ndarray:
     """Columns of a per-step block, steps 0..T-1."""
-    return _start(prog, kind, owner) + np.arange(T)
-
-
-def _start(prog: LinearProgram, kind: VarKind, owner: str) -> int:
-    """Column of the (kind, owner) block's first variable."""
-    return prog.columns(kind, owner).start
+    return prog.columns(kind, owner).start + np.arange(T)
 
 
 def _block_cols(prog: LinearProgram, blocks, n: int) -> np.ndarray:
     """n x len(blocks) columns: entry (r, j) is the variable r places into
     the block whose (kind, owner) is blocks[j]."""
-    return (np.array([_start(prog, kind, owner) for kind, owner in blocks], dtype=np.int64)
-            + np.arange(n)[:, None])
+    starts = [prog.columns(kind, owner).start for kind, owner in blocks]
+    return np.array(starts, dtype=np.int64) + np.arange(n)[:, None]
 
 
 def _stack(*columns) -> np.ndarray:
@@ -521,8 +527,8 @@ def _installed_cols(prog: LinearProgram, comp: Component,
     if not comp.capacity.optimizable:
         return None
     if comp.capacity.per_period:
-        return _start(prog, VarKind.INSTALLED_PERIOD, comp.id) + periods
-    return np.full(len(periods), _start(prog, VarKind.INSTALLED, comp.id))
+        return prog.columns(VarKind.INSTALLED_PERIOD, comp.id).start + periods
+    return np.full(len(periods), prog.columns(VarKind.INSTALLED, comp.id).start)
 
 
 def _effective_invest(comp: Component) -> float:
@@ -721,7 +727,7 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
     dt = np.asarray(sys.time.step_hours)
     for stor in sys.sorted_storages():
         has_cap_var = stor.capacity_optimizable
-        cap_col = _start(prog, VarKind.STORAGE_CAPACITY, stor.id) if has_cap_var else None
+        cap_col = prog.columns(VarKind.STORAGE_CAPACITY, stor.id).start if has_cap_var else None
         charge = _steps(prog, VarKind.CHARGE, stor.id, T)
         discharge = _steps(prog, VarKind.DISCHARGE, stor.id, T)
         # the fill change of step t: etac * dt * charge - dt / etad * discharge
@@ -768,7 +774,7 @@ def emit_storage(sys: EnergySystem, prog: LinearProgram,
         elif isinstance(rate, OptimizedRate):
             for tag, flows, kind in ((Family.CHARGE_RATE, charge, VarKind.MAX_CHARGE),
                                      (Family.DISCHARGE_RATE, discharge, VarKind.MAX_DISCHARGE)):
-                prog.add_rows(tag, _stack(flows, _start(prog, kind, stor.id)),
+                prog.add_rows(tag, _stack(flows, prog.columns(kind, stor.id).start),
                               [1.0, -1.0], LE, 0.0, owner=stor.id, steps=steps)
 
 
@@ -815,7 +821,7 @@ def emit_ramp_limits(sys: EnergySystem, prog: LinearProgram) -> None:
         else:
             for tag, cols, kind in ((Family.RAMP_UP, _stack(now, prev), VarKind.RAMP_UP),
                                     (Family.RAMP_DOWN, _stack(prev, now), VarKind.RAMP_DOWN)):
-                prog.add_rows(tag, _stack(cols, _start(prog, kind, comp.id)),
+                prog.add_rows(tag, _stack(cols, prog.columns(kind, comp.id).start),
                               [1.0, -1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
 
 
@@ -829,8 +835,8 @@ def emit_build_periods(sys: EnergySystem, prog: LinearProgram) -> None:
     for comp in sys.sorted_components():
         if comp.committed or not (comp.capacity.optimizable and comp.capacity.per_period):
             continue
-        installed = _start(prog, VarKind.INSTALLED_PERIOD, comp.id) + periods
-        built = _start(prog, VarKind.BUILT, comp.id) + periods - 1
+        installed = prog.columns(VarKind.INSTALLED_PERIOD, comp.id).start + periods
+        built = prog.columns(VarKind.BUILT, comp.id).start + periods - 1
         prog.add_rows(Family.BUILT_DEFINITION, _stack(installed, installed - 1, built),
                       [1.0, -1.0, -1.0], LE, 0.0, owner=comp.id, steps=periods)
 
@@ -862,7 +868,7 @@ def emit_unit_commitment(sys: EnergySystem, prog: LinearProgram) -> None:
                       np.where(later, 0.0, float(com.initial_on)), owner=comp.id, steps=steps)
         if com.optimize_units:
             prog.add_rows(Family.UNIT_COUNT,
-                          _stack(on, _start(prog, VarKind.UNITS, comp.id)),
+                          _stack(on, prog.columns(VarKind.UNITS, comp.id).start),
                           [1.0, -1.0], LE, 0.0, owner=comp.id, steps=steps)
 
         # minimum up/down times as startup windows (Rajan & Takriti 2005), no
@@ -917,19 +923,17 @@ def _objective_blocks(sys: EnergySystem,
         emis = (costs.emission_price or 0.0) * costs.emission_factor
         com = comp.commitment
         partial = com.partial_load if com is not None else None
-        if partial is not None:
-            flows = cols(comp.id, T, VarKind.OUTPUT, VarKind.ON)
-            if fuel.any():
-                yield flows, "fuel", _stack(partial.slope * dt * fuel, partial.offset * dt * fuel)
-            if emis:
-                yield flows, "emission", _stack(partial.slope * dt * emis,
-                                                partial.offset * dt * emis)
-        else:
-            flows = cols(comp.id, T, VarKind.OUTPUT)
-            if fuel.any():
-                yield flows, "fuel", (dt * fuel / eta)[:, None]
-            if emis:
-                yield flows, "emission", (dt * emis / eta)[:, None]
+        kinds = (VarKind.OUTPUT, VarKind.ON) if partial is not None else (VarKind.OUTPUT,)
+        flows = cols(comp.id, T, *kinds)
+        for category, price, priced in (("fuel", fuel, fuel.any()),
+                                        ("emission", emis, emis != 0.0)):
+            if not priced:
+                continue
+            if partial is not None:
+                yield flows, category, _stack(partial.slope * dt * price,
+                                              partial.offset * dt * price)
+            else:
+                yield flows, category, (dt * price / eta)[:, None]
         invest = _effective_invest(comp)
         maint = costs.maintenance
         if com is not None:

@@ -68,7 +68,8 @@ root relaxation.  A search stopped by the node limit is ``optimal`` when the
 final gap, against the open nodes' smallest key, is within ``mip_gap``, and
 ``gap_limit`` otherwise.  A node LP stopped by the iteration limit stops
 the search; its node stays open and its key, outside the gap when it was
-popped, bounds the result, which therefore ends ``gap_limit``.
+popped, bounds the result, which therefore ends ``gap_limit``.  A node LP
+reporting unbounded raises ``SolverError``: the optimal root bounds it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from .core import INTEGRALITY_TOL, BasisState, Solution, SolverConfig, Status, relative_gap
+from .core import (INTEGRALITY_TOL, BasisState, Solution, SolverConfig, SolverError, Status,
+                   relative_gap)
 from . import lp
 from .lp import solve_standard_lp
 from .simplex import AT_UPPER, BASIC, FREE, BoundedSimplex
@@ -326,8 +328,7 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
         if out.status == Status.INFEASIBLE:
             continue
         if out.status == Status.UNBOUNDED:
-            # a subproblem ray is feasible for the root as well
-            return replace(out, nodes=nodes_explored, duals=None, reduced_costs=None)
+            raise SolverError(f"node {nodes_explored}'s LP unbounded under an optimal root")
         if out.status == Status.ITERATION_LIMIT:
             # the node stays open: its key bounds the leaves it was to cover
             push(bound_est, overrides, state)

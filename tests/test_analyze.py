@@ -192,6 +192,24 @@ def test_verify_flags_limits_compiled_only_as_bounds(coverage_system, ref, limit
     assert not report.passed
 
 
+@pytest.mark.parametrize("kind, owner", [
+    (VarKind.MAX_CHARGE, "tank"), (VarKind.MAX_DISCHARGE, "tank"),
+    (VarKind.STORAGE_CAPACITY, "battery"), (VarKind.RAMP_UP, "boiler"),
+    (VarKind.RAMP_DOWN, "boiler")])
+def test_verify_flags_a_costed_headroom_above_its_need(coverage_system, kind, owner):
+    """EQ20: at an optimum each costed headroom (the coverage system has
+    five) equals what the schedule needs of it; one raised by 1 fails."""
+    prog, sol = _solved(coverage_system)
+    assert verify_solution(coverage_system, prog, sol).residual(Family.COST_EXTENDED) <= (
+        FEASIBILITY_TOL)
+    values = sol.values.copy()
+    values[prog.columns(kind, owner).start] += 1.0
+    report = verify_solution(coverage_system, prog, dataclasses.replace(sol, values=values))
+    assert report.checks(Family.COST_EXTENDED) == 5
+    assert report.residual(Family.COST_EXTENDED) > 1e-3
+    assert not report.passed
+
+
 def test_verify_flags_node_imbalance():
     sys_ = single_node_system(loads=(5.0, 5.0))
     prog, sol = _solved(sys_)

@@ -17,6 +17,7 @@ import pytest
 
 from enopt import cli
 from enopt.formulate import compile_system, write_lp
+from enopt.model import write_text
 from enopt.scenario import load_scenario, save_scenario, scenario_to_dict
 
 SHIPPED = ["commitment_demo", "commitment_48", "paper_system_48", "paper_system"]
@@ -139,12 +140,12 @@ def test_edge_columns_write_the_reference_bytes(tmp_path):
 
 
 def test_an_artifact_is_rewritten_in_place_to_exactly_its_text(scenario_dir, tmp_path):
-    """``_write``, ``write_lp`` and ``save_scenario`` over a longer file, a
+    """``write_text``, ``write_lp`` and ``save_scenario`` over a longer file, a
     shorter one and no file leave the bytes ``Path.write_text`` leaves."""
     text = "time,a\n0,1.5\nüber ☃\n"
     scn = load_scenario(scenario_dir / "commitment_demo.json")
     write_lp(compile_system(scn.system), tmp_path / "program.lp")
-    writers = [(cli._write, text),
+    writers = [(lambda path, want: write_text(path, (want,)), text),
                (lambda path, _: write_lp(compile_system(scn.system), path),
                 (tmp_path / "program.lp").read_text()),
                (lambda path, _: save_scenario(scn, path),

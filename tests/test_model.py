@@ -56,6 +56,11 @@ def test_zero_load_system_is_degenerate_warning_only():
     assert report.ok  # warning, not error
 
 
+def _components_twice(sys_):
+    """Each component listed twice, so each id is given twice."""
+    return _mutate(sys_, components=sys_.components * 2)
+
+
 @pytest.mark.parametrize("breaker,code", [
     (lambda s: _mutate(s, time=M.TimeGrid(())), M.TIME_EMPTY),
     (lambda s: _mutate(s, time=M.TimeGrid((1.0, -1.0, 1.0))), M.STEP_NONPOSITIVE),
@@ -69,6 +74,7 @@ def test_zero_load_system_is_degenerate_warning_only():
     (lambda s: _mutate(s, co2_cap=-5.0), M.CO2_CAP_NEGATIVE),
     (lambda s: _mutate(s, co2_cap=float("nan")), M.NOT_FINITE),
     (lambda s: _mutate(s, co2_cap=-float("inf")), M.NOT_FINITE),
+    (_components_twice, M.ID_DUPLICATE),
 ])
 def test_system_level_violations(breaker, code):
     sys_ = single_node_system(loads=(1.0, 2.0, 3.0))
@@ -135,6 +141,9 @@ def _with_component(sys_, **overrides):
                                        M.HalfPlane(0.5, 0, "ge"),
                                        M.HalfPlane(-1, 4, "le")))}, M.EFFICIENCY_RANGE),
     ({"ramp": M.OptimizedRamp(1.0, 0.0)}, M.COSTLESS_SLACK),
+    ({"costs": M.CostSpec(emission_price=-1.0)}, M.COST_NEGATIVE),
+    ({"commitment": M.UnitCommitment(unit_capacity=5.0, max_units=1, min_up_steps=-1)},
+     M.COMMIT_UNITS),
 ])
 def test_component_violations(overrides, code):
     sys_ = single_node_system(loads=(1.0, 2.0, 3.0))
@@ -163,6 +172,7 @@ def _with_storage(**overrides):
     ({"rate": M.OptimizedRate(-1.0, 1.0)}, M.STORAGE_RATE),
     ({"id": "plant"}, M.ID_DUPLICATE),
     ({"rate": M.OptimizedRate(1.0, 0.0)}, M.COSTLESS_SLACK),
+    ({"rate": None}, M.STORAGE_RATE),
 ])
 def test_storage_violations(overrides, code):
     assert code in validate_system(_with_storage(**overrides)).codes()

@@ -475,6 +475,29 @@ def test_add_row_is_the_one_row_case_of_add_rows():
     assert set(block.tag) == set(row.tag) == {"EQ1", "EQ2"}  # no rows, no EQ16
 
 
+@pytest.mark.parametrize("row_col, cost_col, message", [
+    (5, None, "row EQ2 of 'n' at step 2 references column 5, outside the 3 variables"),
+    (-1, None, "row EQ2 of 'n' at step 2 references column -1, outside the 3 variables"),
+    (10 ** 8, None, "row EQ2 of 'n' at step 2 references column 100000000, outside the 3 "),
+    (2, -1, "a cost on column -1, outside the program"),
+    (2, 3, "a cost on column 3, outside the program"),
+], ids=["row_past_the_end", "row_negative", "row_far_out", "cost_negative", "cost_past_the_end"])
+def test_finalize_refuses_a_column_outside_the_program(row_col, cost_col, message):
+    """The CSR arrays and the objective take their columns unchecked: a
+    column past the end or below 0 would be solved as given, corrupt the
+    heap, crash or cost another column."""
+    prog = formulate.LinearProgram()
+    prog.add_variables(formulate.VarRef(formulate.VarKind.OUTPUT, "x", 0), 3)
+    # a valid block first, so the refused row is found past other rows
+    prog.add_rows("EQ1", [[0, 1], [1, 2]], [[1.0, 0.0], [1.0, 1.0]], LE, 4.0,
+                  owner="a", steps=[0, 1])
+    prog.add_rows("EQ2", [[0, row_col]], [[1.0, 1.0]], GE, 1.0, owner="n", steps=2)
+    if cost_col is not None:
+        prog.add_costs([cost_col], [5.0])
+    with pytest.raises(ValueError, match=message):
+        prog.finalize()
+
+
 def test_add_variables_declares_a_block_and_refuses_repeats():
     V, K = formulate.VarRef, formulate.VarKind
     prog = formulate.LinearProgram()

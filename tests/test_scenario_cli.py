@@ -180,12 +180,16 @@ def _set(path: list, value):
     (_set(["time", "period_of_stepz"], [0] * 6), "system.time: unknown keys: ['period_of_stepz']"),
     (_set(["nodes", 0, "load"], {"csv": "s.csv", "column": "load", "sheet": 1}),
      "system.nodes[0].load: unknown keys: ['sheet']"),
+    (_set(["components", 1], 5), "system.components[1]: expected an object, got int"),
+    (_set(["nodes", 0], 5), "system.nodes[0]: expected an object, got int"),
+    (_set(["nodes", 0, "load"], None), "system.nodes[0]: missing required field 'load'"),
 ], ids=["capacity", "costs", "conversion", "half_plane", "ramp", "commitment",
         "partial_load", "annuity", "storage_capacity", "storage_rate", "node", "time",
         "time_period_entry", "unknown_capacity_key", "unknown_component_key",
         "unknown_union_key", "unknown_group_key", "unknown_system_key", "bool_int",
         "bool_float", "bool_series", "bool_count", "bool_hours", "unknown_node_key",
-        "node_comment", "unknown_time_key", "unknown_series_reference_key"])
+        "node_comment", "unknown_time_key", "unknown_series_reference_key",
+        "component_not_an_object", "node_not_an_object", "node_without_load"])
 def test_schema_error_names_the_full_path(tmp_path, capsys, change, where):
     doc = scenario_to_dict(Scenario(system=coverage_fixture()))
     change(doc["system"])
@@ -287,6 +291,17 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "no.json"
     p.write_text("{nope")
     assert cli.main(["validate", str(p)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("make, code, message", [
+    (lambda p: p.write_text("[1, 2]"), EXIT_SCHEMA, "{p}: top level must be an object"),
+    (lambda p: p.mkdir(), EXIT_PARSE, "cannot read {p}: "),
+], ids=["top_level_array", "directory"])
+def test_cli_unusable_scenario_file_exit_code(tmp_path, capsys, make, code, message):
+    p = tmp_path / "scenario.json"
+    make(p)
+    assert cli.main(["validate", str(p)]) == code
+    assert capsys.readouterr().err.startswith("error: " + message.format(p=p))
 
 
 def test_cli_run_writes_artifacts(tmp_path, capsys, scenario_dir):
@@ -541,6 +556,19 @@ def test_module_entry_points_run_without_warnings(capsys, scenario_dir, module):
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module,
                            "validate", scenario], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
+def test_import_enopt_loads_neither_the_command_line_nor_scipy_optimize():
+    """``import enopt`` leaves out the command line module (README "Command
+    line") and ``scipy.optimize``, whose import alone takes about half as
+    long again as the package's; a fresh interpreter shows what it loads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, enopt; "
+            "print([m for m in ('enopt.cli', 'scipy.optimize') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

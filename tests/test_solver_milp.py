@@ -12,6 +12,7 @@ from enopt.formulate import VarKind, VarRef, compile_system
 from enopt.scenario import load_scenario
 from enopt.solver import (
     SolverConfig,
+    SolverError,
     Status,
     check_certificate,
     solve,
@@ -400,10 +401,10 @@ def test_resolve_from_the_returned_basis_takes_no_iterations(scenario_dir):
     assert again.objective == sol.objective
 
 
-def _stopping_node_lp(monkeypatch, stop):
+def _stopping_node_lp(monkeypatch, stop, status=Status.ITERATION_LIMIT):
     """Branch and bound's LP solves, but its ``stop``-th node LP reports
-    its own result with the iteration limit as its status (node LPs never
-    outlast the root, so no real limit stops one first)."""
+    its own result with ``status``, by default the iteration limit (node
+    LPs never outlast the root, so no real limit stops one first)."""
     rows, node_lps = [], []
 
     def stopping(std, cfg, lower=None, upper=None, start=None):
@@ -412,7 +413,7 @@ def _stopping_node_lp(monkeypatch, stop):
         if lower is not None and std.num_rows > rows[0]:  # not the polish or the dive
             node_lps.append(out)
             if len(node_lps) == stop:
-                return dataclasses.replace(out, status=Status.ITERATION_LIMIT)
+                return dataclasses.replace(out, status=status)
         return out
 
     monkeypatch.setattr(branch_bound, "solve_standard_lp", stopping)
@@ -447,3 +448,22 @@ def test_a_node_lp_at_its_iteration_limit_ends_with_an_open_gap(scenario_dir, tm
         assert sol.message == "node LP iteration limit reached before any incumbent"
         assert (tmp_path / "out" / "summary.txt").read_text() == (
             f"status: gap_limit\nmessage: {sol.message}\n")
+
+
+def test_an_unbounded_node_lp_under_an_optimal_root_is_a_solver_failure(
+        scenario_dir, tmp_path, monkeypatch, capsys):
+    """A node's region lies inside its root's, so under an optimal root a
+    node LP that reports unbounded broke down numerically: ``solve_milp``
+    raises ``SolverError`` and ``enopt run`` exits 8, not 4 (unbounded)."""
+    from enopt import cli
+
+    path = scenario_dir / "commitment_48.json"
+    node_lps = _stopping_node_lp(monkeypatch, 1, Status.UNBOUNDED)
+    with pytest.raises(SolverError, match="node 2's LP unbounded under an optimal root"):
+        solve_milp(compile_system(load_scenario(path).system))
+    assert len(node_lps) == 1
+    node_lps = _stopping_node_lp(monkeypatch, 1, Status.UNBOUNDED)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 8
+    assert len(node_lps) == 1
+    err = capsys.readouterr().err
+    assert err == "error: node 2's LP unbounded under an optimal root\n"
