@@ -203,7 +203,7 @@ def extract_report(sys: EnergySystem, prog: LinearProgram, sol: Solution) -> Run
     Accepts optimal solutions and bound-limited incumbents; anything else,
     a bound-limited run without an incumbent too, raises :class:`NoSolutionError`.
     """
-    if sol.status not in (Status.OPTIMAL, Status.GAP_LIMIT) or not sol.integral:
+    if sol.status not in (Status.OPTIMAL, Status.GAP_LIMIT) or math.isinf(sol.objective):
         raise NoSolutionError(f"no usable solution: {sol.status.value} ({sol.message})")
     view = SolutionView(sys, prog, sol)
 
@@ -587,9 +587,11 @@ def _verify_costs(sys, view, col, sol) -> None:
             if ann.interest_rate == 0:
                 alt = 1.0 / ann.lifetime
             else:
-                growth = (1.0 + ann.interest_rate) ** ann.lifetime
-                alt = (ann.interest_rate if math.isinf(growth)
-                       else growth * ann.interest_rate / (growth - 1.0))
+                try:
+                    growth = (1.0 + ann.interest_rate) ** ann.lifetime
+                    alt = growth * ann.interest_rate / (growth - 1.0)
+                except OverflowError:  # float power raises; the limit is the rate
+                    alt = ann.interest_rate
             col.note(Family.ANNUITY_FACTOR, abs(crf - alt) / max(1.0, abs(alt)))
         if costs.invest_side == "input":
             eta = comp.primary_efficiency()

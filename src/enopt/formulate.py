@@ -183,10 +183,10 @@ class LinearProgram:
 
     Variables are declared a block at a time, with common bounds (lower
     defaults to 0: all decision quantities are non-negative unless stated
-    otherwise) and an integrality flag only legal on on/startup/units.  One
-    name is stored per block: step (or period) t sits at the block's first
-    column plus t; :meth:`index` and :meth:`ref` map a name to its column
-    and back.
+    otherwise); a block is integer exactly when its kind is on, startup or
+    units.  One name is stored per block: step (or period) t sits at the
+    block's first column plus t; :meth:`index` and :meth:`ref` map a name to
+    its column and back.
 
     Rows are added a block at a time: :meth:`add_rows` takes R rows as an
     R x k array of column indices and their coefficients, with one tag,
@@ -229,27 +229,24 @@ class LinearProgram:
     # -- building ----------------------------------------------------------
 
     def add_variables(self, first: VarRef, count: int = 1, lower: float = 0.0,
-                      upper: float = math.inf, integer: bool = False) -> int:
+                      upper: float = math.inf) -> int:
         """Declare a block: ``first`` and the ``count - 1`` variables after it
         in its step (or, without a step, its period), with common bounds;
         returns the column of ``first``.  One block per kind and owner."""
         if (first.kind, first.owner) in self._vars:
             raise ValueError(f"variable declared twice: {first.kind.value} of '{first.owner}'")
-        if integer and first.kind not in INTEGER_KINDS:
-            raise ValueError(f"integrality is only allowed on on/startup/units, got {first.kind}")
         if count > 1 and first.step is None and first.period is None:
             raise ValueError(f"a block of {count} variables needs a step or period: {first}")
         if min(first.step or 0, first.period or 0) < 0:
             raise ValueError(f"steps and periods count from 0: {first}")
         col = self.num_vars
         self._vars[first.kind, first.owner] = (first, col, count)
-        self._bounds.append((count, float(lower), float(upper), bool(integer)))
+        self._bounds.append((count, float(lower), float(upper), first.kind in INTEGER_KINDS))
         self.num_vars += count
         return col
 
-    def add_variable(self, ref: VarRef, lower: float = 0.0, upper: float = math.inf,
-                     integer: bool = False) -> int:
-        return self.add_variables(ref, 1, lower, upper, integer)
+    def add_variable(self, ref: VarRef, lower: float = 0.0, upper: float = math.inf) -> int:
+        return self.add_variables(ref, 1, lower, upper)
 
     def index(self, ref: VarRef) -> int:
         """Column of ``ref``, by its offset in its block; KeyError outside every block."""
@@ -398,19 +395,9 @@ class LinearProgram:
         return _block_names(self, str)
 
     def validate(self) -> list[str]:
-        """Internal consistency: indices in range, integrality only on
-        commitment kinds, finalized objective."""
-        if self.objective is None:
-            return ["program not finalized"]
-        problems = []
-        cols = self.A.indices
-        for k in np.flatnonzero((cols < 0) | (cols >= self.num_vars)):
-            row = np.searchsorted(self.A.indptr, k, side="right") - 1
-            problems.append(f"row {self.tag[row]} references undefined variable {cols[k]}")
-        for first, col, count in self._vars.values():
-            if first.kind not in INTEGER_KINDS and self.is_integer[col:col + count].any():
-                problems.append(f"integer flag on {first.kind.value} of '{first.owner}'")
-        return problems
+        """Internal consistency: only an unfinalized program is left to
+        report, as :meth:`finalize` refuses a column outside the program."""
+        return ["program not finalized"] if self.objective is None else []
 
     def fingerprint(self) -> bytes:
         """Byte-stable encoding of the whole finalized program, for
@@ -555,13 +542,10 @@ def _declare_variables(sys: EnergySystem, prog: LinearProgram) -> None:
         com = comp.commitment
         cap = comp.capacity
         if com is not None:
-            prog.add_variables(VarRef(VarKind.ON, comp.id, 0), T, 0.0, com.max_units,
-                               integer=True)
-            prog.add_variables(VarRef(VarKind.STARTUP, comp.id, 0), T, 0.0, com.max_units,
-                               integer=True)
+            prog.add_variables(VarRef(VarKind.ON, comp.id, 0), T, 0.0, com.max_units)
+            prog.add_variables(VarRef(VarKind.STARTUP, comp.id, 0), T, 0.0, com.max_units)
             if com.optimize_units:
-                prog.add_variable(VarRef(VarKind.UNITS, comp.id), 0.0, com.max_units,
-                                  integer=True)
+                prog.add_variable(VarRef(VarKind.UNITS, comp.id), 0.0, com.max_units)
         elif cap.optimizable:
             headroom = math.inf
             if cap.max_total is not None:

@@ -505,6 +505,7 @@ BINARY_REQUIRED = "BINARY_REQUIRED"
 PARTIAL_LOAD_SLOPE = "PARTIAL_LOAD_SLOPE"
 PARTIAL_LOAD_INPUT = "PARTIAL_LOAD_INPUT"
 COMMIT_PER_PERIOD = "COMMIT_PER_PERIOD"
+COMMIT_CAPACITY = "COMMIT_CAPACITY"
 COST_NEGATIVE = "COST_NEGATIVE"
 COST_CONFLICT = "COST_CONFLICT"
 COST_SIDE = "COST_SIDE"
@@ -646,6 +647,12 @@ def _check_component(comp: Component, grid: TimeGrid, node_ids: set[str],
     if cap.per_period and comp.committed:
         out.append(Violation(COMMIT_PER_PERIOD, where + ".per_period",
                              "per-period capacity is not supported on committed components"))
+    for field, given in (("initial", cap.initial != 0), ("optimizable", cap.optimizable),
+                         ("max_total", cap.max_total is not None)):
+        if given and comp.committed:
+            out.append(Violation(COMMIT_CAPACITY, f"{where}.{field}", "a committed component's "
+                                 "units set its capacity; this field is ignored",
+                                 severity="warning"))
 
     ramp = comp.ramp
     where = f"components[{cid}].ramp"
@@ -782,9 +789,7 @@ def _walk_system(sys: EnergySystem) -> ValidationReport:
         if n.id in seen_ids:
             out.append(Violation(ID_DUPLICATE, f"nodes[{n.id}]", "duplicate node id"))
         seen_ids.add(n.id)
-        if len(n.load) != grid.num_steps:
-            out.append(Violation(LOAD_LENGTH, f"nodes[{n.id}].load",
-                                 f"expected {grid.num_steps} entries, got {len(n.load)}"))
+        _check_series_len(n.load, grid.num_steps, LOAD_LENGTH, f"nodes[{n.id}].load", out)
         _check_finite(f"nodes[{n.id}].load", n.load, out)
     node_ids = sys.node_ids()
 

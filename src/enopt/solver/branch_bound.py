@@ -355,12 +355,11 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     if incumbent is None:
         if status == Status.GAP_LIMIT:
             return Solution(status=Status.GAP_LIMIT, values=np.zeros(prog.num_vars),
-                            objective=math.inf, bound=frontier_bound(), gap=math.inf,
-                            iterations=iterations, nodes=nodes_explored, integral=False,
-                            message=f"{limit} reached before any incumbent")
+                            objective=math.inf, bound=frontier_bound(), iterations=iterations,
+                            nodes=nodes_explored, message=f"{limit} reached before any incumbent")
         return Solution(status=Status.INFEASIBLE, values=np.zeros(prog.num_vars),
-                        objective=math.inf, bound=math.inf, gap=0.0,
-                        iterations=iterations, nodes=nodes_explored, integral=False,
+                        objective=math.inf, bound=math.inf,
+                        iterations=iterations, nodes=nodes_explored,
                         message="all branches fathomed without a feasible point")
 
     # snap integer values exactly (in place: the array came from its node's
@@ -376,8 +375,8 @@ def solve_milp(prog, config: SolverConfig | None = None) -> Solution:
     # popped
     status = Status.GAP_LIMIT if gap > cfg.mip_gap else Status.OPTIMAL
     return Solution(status=status, values=incumbent, objective=incumbent_obj,
-                    bound=bound, gap=gap, iterations=iterations, nodes=nodes_explored,
-                    integral=True, message=f"branch and bound explored {nodes_explored} nodes")
+                    bound=bound, iterations=iterations, nodes=nodes_explored,
+                    message=f"branch and bound explored {nodes_explored} nodes")
 
 
 def solve(prog, config: SolverConfig | None = None) -> Solution:

@@ -25,7 +25,6 @@ __all__ = ["CertificateReport", "check_certificate"]
 
 @dataclass(frozen=True)
 class CertificateReport:
-    ok: bool
     kind: str  # "lp" or "milp"
     max_primal_residual: float
     max_dual_residual: float
@@ -33,6 +32,10 @@ class CertificateReport:
     duality_gap: float
     max_integrality: float
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __str__(self) -> str:
         head = f"certificate {'OK' if self.ok else 'FAILED'} ({self.kind})"
@@ -106,8 +109,7 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
     bad = _non_finite(sol)
     if bad:
         nan = float("nan")
-        return CertificateReport(False, "milp" if milp else "lp",
-                                 nan, nan, nan, nan, nan, tuple(bad))
+        return CertificateReport("milp" if milp else "lp", nan, nan, nan, nan, nan, tuple(bad))
     x = np.asarray(sol.values, dtype=float)
     act = prog.A @ x
     primal, notes = _primal_residuals(prog, x, act)
@@ -126,9 +128,7 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
         if abs(recomputed - sol.objective) > FEASIBILITY_TOL * max(1.0, abs(recomputed)):
             notes.append(f"objective mismatch: reported {sol.objective}, "
                          f"recomputed {recomputed}")
-        ok = not notes
-        return CertificateReport(ok, "milp", primal, 0.0, 0.0,
-                                 abs(gap), max_int, tuple(notes))
+        return CertificateReport("milp", primal, 0.0, 0.0, abs(gap), max_int, tuple(notes))
 
     y = np.asarray(sol.duals, dtype=float)
     d = np.asarray(sol.reduced_costs, dtype=float)
@@ -182,5 +182,4 @@ def check_certificate(prog, sol: Solution) -> CertificateReport:
     gap = abs(obj - dual_value) / max(1.0, abs(obj))
     if gap > FEASIBILITY_TOL:
         notes.append(f"duality gap {gap:.3e}")
-    ok = not notes
-    return CertificateReport(ok, "lp", primal, dual_resid, comp, gap, 0.0, tuple(notes))
+    return CertificateReport("lp", primal, dual_resid, comp, gap, 0.0, tuple(notes))

@@ -78,8 +78,10 @@ class BasisState:
 @dataclass(frozen=True)
 class Solution:
     """Result of a solve: variable values aligned with the program's
-    variables, the objective, the best relaxation bound and the relative gap
-    between the two.
+    variables, the objective and the best relaxation bound; :attr:`gap`,
+    the relative gap between the two, is derived from them.  A solve that
+    ends without a point (infeasible, or stopped before any incumbent)
+    reports the objective +inf.
 
     ``duals`` and ``reduced_costs`` are present for pure LP solves and back
     the optimality certificate; ``ray``/``farkas`` carry unboundedness and
@@ -100,16 +102,18 @@ class Solution:
     values: np.ndarray
     objective: float
     bound: float
-    gap: float
     iterations: int
     nodes: int = 0
     duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     ray: np.ndarray | None = None
     farkas: np.ndarray | None = None
-    integral: bool = True
     message: str = ""
     basis: BasisState | None = None
+
+    @property
+    def gap(self) -> float:
+        return relative_gap(self.objective, self.bound)
 
 
 def relative_gap(objective: float, bound: float) -> float:

@@ -40,7 +40,7 @@ def solve_standard_lp(std: StandardForm, cfg: SolverConfig,
     hi = std.upper if upper is None else upper
     if np.any(lo > hi):
         return Solution(status=Status.INFEASIBLE, values=np.zeros(std.n_struct),
-                        objective=math.inf, bound=math.inf, gap=0.0, iterations=0,
+                        objective=math.inf, bound=math.inf, iterations=0,
                         message="simplex finished in phase 1")
     return BoundedSimplex(std, lo, hi, start=start, max_iterations=cfg.max_iterations).solve()
 

@@ -159,7 +159,7 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 from scipy.sparse.linalg._dsolve._superlu import gstrf
 
 from .core import (FEASIBILITY_TOL, OPTIMALITY_TOL, BasisState, Solution, SolverConfig,
-                   SolverError, Status, relative_gap)
+                   SolverError, Status)
 from .standard import StandardForm
 
 __all__ = ["BoundedSimplex"]
@@ -848,6 +848,5 @@ class BoundedSimplex:
             objective = float(self.cost_orig @ x)
         bound = -math.inf if status == Status.ITERATION_LIMIT else objective
         return Solution(status=status, values=x[:self.n_struct], objective=objective,
-                        bound=bound, gap=relative_gap(objective, bound),
-                        iterations=self.iterations,
+                        bound=bound, iterations=self.iterations,
                         message=f"simplex finished in phase {phase}", **fields)

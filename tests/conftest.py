@@ -27,7 +27,7 @@ def make_program(c, rows, lower=None, upper=None, integer=None) -> LinearProgram
         hi = np.inf if upper is None else upper[j]
         flag = bool(integer[j]) if integer is not None else False
         kind = VarKind.ON if flag else VarKind.OUTPUT
-        prog.add_variable(VarRef(kind, f"x{j}"), lo, hi, integer=flag)
+        prog.add_variable(VarRef(kind, f"x{j}"), lo, hi)
     for terms, sense, rhs in rows:
         prog.add_row(Family.NODE_BALANCE, list(terms), sense, rhs)
     for j, cj in enumerate(c):

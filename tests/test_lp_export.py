@@ -62,7 +62,7 @@ def _edge_program() -> LinearProgram:
     fixed = prog.add_variable(VarRef(VarKind.INSTALLED, "fix"), 3.5, 3.5)
     boxed = prog.add_variable(VarRef(VarKind.STORAGE_CAPACITY, "box"), -0.0, 2.5)
     below = prog.add_variable(VarRef(VarKind.RAMP_DOWN, "neg"), -7.25, math.inf)
-    on = prog.add_variables(VarRef(VarKind.ON, "unit#2", 0), 3, 0.0, 1.0, integer=True)
+    on = prog.add_variables(VarRef(VarKind.ON, "unit#2", 0), 3, 0.0, 1.0)
     period = prog.add_variables(VarRef(VarKind.INSTALLED_PERIOD, "pv-1.a b", period=0), 2)
     prog.add_rows(Family.CAPACITY_LIMIT, x + np.arange(4)[:, None] + np.array([0, 4]),
                   [[1.0, -0.1], [-1e-300, 1e300], [0.3, 0.3], [np.nan, -2.0]], LE,

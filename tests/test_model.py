@@ -144,6 +144,12 @@ def _with_component(sys_, **overrides):
     ({"costs": M.CostSpec(emission_price=-1.0)}, M.COST_NEGATIVE),
     ({"commitment": M.UnitCommitment(unit_capacity=5.0, max_units=1, min_up_steps=-1)},
      M.COMMIT_UNITS),
+    ({"capacity": M.CapacitySpec(initial=2.0),
+      "commitment": M.UnitCommitment(unit_capacity=5.0)}, M.COMMIT_CAPACITY),
+    ({"capacity": M.CapacitySpec(optimizable=True),
+      "commitment": M.UnitCommitment(unit_capacity=5.0)}, M.COMMIT_CAPACITY),
+    ({"capacity": M.CapacitySpec(max_total=50.0),
+      "commitment": M.UnitCommitment(unit_capacity=5.0)}, M.COMMIT_CAPACITY),
 ])
 def test_component_violations(overrides, code):
     sys_ = single_node_system(loads=(1.0, 2.0, 3.0))
@@ -218,6 +224,13 @@ def test_dimensions_of_coverage_fixture(coverage_system):
     assert dims.num_periods == 2
 
 
+def test_node_finds_a_node_by_id_and_refuses_others():
+    sys_ = single_node_system(loads=(1.0, 2.0))
+    assert sys_.node("fuel") is sys_.nodes[1]
+    with pytest.raises(KeyError):
+        sys_.node("missing")
+
+
 def test_every_declared_code_is_reachable():
     """Each invariant in the model maps to at least one violation code that
     the parametrized cases above actually produce."""
@@ -240,6 +253,7 @@ def test_every_declared_code_is_reachable():
         M.COST_CONFLICT, M.COST_SIDE, M.FUEL_LENGTH, M.ANNUITY_RANGE,
         M.STORAGE_EFFICIENCY, M.STORAGE_RATE, M.STORAGE_CAPACITY,
         M.STORAGE_OVERFULL, M.CO2_CAP_NEGATIVE, M.DEGENERATE, M.COSTLESS_SLACK,
+        M.COMMIT_CAPACITY,
     }
     assert declared <= produced
 

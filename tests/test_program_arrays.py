@@ -21,6 +21,7 @@ from enopt.formulate import GE, LE, EQ, compile_system, write_lp
 from enopt.scenario import load_scenario
 from enopt.solver import Status, check_certificate, solve, solve_lp
 from enopt.solver.certificate import CertificateReport
+from enopt.solver.core import Solution, relative_gap
 from enopt.solver.standard import standardize
 
 from conftest import coverage_fixture, storage_system
@@ -110,7 +111,7 @@ def reference_certificate(prog, sol, tol=1e-6):
         if abs(recomputed - sol.objective) > tol * max(1.0, abs(recomputed)):
             notes.append(f"objective mismatch: reported {sol.objective}, "
                          f"recomputed {recomputed}")
-        return CertificateReport(not notes, "milp", primal, 0.0, 0.0, abs(gap), max_int,
+        return CertificateReport("milp", primal, 0.0, 0.0, abs(gap), max_int,
                                  tuple(notes))
 
     y = np.asarray(sol.duals, dtype=float)
@@ -173,7 +174,7 @@ def reference_certificate(prog, sol, tol=1e-6):
     gap = abs(obj - dual_value) / max(1.0, abs(obj))
     if gap > tol:
         notes.append(f"duality gap {gap:.3e}")
-    return CertificateReport(not notes, "lp", primal, dual_resid, comp, gap, 0.0, tuple(notes))
+    return CertificateReport("lp", primal, dual_resid, comp, gap, 0.0, tuple(notes))
 
 
 def _paper_48(scenario_dir):
@@ -501,16 +502,14 @@ def test_finalize_refuses_a_column_outside_the_program(row_col, cost_col, messag
 def test_add_variables_declares_a_block_and_refuses_repeats():
     V, K = formulate.VarRef, formulate.VarKind
     prog = formulate.LinearProgram()
-    refs = [V(K.ON, "u", 0), V(K.ON, "u", 1), V(K.STARTUP, "u", 0)]
-    assert prog.add_variables(refs[0], 2, 0.0, 2.0, integer=True) == 0
+    refs = [V(K.ON, "u", 0), V(K.ON, "u", 1), V(K.OUTPUT, "w", 0)]
+    assert prog.add_variables(refs[0], 2, 0.0, 2.0) == 0
     assert prog.add_variables(refs[2], upper=5.0) == 2
     assert [prog.index(ref) for ref in refs] == [0, 1, 2]
     with pytest.raises(ValueError, match="declared twice"):
         prog.add_variables(V(K.ON, "u", 7), 2)
     with pytest.raises(ValueError, match="declared twice"):  # one block per kind and owner
         prog.add_variables(V(K.ON, "u", 2))
-    with pytest.raises(ValueError, match="integrality"):
-        prog.add_variables(V(K.OUTPUT, "u", 0), integer=True)
     with pytest.raises(ValueError, match="needs a step or period"):
         prog.add_variables(V(K.UNITS, "u"), 2)
     with pytest.raises(ValueError, match="count from 0"):  # LP names take no sign
@@ -533,6 +532,27 @@ def test_index_inverts_the_var_refs_view(formulation):
     assert [prog.index(ref) for ref in refs] == list(range(prog.num_vars))
     assert [prog.ref(j) for j in range(prog.num_vars)] == refs
     assert prog.labels() == [ref.label() for ref in refs]
+
+
+def test_gap_and_verdict_are_derived_from_their_fields(coverage_system):
+    """A solution's gap follows its objective and bound, and a
+    certificate's verdict follows its violations; neither is stored."""
+    assert not {"gap", "integral"} & {f.name for f in dataclasses.fields(Solution)}
+    assert "ok" not in {f.name for f in dataclasses.fields(CertificateReport)}
+    prog = compile_system(coverage_system)
+    sol = solve(prog)
+    assert sol.gap == relative_gap(sol.objective, sol.bound)
+    with pytest.raises(AttributeError):
+        sol.gap = 1.0
+    report = check_certificate(prog, sol)
+    assert report.ok and report.violations == () and str(report) == "certificate OK (milp)"
+    failed = dataclasses.replace(report, violations=("duality gap 1.000e-03",))
+    assert not failed.ok and str(failed) == "certificate FAILED (milp)\n  duality gap 1.000e-03"
+    with pytest.raises(AttributeError):
+        failed.ok = True
+    residuals = extract_report(coverage_system, prog, sol).residuals
+    with pytest.raises(KeyError):
+        residuals.residual("EQ99")
 
 
 def test_index_refuses_names_outside_every_block():

@@ -270,6 +270,25 @@ def test_cli_validate_and_run_print_a_costless_slack_warning(tmp_path, capsys):
     assert capsys.readouterr().err == warning
 
 
+def test_cli_validate_and_run_warn_on_a_committed_capacity(tmp_path, capsys, scenario_dir):
+    """Units set a committed component's capacity, so its initial,
+    optimizable and max capacity are ignored, each with a warning; its
+    availability is kept, as EQ22 reads it."""
+    doc = json.loads((scenario_dir / "commitment_demo.json").read_text())
+    base = next(c for c in doc["system"]["components"] if c["id"] == "base_unit")
+    base["capacity"] = {"initial": 500, "optimizable": True, "max": 900, "availability": 0.9}
+    path = tmp_path / "committed_capacity.json"
+    path.write_text(json.dumps(doc))
+    warnings = "".join(
+        f"warning COMMIT_CAPACITY at components[base_unit].capacity.{field}: a committed "
+        "component's units set its capacity; this field is ignored\n"
+        for field in ("initial", "optimizable", "max_total"))
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == warnings + f"{path}: valid (3 warnings)\n"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == warnings
+
+
 def test_cli_run_reports_capacity_per_period(tmp_path, capsys):
     system = M.EnergySystem(
         M.TimeGrid((1.0,) * 4, (0, 0, 1, 1)),
