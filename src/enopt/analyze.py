@@ -589,9 +589,10 @@ def _verify_costs(sys, view, col, sol) -> None:
             else:
                 try:
                     growth = (1.0 + ann.interest_rate) ** ann.lifetime
-                    alt = growth * ann.interest_rate / (growth - 1.0)
-                except OverflowError:  # float power raises; the limit is the rate
+                except OverflowError:  # a float power raises; the factor tends to the rate
                     alt = ann.interest_rate
+                else:
+                    alt = growth * ann.interest_rate / (growth - 1.0)
             col.note(Family.ANNUITY_FACTOR, abs(crf - alt) / max(1.0, abs(alt)))
         if costs.invest_side == "input":
             eta = comp.primary_efficiency()

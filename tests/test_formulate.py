@@ -682,24 +682,11 @@ def test_rows_are_canonically_ordered(coverage_system):
 def test_program_internal_consistency(coverage_system):
     prog = compile_system(coverage_system)
     assert prog.validate() == []
-    for j, flag in enumerate(prog.is_integer):
-        if flag:
-            assert prog.ref(j).kind in (VarKind.ON, VarKind.STARTUP, VarKind.UNITS)
-
-
-def test_integrality_follows_the_variable_kind(coverage_system):
-    """A column is integer exactly when its kind is on, startup or units."""
-    prog = compile_system(coverage_system)
+    assert LinearProgram().validate() == ["program not finalized"]
+    # a column is integer exactly when its kind is on, startup or units
+    assert INTEGER_KINDS == {VarKind.ON, VarKind.STARTUP, VarKind.UNITS}
     assert prog.is_integer.tolist() == [ref.kind in INTEGER_KINDS for ref in var_refs(prog)]
     assert prog.is_integer.any() and not prog.is_integer.all()
-
-
-def test_validate_reports_only_an_unfinalized_program():
-    prog = LinearProgram()
-    assert prog.validate() == ["program not finalized"]
-    prog.add_variables(VarRef(VarKind.OUTPUT, "x", 0), 2)
-    assert prog.validate() == ["program not finalized"]
-    assert prog.finalize().validate() == []
 
 
 def test_ref_refuses_a_column_past_the_last(coverage_system):
